@@ -8,8 +8,8 @@
 //     balance;
 //   * Zipf-skewed foreign keys: the hot value's duplicates must share a
 //     cluster under *any* hash (equal keys must meet), so the hot cluster
-//     grows with skew — the bucket-chained hash join inside each cluster
-//     still degrades gracefully.
+//     grows with skew — the hash join inside each cluster still degrades
+//     gracefully.
 #include "bench_common.h"
 
 #include <cmath>
@@ -119,7 +119,7 @@ int Run(int argc, char** argv) {
       "tuples into one cluster (100%%) and loses the partitioning benefit;\n"
       "murmur restores balance. Zipf — the hot value's cluster is large\n"
       "under either hash (equal keys must colocate), yet the join inside\n"
-      "the cluster stays linear thanks to bucket chaining.\n");
+      "the cluster stays linear thanks to its hash table.\n");
   return 0;
 }
 

@@ -2,7 +2,8 @@
 # Tier-1 verify + benchmark smoke run, mirroring the CI matrix locally.
 #
 # Usage: ./ci.sh [build-dir]           build + tests + bench smoke +
-#                                      BENCH_ci.json (the CI artifact)
+#                                      BENCH_ci.json (the CI artifact) +
+#                                      perfbench correctness smoke
 #        ./ci.sh --asan [build-dir]    Debug ASan/UBSan build + full tests
 #        ./ci.sh --tsan [build-dir]    Debug TSan build + the parallel
 #                                      executor tests (plan/exec/thread_pool)
@@ -167,4 +168,20 @@ echo "== bench artifact (BENCH_ci.json) =="
 
 echo "== examples smoke =="
 "$BUILD_DIR/mil_pipeline" > /dev/null
+
+echo "== perfbench smoke =="
+# The end-to-end benchmark builds its own copy of src/ (perfbench/run.py,
+# into $CARGO_TARGET_DIR/perfbench or .bench_build/perfbench) and checks
+# every answer against a reference computed from the generated rows. The
+# step fails unless the JSON result line (the last line) says
+# "correct": true.
+for workload in star_join ingest; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+    --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+if result.get("correct") is not True:
+    sys.exit("perfbench %s: not correct: %s" % (sys.argv[1], result))
+' "$workload"
+done
 echo "OK"

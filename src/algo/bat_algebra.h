@@ -30,7 +30,7 @@ StatusOr<Bat> BatMark(const Bat& b, oid_t base);
 /// Dispatches on r's head representation:
 ///   * void head -> positional lookup, "effectively eliminating all join
 ///     cost" (§3.1);
-///   * u32 head  -> bucket-chained hash join.
+///   * u32 head  -> hash join (algo/hash_table.h).
 /// Requires integral tails <= 32 bits on l and r.
 StatusOr<Bat> BatJoin(const Bat& l, const Bat& r);
 

@@ -1,8 +1,15 @@
-// Monet-style bucket-chained hash table (§3.2/§3.3): an array of bucket
-// heads plus a per-tuple `next` chain, both indexing into the build span.
-// No tuples are copied. With the default average chain length of 4, the
-// table costs 4 bytes/tuple on top of the 8-byte BUN — the paper's
-// "12 bytes per tuple including hash table" used by the phash strategies.
+// Bucket-sorted hash table (§3.2/§3.3): the build tuples are copied into
+// bucket order behind a uint32 offset array, so bucket b is the contiguous
+// run tuples[off[b], off[b+1]). Building takes one histogram pass and one
+// scatter pass; a probe reads two adjacent offsets and scans one run
+// instead of walking a chain of dependent `heads -> build -> next` loads.
+// With the default of one tuple per bucket, the table costs the 8-byte BUN
+// plus about 4 bytes of offsets per tuple — the paper's "12 bytes per tuple
+// including hash table" used by the phash strategies.
+//
+// Each bucket is filled back to front, so a probe emits duplicate keys in
+// reverse build order — the Monet bucket-chain order (head insertion) that
+// every join's output order is pinned to.
 #ifndef CCDB_ALGO_HASH_TABLE_H_
 #define CCDB_ALGO_HASH_TABLE_H_
 
@@ -15,32 +22,42 @@
 
 namespace ccdb {
 
-/// Default tuples-per-bucket divisor (paper models a bucket-chain length
-/// of 4 in §3.4.3).
-inline constexpr size_t kDefaultChainLength = 4;
+/// Default tuples-per-bucket divisor: one tuple per bucket on average, so a
+/// probe scans a run of about one tuple.
+inline constexpr size_t kDefaultChainLength = 1;
 
 template <class Mem, class HashFn = IdentityHash>
 class BucketChainedHashTable {
  public:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-
-  /// Builds over `build`. `shift` discards hash bits already used for radix
-  /// clustering (within a cluster all B low bits are equal, so buckets must
-  /// be chosen from the bits above them).
+  /// Builds over a copy of `build` (the span need not outlive the table).
+  /// `shift` discards hash bits already used for radix clustering (within a
+  /// cluster all B low bits are equal, so buckets must be chosen from the
+  /// bits above them).
   BucketChainedHashTable(std::span<const Bun> build, int shift,
                          size_t avg_chain, Mem& mem)
-      : build_(build), shift_(shift) {
+      : shift_(shift) {
     size_t want = build.empty() ? 1 : (build.size() + avg_chain - 1) / avg_chain;
     size_t nbuckets = NextPowerOfTwo(want);
     mask_ = static_cast<uint32_t>(nbuckets - 1);
-    heads_.assign(nbuckets, kEmpty);
-    next_.resize(build.size());
-    for (uint32_t i = 0; i < build.size(); ++i) {
-      Bun t = mem.Load(&build_[i]);
-      uint32_t b = (HashFn::Hash(t.tail) >> shift_) & mask_;
-      uint32_t old = mem.Load(&heads_[b]);
-      mem.Store(&next_[i], old);
-      mem.Store(&heads_[b], i);
+    off_.assign(nbuckets + 1, 0);
+    tuples_.resize(build.size());
+    // Histogram, then an inclusive prefix sum: off_[b] = end of bucket b.
+    for (size_t i = 0; i < build.size(); ++i) {
+      mem.Update(&off_[Bucket(mem.Load(&build[i]).tail)], 1u);
+    }
+    uint32_t sum = 0;
+    for (size_t b = 0; b < nbuckets; ++b) {
+      sum += mem.Load(&off_[b]);
+      mem.Store(&off_[b], sum);
+    }
+    mem.Store(&off_[nbuckets], sum);
+    // Scatter back to front: off_[b] walks down to the start of bucket b.
+    for (size_t i = 0; i < build.size(); ++i) {
+      Bun t = mem.Load(&build[i]);
+      uint32_t* end = &off_[Bucket(t.tail)];
+      uint32_t pos = mem.Load(end) - 1;
+      mem.Store(end, pos);
+      mem.Store(&tuples_[pos], t);
     }
   }
 
@@ -48,40 +65,38 @@ class BucketChainedHashTable {
   /// `probe.tail`.
   template <class Fn>
   CCDB_ALWAYS_INLINE void Probe(Bun probe, Mem& mem, Fn&& emit) const {
-    uint32_t b = (HashFn::Hash(probe.tail) >> shift_) & mask_;
-    uint32_t idx = mem.Load(&heads_[b]);
-    while (idx != kEmpty) {
-      Bun t = mem.Load(&build_[idx]);
+    uint32_t b = Bucket(probe.tail);
+    uint32_t lo = mem.Load(&off_[b]);
+    uint32_t hi = mem.Load(&off_[b + 1]);
+    for (uint32_t i = lo; i < hi; ++i) {
+      Bun t = mem.Load(&tuples_[i]);
       if (t.tail == probe.tail) emit(t);
-      idx = mem.Load(&next_[idx]);
     }
   }
 
-  size_t bucket_count() const { return heads_.size(); }
+  size_t bucket_count() const { return off_.size() - 1; }
 
-  /// Issues a software prefetch for the bucket head that a future probe of
-  /// `tail` will touch ([Mow94]-style latency hiding; see
+  /// Issues a software prefetch for the bucket offsets that a future probe
+  /// of `tail` will touch ([Mow94]-style latency hiding; see
   /// SimpleHashJoinPrefetch).
   void PrefetchBucket(uint32_t tail) const {
-    uint32_t b = (HashFn::Hash(tail) >> shift_) & mask_;
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&heads_[b], /*rw=*/0, /*locality=*/1);
+    __builtin_prefetch(&off_[Bucket(tail)], /*rw=*/0, /*locality=*/1);
 #endif
   }
 
-  /// Length of the chain in bucket `b` (test/diagnostic use).
-  size_t ChainLength(uint32_t b) const {
-    size_t len = 0;
-    for (uint32_t idx = heads_[b]; idx != kEmpty; idx = next_[idx]) ++len;
-    return len;
-  }
+  /// Number of tuples in bucket `b` (test/diagnostic use).
+  size_t ChainLength(uint32_t b) const { return off_[b + 1] - off_[b]; }
 
  private:
-  std::span<const Bun> build_;
+  CCDB_ALWAYS_INLINE uint32_t Bucket(uint32_t tail) const {
+    return (HashFn::Hash(tail) >> shift_) & mask_;
+  }
+
   int shift_;
   uint32_t mask_;
-  std::vector<uint32_t> heads_;
-  std::vector<uint32_t> next_;
+  std::vector<uint32_t> off_;  // bucket b = tuples_[off_[b], off_[b + 1])
+  std::vector<Bun> tuples_;
 };
 
 }  // namespace ccdb

@@ -1,6 +1,6 @@
 // Partitioned hash-join (§3.3, Fig. 8): radix-cluster both relations on B
 // bits so each cluster (plus its hash table) fits a chosen memory level,
-// then bucket-chained hash-join each pair of matching clusters. The
+// then hash-join each pair of matching clusters. The
 // [SKN94] main-memory Grace join corresponds to P = 1 and B sized for L2;
 // the radix-cluster makes L1- and TLB-sized partitioning feasible too
 // (the paper's phash L1 / phash TLB strategies).

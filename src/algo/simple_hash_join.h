@@ -1,5 +1,5 @@
 // Non-partitioned ("simple") hash-join: the classic main-memory equi-join
-// the paper uses as baseline in Fig. 13. Builds one bucket-chained hash
+// the paper uses as baseline in Fig. 13. Builds one bucket-sorted hash
 // table over the entire inner relation and probes it with the outer. When
 // inner + table exceed the caches, every probe is a random-access cache
 // miss — the paper's motivating pathology (§3.2).
@@ -35,10 +35,11 @@ std::vector<Bun> SimpleHashJoin(std::span<const Bun> l, std::span<const Bun> r,
 
 /// Simple hash join with software prefetching on the probe stream — the
 /// [Mow94] latency-hiding idea §2 discusses. While probing tuple i, the
-/// bucket head that tuple i+distance will need is prefetched, overlapping
-/// its memory latency with the current chain walk. The paper expected
-/// limited benefit ("the amount of CPU work per memory access tends to be
-/// small"); bench/ablation_prefetch quantifies it on modern hardware.
+/// bucket offsets that tuple i+distance will need are prefetched,
+/// overlapping their memory latency with the current bucket scan. The
+/// paper expected limited benefit ("the amount of CPU work per memory
+/// access tends to be small"); bench/ablation_prefetch quantifies it on
+/// modern hardware.
 /// DirectMemory only: prefetch hints have no meaning in the simulator.
 inline std::vector<Bun> SimpleHashJoinPrefetch(std::span<const Bun> l,
                                                std::span<const Bun> r,

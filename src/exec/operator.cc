@@ -66,14 +66,10 @@ StatusOr<std::vector<Bun>> ExecuteJoinPlan(std::span<const Bun> l,
                                            const JoinPlan& plan,
                                            JoinStats* stats) {
   DirectMemory mem;
-  switch (plan.strategy) {
-    case JoinStrategy::kSortMerge:
-      return SortMergeJoin(l, r, mem, stats);
-    case JoinStrategy::kSimpleHash:
-      return SimpleHashJoin(l, r, mem, stats);
-    default:
-      break;
+  if (plan.strategy == JoinStrategy::kSortMerge) {
+    return SortMergeJoin(l, r, mem, stats);
   }
+  if (RunsSimpleHash(plan)) return SimpleHashJoin(l, r, mem, stats);
   if (plan.use_radix_join) {
     return RadixJoin(l, r, plan.bits, plan.passes, mem, stats);
   }
@@ -1133,15 +1129,23 @@ Status JoinOp::Open() {
   CCDB_ASSIGN_OR_RETURN(inner_, ConcatChunks(std::move(inner_chunks)));
   CCDB_ASSIGN_OR_RETURN(size_t rk, inner_.Find(right_key_));
   CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> keys, inner_.GatherU32(rk));
-  inner_buns_.resize(keys.size());
+  // Scratch for the build only: every prepared form below owns its copy.
+  BunVec inner_buns(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    inner_buns_[i] = {static_cast<oid_t>(i), keys[i]};
+    inner_buns[i] = {static_cast<oid_t>(i), keys[i]};
   }
   // An empty inner needs no clustering; the model's argmin is undefined at
   // C = 0.
-  plan_ = inner_buns_.empty()
+  plan_ = inner_buns.empty()
               ? PlanJoin(JoinStrategy::kSimpleHash, 0, profile_)
-              : PlanJoin(strategy_, inner_buns_.size(), profile_);
+              : PlanJoin(strategy_, inner_buns.size(), profile_);
+  // Report the cost of the join that runs: PlanJoin priced the paper's
+  // symmetric C = inner join; the asymmetric composition prices the actual
+  // inner against the estimated probe side.
+  CostModel model(profile_);
+  plan_.predicted_ms = model.Millis(JoinModelPrediction(
+      model, plan_, inner_buns.size(),
+      est_probe_rows_ > 0 ? est_probe_rows_ : inner_buns.size()));
 
   // Prepare the inner side exactly once for the chosen plan; probe chunks
   // reuse it. (This fixes the ROADMAP chunking defect: the full join kernel
@@ -1150,46 +1154,39 @@ Status JoinOp::Open() {
   // tables that used to be rebuilt inside every chunk's join phase.
   DirectMemory mem;
   double prepare_ms = 0;
-  switch (plan_.strategy) {
-    case JoinStrategy::kSortMerge: {
+  if (plan_.strategy == JoinStrategy::kSortMerge) {
+    WallTimer t;
+    inner_sorted_ = std::move(inner_buns);
+    QuickSortByTail(std::span<Bun>(inner_sorted_), mem);
+    prepare_ms = t.ElapsedMillis();
+  } else if (RunsSimpleHash(plan_)) {
+    WallTimer t;
+    inner_table_.emplace(std::span<const Bun>(inner_buns), /*shift=*/0,
+                         kDefaultChainLength, mem);
+    prepare_ms = t.ElapsedMillis();
+  } else {
+    RadixClusterOptions opt{
+        .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
+    RadixClusterStats cs;
+    CCDB_ASSIGN_OR_RETURN(
+        inner_clustered_,
+        (RadixCluster<DirectMemory, IdentityHash>(inner_buns, opt, mem, &cs)));
+    inner_bounds_ = ClusterBounds<IdentityHash>(inner_clustered_);
+    prepare_ms = cs.total_ms;
+    if (!plan_.use_radix_join) {
       WallTimer t;
-      inner_sorted_ = inner_buns_;
-      QuickSortByTail(std::span<Bun>(inner_sorted_), mem);
-      prepare_ms = t.ElapsedMillis();
-      break;
-    }
-    case JoinStrategy::kSimpleHash: {
-      WallTimer t;
-      inner_table_.emplace(std::span<const Bun>(inner_buns_), /*shift=*/0,
-                           kDefaultChainLength, mem);
-      prepare_ms = t.ElapsedMillis();
-      break;
-    }
-    default: {
-      RadixClusterOptions opt{
-          .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
-      RadixClusterStats cs;
-      CCDB_ASSIGN_OR_RETURN(
-          inner_clustered_,
-          (RadixCluster<DirectMemory, IdentityHash>(inner_buns_, opt, mem,
-                                                    &cs)));
-      inner_bounds_ = ClusterBounds<IdentityHash>(inner_clustered_);
-      prepare_ms = cs.total_ms;
-      if (!plan_.use_radix_join) {
-        WallTimer t;
-        size_t h = size_t{1} << plan_.bits;
-        inner_tables_.resize(h);
-        for (size_t c = 0; c < h; ++c) {
-          size_t lo = inner_bounds_[c], hi = inner_bounds_[c + 1];
-          if (hi == lo) continue;
-          inner_tables_[c] = std::make_unique<InnerHashTable>(
-              std::span<const Bun>(inner_clustered_.tuples.data() + lo,
-                                   hi - lo),
-              /*shift=*/plan_.bits, kDefaultChainLength, mem);
-        }
-        prepare_ms += t.ElapsedMillis();
+      size_t h = size_t{1} << plan_.bits;
+      inner_tables_.resize(h);
+      for (size_t c = 0; c < h; ++c) {
+        size_t lo = inner_bounds_[c], hi = inner_bounds_[c + 1];
+        if (hi == lo) continue;
+        inner_tables_[c] = std::make_unique<InnerHashTable>(
+            std::span<const Bun>(inner_clustered_.tuples.data() + lo, hi - lo),
+            /*shift=*/plan_.bits, kDefaultChainLength, mem);
       }
-      break;
+      // The tables hold their own copies; only the bounds are read again.
+      inner_clustered_ = ClusteredRelation{};
+      prepare_ms += t.ElapsedMillis();
     }
   }
 
@@ -1197,7 +1194,7 @@ Status JoinOp::Open() {
     info_->left_key = left_key_;
     info_->right_key = right_key_;
     info_->join_type = join_type_;
-    info_->inner_cardinality = inner_buns_.size();
+    info_->inner_cardinality = inner_.rows;
     info_->plan = plan_;
     info_->stats = JoinStats{};
     info_->stats.bits = plan_.bits;
@@ -1213,15 +1210,12 @@ Status JoinOp::Open() {
 void JoinOp::Close() {
   left_->Close();
   right_->Close();
-  // Non-owning views (inner_table_, inner_tables_) go before their backing
-  // stores.
   inner_table_.reset();
   inner_tables_.clear();
   inner_bounds_.clear();
   inner_clustered_ = ClusteredRelation{};
   inner_sorted_.clear();
   inner_ = Chunk{};
-  inner_buns_.clear();
 }
 
 namespace {
@@ -1266,7 +1260,7 @@ StatusOr<std::vector<Bun>> JoinOp::ProbeSimpleHash(
   size_t shards = CtxShards(ctx_, probe.size());
   if (shards <= 1) {
     std::vector<Bun> out;
-    out.reserve(MatchReserveRows(probe.size(), inner_buns_.size(),
+    out.reserve(MatchReserveRows(probe.size(), inner_.rows,
                                  est_result_rows_, est_probe_rows_));
     DirectMemory mem;
     for (const Bun& lt : probe) {
@@ -1364,46 +1358,38 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
   }
   JoinStats stats;
   std::vector<Bun> matches;
-  switch (plan_.strategy) {
-    case JoinStrategy::kSortMerge: {
-      DirectMemory mem;
-      WallTimer t_sort;
-      // The bun heads carry the chunk positions, so sorting in place loses
-      // nothing — probe_buns is not read again after the merge.
-      QuickSortByTail(std::span<Bun>(probe_buns), mem);
-      stats.cluster_left_ms = t_sort.ElapsedMillis();
-      WallTimer t_join;
-      matches.reserve(MatchReserveRows(probe_buns.size(), inner_sorted_.size(),
-                                       est_result_rows_, est_probe_rows_));
-      MergeSortedByTail<DirectMemory>(probe_buns, inner_sorted_, mem, matches);
-      stats.join_ms = t_join.ElapsedMillis();
-      break;
-    }
-    case JoinStrategy::kSimpleHash: {
-      WallTimer t;
-      CCDB_ASSIGN_OR_RETURN(matches, ProbeSimpleHash(probe_buns));
-      stats.join_ms = t.ElapsedMillis();
-      break;
-    }
-    default: {
-      // Only the cache-sized probe chunk is clustered per Next(); the
-      // inner stays clustered from Open().
-      DirectMemory mem;
-      RadixClusterOptions opt{
-          .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
-      RadixClusterStats cs;
-      CCDB_ASSIGN_OR_RETURN(
-          ClusteredRelation cl,
-          (RadixCluster<DirectMemory, IdentityHash>(probe_buns, opt, mem,
-                                                    &cs)));
-      stats.cluster_left_ms = cs.total_ms;
-      WallTimer t;
-      uint64_t tasks = 0;
-      CCDB_ASSIGN_OR_RETURN(matches, JoinClusteredChunk(cl, &tasks));
-      stats.join_ms = t.ElapsedMillis();
-      if (info_ != nullptr) info_->partition_tasks += tasks;
-      break;
-    }
+  if (plan_.strategy == JoinStrategy::kSortMerge) {
+    DirectMemory mem;
+    WallTimer t_sort;
+    // The bun heads carry the chunk positions, so sorting in place loses
+    // nothing — probe_buns is not read again after the merge.
+    QuickSortByTail(std::span<Bun>(probe_buns), mem);
+    stats.cluster_left_ms = t_sort.ElapsedMillis();
+    WallTimer t_join;
+    matches.reserve(MatchReserveRows(probe_buns.size(), inner_sorted_.size(),
+                                     est_result_rows_, est_probe_rows_));
+    MergeSortedByTail<DirectMemory>(probe_buns, inner_sorted_, mem, matches);
+    stats.join_ms = t_join.ElapsedMillis();
+  } else if (RunsSimpleHash(plan_)) {
+    WallTimer t;
+    CCDB_ASSIGN_OR_RETURN(matches, ProbeSimpleHash(probe_buns));
+    stats.join_ms = t.ElapsedMillis();
+  } else {
+    // Only the cache-sized probe chunk is clustered per Next(); the inner
+    // stays clustered from Open().
+    DirectMemory mem;
+    RadixClusterOptions opt{
+        .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
+    RadixClusterStats cs;
+    CCDB_ASSIGN_OR_RETURN(
+        ClusteredRelation cl,
+        (RadixCluster<DirectMemory, IdentityHash>(probe_buns, opt, mem, &cs)));
+    stats.cluster_left_ms = cs.total_ms;
+    WallTimer t;
+    uint64_t tasks = 0;
+    CCDB_ASSIGN_OR_RETURN(matches, JoinClusteredChunk(cl, &tasks));
+    stats.join_ms = t.ElapsedMillis();
+    if (info_ != nullptr) info_->partition_tasks += tasks;
   }
   // The match list [probe position, inner position] becomes an output
   // chunk according to the join type; the prepared inner and probe phases

@@ -275,13 +275,10 @@ class JoinOp : public Operator {
   uint64_t est_result_rows_ = 0, est_probe_rows_ = 0;  // planner sizing hints
   JoinPlan plan_;
   Chunk inner_;
-  // Inner-side scratch is arena-backed (BunVec): large builds land on
-  // huge-page-eligible mappings with cache-line-aligned starts.
-  BunVec inner_buns_;
-  // Inner side prepared once at Open() (exactly one is populated):
-  ClusteredRelation inner_clustered_;       // radix/phash: clustered copy
-  std::vector<uint64_t> inner_bounds_;      //   + per-partition bounds
-  std::vector<std::unique_ptr<InnerHashTable>> inner_tables_;  // phash only
+  // Inner side prepared once at Open():
+  std::vector<uint64_t> inner_bounds_;      // radix/phash: partition bounds
+  ClusteredRelation inner_clustered_;       // radix: clustered copy
+  std::vector<std::unique_ptr<InnerHashTable>> inner_tables_;  // phash
   BunVec inner_sorted_;                     // sort-merge: sorted copy
   std::optional<InnerHashTable> inner_table_;  // simple hash: one table
 };

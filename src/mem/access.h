@@ -8,7 +8,7 @@
 //                      paper obtained from R10000 hardware counters.
 //
 // This is the substitution that makes the paper's counter-based evaluation
-// reproducible on any host (see DESIGN.md §1).
+// reproducible on any host (see README.md, "Memory layer").
 #ifndef CCDB_MEM_ACCESS_H_
 #define CCDB_MEM_ACCESS_H_
 

@@ -10,7 +10,8 @@ namespace {
 
 constexpr double kTupleBytes = sizeof(Bun);  // 8: the paper's BUN width
 // The phash strategies size clusters at 12 bytes/tuple: the 8-byte BUN plus
-// 4 bytes of bucket-chained hash table overhead (§3.4.4).
+// 4 bytes of hash table overhead (§3.4.4; the paper's bucket chains, the
+// engine's bucket offsets in algo/hash_table.h).
 constexpr double kPhashTupleBytes = 12;
 
 }  // namespace

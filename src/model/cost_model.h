@@ -119,11 +119,14 @@ class CostModel {
   ModelPrediction TotalRadixJoin(int bits, uint64_t c) const;
   ModelPrediction TotalPhashJoin(int bits, uint64_t c) const;
 
-  /// Non-partitioned hash join = phash join phase with B = 0 (one cluster =
-  /// the whole relation), no clustering cost.
+  /// Non-partitioned hash join: the phash join phase with B = 0 (one
+  /// cluster = the whole relation) and no cluster passes. It is what runs
+  /// for B = 0, so PlanJoin(kBest) prices B = 0 with it.
   ModelPrediction SimpleHashJoin(uint64_t c) const;
 
-  /// argmin over B in [0, max_bits] of the total model cost; returns B.
+  /// argmin over B in [0, max_bits] of Total*Join(B, c); returns B. Their
+  /// B = 0 still charges two (identity) cluster passes, so it is not
+  /// SimpleHashJoin and never wins against it.
   int BestRadixBits(uint64_t c, int max_bits = 27) const;
   int BestPhashBits(uint64_t c, int max_bits = 27) const;
 

@@ -150,42 +150,6 @@ ModelPrediction PredictExprCost(const Expr& e, double rows,
   }
 }
 
-/// §3.4 prediction of a whole join for a resolved plan, composed for the
-/// asymmetric cardinalities the estimator supplies (the paper's Total*
-/// formulas assume |L| = |R| = C): each relation is clustered at its own
-/// cardinality and the join phase runs at the probe cardinality (the
-/// per-probe-tuple term dominates it). Sort-merge, which the paper does
-/// not model, gets an n-log-n CPU estimate.
-ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
-                                    uint64_t c_inner, uint64_t c_probe) {
-  switch (plan.strategy) {
-    case JoinStrategy::kSortMerge: {
-      ModelPrediction p;
-      for (double n : {static_cast<double>(c_inner),
-                       static_cast<double>(c_probe)}) {
-        if (n > 0) {
-          p.cpu_ns +=
-              n * std::log2(std::max(n, 2.0)) * cm.profile().cost.wscan_ns;
-          p.l2_misses += n;  // the sort's random access over the relation
-        }
-      }
-      return p;
-    }
-    case JoinStrategy::kSimpleHash:
-      // One table over the whole inner (B = 0 — one cluster), no
-      // clustering cost.
-      return cm.PhashJoinPhaseAsym(0, c_inner, c_probe);
-    default: {
-      ModelPrediction p = cm.Cluster(plan.passes, plan.bits, c_inner);
-      p += cm.Cluster(plan.passes, plan.bits, c_probe);
-      p += plan.use_radix_join
-               ? cm.RadixJoinPhaseAsym(plan.bits, c_inner, c_probe)
-               : cm.PhashJoinPhaseAsym(plan.bits, c_inner, c_probe);
-      return p;
-    }
-  }
-}
-
 /// Group-table probe cost per input row, by where the table lives in the
 /// hierarchy (§3.2: hash-grouping wins because the group table usually
 /// stays cache-resident): an L1-resident table costs CPU only, an

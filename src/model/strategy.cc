@@ -1,5 +1,6 @@
 #include "model/strategy.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/bits.h"
@@ -85,10 +86,16 @@ JoinPlan PlanJoin(JoinStrategy s, uint64_t c, const MachineProfile& profile) {
       plan.predicted_ms = model.Millis(model.TotalRadixJoin(plan.bits, c));
       return plan;
     case JoinStrategy::kBest: {
+      // B = 0 is priced as what runs for it: one table over the whole
+      // inner, no cluster passes (Total*Join(0) would charge two).
       int rb = model.BestRadixBits(c);
       int pb = model.BestPhashBits(c);
+      double simple_ns = model.SimpleHashJoin(c).total_ns(profile.lat);
       double radix_ns = model.TotalRadixJoin(rb, c).total_ns(profile.lat);
       double phash_ns = model.TotalPhashJoin(pb, c).total_ns(profile.lat);
+      if (simple_ns <= std::min(radix_ns, phash_ns)) {
+        return PlanJoin(JoinStrategy::kSimpleHash, c, profile);
+      }
       plan.use_radix_join = radix_ns < phash_ns;
       plan.bits = plan.use_radix_join ? rb : pb;
       plan.passes = model.OptimalPasses(plan.bits);
@@ -102,6 +109,31 @@ JoinPlan PlanJoin(JoinStrategy s, uint64_t c, const MachineProfile& profile) {
       plan.predicted_ms = model.Millis(model.TotalPhashJoin(plan.bits, c));
       return plan;
   }
+}
+
+ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
+                                    uint64_t c_inner, uint64_t c_probe) {
+  if (plan.strategy == JoinStrategy::kSortMerge) {
+    ModelPrediction p;
+    for (double n :
+         {static_cast<double>(c_inner), static_cast<double>(c_probe)}) {
+      if (n > 0) {
+        p.cpu_ns += n * std::log2(std::max(n, 2.0)) * cm.profile().cost.wscan_ns;
+        p.l2_misses += n;  // the sort's random access over the relation
+      }
+    }
+    return p;
+  }
+  if (RunsSimpleHash(plan)) {
+    // One table over the whole inner (B = 0 — one cluster), no clustering
+    // cost.
+    return cm.PhashJoinPhaseAsym(0, c_inner, c_probe);
+  }
+  ModelPrediction p = cm.Cluster(plan.passes, plan.bits, c_inner);
+  p += cm.Cluster(plan.passes, plan.bits, c_probe);
+  p += plan.use_radix_join ? cm.RadixJoinPhaseAsym(plan.bits, c_inner, c_probe)
+                           : cm.PhashJoinPhaseAsym(plan.bits, c_inner, c_probe);
+  return p;
 }
 
 }  // namespace ccdb

@@ -12,7 +12,7 @@ namespace ccdb {
 
 enum class JoinStrategy {
   kSortMerge,   ///< sort both, merge (baseline)
-  kSimpleHash,  ///< non-partitioned bucket-chained hash join (baseline)
+  kSimpleHash,  ///< non-partitioned hash join (baseline; kBest's B = 0)
   kPhashL2,     ///< B = log2(C*12 / ||L2||): inner cluster + table fits L2
                 ///< (the [SKN94] setting)
   kPhashTLB,    ///< B = log2(C*12 / ||TLB||): cluster spans <= |TLB| pages
@@ -22,7 +22,8 @@ enum class JoinStrategy {
   kPhashMin,    ///< clusters of ~200 tuples: the paper's empirical optimum
   kRadix8,      ///< radix-join with ~8 tuples per cluster
   kRadixMin,    ///< radix-join with ~4 tuples per cluster (slightly better)
-  kBest,        ///< model-driven argmin over algorithm and B
+  kBest,        ///< model-driven argmin over B = 0 (simple hash, no
+                ///< cluster passes) and radix/phash at B >= 1
 };
 
 const char* JoinStrategyName(JoinStrategy s);
@@ -33,7 +34,10 @@ struct JoinPlan {
   bool use_radix_join = false;  ///< radix-join vs partitioned hash-join
   int bits = 0;
   int passes = 1;
-  double predicted_ms = 0;  ///< model cost (0 for sort-merge: no model)
+  /// Model cost. PlanJoin prices the paper's symmetric join at C (0 for
+  /// sort-merge: no model); JoinOp::Open replaces it with
+  /// JoinModelPrediction at the actual inner and estimated probe sizes.
+  double predicted_ms = 0;
 };
 
 /// Computes the radix bits B the named strategy prescribes for cardinality
@@ -41,8 +45,27 @@ struct JoinPlan {
 int StrategyBits(JoinStrategy s, uint64_t c, const MachineProfile& profile);
 
 /// Resolves a full plan: bits via StrategyBits (or model argmin for kBest),
-/// passes via CostModel::OptimalPasses, predicted cost via the model.
+/// passes via CostModel::OptimalPasses, predicted cost via the model (the
+/// paper's symmetric |L| = |R| = C formulas). kBest returns a kSimpleHash
+/// plan when B = 0, priced as CostModel::SimpleHashJoin, wins the argmin.
 JoinPlan PlanJoin(JoinStrategy s, uint64_t c, const MachineProfile& profile);
+
+/// True when `plan` runs as one non-partitioned hash table: the simple-hash
+/// baseline, or a partitioned hash plan whose bits rounded to 0 (its one
+/// "cluster" would be an identity copy of each side).
+inline bool RunsSimpleHash(const JoinPlan& plan) {
+  return plan.strategy != JoinStrategy::kSortMerge && !plan.use_radix_join &&
+         plan.bits == 0;
+}
+
+/// §3.4 prediction of a whole join for a resolved plan, composed for
+/// asymmetric cardinalities (the paper's Total* formulas assume
+/// |L| = |R| = C): each relation is clustered at its own cardinality and
+/// the join phase runs at the probe cardinality (the per-probe-tuple term
+/// dominates it). Sort-merge, which the paper does not model, gets an
+/// n-log-n CPU estimate.
+ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
+                                    uint64_t c_inner, uint64_t c_probe);
 
 }  // namespace ccdb
 

@@ -238,6 +238,29 @@ TEST(PlanJoinTest, BestIsNoWorseThanNamedStrategies) {
   }
 }
 
+TEST(PlanJoinTest, BestPicksSimpleHashForCacheSizedInners) {
+  // B = 0 is a candidate of the argmin, priced as the plain hash join that
+  // runs for it (no cluster passes). On GenericX86 it wins for inners up to
+  // about 10k rows; large inners keep the partitioned plan.
+  MachineProfile m = MachineProfile::GenericX86();
+  CostModel model(m);
+  for (uint64_t c : {uint64_t{1000}, uint64_t{10000}}) {
+    JoinPlan p = PlanJoin(JoinStrategy::kBest, c, m);
+    EXPECT_EQ(p.strategy, JoinStrategy::kSimpleHash) << "C=" << c;
+    EXPECT_EQ(p.bits, 0);
+    EXPECT_EQ(p.passes, 1);
+    EXPECT_FALSE(p.use_radix_join);
+    EXPECT_DOUBLE_EQ(p.predicted_ms, model.Millis(model.SimpleHashJoin(c)));
+  }
+  for (uint64_t c : {uint64_t{300000}, uint64_t{500000}}) {
+    JoinPlan p = PlanJoin(JoinStrategy::kBest, c, m);
+    EXPECT_EQ(p.strategy, JoinStrategy::kBest) << "C=" << c;
+    EXPECT_FALSE(p.use_radix_join);
+    EXPECT_EQ(p.bits, 6);
+    EXPECT_EQ(p.passes, 1);
+  }
+}
+
 TEST(PlanJoinTest, StrategyNamesAreStable) {
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kPhashL2), "phash L2");
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kRadix8), "radix 8");

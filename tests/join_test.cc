@@ -88,6 +88,8 @@ TEST(BucketChainedHashTableTest, EmptyBuild) {
   DirectMemory mem;
   std::vector<Bun> none;
   BucketChainedHashTable<DirectMemory> t(none, 0, 4, mem);
+  EXPECT_EQ(t.bucket_count(), 1u);
+  EXPECT_EQ(t.ChainLength(0), 0u);
   int calls = 0;
   t.Probe({0, 0}, mem, [&](Bun) { ++calls; });
   EXPECT_EQ(calls, 0);
@@ -108,6 +110,47 @@ TEST(BucketChainedHashTableTest, ShiftSkipsRadixBits) {
   std::vector<oid_t> hits;
   t.Probe({9, (37u << 4) | 0x3}, mem, [&](Bun b) { hits.push_back(b.head); });
   EXPECT_EQ(hits, (std::vector<oid_t>{37}));
+  // At the default sizing the distinct keys fill the buckets one apiece;
+  // without the shift only the 16 buckets ending in 0x3 are used, 16 deep.
+  BucketChainedHashTable<DirectMemory> one(build, 4, kDefaultChainLength, mem);
+  ASSERT_EQ(one.bucket_count(), 256u);
+  for (uint32_t b = 0; b < 256; ++b) EXPECT_EQ(one.ChainLength(b), 1u) << b;
+  BucketChainedHashTable<DirectMemory> flat(build, 0, kDefaultChainLength,
+                                            mem);
+  EXPECT_EQ(flat.ChainLength(3), 16u);
+  EXPECT_EQ(flat.ChainLength(4), 0u);
+}
+
+TEST(BucketChainedHashTableTest, DuplicatesComeOutInReverseBuildOrder) {
+  // All tuples share one key, hence one bucket: the probe emits them in
+  // reverse build order, as the chained table (head insertion) did.
+  DirectMemory mem;
+  std::vector<Bun> build = {{0, 6}, {1, 3}, {2, 6}, {3, 6}, {4, 1}, {5, 6}};
+  BucketChainedHashTable<DirectMemory> t(build, 0, kDefaultChainLength, mem);
+  std::vector<oid_t> hits;
+  t.Probe({99, 6}, mem, [&](Bun b) { hits.push_back(b.head); });
+  EXPECT_EQ(hits, (std::vector<oid_t>{5, 3, 2, 0}));
+}
+
+TEST(BucketChainedHashTableTest, ChainLengthsPartitionTheBuild) {
+  // Default sizing: one bucket per tuple, rounded up to a power of two; the
+  // bucket runs cover every build tuple exactly once.
+  DirectMemory mem;
+  Rng rng(12);
+  std::vector<Bun> build(1000);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    build[i] = {i, static_cast<uint32_t>(rng.NextBelow(5000))};
+  }
+  BucketChainedHashTable<DirectMemory> t(build, 0, kDefaultChainLength, mem);
+  ASSERT_EQ(t.bucket_count(), 1024u);
+  size_t total = 0;
+  for (uint32_t b = 0; b < t.bucket_count(); ++b) {
+    size_t expect = 0;
+    for (const Bun& x : build) expect += (x.tail & 1023u) == b;
+    EXPECT_EQ(t.ChainLength(b), expect) << b;
+    total += t.ChainLength(b);
+  }
+  EXPECT_EQ(total, build.size());
 }
 
 TEST(NestedLoopJoinTest, CrossProductOnAllEqual) {

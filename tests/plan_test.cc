@@ -629,6 +629,73 @@ TEST(ParallelExecTest, InnerIsClusteredOncePerJoin) {
   EXPECT_NE(explain.find("inner clustered 1x"), std::string::npos);
 }
 
+TEST(ParallelExecTest, ZeroBitPhashPlanRunsAsSimpleHash) {
+  // kPhashL2 on a 1k-row inner: 12 KB fits the L2, so the strategy's bits
+  // round to 0. Such a plan must run the one-table simple-hash path (no
+  // identity "cluster" copies, no single serial partition task), and its
+  // output must not depend on the parallelism.
+  constexpr size_t kItems = 30000;
+  Table items = *Table::FromRowStore(MakeItems(kItems));
+  Table orders = MakeOrders(1000);
+  PlannerOptions opts;
+  opts.profile = MachineProfile::GenericX86();
+  opts.exec.scan_chunk_rows = 4096;  // several probe chunks
+  ASSERT_EQ(StrategyBits(JoinStrategy::kPhashL2, 1000, opts.profile), 0);
+  std::vector<std::vector<uint32_t>> expect;
+  for (size_t par : {1u, 2u, 8u}) {
+    auto plan = QueryBuilder(items)
+                    .Join(orders, "order", "order_id", JoinStrategy::kPhashL2)
+                    .Project({"qty", "prio"})
+                    .Build();
+    ASSERT_TRUE(plan.ok());
+    opts.exec.parallelism = par;
+    Planner planner(opts);
+    auto physical = planner.Lower(*plan);
+    ASSERT_TRUE(physical.ok());
+    auto result = physical->Execute();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->num_rows(), 3000u);  // orders 0..999, 3 items each
+
+    ASSERT_EQ(physical->joins().size(), 1u);
+    const JoinNodeInfo& j = physical->joins()[0];
+    EXPECT_EQ(j.plan.strategy, JoinStrategy::kPhashL2);
+    EXPECT_EQ(j.plan.bits, 0);
+    EXPECT_EQ(j.partition_tasks, 0u) << "parallelism " << par;
+    std::vector<std::vector<uint32_t>> got;
+    for (const auto& col : result->columns) got.push_back(col.u32_values);
+    if (par == 1) {
+      expect = got;
+    } else {
+      EXPECT_EQ(got, expect) << "parallelism " << par;
+    }
+  }
+}
+
+TEST(PlannerTest, ExplainedJoinCostIsTheAsymmetricPrediction) {
+  // The "model X ms" of ExplainJoins prices the join that ran: the actual
+  // inner against the estimated probe side, not PlanJoin's symmetric
+  // C = inner figure.
+  Table items = *Table::FromRowStore(MakeItems(30000));
+  Table orders = MakeOrders(10000);
+  auto plan = QueryBuilder(items).Join(orders, "order", "order_id").Build();
+  ASSERT_TRUE(plan.ok());
+  PlannerOptions opts;
+  opts.profile = MachineProfile::GenericX86();
+  Planner planner(opts);
+  auto physical = planner.Lower(*plan);
+  ASSERT_TRUE(physical.ok());
+  ASSERT_TRUE(physical->Execute().ok());
+  const JoinNodeInfo& j = physical->joins()[0];
+  ASSERT_EQ(j.inner_cardinality, 10000u);
+  ASSERT_GT(j.estimated_probe_cardinality, 0u);
+  CostModel model(opts.profile);
+  double want = model.Millis(JoinModelPrediction(
+      model, j.plan, j.inner_cardinality, j.estimated_probe_cardinality));
+  EXPECT_DOUBLE_EQ(j.plan.predicted_ms, want);
+  EXPECT_NE(j.plan.predicted_ms,
+            PlanJoin(JoinStrategy::kBest, 10000, opts.profile).predicted_ms);
+}
+
 // --- legacy wrappers ---------------------------------------------------------
 
 TEST(WrapperTest, JoinTablesMatchesPlanJoin) {
