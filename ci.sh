@@ -136,11 +136,28 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
+echo "== sim_integration_test, one process per case =="
+# The simulator sees real heap addresses, so a case that only passes
+# through placement left behind by earlier cases (the arena's coloring
+# counter, heap state) fails here instead of passing by luck.
+suite=""
+"$BUILD_DIR/sim_integration_test" --gtest_list_tests | while IFS= read -r line; do
+  case "$line" in
+    " "*) "$BUILD_DIR/sim_integration_test" --gtest_brief=1 \
+            --gtest_filter="$suite${line#  }" ;;
+    *) suite="$line" ;;
+  esac
+done
+
 echo "== bench smoke =="
 # fig9 sweeps radix-cluster over cardinalities; the default (non --full)
 # scale is a reduced grid that keeps CI fast while still touching the
 # cluster kernels and the cost model.
 "$BUILD_DIR/fig9_radix_cluster" --profile=x86
+# fig10/fig11 time and simulate the radix-join and partitioned hash-join
+# loops that JoinOp runs; each CCDB_CHECKs the kernels' output size.
+"$BUILD_DIR/fig10_radix_join" --profile=x86
+"$BUILD_DIR/fig11_phash_join" --profile=x86
 
 echo "== bench artifact (BENCH_ci.json) =="
 # Parallel-join/group-by micro numbers + radix-cluster smoke, written as

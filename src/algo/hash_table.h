@@ -99,6 +99,20 @@ class BucketChainedHashTable {
   std::vector<Bun> tuples_;
 };
 
+/// The hash-join probe loop: probes `table` with every BUN of `probe` in
+/// order and appends [probe.head, build.head] per match to `out`. Shared by
+/// SimpleHashJoin, each cluster pair of PartitionedHashJoinClustered, and
+/// JoinOp's probe shards and partition tasks.
+template <class Mem, class HashFn, class Out>
+void ProbeHashTable(const BucketChainedHashTable<Mem, HashFn>& table,
+                    std::span<const Bun> probe, Mem& mem, Out& out) {
+  for (size_t i = 0; i < probe.size(); ++i) {
+    Bun lt = mem.Load(&probe[i]);
+    table.Probe(lt, mem,
+                [&](Bun rt) { EmitResult(out, Bun{lt.head, rt.head}, mem); });
+  }
+}
+
 }  // namespace ccdb
 
 #endif  // CCDB_ALGO_HASH_TABLE_H_

@@ -49,11 +49,12 @@ struct JoinStats {
   double total_ms() const { return cluster_left_ms + cluster_right_ms + join_ms; }
 };
 
-/// Appends `b` to `out`, routing the write through the access policy so the
-/// simulator sees the (sequential) result-store traffic. DirectMemory pays
-/// nothing beyond the push_back.
-template <class Mem>
-CCDB_ALWAYS_INLINE void EmitResult(std::vector<Bun>& out, Bun b, Mem& mem) {
+/// Appends `b` to `out` (a std::vector<Bun> or the arena-backed BunVec),
+/// routing the write through the access policy so the simulator sees the
+/// (sequential) result-store traffic. DirectMemory pays nothing beyond the
+/// push_back.
+template <class Mem, class Out>
+CCDB_ALWAYS_INLINE void EmitResult(Out& out, Bun b, Mem& mem) {
   out.push_back(b);
   if constexpr (!std::is_same_v<std::decay_t<Mem>, DirectMemory>) {
     mem.Store(&out.back(), b);

@@ -8,10 +8,12 @@
 
 namespace ccdb {
 
-template <class Mem>
-std::vector<Bun> NestedLoopJoin(std::span<const Bun> l, std::span<const Bun> r,
-                                Mem& mem) {
-  std::vector<Bun> out;
+/// The nested-loop join loop: appends [l.head, r.head] for every equal-tail
+/// pair to `out`, l-major. The one loop behind NestedLoopJoin, each cluster
+/// pair of RadixJoinClustered, and JoinOp's radix partition tasks.
+template <class Mem, class Out>
+void NestedLoopJoinInto(std::span<const Bun> l, std::span<const Bun> r,
+                        Mem& mem, Out& out) {
   for (size_t i = 0; i < l.size(); ++i) {
     Bun lt = mem.Load(&l[i]);
     for (size_t j = 0; j < r.size(); ++j) {
@@ -19,6 +21,13 @@ std::vector<Bun> NestedLoopJoin(std::span<const Bun> l, std::span<const Bun> r,
       if (lt.tail == rt.tail) EmitResult(out, Bun{lt.head, rt.head}, mem);
     }
   }
+}
+
+template <class Mem>
+std::vector<Bun> NestedLoopJoin(std::span<const Bun> l, std::span<const Bun> r,
+                                Mem& mem) {
+  std::vector<Bun> out;
+  NestedLoopJoinInto(l, r, mem, out);
   return out;
 }
 

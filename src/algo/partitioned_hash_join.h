@@ -30,12 +30,7 @@ std::vector<Bun> PartitionedHashJoinClustered(const ClusteredRelation& l,
         std::span<const Bun> build(&r.tuples[r_lo], r_hi - r_lo);
         BucketChainedHashTable<Mem, HashFn> table(build, r.bits, avg_chain,
                                                   mem);
-        for (size_t i = l_lo; i < l_hi; ++i) {
-          Bun lt = mem.Load(&l.tuples[i]);
-          table.Probe(lt, mem, [&](Bun rt) {
-            EmitResult(out, Bun{lt.head, rt.head}, mem);
-          });
-        }
+        ProbeHashTable(table, {&l.tuples[l_lo], l_hi - l_lo}, mem, out);
       });
   return out;
 }
@@ -46,25 +41,11 @@ StatusOr<std::vector<Bun>> PartitionedHashJoin(std::span<const Bun> l,
                                                std::span<const Bun> r,
                                                int bits, int passes, Mem& mem,
                                                JoinStats* stats = nullptr) {
-  RadixClusterOptions opt{.bits = bits, .passes = passes, .bits_per_pass = {}};
-  RadixClusterStats cs;
-  CCDB_ASSIGN_OR_RETURN(ClusteredRelation cl,
-                        (RadixCluster<Mem, HashFn>(l, opt, mem, &cs)));
-  double l_ms = cs.total_ms;
-  CCDB_ASSIGN_OR_RETURN(ClusteredRelation cr,
-                        (RadixCluster<Mem, HashFn>(r, opt, mem, &cs)));
-  double r_ms = cs.total_ms;
-  WallTimer t;
-  std::vector<Bun> out = PartitionedHashJoinClustered<Mem, HashFn>(cl, cr, mem);
-  if (stats != nullptr) {
-    stats->cluster_left_ms = l_ms;
-    stats->cluster_right_ms = r_ms;
-    stats->join_ms = t.ElapsedMillis();
-    stats->result_count = out.size();
-    stats->bits = bits;
-    stats->passes = passes;
-  }
-  return out;
+  return ClusterBothAndJoin<Mem, HashFn>(
+      l, r, bits, passes, mem, stats,
+      [&](const ClusteredRelation& cl, const ClusteredRelation& cr) {
+        return PartitionedHashJoinClustered<Mem, HashFn>(cl, cr, mem);
+      });
 }
 
 }  // namespace ccdb

@@ -215,6 +215,37 @@ void MergeClusterPairs(const ClusteredRelation& l, const ClusteredRelation& r,
   }
 }
 
+/// The two-phase frame of radix-join and partitioned hash-join
+/// (§3.3): radix-clusters both inputs on `bits` over `passes`, then runs
+/// `join_phase(cl, cr)` on the clustered pair. Fills `stats` (cluster/join
+/// split) when non-null.
+template <class Mem, class HashFn, class JoinPhase>
+StatusOr<std::vector<Bun>> ClusterBothAndJoin(std::span<const Bun> l,
+                                              std::span<const Bun> r, int bits,
+                                              int passes, Mem& mem,
+                                              JoinStats* stats,
+                                              JoinPhase&& join_phase) {
+  RadixClusterOptions opt{.bits = bits, .passes = passes, .bits_per_pass = {}};
+  RadixClusterStats cs;
+  CCDB_ASSIGN_OR_RETURN(ClusteredRelation cl,
+                        (RadixCluster<Mem, HashFn>(l, opt, mem, &cs)));
+  double l_ms = cs.total_ms;
+  CCDB_ASSIGN_OR_RETURN(ClusteredRelation cr,
+                        (RadixCluster<Mem, HashFn>(r, opt, mem, &cs)));
+  double r_ms = cs.total_ms;
+  WallTimer t;
+  std::vector<Bun> out = join_phase(cl, cr);
+  if (stats != nullptr) {
+    stats->cluster_left_ms = l_ms;
+    stats->cluster_right_ms = r_ms;
+    stats->join_ms = t.ElapsedMillis();
+    stats->result_count = out.size();
+    stats->bits = bits;
+    stats->passes = passes;
+  }
+  return out;
+}
+
 }  // namespace ccdb
 
 #endif  // CCDB_ALGO_RADIX_CLUSTER_H_

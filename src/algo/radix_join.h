@@ -6,6 +6,7 @@
 #ifndef CCDB_ALGO_RADIX_JOIN_H_
 #define CCDB_ALGO_RADIX_JOIN_H_
 
+#include "algo/nested_loop_join.h"
 #include "algo/radix_cluster.h"
 
 namespace ccdb {
@@ -22,15 +23,8 @@ std::vector<Bun> RadixJoinClustered(const ClusteredRelation& l,
   MergeClusterPairs<Mem, HashFn>(
       l, r, mem,
       [&](size_t l_lo, size_t l_hi, size_t r_lo, size_t r_hi) {
-        for (size_t i = l_lo; i < l_hi; ++i) {
-          Bun lt = mem.Load(&l.tuples[i]);
-          for (size_t j = r_lo; j < r_hi; ++j) {
-            Bun rt = mem.Load(&r.tuples[j]);
-            if (lt.tail == rt.tail) {
-              EmitResult(out, Bun{lt.head, rt.head}, mem);
-            }
-          }
-        }
+        NestedLoopJoinInto({&l.tuples[l_lo], l_hi - l_lo},
+                           {&r.tuples[r_lo], r_hi - r_lo}, mem, out);
       });
   return out;
 }
@@ -42,25 +36,11 @@ StatusOr<std::vector<Bun>> RadixJoin(std::span<const Bun> l,
                                      std::span<const Bun> r, int bits,
                                      int passes, Mem& mem,
                                      JoinStats* stats = nullptr) {
-  RadixClusterOptions opt{.bits = bits, .passes = passes, .bits_per_pass = {}};
-  RadixClusterStats cs;
-  CCDB_ASSIGN_OR_RETURN(ClusteredRelation cl,
-                        (RadixCluster<Mem, HashFn>(l, opt, mem, &cs)));
-  double l_ms = cs.total_ms;
-  CCDB_ASSIGN_OR_RETURN(ClusteredRelation cr,
-                        (RadixCluster<Mem, HashFn>(r, opt, mem, &cs)));
-  double r_ms = cs.total_ms;
-  WallTimer t;
-  std::vector<Bun> out = RadixJoinClustered<Mem, HashFn>(cl, cr, mem);
-  if (stats != nullptr) {
-    stats->cluster_left_ms = l_ms;
-    stats->cluster_right_ms = r_ms;
-    stats->join_ms = t.ElapsedMillis();
-    stats->result_count = out.size();
-    stats->bits = bits;
-    stats->passes = passes;
-  }
-  return out;
+  return ClusterBothAndJoin<Mem, HashFn>(
+      l, r, bits, passes, mem, stats,
+      [&](const ClusteredRelation& cl, const ClusteredRelation& cr) {
+        return RadixJoinClustered<Mem, HashFn>(cl, cr, mem);
+      });
 }
 
 }  // namespace ccdb

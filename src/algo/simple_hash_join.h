@@ -20,11 +20,7 @@ std::vector<Bun> SimpleHashJoin(std::span<const Bun> l, std::span<const Bun> r,
   std::vector<Bun> out;
   out.reserve(result_hint != 0 ? result_hint : std::min(l.size(), r.size()));
   BucketChainedHashTable<Mem, HashFn> table(r, /*shift=*/0, avg_chain, mem);
-  for (size_t i = 0; i < l.size(); ++i) {
-    Bun lt = mem.Load(&l[i]);
-    table.Probe(lt, mem,
-                [&](Bun rt) { EmitResult(out, Bun{lt.head, rt.head}, mem); });
-  }
+  ProbeHashTable(table, l, mem, out);
   if (stats != nullptr) {
     *stats = JoinStats{};
     stats->join_ms = t.ElapsedMillis();

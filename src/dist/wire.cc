@@ -48,6 +48,8 @@ class FrameReader {
       return Status::InvalidArgument("wire frame truncated");
     }
     out->resize(count);
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (count == 0) return Status::Ok();
     std::memcpy(out->data(), frame_.data() + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return Status::Ok();

@@ -5,10 +5,10 @@
 #include <string_view>
 
 #include "algo/bat_algebra.h"
-#include "algo/partitioned_hash_join.h"
-#include "algo/radix_join.h"
+#include "algo/hash_table.h"
+#include "algo/nested_loop_join.h"
+#include "algo/radix_cluster.h"
 #include "algo/radix_sort.h"
-#include "algo/simple_hash_join.h"
 #include "algo/sort_merge_join.h"
 #include "exec/shared_scan.h"
 #include "util/thread_pool.h"
@@ -57,24 +57,6 @@ Status SchedCheck(const ExecContext* ctx) {
 }
 
 }  // namespace
-}  // namespace ccdb
-
-namespace ccdb {
-
-StatusOr<std::vector<Bun>> ExecuteJoinPlan(std::span<const Bun> l,
-                                           std::span<const Bun> r,
-                                           const JoinPlan& plan,
-                                           JoinStats* stats) {
-  DirectMemory mem;
-  if (plan.strategy == JoinStrategy::kSortMerge) {
-    return SortMergeJoin(l, r, mem, stats);
-  }
-  if (RunsSimpleHash(plan)) return SimpleHashJoin(l, r, mem, stats);
-  if (plan.use_radix_join) {
-    return RadixJoin(l, r, plan.bits, plan.passes, mem, stats);
-  }
-  return PartitionedHashJoin(l, r, plan.bits, plan.passes, mem, stats);
-}
 
 // --- Chunk -------------------------------------------------------------------
 
@@ -1159,30 +1141,33 @@ Status JoinOp::Open() {
     inner_sorted_ = std::move(inner_buns);
     QuickSortByTail(std::span<Bun>(inner_sorted_), mem);
     prepare_ms = t.ElapsedMillis();
-  } else if (RunsSimpleHash(plan_)) {
-    WallTimer t;
-    inner_table_.emplace(std::span<const Bun>(inner_buns), /*shift=*/0,
-                         kDefaultChainLength, mem);
-    prepare_ms = t.ElapsedMillis();
   } else {
-    RadixClusterOptions opt{
-        .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
-    RadixClusterStats cs;
-    CCDB_ASSIGN_OR_RETURN(
-        inner_clustered_,
-        (RadixCluster<DirectMemory, IdentityHash>(inner_buns, opt, mem, &cs)));
-    inner_bounds_ = ClusterBounds<IdentityHash>(inner_clustered_);
-    prepare_ms = cs.total_ms;
+    // Hash and radix plans keep the inner as partitions, one per radix
+    // value (inner_bounds_). A simple-hash plan is the B = 0 case: one
+    // partition over the inner BUNs themselves, with no cluster copy.
+    std::span<const Bun> clustered = inner_buns;
+    if (RunsSimpleHash(plan_)) {
+      inner_bounds_ = {0, inner_buns.size()};
+    } else {
+      RadixClusterOptions opt{
+          .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
+      RadixClusterStats cs;
+      CCDB_ASSIGN_OR_RETURN(inner_clustered_,
+                            (RadixCluster<DirectMemory, IdentityHash>(
+                                inner_buns, opt, mem, &cs)));
+      inner_bounds_ = ClusterBounds<IdentityHash>(inner_clustered_);
+      prepare_ms = cs.total_ms;
+      clustered = inner_clustered_.tuples;
+    }
     if (!plan_.use_radix_join) {
       WallTimer t;
-      size_t h = size_t{1} << plan_.bits;
-      inner_tables_.resize(h);
-      for (size_t c = 0; c < h; ++c) {
+      inner_tables_.resize(inner_bounds_.size() - 1);
+      for (size_t c = 0; c < inner_tables_.size(); ++c) {
         size_t lo = inner_bounds_[c], hi = inner_bounds_[c + 1];
         if (hi == lo) continue;
         inner_tables_[c] = std::make_unique<InnerHashTable>(
-            std::span<const Bun>(inner_clustered_.tuples.data() + lo, hi - lo),
-            /*shift=*/plan_.bits, kDefaultChainLength, mem);
+            clustered.subspan(lo, hi - lo), /*shift=*/plan_.bits,
+            kDefaultChainLength, mem);
       }
       // The tables hold their own copies; only the bounds are read again.
       inner_clustered_ = ClusteredRelation{};
@@ -1210,7 +1195,6 @@ Status JoinOp::Open() {
 void JoinOp::Close() {
   left_->Close();
   right_->Close();
-  inner_table_.reset();
   inner_tables_.clear();
   inner_bounds_.clear();
   inner_clustered_ = ClusteredRelation{};
@@ -1233,10 +1217,6 @@ std::vector<Bun> ConcatBuns(std::vector<BunVec> parts) {
   return out;
 }
 
-}  // namespace
-
-namespace {
-
 /// Per-chunk match reserve: scale the planner's whole-join output estimate
 /// down to this chunk's share of the probe side (clamped to 4x the chunk so
 /// a bad overestimate cannot balloon the allocation); without an estimate,
@@ -1255,94 +1235,67 @@ size_t MatchReserveRows(size_t probe_rows, size_t inner_rows,
 
 }  // namespace
 
-StatusOr<std::vector<Bun>> JoinOp::ProbeSimpleHash(
-    std::span<const Bun> probe) const {
-  size_t shards = CtxShards(ctx_, probe.size());
-  if (shards <= 1) {
-    std::vector<Bun> out;
-    out.reserve(MatchReserveRows(probe.size(), inner_.rows,
-                                 est_result_rows_, est_probe_rows_));
-    DirectMemory mem;
-    for (const Bun& lt : probe) {
-      inner_table_->Probe(lt, mem, [&](Bun rt) {
-        out.push_back({lt.head, rt.head});
-      });
+StatusOr<std::vector<Bun>> JoinOp::JoinPartitions(
+    std::span<const Bun> probe) {
+  // Tasks: a probe range and the inner partition it joins, the independent
+  // units the pool executes. A simple-hash plan splits the probe into
+  // morsel shards against its one partition. Otherwise there is one task
+  // per probe cluster whose radix value has inner tuples: probe cluster
+  // boundaries are rediscovered from the radix bits (as the paper notes is
+  // always possible), inner ones come from the bounds built at Open().
+  struct Task {
+    size_t lo, hi, part;
+  };
+  std::vector<Task> tasks;
+  size_t n = probe.size();
+  if (RunsSimpleHash(plan_)) {
+    size_t shards = inner_bounds_[1] > 0 ? CtxShards(ctx_, n) : 0;
+    for (size_t s = 0; s < shards; ++s) {
+      tasks.push_back({n * s / shards, n * (s + 1) / shards, 0});
     }
+  } else {
+    uint32_t mask = LowMask32(plan_.bits);
+    size_t i = 0;
+    while (i < n) {
+      uint32_t h = IdentityHash::Hash(probe[i].tail) & mask;
+      size_t j = i + 1;
+      while (j < n && (IdentityHash::Hash(probe[j].tail) & mask) == h) ++j;
+      if (inner_bounds_[h + 1] > inner_bounds_[h]) tasks.push_back({i, j, h});
+      i = j;
+    }
+    if (info_ != nullptr) info_->partition_tasks += tasks.size();
+  }
+
+  // Every task runs an algo/ join loop: a nested loop over the radix
+  // cluster pair, or a probe of the partition's prebuilt hash table.
+  auto run = [&](const Task& task, auto& out) {
+    DirectMemory mem;
+    std::span<const Bun> l = probe.subspan(task.lo, task.hi - task.lo);
+    uint64_t r_lo = inner_bounds_[task.part];
+    uint64_t r_hi = inner_bounds_[task.part + 1];
+    if (plan_.use_radix_join) {
+      NestedLoopJoinInto(l,
+                         std::span<const Bun>(inner_clustered_.tuples)
+                             .subspan(r_lo, r_hi - r_lo),
+                         mem, out);
+    } else {
+      ProbeHashTable(*inner_tables_[task.part], l, mem, out);
+    }
+  };
+  if (tasks.size() <= 1) {
+    CCDB_RETURN_IF_ERROR(SchedCheck(ctx_));
+    std::vector<Bun> out;
+    out.reserve(MatchReserveRows(n, inner_.rows, est_result_rows_,
+                                 est_probe_rows_));
+    if (!tasks.empty()) run(tasks[0], out);
     return out;
   }
-  std::vector<BunVec> parts(shards);
-  CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx_, shards, [&](size_t s) -> Status {
-    size_t lo = probe.size() * s / shards;
-    size_t hi = probe.size() * (s + 1) / shards;
-    DirectMemory mem;
-    for (size_t i = lo; i < hi; ++i) {
-      Bun lt = probe[i];
-      inner_table_->Probe(lt, mem, [&](Bun rt) {
-        parts[s].push_back({lt.head, rt.head});
-      });
-    }
-    return Status::Ok();
-  }));
-  return ConcatBuns(std::move(parts));
-}
-
-StatusOr<std::vector<Bun>> JoinOp::JoinClusteredChunk(
-    const ClusteredRelation& cl, uint64_t* tasks) {
-  // Partition tasks: one per non-empty probe cluster whose radix value has
-  // inner tuples — the independent units the pool executes. Probe cluster
-  // boundaries are rediscovered from the radix bits (as the paper notes is
-  // always possible); inner boundaries come from the bounds built at
-  // Open().
-  struct Part {
-    size_t l_lo, l_hi;
-    uint64_t r_lo, r_hi;
-  };
-  uint32_t mask = LowMask32(plan_.bits);
-  size_t n = cl.tuples.size();
-  std::vector<Part> parts;
-  size_t i = 0;
-  while (i < n) {
-    uint32_t h = IdentityHash::Hash(cl.tuples[i].tail) & mask;
-    size_t j = i + 1;
-    while (j < n && (IdentityHash::Hash(cl.tuples[j].tail) & mask) == h) ++j;
-    uint64_t r_lo = inner_bounds_[h], r_hi = inner_bounds_[h + 1];
-    if (r_hi > r_lo) parts.push_back({i, j, r_lo, r_hi});
-    i = j;
-  }
-  if (tasks != nullptr) *tasks += parts.size();
-
-  std::vector<BunVec> results(parts.size());
-  const bool radix = plan_.use_radix_join;
-  CCDB_RETURN_IF_ERROR(ExecParallelFor(
-      ctx_, parts.size(), [&](size_t p) -> Status {
-        const Part& pt = parts[p];
-        BunVec& out = results[p];
-        if (radix) {
-          // Radix-join: clusters are tiny (~4-8 tuples); nested loop.
-          for (size_t a = pt.l_lo; a < pt.l_hi; ++a) {
-            Bun lt = cl.tuples[a];
-            for (uint64_t b = pt.r_lo; b < pt.r_hi; ++b) {
-              const Bun& rt = inner_clustered_.tuples[b];
-              if (lt.tail == rt.tail) out.push_back({lt.head, rt.head});
-            }
-          }
-          return Status::Ok();
-        }
-        // Partitioned hash-join: probe the partition's prebuilt table.
-        uint32_t h = IdentityHash::Hash(cl.tuples[pt.l_lo].tail) & mask;
-        const InnerHashTable* table = inner_tables_[h].get();
-        if (table == nullptr) {
-          return Status::Internal("missing partition hash table");
-        }
-        DirectMemory mem;
-        for (size_t a = pt.l_lo; a < pt.l_hi; ++a) {
-          Bun lt = cl.tuples[a];
-          table->Probe(lt, mem, [&](Bun rt) {
-            out.push_back({lt.head, rt.head});
-          });
-        }
-        return Status::Ok();
-      }));
+  std::vector<BunVec> results(tasks.size());
+  CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx_, tasks.size(),
+                                       [&](size_t t) -> Status {
+                                         run(tasks[t], results[t]);
+                                         return Status::Ok();
+                                       }));
   return ConcatBuns(std::move(results));
 }
 
@@ -1370,26 +1323,24 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
                                      est_result_rows_, est_probe_rows_));
     MergeSortedByTail<DirectMemory>(probe_buns, inner_sorted_, mem, matches);
     stats.join_ms = t_join.ElapsedMillis();
-  } else if (RunsSimpleHash(plan_)) {
-    WallTimer t;
-    CCDB_ASSIGN_OR_RETURN(matches, ProbeSimpleHash(probe_buns));
-    stats.join_ms = t.ElapsedMillis();
   } else {
     // Only the cache-sized probe chunk is clustered per Next(); the inner
-    // stays clustered from Open().
-    DirectMemory mem;
-    RadixClusterOptions opt{
-        .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
-    RadixClusterStats cs;
-    CCDB_ASSIGN_OR_RETURN(
-        ClusteredRelation cl,
-        (RadixCluster<DirectMemory, IdentityHash>(probe_buns, opt, mem, &cs)));
-    stats.cluster_left_ms = cs.total_ms;
+    // stays partitioned from Open(). A simple-hash plan probes unclustered.
+    std::span<const Bun> probe_side = probe_buns;
+    ClusteredRelation cl;
+    if (!RunsSimpleHash(plan_)) {
+      DirectMemory mem;
+      RadixClusterOptions opt{
+          .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
+      RadixClusterStats cs;
+      CCDB_ASSIGN_OR_RETURN(cl, (RadixCluster<DirectMemory, IdentityHash>(
+                                    probe_buns, opt, mem, &cs)));
+      stats.cluster_left_ms = cs.total_ms;
+      probe_side = cl.tuples;
+    }
     WallTimer t;
-    uint64_t tasks = 0;
-    CCDB_ASSIGN_OR_RETURN(matches, JoinClusteredChunk(cl, &tasks));
+    CCDB_ASSIGN_OR_RETURN(matches, JoinPartitions(probe_side));
     stats.join_ms = t.ElapsedMillis();
-    if (info_ != nullptr) info_->partition_tasks += tasks;
   }
   // The match list [probe position, inner position] becomes an output
   // chunk according to the join type; the prepared inner and probe phases

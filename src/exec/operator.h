@@ -101,13 +101,6 @@ struct Chunk {
 /// shape) into one; used by pipeline breakers.
 StatusOr<Chunk> ConcatChunks(std::vector<Chunk> chunks);
 
-/// Dispatches a resolved JoinPlan to the concrete join kernel. Shared by
-/// JoinOp and the legacy ExecuteJoin wrapper in exec/ops.h.
-StatusOr<std::vector<Bun>> ExecuteJoinPlan(std::span<const Bun> l,
-                                           std::span<const Bun> r,
-                                           const JoinPlan& plan,
-                                           JoinStats* stats = nullptr);
-
 /// The physical operator interface. Lifecycle: Open() once, Next() until it
 /// returns false, Close() once. Next() fills `out` with the next chunk.
 /// Every operator emits at least one (possibly zero-row) chunk, so
@@ -221,8 +214,10 @@ class SelectOp : public Operator {
 /// and prepares the inner side exactly once for that plan: radix-clustered
 /// (plus per-partition hash tables for the phash family), sorted, or
 /// hash-table-built — never redone per probe chunk. Next() probes with one
-/// outer chunk at a time; each radix partition is an independent task run
-/// on the ExecContext's pool, and partition results concatenate in radix
+/// outer chunk at a time through the same algo/ join loops the paper-figure
+/// benches run (ProbeHashTable, NestedLoopJoinInto, MergeSortedByTail);
+/// each radix partition (simple hash: each probe morsel) is an independent
+/// task run on the ExecContext's pool, and task results concatenate in
 /// order so join output is byte-identical at any parallelism.
 ///
 /// All four JoinTypes probe the same prepared-once inner structures; they
@@ -251,13 +246,10 @@ class JoinOp : public Operator {
  private:
   using InnerHashTable = BucketChainedHashTable<DirectMemory, IdentityHash>;
 
-  /// Joins one clustered probe chunk against the prepared inner: one task
-  /// per matching radix-partition pair, concatenated in radix order.
-  /// `tasks` accumulates the number of partition tasks dispatched.
-  StatusOr<std::vector<Bun>> JoinClusteredChunk(const ClusteredRelation& cl,
-                                                uint64_t* tasks);
-  /// Probes the single Open()-built table with one chunk, morsel-parallel.
-  StatusOr<std::vector<Bun>> ProbeSimpleHash(std::span<const Bun> probe) const;
+  /// Joins one (clustered, unless simple hash) probe chunk against the
+  /// prepared inner partitions with the algo/ join loops, one pool task
+  /// per probe range; task results concatenate in task order.
+  StatusOr<std::vector<Bun>> JoinPartitions(std::span<const Bun> probe);
 
   /// Right-side columns for a left-outer output chunk: inner row `rpos[i]`
   /// when `valid[i]`, the type's null surrogate otherwise. Always owned
@@ -276,11 +268,11 @@ class JoinOp : public Operator {
   JoinPlan plan_;
   Chunk inner_;
   // Inner side prepared once at Open():
-  std::vector<uint64_t> inner_bounds_;      // radix/phash: partition bounds
-  ClusteredRelation inner_clustered_;       // radix: clustered copy
-  std::vector<std::unique_ptr<InnerHashTable>> inner_tables_;  // phash
-  BunVec inner_sorted_;                     // sort-merge: sorted copy
-  std::optional<InnerHashTable> inner_table_;  // simple hash: one table
+  std::vector<uint64_t> inner_bounds_;  // hash/radix: partition bounds
+  ClusteredRelation inner_clustered_;   // radix: clustered copy
+  // Hash plans: one table per non-empty partition (simple hash: one).
+  std::vector<std::unique_ptr<InnerHashTable>> inner_tables_;
+  BunVec inner_sorted_;                 // sort-merge: sorted copy
 };
 
 /// Narrows and reorders the visible columns; unused candidate slots are

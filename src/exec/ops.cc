@@ -1,5 +1,9 @@
 #include "exec/ops.h"
 
+#include "algo/partitioned_hash_join.h"
+#include "algo/radix_join.h"
+#include "algo/simple_hash_join.h"
+#include "algo/sort_merge_join.h"
 #include "exec/operator.h"
 
 namespace ccdb {
@@ -8,7 +12,15 @@ StatusOr<std::vector<Bun>> ExecuteJoin(std::span<const Bun> l,
                                        std::span<const Bun> r,
                                        const JoinPlan& plan,
                                        JoinStats* stats) {
-  return ExecuteJoinPlan(l, r, plan, stats);
+  DirectMemory mem;
+  if (plan.strategy == JoinStrategy::kSortMerge) {
+    return SortMergeJoin(l, r, mem, stats);
+  }
+  if (RunsSimpleHash(plan)) return SimpleHashJoin(l, r, mem, stats);
+  if (plan.use_radix_join) {
+    return RadixJoin(l, r, plan.bits, plan.passes, mem, stats);
+  }
+  return PartitionedHashJoin(l, r, plan.bits, plan.passes, mem, stats);
 }
 
 StatusOr<std::vector<Bun>> ColumnBuns(const Table& table,

@@ -16,8 +16,9 @@
 
 namespace ccdb {
 
-/// Runs the join described by `plan` on raw BUN spans. `stats` (optional)
-/// receives phase timings. Wrapper over ExecuteJoinPlan (exec/operator.h).
+/// Runs the join described by `plan` on raw BUN spans through the whole
+/// algo/ kernel (SortMergeJoin, SimpleHashJoin, RadixJoin or
+/// PartitionedHashJoin). `stats` (optional) receives phase timings.
 StatusOr<std::vector<Bun>> ExecuteJoin(std::span<const Bun> l,
                                        std::span<const Bun> r,
                                        const JoinPlan& plan,

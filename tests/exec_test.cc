@@ -174,6 +174,43 @@ TEST(ExecuteJoinTest, AllStrategiesProduceSameResult) {
   }
 }
 
+TEST(JoinTablesTest, MatchesExecuteJoinRowForRow) {
+  // JoinOp (one probe chunk) and the whole algo/ kernel must emit the same
+  // [left OID, right OID] sequence, unsorted: same cluster-pair order, same
+  // probe order within a pair, and duplicate keys in reverse build order.
+  constexpr size_t kN = 100000;  // every radix/phash plan gets bits > 0
+  Rng rng(5);
+  auto make = [&](size_t n) {
+    auto rs = RowStore::Make({{"k", FieldType::kU32}}, n);
+    CCDB_CHECK(rs.ok());
+    for (size_t i = 0; i < n; ++i) {
+      rs->SetU32(*rs->AppendRow(), 0,
+                 static_cast<uint32_t>(rng.NextBelow(kN / 4)));
+    }
+    return *Table::FromRowStore(*rs);
+  };
+  Table left = make(kN / 2);
+  Table right = make(kN);  // ~4 rows per key on the inner, ~2 on the probe
+  std::vector<Bun> l = *ColumnBuns(left, "k");
+  std::vector<Bun> r = *ColumnBuns(right, "k");
+  MachineProfile m = MachineProfile::GenericX86();
+  for (JoinStrategy s : {JoinStrategy::kSortMerge, JoinStrategy::kSimpleHash,
+                         JoinStrategy::kPhashL2, JoinStrategy::kPhashTLB,
+                         JoinStrategy::kPhashL1, JoinStrategy::kPhash256,
+                         JoinStrategy::kPhashMin, JoinStrategy::kRadix8,
+                         JoinStrategy::kRadixMin, JoinStrategy::kBest}) {
+    JoinPlan plan = PlanJoin(s, kN, m);
+    if (s != JoinStrategy::kSortMerge && s != JoinStrategy::kSimpleHash) {
+      EXPECT_GT(plan.bits, 0) << JoinStrategyName(s);
+    }
+    auto kernel = ExecuteJoin(l, r, plan);
+    auto engine = JoinTables(left, "k", right, "k", s, m);
+    ASSERT_TRUE(kernel.ok() && engine.ok()) << JoinStrategyName(s);
+    EXPECT_GT(kernel->size(), kN) << JoinStrategyName(s);
+    EXPECT_EQ(*engine, *kernel) << JoinStrategyName(s);
+  }
+}
+
 TEST(MaterializeJoinTest, ProjectsBothSides) {
   auto orders_rows = RowStore::Make(
       {{"order_id", FieldType::kU32}, {"clerk", FieldType::kChar10}}, 4);

@@ -221,8 +221,10 @@ TEST_F(SimTest, PartitionedHashJoinRemovesTheTrashing) {
 
 TEST_F(SimTest, RadixJoinPhaseMissesDropWithMoreBits) {
   // Fig. 10: join-phase L1 misses explode when clusters exceed L1; fine
-  // clusterings keep them near the sequential minimum.
-  constexpr size_t kC = 1 << 17;
+  // clusterings keep them near the sequential minimum. The coarse point's
+  // 64 KB clusters are twice Origin2000's 32 KB L1, so every inner-cluster
+  // rescan misses wherever the buffers land.
+  constexpr size_t kC = 1 << 14;
   auto values = UniqueU32(kC, 47);
   std::vector<Bun> l(kC), r(kC);
   for (size_t i = 0; i < kC; ++i) l[i] = {static_cast<oid_t>(i), values[i]};
@@ -234,9 +236,9 @@ TEST_F(SimTest, RadixJoinPhaseMissesDropWithMoreBits) {
   DirectMemory direct;
   auto misses_at = [&](int bits) {
     auto cl = RadixCluster(std::span<const Bun>(l),
-                           RadixClusterOptions{bits, 2, {}}, direct);
+                           RadixClusterOptions{bits, 1, {}}, direct);
     auto cr = RadixCluster(std::span<const Bun>(r),
-                           RadixClusterOptions{bits, 2, {}}, direct);
+                           RadixClusterOptions{bits, 1, {}}, direct);
     CCDB_CHECK(cl.ok() && cr.ok());
     MemoryHierarchy h(profile_);
     SimulatedMemory mem(&h);
@@ -244,8 +246,8 @@ TEST_F(SimTest, RadixJoinPhaseMissesDropWithMoreBits) {
     CCDB_CHECK(out.size() == kC);
     return h.events();
   };
-  MemEvents coarse = misses_at(8);   // 512 tuples/cluster: 4 KB clusters
-  MemEvents fine = misses_at(14);    // 8 tuples/cluster
+  MemEvents coarse = misses_at(1);   // 8192 tuples/cluster: 64 KB clusters
+  MemEvents fine = misses_at(11);    // 8 tuples/cluster
   EXPECT_LT(fine.l1_misses, coarse.l1_misses);
 }
 
