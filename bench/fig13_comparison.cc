@@ -8,7 +8,7 @@
 // with radix-join competitive only at the largest cardinalities.
 #include "bench_common.h"
 
-#include "exec/ops.h"
+#include "model/strategy.h"
 #include "util/table_printer.h"
 
 namespace ccdb {

@@ -123,22 +123,24 @@ int main(int argc, char** argv) {
   auto join_query = [&]() {
     auto p = QueryBuilder(fact)
                  .Join(dim, "fk", "id")
-                 .GroupBySum("g", "v")
+                 .GroupByAgg({"g"}, {Agg::Sum("v"), Agg::Count()})
                  .Build();
     CCDB_CHECK(p.ok());
     return *std::move(p);
   };
   // Group-by path: 100k distinct groups, no join.
   auto groupby_query = [&]() {
-    auto p = QueryBuilder(fact).GroupBySum("gg", "v").Build();
+    auto p = QueryBuilder(fact)
+                 .GroupByAgg({"gg"}, {Agg::Sum("v"), Agg::Count()})
+                 .Build();
     CCDB_CHECK(p.ok());
     return *std::move(p);
   };
   // Select path: morsel-parallel candidate evaluation.
   auto select_query = [&]() {
     auto p = QueryBuilder(fact)
-                 .Select(Predicate::RangeU32("v", 0, 99))
-                 .GroupBySum("g", "v")
+                 .Filter(Between(Col("v"), 0u, 99u))
+                 .GroupByAgg({"g"}, {Agg::Sum("v"), Agg::Count()})
                  .Build();
     CCDB_CHECK(p.ok());
     return *std::move(p);
@@ -162,7 +164,7 @@ int main(int argc, char** argv) {
                          (Between(Col("gg"), 50000u, 59999u) &&
                           !(Col("g") == 3u)) ||
                          InU32(Col("g"), {7, 11, 13}))
-                 .GroupBySum("g", "v")
+                 .GroupByAgg({"g"}, {Agg::Sum("v"), Agg::Count()})
                  .Build();
     CCDB_CHECK(p.ok());
     return *std::move(p);
@@ -217,7 +219,7 @@ int main(int argc, char** argv) {
     auto p = QueryBuilder(fact)
                  .Join(dim, "fk", "id")          // big inner, 1:1, keeps all
                  .Join(gsmall, "g", "gid")       // small inner, keeps 1/4
-                 .GroupBySum("g", "v")
+                 .GroupByAgg({"g"}, {Agg::Sum("v"), Agg::Count()})
                  .Build();
     CCDB_CHECK(p.ok());
     return *std::move(p);

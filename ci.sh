@@ -184,7 +184,13 @@ echo "== bench artifact (BENCH_ci.json) =="
 "$BUILD_DIR/tlb_pages" --json-merge="$BUILD_DIR/BENCH_ci.json"
 
 echo "== examples smoke =="
-"$BUILD_DIR/mil_pipeline" > /dev/null
+# Every example self-checks with CCDB_CHECK: a clean exit is the oracle
+# passing.
+for example in quickstart mil_pipeline olap_item_table cache_explorer \
+               join_tuning; do
+  echo "-- $example"
+  "$BUILD_DIR/$example" > /dev/null
+done
 
 echo "== perfbench smoke =="
 # The end-to-end benchmark builds its own copy of src/ (perfbench/run.py,

@@ -90,8 +90,8 @@ int main() {
   Table item = *Table::FromRowStore(*rs);
 
   auto plan = QueryBuilder(item)
-                  .Select(Predicate::RangeU32("price", 2000, 3000))
-                  .GroupBySum("supp", "qty")
+                  .Filter(Between(Col("price"), 2000u, 3000u))
+                  .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                   .Build();
   CCDB_CHECK(plan.ok());
   std::printf("logical plan:\n%s", plan->ToString().c_str());

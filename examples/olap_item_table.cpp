@@ -120,12 +120,12 @@ int main() {
   double nsm_ms = t_nsm.ElapsedMillis();
 
   WallTimer t_dsm;
-  // DSM execution through the fluent query API: the EqStr predicate is
-  // remapped onto the 1-byte shipmode code column and pipelined as a
+  // DSM execution through the fluent query API: the string-equality filter
+  // is remapped onto the 1-byte shipmode code column and pipelined as a
   // candidate list into the grouped aggregation — no intermediate BAT.
   auto plan = QueryBuilder(table)
-                  .Select(Predicate::EqStr("shipmode", "MAIL"))
-                  .GroupBySum("supp", "qty")
+                  .Filter(Col("shipmode") == "MAIL")
+                  .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                   .Build();
   CCDB_CHECK(plan.ok());
   auto agg = Execute(*plan);
@@ -151,8 +151,8 @@ int main() {
   // ---- top groups: OrderBy + Limit in the same fluent plan -----------------
   std::printf("\ntop suppliers by SUM(qty):\n");
   auto top_plan = QueryBuilder(table)
-                      .Select(Predicate::EqStr("shipmode", "MAIL"))
-                      .GroupBySum("supp", "qty")
+                      .Filter(Col("shipmode") == "MAIL")
+                      .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                       .OrderBy("sum", /*descending=*/true)
                       .Limit(5)
                       .Build();
@@ -180,8 +180,8 @@ int main() {
               "[10,40] AND tax <= 0.05\n");
   WallTimer t_q3;
   auto rich = QueryBuilder(table)
-                  .Select({Predicate::RangeU32("qty", 10, 40),
-                           Predicate::RangeF64("tax", 0.0, 0.05)})
+                  .Filter(Between(Col("qty"), 10u, 40u) &&
+                          Between(Col("tax"), 0.0, 0.05))
                   .GroupByAgg({"shipmode", "status"},
                               {Agg::Min("qty"), Agg::Max("qty"),
                                Agg::Avg("qty"), Agg::Count()})
@@ -211,8 +211,8 @@ int main() {
   //   WHERE shipmode IN ('MAIL', 'RAIL') OR (qty >= 45 AND NOT status = 'F')
   //   GROUP BY supp HAVING SUM(qty) >= 1000
   //   ORDER BY sum DESC LIMIT 5
-  // Disjunctions, negation and HAVING — inexpressible with the flat
-  // Predicate conjunction — lower to the same candidate-list discipline:
+  // Disjunctions, negation and HAVING lower to the same candidate-list
+  // discipline as the conjunctions above:
   // each OR branch narrows its own sorted position list and the branches
   // merge-union, never materializing an intermediate BAT; Having filters
   // the aggregate output in place on its owned columns.
@@ -222,7 +222,7 @@ int main() {
   auto q4 = QueryBuilder(table)
                 .Filter(InStr(Col("shipmode"), {"MAIL", "RAIL"}) ||
                         (Col("qty") >= 45u && !(Col("status") == "F")))
-                .GroupBySum("supp", "qty")
+                .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                 .Having(Col("sum") >= 1000u)
                 .OrderBy("sum", /*descending=*/true)
                 .Limit(5)

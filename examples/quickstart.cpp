@@ -13,7 +13,7 @@
 
 #include "algo/partitioned_hash_join.h"
 #include "algo/simple_hash_join.h"
-#include "exec/ops.h"
+#include "model/strategy.h"
 #include "util/rng.h"
 #include "util/timer.h"
 

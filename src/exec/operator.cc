@@ -1,6 +1,7 @@
 #include "exec/operator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <string_view>
 
@@ -213,11 +214,9 @@ StatusOr<std::vector<std::string>> Chunk::GatherStr(size_t c) const {
   if (cd.dense()) {
     std::vector<oid_t> oids(cd.count);
     for (size_t i = 0; i < cd.count; ++i) oids[i] = cd.Get(i);
-    return col.base->GatherStr(col.base->schema().field(col.base_col).name,
-                               oids);
+    return col.base->GatherStr(col.base_col, oids);
   }
-  return col.base->GatherStr(col.base->schema().field(col.base_col).name,
-                             OidSpan(cd));
+  return col.base->GatherStr(col.base_col, OidSpan(cd));
 }
 
 namespace {
@@ -428,29 +427,13 @@ SelectOp::SelectOp(std::unique_ptr<Operator> child, Expr expr,
     : child_(std::move(child)), ctx_(ctx) {
   // An empty conjunction (a childless And, e.g. a default-constructed
   // Expr) is logically true: leave expr_ empty so Next() passes chunks
-  // through, exactly like the empty legacy Predicate conjunction (plan
-  // validation rejects both, but SelectOp is also composed directly).
+  // through (plan validation rejects it, but SelectOp is also composed
+  // directly).
   Expr lowered = OrderConjunctsBySelectivity(NormalizeExpr(std::move(expr)));
   if (lowered.kind != Expr::Kind::kAnd || !lowered.children.empty()) {
     expr_ = std::move(lowered);
   }
 }
-
-SelectOp::SelectOp(std::unique_ptr<Operator> child,
-                   std::vector<Predicate> preds, const ExecContext* ctx)
-    : child_(std::move(child)), ctx_(ctx) {
-  if (!preds.empty()) {
-    Expr e;
-    e.kind = Expr::Kind::kAnd;
-    for (const Predicate& p : preds) e.children.push_back(p.ToExpr());
-    expr_ = OrderConjunctsBySelectivity(NormalizeExpr(std::move(e)));
-  }
-}
-
-SelectOp::SelectOp(std::unique_ptr<Operator> child, Predicate pred,
-                   const ExecContext* ctx)
-    : SelectOp(std::move(child),
-               std::vector<Predicate>{std::move(pred)}, ctx) {}
 
 Status SelectOp::Open() { return child_->Open(); }
 void SelectOp::Close() { child_->Close(); }
@@ -1740,6 +1723,22 @@ Status OrderByOp::Open() {
 }
 void OrderByOp::Close() { child_->Close(); }
 
+namespace {
+
+// The order-by key order: `<`, except that an f64 NaN sorts after every
+// number. IEEE `<` alone is no strict weak order once NaN is present, so
+// stable_sort and the shard merge would each scramble the rows
+// differently.
+template <typename T>
+bool OrderKeyLess(const T& a, const T& b) {
+  return a < b;
+}
+bool OrderKeyLess(double a, double b) {
+  return !std::isnan(a) && (std::isnan(b) || a < b);
+}
+
+}  // namespace
+
 StatusOr<bool> OrderByOp::Next(Chunk* out) {
   if (done_) return false;
   done_ = true;
@@ -1760,7 +1759,8 @@ StatusOr<bool> OrderByOp::Next(Chunk* out) {
   auto argsort = [&](const auto& keys) -> Status {
     const bool desc = descending_;
     auto cmp = [&keys, desc](uint32_t a, uint32_t b) {
-      return desc ? keys[b] < keys[a] : keys[a] < keys[b];
+      return desc ? OrderKeyLess(keys[b], keys[a])
+                  : OrderKeyLess(keys[a], keys[b]);
     };
     size_t shards = CtxShards(ctx_, positions.size());
     if (shards <= 1) {

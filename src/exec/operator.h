@@ -187,12 +187,6 @@ class SelectOp : public Operator {
  public:
   SelectOp(std::unique_ptr<Operator> child, Expr expr,
            const ExecContext* ctx = nullptr);
-  /// Legacy wrappers: a conjunction of Predicates filters exactly like the
-  /// equivalent And expression. An empty conjunction passes chunks through.
-  SelectOp(std::unique_ptr<Operator> child, std::vector<Predicate> preds,
-           const ExecContext* ctx = nullptr);
-  SelectOp(std::unique_ptr<Operator> child, Predicate pred,
-           const ExecContext* ctx = nullptr);
   Status Open() override;
   StatusOr<bool> Next(Chunk* out) override;
   void Close() override;

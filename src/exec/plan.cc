@@ -39,18 +39,6 @@ const char* LogicalOpName(LogicalOp op) {
   return "?";
 }
 
-Expr Predicate::ToExpr() const {
-  switch (kind) {
-    case Kind::kRangeU32:
-      return Between(Col(column), lo_u32, hi_u32);
-    case Kind::kRangeF64:
-      return Between(Col(column), lo_f64, hi_f64);
-    case Kind::kEqStr:
-      return Col(column) == str_value;
-  }
-  return Expr{};
-}
-
 namespace {
 
 using Schema = std::vector<PlanColumn>;
@@ -500,23 +488,6 @@ QueryBuilder& QueryBuilder::Filter(Expr expr) {
   return *this;
 }
 
-QueryBuilder& QueryBuilder::Select(Predicate pred) {
-  return Filter(pred.ToExpr());
-}
-
-QueryBuilder& QueryBuilder::Select(std::vector<Predicate> conjunction) {
-  // An empty conjunction stays an empty And, which Build() rejects with the
-  // historical "empty predicate conjunction" error.
-  Expr e;
-  e.kind = Expr::Kind::kAnd;
-  for (const Predicate& p : conjunction) e.children.push_back(p.ToExpr());
-  if (e.children.size() == 1) {
-    Expr only = std::move(e.children[0]);
-    return Filter(std::move(only));
-  }
-  return Filter(std::move(e));
-}
-
 QueryBuilder& QueryBuilder::Having(Expr expr) {
   if (root_ == nullptr) return *this;
   root_ = Wrap(std::move(root_), LogicalOp::kHaving);
@@ -570,12 +541,6 @@ QueryBuilder& QueryBuilder::GroupByAgg(std::vector<std::string> group_cols,
   root_->group_cols = std::move(group_cols);
   root_->aggs = std::move(aggs);
   return *this;
-}
-
-QueryBuilder& QueryBuilder::GroupBySum(std::string group_col,
-                                       std::string value_col) {
-  return GroupByAgg({std::move(group_col)},
-                    {Agg::Sum(std::move(value_col)), Agg::Count()});
 }
 
 QueryBuilder& QueryBuilder::OrderBy(std::string column, bool descending) {

@@ -36,48 +36,6 @@
 
 namespace ccdb {
 
-/// A single-column predicate — the legacy filter surface, kept as a thin
-/// compatibility wrapper that constructs the equivalent typed Expr
-/// (exec/expr.h): RangeU32/RangeF64 become Between, EqStr becomes an
-/// equality comparison (remapped onto encoded columns' 1-2 byte codes,
-/// §3.1). New code should build Exprs with Filter(Col("qty") >= 2u && ...).
-struct Predicate {
-  enum class Kind { kRangeU32, kRangeF64, kEqStr };
-
-  std::string column;
-  Kind kind = Kind::kRangeU32;
-  uint32_t lo_u32 = 0, hi_u32 = 0;
-  double lo_f64 = 0, hi_f64 = 0;
-  std::string str_value;
-
-  static Predicate RangeU32(std::string col, uint32_t lo, uint32_t hi) {
-    Predicate p;
-    p.column = std::move(col);
-    p.kind = Kind::kRangeU32;
-    p.lo_u32 = lo;
-    p.hi_u32 = hi;
-    return p;
-  }
-  static Predicate RangeF64(std::string col, double lo, double hi) {
-    Predicate p;
-    p.column = std::move(col);
-    p.kind = Kind::kRangeF64;
-    p.lo_f64 = lo;
-    p.hi_f64 = hi;
-    return p;
-  }
-  static Predicate EqStr(std::string col, std::string value) {
-    Predicate p;
-    p.column = std::move(col);
-    p.kind = Kind::kEqStr;
-    p.str_value = std::move(value);
-    return p;
-  }
-
-  /// The equivalent expression-tree leaf.
-  Expr ToExpr() const;
-};
-
 /// An aggregate function over one u32 value column (kCount takes none).
 enum class AggFunc { kSum, kMin, kMax, kAvg, kCount };
 
@@ -215,15 +173,6 @@ class QueryBuilder {
   /// list; disjunctions union sorted position lists) — no intermediate BAT.
   QueryBuilder& Filter(Expr expr);
 
-  /// Legacy single-predicate select: wrapper over Filter(pred.ToExpr()).
-  QueryBuilder& Select(Predicate pred);
-
-  /// Conjunctive select: all predicates must hold (one logical node,
-  /// evaluated in a single fused candidate pass — each predicate narrows
-  /// the surviving candidate list without re-scanning the chunk). Wrapper
-  /// over Filter(And(preds...)).
-  QueryBuilder& Select(std::vector<Predicate> conjunction);
-
   /// Equi-join against `right` (u32 keys): this.left_key == right.right_key.
   /// `strategy` is a hint; the default lets the Planner pick per-node via
   /// the cost model. `right` becomes the inner (build) relation.
@@ -253,19 +202,16 @@ class QueryBuilder {
   QueryBuilder& GroupByAgg(std::vector<std::string> group_cols,
                            std::vector<AggSpec> aggs);
 
-  /// Group by `group_col` (integral or encoded string), summing u32
-  /// `value_col`. Output columns: `group_col` (decoded), "sum", "count".
-  /// Wrapper over GroupByAgg({group_col}, {Agg::Sum, Agg::Count}).
-  QueryBuilder& GroupBySum(std::string group_col, std::string value_col);
-
   /// Filters aggregate output (the HAVING shorthand): must directly follow
-  /// GroupByAgg/GroupBySum (or another Having). The expression is evaluated
+  /// GroupByAgg (or another Having). The expression is evaluated
   /// over the aggregate's owned output columns in place — typed against the
   /// aggregate schema (u32 literals compare against i64 sums/counts) and
   /// compacted with a single positional take, never re-gathering the owned
   /// columns per conjunct.
   QueryBuilder& Having(Expr expr);
 
+  /// Stable sort by one column; f64 NaN keys sort after every number
+  /// (first when descending).
   QueryBuilder& OrderBy(std::string column, bool descending = false);
 
   QueryBuilder& Limit(size_t n, size_t offset = 0);

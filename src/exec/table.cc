@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "algo/select.h"
-
 namespace ccdb {
 
 StatusOr<Table> Table::FromRowStore(const RowStore& rows, bool auto_encode) {
@@ -156,95 +154,8 @@ Status Table::AppendRows(const RowStore& extra) {
   return Status::Ok();
 }
 
-StatusOr<std::vector<oid_t>> Table::SelectEqStr(const std::string& col,
-                                                std::string_view value) const {
-  CCDB_ASSIGN_OR_RETURN(size_t i, Col(col));
-  DirectMemory mem;
-  if (is_encoded(i)) {
-    // Predicate remap (§3.1): selection on "MAIL" becomes selection on its
-    // 1-2 byte code; tuples are never decoded.
-    auto code = dicts_[i]->Lookup(value);
-    if (!code.ok()) return std::vector<oid_t>{};
-    const Column& codes = bats_[i].tail();
-    if (codes.type() == PhysType::kU8) {
-      return EqSelect(codes.Span<uint8_t>(), static_cast<uint8_t>(*code), mem);
-    }
-    return EqSelect(codes.Span<uint16_t>(), static_cast<uint16_t>(*code), mem);
-  }
-  const Column& tail = bats_[i].tail();
-  if (tail.type() != PhysType::kStr)
-    return Status::InvalidArgument(col + " is not a string column");
-  std::vector<oid_t> out;
-  for (size_t r = 0; r < tail.size(); ++r) {
-    if (tail.GetStr(r) == value) out.push_back(static_cast<oid_t>(r));
-  }
-  return out;
-}
-
-StatusOr<std::vector<oid_t>> Table::SelectRangeU32(const std::string& col,
-                                                   uint32_t lo,
-                                                   uint32_t hi) const {
-  CCDB_ASSIGN_OR_RETURN(size_t i, Col(col));
-  const Column& tail = bats_[i].tail();
-  if (tail.type() != PhysType::kU32)
-    return Status::InvalidArgument(col + " is not a u32 column");
-  DirectMemory mem;
-  return RangeSelect(tail.Span<uint32_t>(), lo, hi, mem);
-}
-
-StatusOr<std::vector<oid_t>> Table::SelectRangeF64(const std::string& col,
-                                                   double lo,
-                                                   double hi) const {
-  CCDB_ASSIGN_OR_RETURN(size_t i, Col(col));
-  const Column& tail = bats_[i].tail();
-  if (tail.type() != PhysType::kF64)
-    return Status::InvalidArgument(col + " is not a f64 column");
-  std::vector<oid_t> out;
-  std::span<const double> v = tail.Span<double>();
-  for (size_t r = 0; r < v.size(); ++r) {
-    if (lo <= v[r] && v[r] <= hi) out.push_back(static_cast<oid_t>(r));
-  }
-  return out;
-}
-
-StatusOr<GroupAggregates> Table::GroupSumU32(const std::string& group_col,
-                                             const std::string& value_col) const {
-  CCDB_ASSIGN_OR_RETURN(size_t g, Col(group_col));
-  CCDB_ASSIGN_OR_RETURN(size_t v, Col(value_col));
-  const Column& vals = bats_[v].tail();
-  if (vals.type() != PhysType::kU32)
-    return Status::InvalidArgument(value_col + " is not a u32 column");
-  const Column& keys = bats_[g].tail();
-  std::vector<uint32_t> key_buf(keys.size());
-  switch (keys.type()) {
-    case PhysType::kU8:
-    case PhysType::kU16:
-    case PhysType::kU32:
-      for (size_t r = 0; r < keys.size(); ++r)
-        key_buf[r] = static_cast<uint32_t>(keys.GetIntegral(r));
-      break;
-    default:
-      return Status::InvalidArgument(
-          group_col + " is not an integral or encoded column");
-  }
-  DirectMemory mem;
-  return HashGroupSum<DirectMemory, MurmurHash>(
-      std::span<const uint32_t>(key_buf), vals.Span<uint32_t>(), mem);
-}
-
-StatusOr<std::string> Table::DecodeGroupKey(const std::string& group_col,
-                                            uint32_t key) const {
-  CCDB_ASSIGN_OR_RETURN(size_t g, Col(group_col));
-  if (!is_encoded(g))
-    return Status::FailedPrecondition(group_col + " is not encoded");
-  if (key >= dicts_[g]->size())
-    return Status::OutOfRange("code beyond dictionary");
-  return std::string(dicts_[g]->Get(key));
-}
-
 StatusOr<std::vector<std::string>> Table::GatherStr(
-    const std::string& col, std::span<const oid_t> oids) const {
-  CCDB_ASSIGN_OR_RETURN(size_t i, Col(col));
+    size_t i, std::span<const oid_t> oids) const {
   std::vector<std::string> out;
   out.reserve(oids.size());
   if (is_encoded(i)) {
@@ -258,47 +169,11 @@ StatusOr<std::vector<std::string>> Table::GatherStr(
   }
   const Column& tail = bats_[i].tail();
   if (tail.type() != PhysType::kStr)
-    return Status::InvalidArgument(col + " is not a string column");
+    return Status::InvalidArgument(schema_.field(i).name +
+                                   " is not a string column");
   for (oid_t o : oids) {
     if (o >= rows_) return Status::OutOfRange("oid beyond table");
     out.emplace_back(tail.GetStr(o));
-  }
-  return out;
-}
-
-StatusOr<std::vector<double>> Table::GatherF64(
-    const std::string& col, std::span<const oid_t> oids) const {
-  CCDB_ASSIGN_OR_RETURN(size_t i, Col(col));
-  const Column& tail = bats_[i].tail();
-  if (tail.type() != PhysType::kF64)
-    return Status::InvalidArgument(col + " is not a f64 column");
-  std::span<const double> v = tail.Span<double>();
-  std::vector<double> out;
-  out.reserve(oids.size());
-  for (oid_t o : oids) {
-    if (o >= rows_) return Status::OutOfRange("oid beyond table");
-    out.push_back(v[o]);
-  }
-  return out;
-}
-
-StatusOr<std::vector<uint32_t>> Table::GatherU32(
-    const std::string& col, std::span<const oid_t> oids) const {
-  CCDB_ASSIGN_OR_RETURN(size_t i, Col(col));
-  const Column& tail = bats_[i].tail();
-  switch (tail.type()) {
-    case PhysType::kU8:
-    case PhysType::kU16:
-    case PhysType::kU32:
-      break;
-    default:
-      return Status::InvalidArgument(col + " is not an integral column");
-  }
-  std::vector<uint32_t> out;
-  out.reserve(oids.size());
-  for (oid_t o : oids) {
-    if (o >= rows_) return Status::OutOfRange("oid beyond table");
-    out.push_back(static_cast<uint32_t>(tail.GetIntegral(o)));
   }
   return out;
 }

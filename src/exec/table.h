@@ -2,18 +2,18 @@
 // byte-encoding of low-cardinality string columns — the storage design of
 // §3.1 / Fig. 4. Every column is a BAT with a void (virtual OID) head;
 // string columns whose domain fits 1-2 bytes are stored as their code
-// column plus a dictionary, and selections on them are *remapped to codes*
-// rather than decoding tuples.
+// column plus a dictionary, and selections on them (SelectOp,
+// exec/operator.h) are *remapped to codes* rather than decoding tuples.
 #ifndef CCDB_EXEC_TABLE_H_
 #define CCDB_EXEC_TABLE_H_
 
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "algo/aggregate.h"
 #include "bat/bat.h"
 #include "bat/dsm.h"
 #include "bat/encoding.h"
@@ -81,38 +81,10 @@ class Table {
   /// when the destination dies.
   std::weak_ptr<const void> liveness() const { return stats_; }
 
-  // --- operators (positional OIDs, void-head convention) -------------------
-
-  /// OIDs where string column `col` == `value`. For an encoded column this
-  /// remaps the predicate to a code and scans 1-2 bytes per tuple (§3.1);
-  /// an unknown value yields an empty result, not an error.
-  StatusOr<std::vector<oid_t>> SelectEqStr(const std::string& col,
-                                           std::string_view value) const;
-
-  /// OIDs where u32 column `col` is in [lo, hi].
-  StatusOr<std::vector<oid_t>> SelectRangeU32(const std::string& col,
-                                              uint32_t lo, uint32_t hi) const;
-
-  /// OIDs where f64 column `col` is in [lo, hi].
-  StatusOr<std::vector<oid_t>> SelectRangeF64(const std::string& col,
-                                              double lo, double hi) const;
-
-  /// Group by an integral (or encoded string) column, summing a u32 column.
-  /// For encoded group columns the result keys are codes; use
-  /// DecodeGroupKey to map back.
-  StatusOr<GroupAggregates> GroupSumU32(const std::string& group_col,
-                                        const std::string& value_col) const;
-  StatusOr<std::string> DecodeGroupKey(const std::string& group_col,
-                                       uint32_t key) const;
-
-  /// Materializes string values of column `col` for the given OIDs
+  /// Materializes string values of column `i` for the given OIDs
   /// (decoding via the dictionary when encoded) — the projection path.
   StatusOr<std::vector<std::string>> GatherStr(
-      const std::string& col, std::span<const oid_t> oids) const;
-  StatusOr<std::vector<double>> GatherF64(const std::string& col,
-                                          std::span<const oid_t> oids) const;
-  StatusOr<std::vector<uint32_t>> GatherU32(
-      const std::string& col, std::span<const oid_t> oids) const;
+      size_t i, std::span<const oid_t> oids) const;
 
   // Copies get a fresh (empty) stats cache — a copied-then-appended table
   // must never publish its stats through the original's cache. Moves

@@ -1,12 +1,18 @@
 // Join strategy selection (§3.4.4): the four named strategies (the
 // "diagonals" of Figs. 10-12) plus the empirical optima and the model-driven
-// "best" choice the paper's final comparison (Fig. 13) sweeps over.
+// "best" choice the paper's final comparison (Fig. 13) sweeps over, and
+// ExecuteJoin, which runs a resolved plan on raw BUNs through the algo/
+// kernels.
 #ifndef CCDB_MODEL_STRATEGY_H_
 #define CCDB_MODEL_STRATEGY_H_
 
+#include <span>
 #include <string>
+#include <vector>
 
+#include "algo/join_common.h"
 #include "model/cost_model.h"
+#include "util/status.h"
 
 namespace ccdb {
 
@@ -66,6 +72,14 @@ inline bool RunsSimpleHash(const JoinPlan& plan) {
 /// n-log-n CPU estimate.
 ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
                                     uint64_t c_inner, uint64_t c_probe);
+
+/// Runs the join described by `plan` on raw BUN spans through the whole
+/// algo/ kernel (SortMergeJoin, SimpleHashJoin, RadixJoin or
+/// PartitionedHashJoin). `stats` (optional) receives phase timings.
+StatusOr<std::vector<Bun>> ExecuteJoin(std::span<const Bun> l,
+                                       std::span<const Bun> r,
+                                       const JoinPlan& plan,
+                                       JoinStats* stats = nullptr);
 
 }  // namespace ccdb
 

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "dist/wire.h"
-#include "exec/ops.h"
 #include "exec/plan.h"
 #include "exec/table.h"
 #include "model/planner.h"

@@ -1,12 +1,14 @@
 // Exec-layer integration: the Fig. 4 Item table decomposed + byte-encoded,
 // selections with predicate remap, group-by, gathers, and table-level joins
-// against a row-store oracle.
+// against a row-store oracle and the raw-BUN join kernels.
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "exec/ops.h"
+#include "exec/operator.h"
 #include "exec/table.h"
+#include "model/planner.h"
+#include "model/strategy.h"
 #include "util/rng.h"
 
 namespace ccdb {
@@ -34,6 +36,24 @@ RowStore MakeItems(size_t n) {
   return *std::move(rs);
 }
 
+// The OIDs a Filter selects: SelectOp over one whole-table scan chunk.
+std::vector<oid_t> SelectOids(const Table& t, Expr e) {
+  SelectOp op(std::make_unique<ScanOp>(&t, SIZE_MAX), std::move(e));
+  CCDB_CHECK(op.Open().ok());
+  std::vector<oid_t> oids;
+  for (;;) {
+    Chunk chunk;
+    auto more = op.Next(&chunk);
+    CCDB_CHECK(more.ok());
+    if (!*more) break;
+    for (size_t i = 0; i < chunk.rows; ++i) {
+      oids.push_back(chunk.cands[0].Get(i));
+    }
+  }
+  op.Close();
+  return oids;
+}
+
 TEST(TableTest, AutoEncodesLowCardinalityStrings) {
   Table t = *Table::FromRowStore(MakeItems(100));
   auto idx = t.schema().FieldIndex("shipmode");
@@ -50,73 +70,90 @@ TEST(TableTest, EncodingCanBeDisabled) {
   auto idx = t.schema().FieldIndex("shipmode");
   EXPECT_FALSE(t.is_encoded(*idx));
   // Unencoded path still answers the same query.
-  auto sel = t.SelectEqStr("shipmode", "AIR");
-  ASSERT_TRUE(sel.ok());
-  EXPECT_EQ(*sel, (std::vector<oid_t>{1, 5, 9}));
+  EXPECT_EQ(SelectOids(t, Col("shipmode") == "AIR"),
+            (std::vector<oid_t>{1, 5, 9}));
 }
 
-TEST(TableTest, SelectEqStrRemapsPredicate) {
+TEST(TableTest, StringEqualityRemapsToCodes) {
   Table t = *Table::FromRowStore(MakeItems(40));
-  auto sel = t.SelectEqStr("shipmode", "MAIL");
-  ASSERT_TRUE(sel.ok());
-  ASSERT_EQ(sel->size(), 10u);
-  for (oid_t o : *sel) EXPECT_EQ(o % 4, 0u);
+  std::vector<oid_t> sel = SelectOids(t, Col("shipmode") == "MAIL");
+  ASSERT_EQ(sel.size(), 10u);
+  for (oid_t o : sel) EXPECT_EQ(o % 4, 0u);
   // Unknown value: empty, not an error.
-  auto none = t.SelectEqStr("shipmode", "PIGEON");
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
-  // Wrong column name -> NotFound.
-  EXPECT_EQ(t.SelectEqStr("nope", "MAIL").status().code(),
+  EXPECT_TRUE(SelectOids(t, Col("shipmode") == "PIGEON").empty());
+  // Wrong column name -> NotFound, at Build().
+  EXPECT_EQ(QueryBuilder(t).Filter(Col("nope") == "MAIL").Build()
+                .status().code(),
             StatusCode::kNotFound);
-  // Non-string column -> InvalidArgument.
-  EXPECT_EQ(t.SelectEqStr("qty", "MAIL").status().code(),
+  // Non-string column -> InvalidArgument, at Build().
+  EXPECT_EQ(QueryBuilder(t).Filter(Col("qty") == "MAIL").Build()
+                .status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(TableTest, RangeSelects) {
   Table t = *Table::FromRowStore(MakeItems(20));
-  auto qty = t.SelectRangeU32("qty", 4, 5);
-  ASSERT_TRUE(qty.ok());
-  for (oid_t o : *qty) EXPECT_GE(1 + o % 5, 4u);
-  auto price = t.SelectRangeF64("price", 12.0, 14.0);
-  ASSERT_TRUE(price.ok());
-  EXPECT_EQ(*price, (std::vector<oid_t>{2, 3, 4}));
-  EXPECT_EQ(t.SelectRangeU32("price", 0, 1).status().code(),
+  for (oid_t o : SelectOids(t, Between(Col("qty"), 4u, 5u))) {
+    EXPECT_GE(1 + o % 5, 4u);
+  }
+  EXPECT_EQ(SelectOids(t, Between(Col("price"), 12.0, 14.0)),
+            (std::vector<oid_t>{2, 3, 4}));
+  EXPECT_EQ(QueryBuilder(t).Filter(Between(Col("price"), 0u, 1u)).Build()
+                .status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(TableTest, GroupSumOverEncodedColumn) {
   Table t = *Table::FromRowStore(MakeItems(40));
-  auto agg = t.GroupSumU32("shipmode", "qty");
+  auto plan = QueryBuilder(t)
+                  .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
+                  .Build();
+  ASSERT_TRUE(plan.ok());
+  auto agg = Execute(*plan);
   ASSERT_TRUE(agg.ok());
-  ASSERT_EQ(agg->size(), 4u);
+  ASSERT_EQ(agg->num_rows(), 4u);
   // Oracle.
-  std::map<std::string, uint64_t> expect;
+  std::map<std::string, int64_t> expect;
   const char* modes[] = {"MAIL", "AIR", "TRUCK", "SHIP"};
   for (size_t i = 0; i < 40; ++i) expect[modes[i % 4]] += 1 + i % 5;
-  for (size_t g = 0; g < agg->size(); ++g) {
-    auto name = t.DecodeGroupKey("shipmode", agg->keys[g]);
-    ASSERT_TRUE(name.ok());
-    EXPECT_EQ(agg->sums[g], expect[*name]) << *name;
-    EXPECT_EQ(agg->counts[g], 10u);
+  for (size_t g = 0; g < agg->num_rows(); ++g) {
+    // Group keys come back decoded from the dictionary.
+    const std::string& name = agg->columns[0].str_values[g];
+    ASSERT_EQ(expect.count(name), 1u) << name;
+    EXPECT_EQ(agg->columns[1].i64_values[g], expect[name]) << name;
+    EXPECT_EQ(agg->columns[2].i64_values[g], 10);
   }
 }
 
 TEST(TableTest, Gathers) {
   Table t = *Table::FromRowStore(MakeItems(10));
+  size_t shipmode = *t.schema().FieldIndex("shipmode");
   std::vector<oid_t> oids = {1, 3, 9};
-  auto modes = t.GatherStr("shipmode", oids);
+  auto modes = t.GatherStr(shipmode, oids);
   ASSERT_TRUE(modes.ok());
   EXPECT_EQ(*modes, (std::vector<std::string>{"AIR", "SHIP", "AIR"}));
-  auto prices = t.GatherF64("price", oids);
+  // The same OIDs as a chunk's candidate list: tuple reconstruction of
+  // every column type through Chunk's gathers.
+  Chunk chunk;
+  chunk.rows = oids.size();
+  chunk.cands.push_back(Candidates::FromOids(oids));
+  for (const char* name : {"price", "qty", "shipmode"}) {
+    ChunkColumn col;
+    col.name = name;
+    col.base = &t;
+    col.base_col = *t.schema().FieldIndex(name);
+    chunk.cols.push_back(std::move(col));
+  }
+  auto prices = chunk.GatherF64(0);
   ASSERT_TRUE(prices.ok());
   EXPECT_DOUBLE_EQ((*prices)[1], 13.0);
-  auto qty = t.GatherU32("qty", oids);
+  auto qty = chunk.GatherU32(1);
   ASSERT_TRUE(qty.ok());
   EXPECT_EQ((*qty)[0], 2u);
+  EXPECT_EQ(*chunk.GatherStr(2), *modes);
   // Out-of-range OID caught.
   std::vector<oid_t> bad = {99};
-  EXPECT_EQ(t.GatherStr("shipmode", bad).status().code(),
+  EXPECT_EQ(t.GatherStr(shipmode, bad).status().code(),
             StatusCode::kOutOfRange);
 }
 
@@ -129,14 +166,15 @@ TEST(TableTest, MemoryFootprintBeatsNsm) {
   EXPECT_LT(t.MemoryBytes(), nsm_bytes);
 }
 
-TEST(ColumnBunsTest, ExtractsOidValuePairs) {
+TEST(TableTest, ColumnBatToBuns) {
   Table t = *Table::FromRowStore(MakeItems(6));
-  auto buns = ColumnBuns(t, "order");
+  auto buns = t.column_bat(*t.schema().FieldIndex("order")).ToBuns();
   ASSERT_TRUE(buns.ok());
   ASSERT_EQ(buns->size(), 6u);
   EXPECT_EQ((*buns)[0], (Bun{0, 0}));
   EXPECT_EQ((*buns)[5], (Bun{5, 1}));
-  EXPECT_EQ(ColumnBuns(t, "price").status().code(),
+  EXPECT_EQ(t.column_bat(*t.schema().FieldIndex("price")).ToBuns()
+                .status().code(),
             StatusCode::kInvalidArgument);  // f64 tail not BUN-able
 }
 
@@ -174,26 +212,35 @@ TEST(ExecuteJoinTest, AllStrategiesProduceSameResult) {
   }
 }
 
-TEST(JoinTablesTest, MatchesExecuteJoinRowForRow) {
+TEST(JoinOpTest, MatchesExecuteJoinRowForRow) {
   // JoinOp (one probe chunk) and the whole algo/ kernel must emit the same
   // [left OID, right OID] sequence, unsorted: same cluster-pair order, same
   // probe order within a pair, and duplicate keys in reverse build order.
+  // Each table carries its row id, so projecting both ids from the join
+  // plan yields the join index.
   constexpr size_t kN = 100000;  // every radix/phash plan gets bits > 0
   Rng rng(5);
-  auto make = [&](size_t n) {
-    auto rs = RowStore::Make({{"k", FieldType::kU32}}, n);
+  auto make = [&](size_t n, const char* id) {
+    auto rs = RowStore::Make({{"k", FieldType::kU32}, {id, FieldType::kU32}},
+                             n);
     CCDB_CHECK(rs.ok());
     for (size_t i = 0; i < n; ++i) {
-      rs->SetU32(*rs->AppendRow(), 0,
-                 static_cast<uint32_t>(rng.NextBelow(kN / 4)));
+      size_t r = *rs->AppendRow();
+      rs->SetU32(r, 0, static_cast<uint32_t>(rng.NextBelow(kN / 4)));
+      rs->SetU32(r, 1, static_cast<uint32_t>(i));
     }
     return *Table::FromRowStore(*rs);
   };
-  Table left = make(kN / 2);
-  Table right = make(kN);  // ~4 rows per key on the inner, ~2 on the probe
-  std::vector<Bun> l = *ColumnBuns(left, "k");
-  std::vector<Bun> r = *ColumnBuns(right, "k");
+  // ~4 rows per key on the inner, ~2 on the probe.
+  Table left = make(kN / 2, "lid");
+  Table right = make(kN, "rid");
+  std::vector<Bun> l = *left.column_bat(0).ToBuns();
+  std::vector<Bun> r = *right.column_bat(0).ToBuns();
   MachineProfile m = MachineProfile::GenericX86();
+  PlannerOptions opts;
+  opts.profile = m;
+  opts.exec.parallelism = 1;
+  opts.exec.scan_chunk_rows = SIZE_MAX;
   for (JoinStrategy s : {JoinStrategy::kSortMerge, JoinStrategy::kSimpleHash,
                          JoinStrategy::kPhashL2, JoinStrategy::kPhashTLB,
                          JoinStrategy::kPhashL1, JoinStrategy::kPhash256,
@@ -204,66 +251,63 @@ TEST(JoinTablesTest, MatchesExecuteJoinRowForRow) {
       EXPECT_GT(plan.bits, 0) << JoinStrategyName(s);
     }
     auto kernel = ExecuteJoin(l, r, plan);
-    auto engine = JoinTables(left, "k", right, "k", s, m);
-    ASSERT_TRUE(kernel.ok() && engine.ok()) << JoinStrategyName(s);
+    auto query =
+        QueryBuilder(left).Join(right, "k", "k", s).Project({"lid", "rid"})
+            .Build();
+    ASSERT_TRUE(kernel.ok() && query.ok()) << JoinStrategyName(s);
+    auto engine = Execute(*query, opts);
+    ASSERT_TRUE(engine.ok()) << JoinStrategyName(s);
+    const std::vector<uint32_t>& lid = engine->columns[0].u32_values;
+    const std::vector<uint32_t>& rid = engine->columns[1].u32_values;
+    std::vector<Bun> index(lid.size());
+    for (size_t i = 0; i < index.size(); ++i) index[i] = {lid[i], rid[i]};
     EXPECT_GT(kernel->size(), kN) << JoinStrategyName(s);
-    EXPECT_EQ(*engine, *kernel) << JoinStrategyName(s);
+    EXPECT_EQ(index, *kernel) << JoinStrategyName(s);
   }
 }
 
-TEST(MaterializeJoinTest, ProjectsBothSides) {
+TEST(JoinOpTest, ProjectsBothSides) {
   auto orders_rows = RowStore::Make(
       {{"order_id", FieldType::kU32}, {"clerk", FieldType::kChar10}}, 4);
   ASSERT_TRUE(orders_rows.ok());
   const char* clerks[] = {"ann", "bob", "cho", "dee"};
   for (uint32_t i = 0; i < 4; ++i) {
     size_t r = *orders_rows->AppendRow();
-    orders_rows->SetU32(r, 0, 100 + i);
+    orders_rows->SetU32(r, 0, i);
     orders_rows->SetBytes(r, 1, clerks[i], strlen(clerks[i]));
   }
   Table orders = *Table::FromRowStore(*orders_rows);
-  Table items = *Table::FromRowStore(MakeItems(8));
+  Table items = *Table::FromRowStore(MakeItems(12));  // order = i/3: 0..3
 
-  // Join index: item oid i <-> order oid i % 4 (hand-built).
-  std::vector<Bun> idx;
-  for (uint32_t i = 0; i < 8; ++i) idx.push_back({i, i % 4});
-
-  auto cols = MaterializeJoin(items, {"qty", "shipmode"}, orders, {"clerk"},
-                              idx);
+  // price = 10 + item oid identifies the item row of every output row.
+  auto plan = QueryBuilder(items)
+                  .Join(orders, "order", "order_id")
+                  .Project({"price", "qty", "shipmode", "clerk"})
+                  .Build();
+  ASSERT_TRUE(plan.ok());
+  auto cols = Execute(*plan);
   ASSERT_TRUE(cols.ok());
-  ASSERT_EQ(cols->size(), 3u);
-  EXPECT_EQ((*cols)[0].name, "qty");
-  EXPECT_EQ((*cols)[0].type, PhysType::kU32);
-  ASSERT_EQ((*cols)[0].u32_values.size(), 8u);
-  EXPECT_EQ((*cols)[0].u32_values[3], 1 + 3 % 5);
-  EXPECT_EQ((*cols)[1].type, PhysType::kStr);
-  EXPECT_EQ((*cols)[1].str_values[1], "AIR");
-  EXPECT_EQ((*cols)[2].name, "clerk");
-  EXPECT_EQ((*cols)[2].str_values[5], "bob");
-  // Unknown column propagates NotFound.
-  EXPECT_EQ(MaterializeJoin(items, {"nope"}, orders, {}, idx).status().code(),
+  ASSERT_EQ(cols->num_columns(), 4u);
+  ASSERT_EQ(cols->num_rows(), 12u);  // every item matches exactly one order
+  EXPECT_EQ(cols->columns[1].name, "qty");
+  EXPECT_EQ(cols->columns[1].type, PhysType::kU32);
+  EXPECT_EQ(cols->columns[2].type, PhysType::kStr);
+  EXPECT_EQ(cols->columns[3].name, "clerk");
+  const char* modes[] = {"MAIL", "AIR", "TRUCK", "SHIP"};
+  for (size_t row = 0; row < 12; ++row) {
+    size_t i = static_cast<size_t>(cols->columns[0].f64_values[row] - 10.0);
+    EXPECT_EQ(cols->columns[1].u32_values[row], 1 + i % 5);
+    EXPECT_EQ(cols->columns[2].str_values[row], modes[i % 4]);
+    EXPECT_EQ(cols->columns[3].str_values[row], clerks[i / 3]);
+  }
+  // Unknown column -> NotFound, at Build().
+  EXPECT_EQ(QueryBuilder(items)
+                .Join(orders, "order", "order_id")
+                .Project({"nope"})
+                .Build()
+                .status()
+                .code(),
             StatusCode::kNotFound);
-}
-
-TEST(JoinTablesTest, JoinsOnU32Columns) {
-  // orders(order_id) join items(order): classic FK join via the planner.
-  auto orders_rows = RowStore::Make(
-      {{"order_id", FieldType::kU32}, {"prio", FieldType::kU32}}, 10);
-  ASSERT_TRUE(orders_rows.ok());
-  for (uint32_t i = 0; i < 10; ++i) {
-    size_t r = *orders_rows->AppendRow();
-    orders_rows->SetU32(r, 0, i);
-    orders_rows->SetU32(r, 1, i % 3);
-  }
-  Table orders = *Table::FromRowStore(*orders_rows);
-  Table items = *Table::FromRowStore(MakeItems(30));  // order = i/3: 0..9
-
-  auto idx = JoinTables(items, "order", orders, "order_id");
-  ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(idx->size(), 30u);  // every item matches exactly one order
-  for (const Bun& b : *idx) {
-    EXPECT_EQ(b.head / 3, b.tail);  // item oid/3 == order oid
-  }
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 // built with the fluent Col() helpers, Filter/Having nodes with Build()-time
 // type checking, NNF normalization, selectivity-ordered conjuncts, and the
 // candidate-list lowering — disjunctions as sorted-position-list unions,
-// never an intermediate BAT. Includes the regression for
-// Predicate::RangeU32 with lo > hi, which used to silently select nothing
-// and is now rejected at Build().
+// never an intermediate BAT. Includes the regression for a u32 range with
+// lo > hi, which used to silently select nothing and is now rejected at
+// Build().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,14 +191,10 @@ TEST(ExprBuildTest, TypeChecksAgainstSchema) {
   EXPECT_NE(plan->ToString().find("OR"), std::string::npos);
 }
 
-// Satellite regression: RangeU32 with lo > hi used to Build() fine and
+// Regression: a u32 range with lo > hi used to Build() fine and
 // silently select nothing; it must be an InvalidArgument now.
 TEST(ExprBuildTest, InvertedRangesAreRejected) {
   Table items = *Table::FromRowStore(MakeItems(12));
-  EXPECT_EQ(QueryBuilder(items)
-                .Select(Predicate::RangeU32("qty", 5, 2))
-                .Build().status().code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(QueryBuilder(items).Filter(Between(Col("qty"), 5u, 2u)).Build()
                 .status().code(),
             StatusCode::kInvalidArgument);
@@ -221,7 +217,7 @@ TEST(ExprBuildTest, HavingRequiresAggregateInput) {
                 .status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(QueryBuilder(items)
-                .Select(Predicate::RangeU32("qty", 0, 9))
+                .Filter(Between(Col("qty"), 0u, 9u))
                 .Having(Col("qty") >= 2u)
                 .Build().status().code(),
             StatusCode::kInvalidArgument);
@@ -240,35 +236,6 @@ TEST(ExprBuildTest, HavingRequiresAggregateInput) {
                 .Having(Col("sum") >= 1.5)
                 .Build().status().code(),
             StatusCode::kInvalidArgument);
-}
-
-// --- legacy wrapper equivalence ----------------------------------------------
-
-TEST(ExprWrapperTest, SelectPredicatesEqualEquivalentFilter) {
-  constexpr size_t kN = 30000;
-  Table items = *Table::FromRowStore(MakeItems(kN));
-  auto legacy = QueryBuilder(items)
-                    .Select({Predicate::RangeU32("qty", 2, 4),
-                             Predicate::EqStr("shipmode", "MAIL"),
-                             Predicate::RangeF64("price", 20.0, 80.0)})
-                    .Project({"order", "qty", "price"})
-                    .Build();
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  auto exprs = QueryBuilder(items)
-                   .Filter(Between(Col("qty"), 2u, 4u) &&
-                           Col("shipmode") == "MAIL" &&
-                           Between(Col("price"), 20.0, 80.0))
-                   .Project({"order", "qty", "price"})
-                   .Build();
-  ASSERT_TRUE(exprs.ok()) << exprs.status().ToString();
-  QueryResult expect = RunPlan(*legacy, 1);
-  ASSERT_GT(expect.num_rows(), 0u);
-  for (size_t par : {1u, 2u, 8u}) {
-    ExpectSameResult(RunPlan(*legacy, par), expect,
-                     "legacy wrapper par " + std::to_string(par));
-    ExpectSameResult(RunPlan(*exprs, par), expect,
-                     "expression filter par " + std::to_string(par));
-  }
 }
 
 // --- disjunction execution ---------------------------------------------------
@@ -472,7 +439,7 @@ TEST(ExprExecTest, DirectSelectOpTypeMismatchIsLoud) {
   // silently compare against the wrong Literal member.
   Table items = *Table::FromRowStore(MakeItems(100));
   SelectOp op(std::make_unique<ScanOp>(&items, /*chunk_rows=*/64),
-              Predicate::RangeU32("price", 10, 20).ToExpr());  // price is f64
+              Between(Col("price"), 10u, 20u));  // price is f64
   ASSERT_TRUE(op.Open().ok());
   Chunk out;
   auto more = op.Next(&out);
@@ -481,28 +448,22 @@ TEST(ExprExecTest, DirectSelectOpTypeMismatchIsLoud) {
   op.Close();
 }
 
-TEST(ExprExecTest, EmptyConjunctionPassesThroughInBothCtors) {
-  // A childless And (e.g. a default-constructed Expr) is logically true —
-  // exactly like the empty legacy Predicate conjunction.
+TEST(ExprExecTest, EmptyConjunctionPassesThrough) {
+  // A childless And (e.g. a default-constructed Expr) is logically true.
   Table items = *Table::FromRowStore(MakeItems(100));
-  for (int legacy = 0; legacy < 2; ++legacy) {
-    SelectOp op = legacy
-                      ? SelectOp(std::make_unique<ScanOp>(&items, 64),
-                                 std::vector<Predicate>{})
-                      : SelectOp(std::make_unique<ScanOp>(&items, 64), Expr{});
-    EXPECT_FALSE(op.expr().has_value());
-    ASSERT_TRUE(op.Open().ok());
-    Chunk out;
-    size_t rows = 0;
-    for (;;) {
-      auto more = op.Next(&out);
-      ASSERT_TRUE(more.ok());
-      if (!*more) break;
-      rows += out.rows;
-    }
-    op.Close();
-    EXPECT_EQ(rows, 100u) << (legacy ? "legacy" : "expr");
+  SelectOp op(std::make_unique<ScanOp>(&items, 64), Expr{});
+  EXPECT_FALSE(op.expr().has_value());
+  ASSERT_TRUE(op.Open().ok());
+  Chunk out;
+  size_t rows = 0;
+  for (;;) {
+    auto more = op.Next(&out);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    rows += out.rows;
   }
+  op.Close();
+  EXPECT_EQ(rows, 100u);
 }
 
 // --- Having ------------------------------------------------------------------

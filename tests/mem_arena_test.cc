@@ -238,7 +238,7 @@ TEST(ArenaExecTest, ArenaBackedQueryIsByteIdenticalAcrossParallelism) {
   Table dim = MakeDim(kRows / 2);
   auto run = [&](Table& fact, size_t par) {
     auto plan = QueryBuilder(fact)
-                    .Select(Predicate::RangeU32("v", 100, 499))
+                    .Filter(Between(Col("v"), 100u, 499u))
                     .Join(dim, "k", "id")
                     .Project({"k", "g", "w"})
                     .Build();

@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "algo/bat_algebra.h"
-#include "exec/ops.h"
 #include "exec/plan.h"
 #include "model/planner.h"
 #include "util/rng.h"
@@ -55,23 +54,23 @@ Table MakeOrders(size_t n) {
 
 TEST(QueryBuilderTest, UnknownColumnIsNotFound) {
   Table t = *Table::FromRowStore(MakeItems(10));
-  auto plan = QueryBuilder(t).Select(Predicate::RangeU32("nope", 0, 1)).Build();
+  auto plan = QueryBuilder(t).Filter(Between(Col("nope"), 0u, 1u)).Build();
   EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
 }
 
 TEST(QueryBuilderTest, PredicateTypeMismatch) {
   Table t = *Table::FromRowStore(MakeItems(10));
-  // RangeU32 on an f64 column.
-  auto p1 = QueryBuilder(t).Select(Predicate::RangeU32("price", 0, 1)).Build();
+  // u32 range on an f64 column.
+  auto p1 = QueryBuilder(t).Filter(Between(Col("price"), 0u, 1u)).Build();
   EXPECT_EQ(p1.status().code(), StatusCode::kInvalidArgument);
-  // RangeF64 on a u32 column.
-  auto p2 = QueryBuilder(t).Select(Predicate::RangeF64("qty", 0, 1)).Build();
+  // f64 range on a u32 column.
+  auto p2 = QueryBuilder(t).Filter(Between(Col("qty"), 0.0, 1.0)).Build();
   EXPECT_EQ(p2.status().code(), StatusCode::kInvalidArgument);
-  // EqStr on a u32 column.
-  auto p3 = QueryBuilder(t).Select(Predicate::EqStr("qty", "x")).Build();
+  // String equality on a u32 column.
+  auto p3 = QueryBuilder(t).Filter(Col("qty") == "x").Build();
   EXPECT_EQ(p3.status().code(), StatusCode::kInvalidArgument);
-  // EqStr on an encoded string column is fine.
-  auto p4 = QueryBuilder(t).Select(Predicate::EqStr("shipmode", "AIR")).Build();
+  // String equality on an encoded string column is fine.
+  auto p4 = QueryBuilder(t).Filter(Col("shipmode") == "AIR").Build();
   EXPECT_TRUE(p4.ok());
 }
 
@@ -91,7 +90,7 @@ TEST(QueryBuilderTest, AmbiguousColumnAfterSelfJoin) {
   // items x items: every column name collides; referencing one is an error.
   auto plan = QueryBuilder(items)
                   .Join(items, "order", "order")
-                  .Select(Predicate::RangeU32("qty", 0, 5))
+                  .Filter(Between(Col("qty"), 0u, 5u))
                   .Build();
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(plan.status().message().find("ambiguous"), std::string::npos);
@@ -102,21 +101,27 @@ TEST(QueryBuilderTest, EmptyProjectAndBadAggregates) {
   auto p1 = QueryBuilder(t).Project({}).Build();
   EXPECT_EQ(p1.status().code(), StatusCode::kInvalidArgument);
   // Grouping on an f64 column.
-  auto p2 = QueryBuilder(t).GroupBySum("price", "qty").Build();
+  auto p2 = QueryBuilder(t)
+                .GroupByAgg({"price"}, {Agg::Sum("qty"), Agg::Count()})
+                .Build();
   EXPECT_EQ(p2.status().code(), StatusCode::kInvalidArgument);
   // Summing an f64 column.
-  auto p3 = QueryBuilder(t).GroupBySum("qty", "price").Build();
+  auto p3 = QueryBuilder(t)
+                .GroupByAgg({"qty"}, {Agg::Sum("price"), Agg::Count()})
+                .Build();
   EXPECT_EQ(p3.status().code(), StatusCode::kInvalidArgument);
   // Grouping on an encoded string column is fine.
-  auto p4 = QueryBuilder(t).GroupBySum("shipmode", "qty").Build();
+  auto p4 = QueryBuilder(t)
+                .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
+                .Build();
   EXPECT_TRUE(p4.ok());
 }
 
 TEST(QueryBuilderTest, OutputSchemaAndToString) {
   Table items = *Table::FromRowStore(MakeItems(12));
   auto plan = QueryBuilder(items)
-                  .Select(Predicate::EqStr("shipmode", "MAIL"))
-                  .GroupBySum("shipmode", "qty")
+                  .Filter(Col("shipmode") == "MAIL")
+                  .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
                   .OrderBy("sum", true)
                   .Limit(3)
                   .Build();
@@ -150,7 +155,7 @@ TEST(PlanExecTest, SelectProjectMatchesBatAlgebra) {
   Table t = *Table::FromRowStore(*rs);
 
   auto plan = QueryBuilder(t)
-                  .Select(Predicate::RangeU32("a", 100, 300))
+                  .Filter(Between(Col("a"), 100u, 300u))
                   .Project({"b"})
                   .Build();
   ASSERT_TRUE(plan.ok());
@@ -181,9 +186,9 @@ TEST(PlanExecTest, SelectJoinAggregateMatchesOracle) {
   // SELECT prio, SUM(qty) FROM items JOIN orders ON order = order_id
   // WHERE shipmode = 'MAIL' GROUP BY prio;
   auto plan = QueryBuilder(items)
-                  .Select(Predicate::EqStr("shipmode", "MAIL"))
+                  .Filter(Col("shipmode") == "MAIL")
                   .Join(orders, "order", "order_id")
-                  .GroupBySum("prio", "qty")
+                  .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                   .Build();
   ASSERT_TRUE(plan.ok());
   auto result = Execute(*plan);
@@ -215,7 +220,7 @@ TEST(PlanExecTest, OrderByLimitOffset) {
   Table items = *Table::FromRowStore(MakeItems(40));
   auto build = [&](bool desc, size_t limit, size_t offset) {
     auto plan = QueryBuilder(items)
-                    .GroupBySum("shipmode", "qty")
+                    .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
                     .OrderBy("sum", desc)
                     .Limit(limit, offset)
                     .Build();
@@ -239,7 +244,7 @@ TEST(PlanExecTest, OrderByLimitOffset) {
 TEST(PlanExecTest, EmptySelectionStillTyped) {
   Table items = *Table::FromRowStore(MakeItems(20));
   auto plan = QueryBuilder(items)
-                  .Select(Predicate::EqStr("shipmode", "PIGEON"))
+                  .Filter(Col("shipmode") == "PIGEON")
                   .Project({"qty", "shipmode"})
                   .Build();
   ASSERT_TRUE(plan.ok());
@@ -259,9 +264,9 @@ TEST(PlanExecTest, PipelinedEqualsMaterialized) {
   Table orders = MakeOrders(kItems / 3 + 1);
   auto build = [&]() {
     auto plan = QueryBuilder(items)
-                    .Select(Predicate::RangeU32("qty", 2, 4))
+                    .Filter(Between(Col("qty"), 2u, 4u))
                     .Join(orders, "order", "order_id")
-                    .GroupBySum("prio", "qty")
+                    .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                     .OrderBy("prio")
                     .Build();
     CCDB_CHECK(plan.ok());
@@ -364,7 +369,7 @@ TEST(PlannerTest, InnerSelectionChangesJoinPlan) {
   auto unfiltered = QueryBuilder(fact).Join(big, "order_id", "id").Build();
   ASSERT_TRUE(unfiltered.ok());
   QueryBuilder inner(big);
-  inner.Select(Predicate::RangeU32("id", 0, 999));
+  inner.Filter(Between(Col("id"), 0u, 999u));
   auto filtered =
       QueryBuilder(fact).Join(std::move(inner), "order_id", "id").Build();
   ASSERT_TRUE(filtered.ok());
@@ -433,7 +438,7 @@ TEST(PlanExecTest, LazyI64ColumnsMaterialize) {
   }
   Table t = *Table::FromRowStore(*rs);
   auto plan = QueryBuilder(t)
-                  .Select(Predicate::RangeU32("k", 2, 4))
+                  .Filter(Between(Col("k"), 2u, 4u))
                   .OrderBy("big", /*descending=*/true)
                   .Project({"big"})
                   .Build();
@@ -459,7 +464,9 @@ TEST(PlanExecTest, GroupByManyDistinctKeys) {
     rs->SetU32(r, 1, 1);
   }
   Table t = *Table::FromRowStore(*rs);
-  auto plan = QueryBuilder(t).GroupBySum("g", "v").Build();
+  auto plan = QueryBuilder(t)
+                  .GroupByAgg({"g"}, {Agg::Sum("v"), Agg::Count()})
+                  .Build();
   ASSERT_TRUE(plan.ok());
   auto result = Execute(*plan);
   ASSERT_TRUE(result.ok());
@@ -489,7 +496,7 @@ TEST(ParallelExecTest, SelectAndJoinAreByteIdenticalAtAnyParallelism) {
   Table orders = MakeOrders(kItems / 3 + 1);
   auto build = [&]() {
     auto plan = QueryBuilder(items)
-                    .Select(Predicate::RangeU32("qty", 2, 4))
+                    .Filter(Between(Col("qty"), 2u, 4u))
                     .Join(orders, "order", "order_id")
                     .Project({"qty", "prio"})
                     .Build();
@@ -523,9 +530,9 @@ TEST(ParallelExecTest, GroupByAndOrderByMatchSerialModuloRowOrder) {
   Table orders = MakeOrders(kItems / 3 + 1);
   auto run = [&](size_t par, size_t chunk) {
     auto plan = QueryBuilder(items)
-                    .Select(Predicate::EqStr("shipmode", "MAIL"))
+                    .Filter(Col("shipmode") == "MAIL")
                     .Join(orders, "order", "order_id")
-                    .GroupBySum("prio", "qty")
+                    .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                     .Build();
     CCDB_CHECK(plan.ok());
     PlannerOptions opts;
@@ -545,7 +552,7 @@ TEST(ParallelExecTest, GroupByAndOrderByMatchSerialModuloRowOrder) {
   // even at parallelism 8 (parallel merge sort reproduces stable_sort).
   auto ordered = [&](size_t par) {
     auto plan = QueryBuilder(items)
-                    .GroupBySum("order", "qty")
+                    .GroupByAgg({"order"}, {Agg::Sum("qty"), Agg::Count()})
                     .OrderBy("sum", /*descending=*/true)
                     .OrderBy("order")
                     .Build();
@@ -570,9 +577,9 @@ TEST(ParallelExecTest, EmptyAndSingleRowInputs) {
     Table orders = MakeOrders(5);
     for (size_t par : {1u, 2u, 8u}) {
       auto plan = QueryBuilder(items)
-                      .Select(Predicate::RangeU32("qty", 0, 100))
+                      .Filter(Between(Col("qty"), 0u, 100u))
                       .Join(orders, "order", "order_id")
-                      .GroupBySum("prio", "qty")
+                      .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                       .Build();
       ASSERT_TRUE(plan.ok());
       PlannerOptions opts;
@@ -696,19 +703,30 @@ TEST(PlannerTest, ExplainedJoinCostIsTheAsymmetricPrediction) {
             PlanJoin(JoinStrategy::kBest, 10000, opts.profile).predicted_ms);
 }
 
-// --- legacy wrappers ---------------------------------------------------------
+// --- join index --------------------------------------------------------------
 
-TEST(WrapperTest, JoinTablesMatchesPlanJoin) {
+TEST(PlanExecTest, ForeignKeyJoinIndex) {
   Table items = *Table::FromRowStore(MakeItems(300));
   Table orders = MakeOrders(101);
-  JoinStats stats;
-  auto idx = JoinTables(items, "order", orders, "order_id",
-                        JoinStrategy::kBest, MachineProfile::GenericX86(),
-                        &stats);
+  // price = 10 + item oid and order_id = order oid: the projected pair is
+  // the [item OID, order OID] join index.
+  auto plan = QueryBuilder(items)
+                  .Join(orders, "order", "order_id", JoinStrategy::kBest)
+                  .Project({"price", "order_id"})
+                  .Build();
+  ASSERT_TRUE(plan.ok());
+  PlannerOptions opts;
+  opts.profile = MachineProfile::GenericX86();
+  auto physical = Planner(opts).Lower(*plan);
+  ASSERT_TRUE(physical.ok());
+  auto idx = physical->Execute();
   ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(idx->size(), 300u);
-  EXPECT_EQ(stats.result_count, 300u);
-  for (const Bun& b : *idx) EXPECT_EQ(b.head / 3, b.tail);
+  ASSERT_EQ(idx->num_rows(), 300u);
+  EXPECT_EQ(physical->joins()[0].stats.result_count, 300u);
+  for (size_t i = 0; i < idx->num_rows(); ++i) {
+    auto item = static_cast<uint32_t>(idx->columns[0].f64_values[i] - 10.0);
+    EXPECT_EQ(item / 3, idx->columns[1].u32_values[i]);
+  }
 }
 
 }  // namespace

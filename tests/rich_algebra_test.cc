@@ -158,20 +158,20 @@ TEST(RichAlgebraBuilderTest, GroupByAggRejectsBadSpecs) {
 TEST(RichAlgebraBuilderTest, ConjunctionValidatesAsOneNode) {
   Table items = *Table::FromRowStore(MakeItems(10));
   // Empty conjunction is rejected.
-  EXPECT_EQ(QueryBuilder(items).Select(std::vector<Predicate>{}).Build()
+  EXPECT_EQ(QueryBuilder(items).Filter(Expr{}).Build()
                 .status().code(),
             StatusCode::kInvalidArgument);
   // Every conjunct is validated, not just the first.
   EXPECT_EQ(QueryBuilder(items)
-                .Select({Predicate::RangeU32("qty", 0, 3),
-                         Predicate::RangeU32("price", 0, 3)})
+                .Filter(Between(Col("qty"), 0u, 3u) &&
+                        Between(Col("price"), 0u, 3u))
                 .Build().status().code(),
             StatusCode::kInvalidArgument);
   // A valid three-way mixed conjunction renders as one Select node.
   auto plan = QueryBuilder(items)
-                  .Select({Predicate::RangeU32("qty", 2, 4),
-                           Predicate::EqStr("shipmode", "MAIL"),
-                           Predicate::RangeF64("price", 0.0, 60.0)})
+                  .Filter(Between(Col("qty"), 2u, 4u) &&
+                          Col("shipmode") == "MAIL" &&
+                          Between(Col("price"), 0.0, 60.0))
                   .Build();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   std::string s = plan->ToString();
@@ -218,7 +218,7 @@ TEST(RichAlgebraBuilderTest, JoinTypeSchemas) {
 TEST(QueryBuilderReuseTest, SecondBuildIsInvalidArgumentNotUB) {
   Table items = *Table::FromRowStore(MakeItems(10));
   QueryBuilder qb(items);
-  qb.Select(Predicate::RangeU32("qty", 0, 3));
+  qb.Filter(Between(Col("qty"), 0u, 3u));
   auto first = qb.Build();
   ASSERT_TRUE(first.ok());
   auto second = qb.Build();
@@ -232,7 +232,7 @@ TEST(QueryBuilderReuseTest, FluentCallAfterBuildIsSafe) {
   auto first = qb.Build();
   ASSERT_TRUE(first.ok());
   // Every fluent method on a consumed builder must be a safe no-op ...
-  qb.Select(Predicate::RangeU32("qty", 0, 3))
+  qb.Filter(Between(Col("qty"), 0u, 3u))
       .Join(orders, "order", "order_id")
       .Project({"qty"})
       .GroupByAgg({"qty"}, {Agg::Count()})
@@ -447,11 +447,13 @@ TEST(GroupByAggExecTest, MultiKeyMinMaxAvgMatchesOracle) {
   }
 }
 
-TEST(GroupByAggExecTest, GroupBySumWrapperUnchanged) {
-  // The GroupBySum convenience is now a GroupByAgg wrapper; its output
-  // schema and values must be exactly the historical [group, sum, count].
+TEST(GroupByAggExecTest, SumCountSchemaUnchanged) {
+  // Sum + count over one group column: the output schema and values must
+  // be exactly the historical [group, sum, count].
   Table items = *Table::FromRowStore(MakeItems(300));
-  auto plan = QueryBuilder(items).GroupBySum("shipmode", "qty").Build();
+  auto plan = QueryBuilder(items)
+                  .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
+                  .Build();
   ASSERT_TRUE(plan.ok());
   QueryResult r = RunPlan(*plan, 1);
   ASSERT_EQ(r.num_columns(), 3u);
@@ -470,16 +472,16 @@ TEST(ConjunctiveSelectTest, FusedPassEqualsChainedSelects) {
   constexpr size_t kN = 30000;
   Table items = *Table::FromRowStore(MakeItems(kN));
   auto fused = QueryBuilder(items)
-                   .Select({Predicate::RangeU32("qty", 2, 4),
-                            Predicate::EqStr("shipmode", "MAIL"),
-                            Predicate::RangeF64("price", 20.0, 80.0)})
+                   .Filter(Between(Col("qty"), 2u, 4u) &&
+                           Col("shipmode") == "MAIL" &&
+                           Between(Col("price"), 20.0, 80.0))
                    .Project({"order", "qty", "price"})
                    .Build();
   ASSERT_TRUE(fused.ok());
   auto chained = QueryBuilder(items)
-                     .Select(Predicate::RangeU32("qty", 2, 4))
-                     .Select(Predicate::EqStr("shipmode", "MAIL"))
-                     .Select(Predicate::RangeF64("price", 20.0, 80.0))
+                     .Filter(Between(Col("qty"), 2u, 4u))
+                     .Filter(Col("shipmode") == "MAIL")
+                     .Filter(Between(Col("price"), 20.0, 80.0))
                      .Project({"order", "qty", "price"})
                      .Build();
   ASSERT_TRUE(chained.ok());
@@ -504,15 +506,15 @@ TEST(ConjunctiveSelectTest, FusedPassEqualsChainedSelects) {
 
 TEST(ConjunctiveSelectTest, NonEncodedStringConjunctUsesFallback) {
   // With auto_encode off the shipmode column stays a raw string BAT: the
-  // EqStr conjunct cannot use the code-range kernel and must fall back to
-  // the candidate-bounded gather path.
+  // string-equality conjunct cannot use the code-range kernel and must fall
+  // back to the candidate-bounded gather path.
   RowStore rows = MakeItems(5000);
   Table raw = *Table::FromRowStore(rows, /*auto_encode=*/false);
   Table encoded = *Table::FromRowStore(rows);
   auto build = [](const Table& t) {
     auto plan = QueryBuilder(t)
-                    .Select({Predicate::RangeU32("qty", 1, 3),
-                             Predicate::EqStr("shipmode", "TRUCK")})
+                    .Filter(Between(Col("qty"), 1u, 3u) &&
+                            Col("shipmode") == "TRUCK")
                     .Project({"order", "qty"})
                     .Build();
     CCDB_CHECK(plan.ok());
@@ -535,7 +537,7 @@ TEST(ConjunctiveSelectTest, EqStrOnNonEncodedColumnStandalone) {
   RowStore rows = MakeItems(4000);
   Table raw = *Table::FromRowStore(rows, /*auto_encode=*/false);
   auto plan = QueryBuilder(raw)
-                  .Select(Predicate::EqStr("shipmode", "AIR"))
+                  .Filter(Col("shipmode") == "AIR")
                   .Project({"order"})
                   .Build();
   ASSERT_TRUE(plan.ok());
@@ -559,23 +561,74 @@ TEST(ConjunctiveSelectTest, NaNValuesAndBoundsNeverMatch) {
   for (size_t par : {1u, 2u, 8u}) {
     // NaN values fail every range predicate.
     auto values = QueryBuilder(t)
-                      .Select(Predicate::RangeF64("x", 0.0, 1000.0))
+                      .Filter(Between(Col("x"), 0.0, 1000.0))
                       .Build();
     ASSERT_TRUE(values.ok());
     EXPECT_EQ(RunPlan(*values, par).num_rows(), 48u) << par;
     // NaN bounds select nothing.
     auto bounds = QueryBuilder(t)
-                      .Select(Predicate::RangeF64("x", nan, nan))
+                      .Filter(Between(Col("x"), nan, nan))
                       .Build();
     ASSERT_TRUE(bounds.ok());
     EXPECT_EQ(RunPlan(*bounds, par).num_rows(), 0u) << par;
     // Same through the fused narrowing pass.
     auto conj = QueryBuilder(t)
-                    .Select({Predicate::RangeU32("k", 0, 63),
-                             Predicate::RangeF64("x", 0.0, 1000.0)})
+                    .Filter(Between(Col("k"), 0u, 63u) &&
+                            Between(Col("x"), 0.0, 1000.0))
                     .Build();
     ASSERT_TRUE(conj.ok());
     EXPECT_EQ(RunPlan(*conj, par).num_rows(), 48u) << par;
+  }
+}
+
+// --- order by ----------------------------------------------------------------
+
+TEST(OrderByTest, NaNKeysSortLastStablyAtAnyParallelism) {
+  // IEEE `<` is no strict weak order once NaN is present. OrderBy must put
+  // NaN after every number (first when descending), keep equal keys in
+  // input order, and emit the same bytes at every parallelism.
+  constexpr size_t kN = 1 << 16;
+  auto rs = RowStore::Make({{"id", FieldType::kU32}, {"x", FieldType::kF64}},
+                           kN);
+  ASSERT_TRUE(rs.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i = 0; i < kN; ++i) {
+    size_t r = *rs->AppendRow();
+    rs->SetU32(r, 0, static_cast<uint32_t>(i));
+    // 1/16 NaN; the rest repeat 1000 values, so ties are common.
+    rs->SetF64(r, 1,
+               i % 16 == 0 ? nan : static_cast<double>((i * 7919) % 1000));
+  }
+  Table t = *Table::FromRowStore(*rs);
+  for (bool desc : {false, true}) {
+    auto plan = QueryBuilder(t).OrderBy("x", desc).Build();
+    ASSERT_TRUE(plan.ok());
+    QueryResult serial = RunPlan(*plan, 1);
+    const std::vector<uint32_t>& id = serial.columns[0].u32_values;
+    const std::vector<double>& x = serial.columns[1].f64_values;
+    ASSERT_EQ(x.size(), kN);
+    // Rank of row i in the expected order: numbers by value (negated when
+    // descending), NaN after them (before them when descending).
+    auto rank = [&](size_t i) {
+      if (std::isnan(x[i])) return desc ? -2000.0 : 2000.0;
+      return desc ? -x[i] : x[i];
+    };
+    for (size_t i = 1; i < kN; ++i) {
+      ASSERT_LE(rank(i - 1), rank(i)) << "row " << i << " desc " << desc;
+      if (rank(i - 1) == rank(i)) {
+        ASSERT_LT(id[i - 1], id[i]) << "unstable at row " << i;
+      }
+    }
+    EXPECT_EQ(std::isnan(x[0]), desc);
+    for (size_t par : {2u, 8u}) {
+      QueryResult r = RunPlan(*plan, par);
+      EXPECT_EQ(r.columns[0].u32_values, id) << par << " desc " << desc;
+      ASSERT_EQ(r.columns[1].f64_values.size(), kN);
+      EXPECT_EQ(std::memcmp(r.columns[1].f64_values.data(), x.data(),
+                            kN * sizeof(double)),
+                0)
+          << par << " desc " << desc;
+    }
   }
 }
 
@@ -670,7 +723,7 @@ TEST(JoinTypeTest, LeftOuterAgainstEmptyInnerNullExtendsEverything) {
   JoinFixture f;
   for (size_t par : {1u, 2u, 8u}) {
     QueryBuilder inner(f.right);
-    inner.Select(Predicate::RangeU32("id", 1000, 2000));  // empty
+    inner.Filter(Between(Col("id"), 1000u, 2000u));  // empty
     auto plan = QueryBuilder(f.left)
                     .Join(std::move(inner), "k", "id", JoinType::kLeftOuter)
                     .Build();
@@ -705,7 +758,7 @@ TEST(JoinTypeTest, TypedJoinsAtScaleMatchSerial) {
                      JoinType::kAnti}) {
     auto build = [&]() {
       auto plan = QueryBuilder(items)
-                      .Select(Predicate::RangeU32("qty", 2, 5))
+                      .Filter(Between(Col("qty"), 2u, 5u))
                       .Join(orders, "order", "order_id", t)
                       .Build();
       CCDB_CHECK(plan.ok());
@@ -733,8 +786,8 @@ TEST(RichAlgebraEndToEndTest, ConjunctionOuterJoinMultiKeyAggPipeline) {
   auto build = [&]() {
     auto plan =
         QueryBuilder(items)
-            .Select({Predicate::RangeU32("qty", 1, 4),
-                     Predicate::RangeF64("price", 12.0, 95.0)})
+            .Filter(Between(Col("qty"), 1u, 4u) &&
+                    Between(Col("price"), 12.0, 95.0))
             .Join(banned, "order", "bad_order", JoinType::kAnti)
             .Join(orders, "order", "order_id", JoinType::kLeftOuter)
             .GroupByAgg({"shipmode", "prio"},
@@ -787,7 +840,7 @@ TEST(RichAlgebraEndToEndTest, HavingStyleSelectOnAggregateOutput) {
   Table items = *Table::FromRowStore(MakeItems(6000));
   auto plan = QueryBuilder(items)
                   .GroupByAgg({"order"}, {Agg::Min("qty"), Agg::Max("qty")})
-                  .Select(Predicate::RangeU32("min", 2, 5))
+                  .Filter(Between(Col("min"), 2u, 5u))
                   .OrderBy("order")
                   .Build();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -809,9 +862,9 @@ TEST(RichAlgebraEmptyInputTest, EmptyTableThroughAllNewOperators) {
   for (size_t par : {1u, 2u, 8u}) {
     auto plan =
         QueryBuilder(empty)
-            .Select({Predicate::RangeU32("qty", 0, 100),
-                     Predicate::EqStr("shipmode", "MAIL"),
-                     Predicate::RangeF64("price", 0.0, 1e9)})
+            .Filter(Between(Col("qty"), 0u, 100u) &&
+                    Col("shipmode") == "MAIL" &&
+                    Between(Col("price"), 0.0, 1e9))
             .Join(orders, "order", "order_id", JoinType::kLeftOuter)
             .GroupByAgg({"shipmode", "prio"},
                         {Agg::Sum("qty"), Agg::Min("qty"), Agg::Avg("qty"),
@@ -836,7 +889,7 @@ TEST(RichAlgebraEmptyInputTest, EmptyTableThroughAllNewOperators) {
     // Empty inner for semi/anti: semi keeps nothing, anti keeps everything.
     Table items = *Table::FromRowStore(MakeItems(20));
     QueryBuilder empty_inner_semi(orders);
-    empty_inner_semi.Select(Predicate::RangeU32("order_id", 900, 999));
+    empty_inner_semi.Filter(Between(Col("order_id"), 900u, 999u));
     auto semi = QueryBuilder(items)
                     .Join(std::move(empty_inner_semi), "order", "order_id",
                           JoinType::kSemi)
@@ -844,7 +897,7 @@ TEST(RichAlgebraEmptyInputTest, EmptyTableThroughAllNewOperators) {
     ASSERT_TRUE(semi.ok());
     EXPECT_EQ(RunPlan(*semi, par).num_rows(), 0u) << par;
     QueryBuilder empty_inner_anti(orders);
-    empty_inner_anti.Select(Predicate::RangeU32("order_id", 900, 999));
+    empty_inner_anti.Filter(Between(Col("order_id"), 900u, 999u));
     auto anti = QueryBuilder(items)
                     .Join(std::move(empty_inner_anti), "order", "order_id",
                           JoinType::kAnti)

@@ -10,9 +10,9 @@
 #include "algo/radix_aggregate.h"
 #include "algo/simple_hash_join.h"
 #include "bat/dsm.h"
-#include "exec/ops.h"
 #include "exec/table.h"
 #include "mem/access.h"
+#include "model/planner.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -79,9 +79,11 @@ TEST(EncodingFallbackTest, HighCardinalityStringsStayRaw) {
   auto table = Table::FromRowStore(*rs);
   ASSERT_TRUE(table.ok());
   EXPECT_FALSE(table->is_encoded(0));
-  auto sel = table->SelectEqStr("name", "n69999");
+  auto plan = QueryBuilder(*table).Filter(Col("name") == "n69999").Build();
+  ASSERT_TRUE(plan.ok());
+  auto sel = Execute(*plan);
   ASSERT_TRUE(sel.ok());
-  EXPECT_EQ(*sel, (std::vector<oid_t>{69999}));
+  EXPECT_EQ(sel->columns[0].str_values, (std::vector<std::string>{"n69999"}));
 }
 
 TEST(DsmRoundTripTest, AllFieldTypes) {
@@ -156,20 +158,16 @@ TEST(PipelineOracleTest, SelectJoinAggregateEndToEnd) {
   Table items = *Table::FromRowStore(*items_rs);
 
   // Query: total qty of items whose order has prio == 3.
-  auto hot = orders.SelectRangeU32("prio", 3, 3);
+  auto plan = QueryBuilder(items)
+                  .Join(orders, "order", "order_id", JoinStrategy::kPhashL1)
+                  .Filter(Col("prio") == 3u)
+                  .Project({"qty"})
+                  .Build();
+  ASSERT_TRUE(plan.ok());
+  auto hot = Execute(*plan);
   ASSERT_TRUE(hot.ok());
-  auto idx = JoinTables(items, "order", orders, "order_id",
-                        JoinStrategy::kPhashL1);
-  ASSERT_TRUE(idx.ok());
-  std::vector<bool> is_hot(kOrders, false);
-  for (oid_t o : *hot) is_hot[o] = true;
   uint64_t got = 0;
-  auto qty_col = *items.GatherU32(
-      "qty", std::vector<oid_t>{});  // warm the API; unused
-  (void)qty_col;
-  for (const Bun& b : *idx) {
-    if (is_hot[b.tail]) got += item_qty[b.head];
-  }
+  for (uint32_t q : hot->columns[0].u32_values) got += q;
   uint64_t expect = 0;
   for (size_t i = 0; i < kItems; ++i) {
     if (prio[item_order[i]] == 3) expect += item_qty[i];

@@ -374,7 +374,7 @@ struct ReorderFixture {
     auto p = QueryBuilder(fact)
                  .Join(big, "bk", "bid")
                  .Join(small, "sk", "sid")
-                 .GroupBySum("v", "v")
+                 .GroupByAgg({"v"}, {Agg::Sum("v"), Agg::Count()})
                  .OrderBy("v")
                  .Build();
     CCDB_CHECK(p.ok());
