@@ -158,6 +158,10 @@ echo "== bench smoke =="
 # loops that JoinOp runs; each CCDB_CHECKs the kernels' output size.
 "$BUILD_DIR/fig10_radix_join" --profile=x86
 "$BUILD_DIR/fig11_phash_join" --profile=x86
+# ablation_aggregation times GroupAggTable::AddColumns (the table
+# GroupByAggOp runs) beside hash/sort/radix grouping and CCDB_CHECKs that
+# its group count and total sum equal HashGroupSum's.
+"$BUILD_DIR/ablation_aggregation"
 
 echo "== bench artifact (BENCH_ci.json) =="
 # Parallel-join/group-by micro numbers + radix-cluster smoke, written as

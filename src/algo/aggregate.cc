@@ -6,8 +6,9 @@ namespace ccdb {
 
 namespace {
 
-/// Murmur-folds the key words so multi-column keys spread over the buckets
-/// even when individual columns are small dense domains.
+/// Murmur-folds the key words so multi-column keys spread over the slots
+/// even when individual columns are small dense domains. AddColumns folds
+/// the same way a column at a time.
 uint32_t HashKey(const uint32_t* key, size_t width) {
   uint32_t h = 0;
   for (size_t k = 0; k < width; ++k) {
@@ -22,51 +23,57 @@ GroupAggTable::GroupAggTable(size_t key_width, size_t num_values,
                              size_t expected_groups)
     : key_width_(key_width), num_values_(num_values) {
   CCDB_CHECK(key_width_ > 0);
-  // Buckets at half the expected group count keep average chains around 2
-  // while leaving 8x headroom before the 4x-load rehash threshold — an
-  // estimate that is right (or merely not 8x low) never pays a rehash.
-  size_t buckets = 1024;
+  // Two slots per expected group keep the load <= 1/2, so an estimate that
+  // is right (or high) never pays a rehash. The default 512 slots (4 KiB)
+  // hold 256 groups before the first doubling.
+  size_t slots = 512;
   if (expected_groups > 0) {
-    buckets = NextPowerOfTwo(std::max<size_t>(expected_groups / 2, 16));
+    slots = NextPowerOfTwo(std::max<size_t>(expected_groups * 2, 16));
     keys_.reserve(expected_groups * key_width_);
     rows_.reserve(expected_groups);
     states_.reserve(expected_groups * num_values_);
-    next_.reserve(expected_groups);
   }
-  heads_.assign(buckets, kEmpty);
-  mask_ = static_cast<uint32_t>(buckets - 1);
+  slots_.assign(slots, Slot{0, kEmpty});
+  mask_ = static_cast<uint32_t>(slots - 1);
 }
 
-uint32_t GroupAggTable::FindOrInsert(const uint32_t* key) {
-  uint32_t b = HashKey(key, key_width_) & mask_;
-  uint32_t g = heads_[b];
-  while (g != kEmpty &&
-         !std::equal(key, key + key_width_, &keys_[g * key_width_])) {
-    g = next_[g];
+template <class KeyAt>
+uint32_t GroupAggTable::FindOrInsert(uint32_t hash, KeyAt key_at) {
+  size_t s = hash & mask_;
+  for (;; s = (s + 1) & mask_) {
+    const Slot slot = slots_[s];
+    if (slot.group == kEmpty) break;
+    if (slot.hash != hash) continue;
+    const uint32_t* k = &keys_[size_t{slot.group} * key_width_];
+    size_t c = 0;
+    while (c < key_width_ && k[c] == key_at(c)) ++c;
+    if (c == key_width_) return slot.group;
   }
-  if (g != kEmpty) return g;
-  g = static_cast<uint32_t>(rows_.size());
-  keys_.insert(keys_.end(), key, key + key_width_);
+  const uint32_t g = static_cast<uint32_t>(rows_.size());
+  for (size_t c = 0; c < key_width_; ++c) keys_.push_back(key_at(c));
   rows_.push_back(0);
   states_.resize(states_.size() + num_values_);
-  next_.push_back(heads_[b]);
-  heads_[b] = g;
-  // Keep average chain length bounded: rehash at 4x load.
-  if (rows_.size() > heads_.size() * 4) {
-    ++rehashes_;
-    heads_.assign(heads_.size() * 4, kEmpty);
-    mask_ = static_cast<uint32_t>(heads_.size() - 1);
-    for (uint32_t j = 0; j < rows_.size(); ++j) {
-      uint32_t nb = HashKey(&keys_[j * key_width_], key_width_) & mask_;
-      next_[j] = heads_[nb];
-      heads_[nb] = j;
-    }
-  }
+  slots_[s] = Slot{hash, g};
+  if (rows_.size() * 2 > slots_.size()) Grow();
   return g;
 }
 
+void GroupAggTable::Grow() {
+  ++rehashes_;
+  std::vector<Slot> old(slots_.size() * 2, Slot{0, kEmpty});
+  old.swap(slots_);
+  mask_ = static_cast<uint32_t>(slots_.size() - 1);
+  for (const Slot& slot : old) {
+    if (slot.group == kEmpty) continue;
+    size_t s = slot.hash & mask_;
+    while (slots_[s].group != kEmpty) s = (s + 1) & mask_;
+    slots_[s] = slot;
+  }
+}
+
 void GroupAggTable::Add(const uint32_t* key, const uint32_t* values) {
-  uint32_t g = FindOrInsert(key);
+  uint32_t g = FindOrInsert(HashKey(key, key_width_),
+                            [key](size_t c) { return key[c]; });
   rows_[g] += 1;
   GroupAggState* s = states_.data() + size_t{g} * num_values_;
   for (size_t v = 0; v < num_values_; ++v) {
@@ -76,9 +83,46 @@ void GroupAggTable::Add(const uint32_t* key, const uint32_t* values) {
   }
 }
 
+void GroupAggTable::AddColumns(std::span<const uint32_t* const> keys,
+                               std::span<const uint32_t* const> values,
+                               size_t lo, size_t hi) {
+  CCDB_CHECK(keys.size() == key_width_ && values.size() == num_values_);
+  // 1024 rows keep the hash and group-id vectors (8 KiB) in L1 beside the
+  // group table the §3.2 argument assumes is cache-resident.
+  constexpr size_t kBlock = 1024;
+  uint32_t hash[kBlock] = {};
+  uint32_t group[kBlock] = {};
+  for (size_t base = lo; base < hi; base += kBlock) {
+    const size_t n = std::min(kBlock, hi - base);
+    std::fill_n(hash, n, 0u);
+    for (const uint32_t* col : keys) {
+      for (size_t i = 0; i < n; ++i) {
+        hash[i] = MurmurHash::Hash(hash[i] ^ col[base + i]);
+      }
+    }
+    // Row order: new groups get ids in first-appearance order, as with Add.
+    for (size_t i = 0; i < n; ++i) {
+      group[i] = FindOrInsert(
+          hash[i], [&keys, row = base + i](size_t c) { return keys[c][row]; });
+    }
+    for (size_t i = 0; i < n; ++i) rows_[group[i]] += 1;
+    for (size_t v = 0; v < num_values_; ++v) {
+      const uint32_t* col = values[v] + base;
+      GroupAggState* states = states_.data() + v;
+      for (size_t i = 0; i < n; ++i) {
+        GroupAggState& s = states[size_t{group[i]} * num_values_];
+        s.sum += col[i];
+        s.min = std::min(s.min, col[i]);
+        s.max = std::max(s.max, col[i]);
+      }
+    }
+  }
+}
+
 void GroupAggTable::AccumulateGroup(const uint32_t* key, uint64_t rows,
                                     const GroupAggState* states) {
-  uint32_t g = FindOrInsert(key);
+  uint32_t g = FindOrInsert(HashKey(key, key_width_),
+                            [key](size_t c) { return key[c]; });
   rows_[g] += rows;
   GroupAggState* s = states_.data() + size_t{g} * num_values_;
   for (size_t v = 0; v < num_values_; ++v) {

@@ -80,27 +80,39 @@ inline StatusOr<int64_t> CheckedI64(uint64_t v) {
   return static_cast<int64_t>(v);
 }
 
-/// Bucket-chained hash table over multi-column group keys with a
+/// Open-addressing hash table over multi-column group keys with a
 /// GroupAggState per value column — the per-shard partial table of the
 /// generalized group-by operator (§3.2: the group table usually stays
-/// cache-resident while chunks stream through). Keys are stored flat with
-/// stride key_width; groups keep first-appearance order, so a single table
-/// fed in stream order reproduces a serial reference exactly, and MergeFrom
-/// appends unseen groups in the other table's order (deterministic
-/// shard-order merging).
+/// cache-resident while chunks stream through). Linear-probing slots hold
+/// {hash, group id} at load <= 1/2; keys are stored flat with stride
+/// key_width. Groups keep first-appearance order, so a single table fed in
+/// stream order reproduces a serial reference exactly, and MergeFrom appends
+/// unseen groups in the other table's order (deterministic shard-order
+/// merging). AddColumns is the columnar bulk path; Add, AccumulateGroup and
+/// MergeFrom are the one-row case of the same lookup.
 class GroupAggTable {
  public:
   /// `key_width` group-key words per row, `num_values` aggregated columns
   /// (0 is valid: a pure COUNT keeps only per-group row counts).
-  /// `expected_groups` pre-sizes the bucket array and group storage so the
-  /// grow path stays rehash-free whenever the hint covers the final group
-  /// count — the planner passes its grouped-cardinality estimate here. 0
-  /// keeps the historical default (1024 buckets).
+  /// `expected_groups` pre-sizes the slot array (2 slots per group) and
+  /// group storage so growth stays rehash-free whenever the hint covers the
+  /// final group count — the planner passes its grouped-cardinality
+  /// estimate here. 0 keeps the default (512 slots, 4 KiB).
   GroupAggTable(size_t key_width, size_t num_values,
                 size_t expected_groups = 0);
 
   /// Folds one input row: key[0..key_width), values[0..num_values).
   void Add(const uint32_t* key, const uint32_t* values);
+
+  /// Folds input rows [lo, hi) given column-wise: key word c of row i is
+  /// keys[c][i], value v is values[v][i] (keys.size() == key_width,
+  /// values.size() == num_values). Equal to Add on each row in row order —
+  /// same groups, group order and states — but works in L1-sized blocks:
+  /// hashes the key columns into a hash vector, resolves a group-id vector,
+  /// then folds the row counts and each value column by group id.
+  void AddColumns(std::span<const uint32_t* const> keys,
+                  std::span<const uint32_t* const> values, size_t lo,
+                  size_t hi);
 
   /// Folds one pre-aggregated group — `rows` input rows whose per-value
   /// accumulators are states[0..num_values). This is the per-group step of
@@ -116,7 +128,7 @@ class GroupAggTable {
   size_t key_width() const { return key_width_; }
   size_t num_values() const { return num_values_; }
 
-  /// Times the bucket array was rebuilt because the group count outgrew the
+  /// Times the slot array was rebuilt because the group count outgrew the
   /// (hinted) capacity. 0 whenever the constructor hint was >= the final
   /// group count — the planner-presizing contract, regression-tested.
   size_t rehash_count() const { return rehashes_; }
@@ -131,15 +143,24 @@ class GroupAggTable {
   }
 
  private:
-  /// Group index for `key`, inserting a zeroed group when unseen.
-  uint32_t FindOrInsert(const uint32_t* key);
+  struct Slot {
+    uint32_t hash;
+    uint32_t group;  // kEmpty marks a free slot
+  };
+
+  /// Group index for the key whose hash is `hash` and whose word c is
+  /// key_at(c), inserting a zeroed group when unseen.
+  template <class KeyAt>
+  uint32_t FindOrInsert(uint32_t hash, KeyAt key_at);
+  /// Doubles the slot array and reinserts every group by its stored hash.
+  void Grow();
 
   static constexpr uint32_t kEmpty = UINT32_MAX;
   size_t key_width_, num_values_;
-  std::vector<uint32_t> keys_;          // flat, stride key_width_
-  std::vector<uint64_t> rows_;          // per group
-  std::vector<GroupAggState> states_;   // flat, stride num_values_
-  std::vector<uint32_t> heads_, next_;  // bucket chains over groups
+  std::vector<uint32_t> keys_;         // flat, stride key_width_
+  std::vector<uint64_t> rows_;         // per group
+  std::vector<GroupAggState> states_;  // flat, stride num_values_
+  std::vector<Slot> slots_;            // linear probing, load <= 1/2
   uint32_t mask_;
   size_t rehashes_ = 0;
 };

@@ -285,12 +285,12 @@ StatusOr<std::vector<uint32_t>> BatSelectPositionsDense(const Bat& b,
   return out;
 }
 
-StatusOr<Bat> BatProject(const Bat& b, std::span<const oid_t> cands) {
+StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
+                                             std::span<const oid_t> cands) {
   std::vector<uint32_t> tails(cands.size());
   CCDB_RETURN_IF_ERROR(ForEachCandidate(
       b, cands, [&](size_t i, uint32_t v) { tails[i] = v; }));
-  return Bat::Make(Column::Void(0, cands.size()),
-                   Column::U32(std::move(tails)));
+  return tails;
 }
 
 namespace {

@@ -80,10 +80,12 @@ StatusOr<std::vector<uint32_t>> BatSelectPositionsDense(const Bat& b,
                                                         uint32_t hi, oid_t base,
                                                         size_t count);
 
-/// project(b, cands): [void, b.tail[cands[i]]] — tuple reconstruction
-/// through a candidate list; the positional fetch the paper calls free on
-/// void-headed BATs.
-StatusOr<Bat> BatProject(const Bat& b, std::span<const oid_t> cands);
+/// project(b, cands): b.tail[cands[i]] widened to u32 — tuple
+/// reconstruction through a candidate list, the positional fetch the paper
+/// calls free on void-headed BATs. Gathers straight into the result.
+/// Requires an integral tail; OIDs beyond the BAT are kOutOfRange.
+StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
+                                             std::span<const oid_t> cands);
 
 // --- disjunction kernels (expression lowering) -------------------------------
 // An Expr leaf (exec/expr.h) lowers to a *set* of disjoint value ranges on

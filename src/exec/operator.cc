@@ -130,10 +130,9 @@ StatusOr<std::vector<uint32_t>> Chunk::GatherU32(size_t c) const {
   const Candidates& cd = cands[col.cand_slot];
   CCDB_RETURN_IF_ERROR(RequireIntegral(bat.tail(), "GatherU32"));
   if (!cd.dense()) {
-    // Candidate projection kernel: touch only qualifying BUNs.
-    CCDB_ASSIGN_OR_RETURN(Bat proj, BatProject(bat, OidSpan(cd)));
-    auto s = proj.tail().Span<uint32_t>();
-    return std::vector<uint32_t>(s.begin(), s.end());
+    // Candidate projection kernel: touch only qualifying BUNs, written
+    // straight into the result.
+    return BatGatherU32(bat, OidSpan(cd));
   }
   if (cd.base + cd.count > bat.size()) {
     return Status::OutOfRange("dense candidates beyond BAT");
@@ -1569,9 +1568,11 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
   // holds), bounded so a wild overestimate (the estimator's all-distinct
   // fallback on a stats-less key) cannot allocate nshards x estimate
   // upfront — past the cap, demand-grown rehashing costs one rebuild per
-  // 4x anyway. Shards are emplaced individually: copying a prototype
-  // through the vector fill-constructor would drop its reservations.
-  constexpr size_t kMaxGroupHint = size_t{1} << 20;
+  // 2x anyway. At the cap a shard's slot array is 2^18 slots x 8 B = 2 MiB,
+  // the most any shard writes at construction. Shards are emplaced
+  // individually: copying a prototype through the vector fill-constructor
+  // would drop its reservations.
+  constexpr size_t kMaxGroupHint = size_t{1} << 17;
   const size_t hint = std::min(expected_groups_, kMaxGroupHint);
   std::vector<GroupAggTable> partials;
   partials.reserve(nshards);
@@ -1608,21 +1609,17 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
       CCDB_ASSIGN_OR_RETURN(vals[v], in.GatherU32(vi));
     }
     const size_t n = in.rows;
-    auto add_range = [&](GroupAggTable& table, size_t lo, size_t hi) {
-      std::vector<uint32_t> kbuf(kw), vbuf(nv);
-      for (size_t i = lo; i < hi; ++i) {
-        for (size_t c = 0; c < kw; ++c) kbuf[c] = keys[c][i];
-        for (size_t v = 0; v < nv; ++v) vbuf[v] = vals[v][i];
-        table.Add(kbuf.data(), vbuf.data());
-      }
-    };
+    std::vector<const uint32_t*> key_cols(kw), val_cols(nv);
+    for (size_t c = 0; c < kw; ++c) key_cols[c] = keys[c].data();
+    for (size_t v = 0; v < nv; ++v) val_cols[v] = vals[v].data();
     size_t shards = nshards == 1 ? 1 : CtxShards(ctx_, n);
     if (shards <= 1) {
-      add_range(partials[0], 0, n);
+      partials[0].AddColumns(key_cols, val_cols, 0, n);
     } else {
       CCDB_RETURN_IF_ERROR(
           ExecParallelFor(ctx_, shards, [&](size_t s) -> Status {
-            add_range(partials[s], n * s / shards, n * (s + 1) / shards);
+            partials[s].AddColumns(key_cols, val_cols, n * s / shards,
+                                   n * (s + 1) / shards);
             return Status::Ok();
           }));
     }

@@ -285,21 +285,25 @@ class ProjectOp : public Operator {
 
 /// Pipeline breaker: hash-grouped aggregation over one or more group-key
 /// columns, accumulated chunk by chunk (§3.2: the group table usually fits
-/// the caches). Each per-shard partial table (GroupAggTable) carries (sum,
-/// count, min, max) per value column, so any subset of
-/// SUM/MIN/MAX/AVG/COUNT is answered from one pass and partials merge
-/// exactly. With a parallel ExecContext each worker shard keeps its own
-/// table across chunks and the partials merge in shard order when the input
-/// is exhausted; at parallelism 1 the single table is fed in stream order,
-/// reproducing a serial reference byte for byte. Emits one chunk of owned
-/// columns [group cols..., one column per AggSpec]; encoded group keys are
-/// decoded. Sums and counts past INT64_MAX surface as OutOfRange rather
-/// than negative values.
+/// the caches). Each per-shard partial table (GroupAggTable, open
+/// addressing) carries (sum, count, min, max) per value column, so any
+/// subset of SUM/MIN/MAX/AVG/COUNT is answered from one pass and partials
+/// merge exactly. Each chunk's key and value columns are gathered once and
+/// folded column-wise (GroupAggTable::AddColumns: a hash vector, then a
+/// group-id vector, then one pass per aggregate column), not row by row.
+/// With a parallel ExecContext each worker shard keeps its own table across
+/// chunks, folds its row slice of every chunk, and the partials merge in
+/// shard order when the input is exhausted; at parallelism 1 the single
+/// table is fed in stream order, reproducing a serial reference byte for
+/// byte. Emits one chunk of owned columns [group cols..., one column per
+/// AggSpec]; encoded group keys are decoded. Sums and counts past INT64_MAX
+/// surface as OutOfRange rather than negative values.
 class GroupByAggOp : public Operator {
  public:
   /// `expected_groups` (0 = unknown) pre-sizes every worker shard's
-  /// GroupAggTable from the planner's grouped-cardinality estimate, making
-  /// table growth rehash-free when the estimate covers the actual count.
+  /// GroupAggTable from the planner's grouped-cardinality estimate (capped
+  /// at 2^17 groups, 2 MiB of slots), making table growth rehash-free when
+  /// the estimate covers the actual count.
   GroupByAggOp(std::unique_ptr<Operator> child,
                std::vector<std::string> group_cols, std::vector<AggSpec> aggs,
                const ExecContext* ctx = nullptr, size_t expected_groups = 0);

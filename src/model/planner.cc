@@ -783,13 +783,13 @@ StatusOr<Lowered> LowerNode(const LogicalNode& n, int depth, int parent,
       for (const std::string& v : value_cols) {
         p += ScanRowsPrediction(profile, rows, ColumnStride(src, v));
       }
-      // GroupAggTable footprint: flat keys + (sum, min, max) states + row
-      // counts + chains.
+      // GroupAggTable footprint: flat keys + (sum, min, max) states + an
+      // 8 B row count + two 8 B {hash, group} slots (load 1/2).
       double group_bytes =
           static_cast<double>(est_groups) *
           (static_cast<double>(n.group_cols.size()) * 4.0 +
            static_cast<double>(value_cols.size()) * sizeof(GroupAggState) +
-           16.0);
+           8.0 + 16.0);
       p += GroupProbePrediction(profile, rows, group_bytes);
       FillPrediction(cost, p, profile.lat);
 

@@ -412,18 +412,16 @@ TEST(CandidateKernelTest, SelectPositions) {
 TEST(CandidateKernelTest, Project) {
   Bat b = Bat::DenseTail(Column::U16({7, 8, 9, 10}));
   std::vector<oid_t> cands = {3, 0, 3};
-  auto proj = BatProject(b, cands);
-  ASSERT_TRUE(proj.ok());
-  ASSERT_EQ(proj->size(), 3u);
-  EXPECT_TRUE(proj->head().is_void());  // fresh dense head: free OIDs
-  auto tails = proj->tail().Span<uint32_t>();
-  EXPECT_EQ(tails[0], 10u);
-  EXPECT_EQ(tails[1], 7u);
-  EXPECT_EQ(tails[2], 10u);
+  auto tails = BatGatherU32(b, cands);
+  ASSERT_TRUE(tails.ok());
+  EXPECT_EQ(*tails, (std::vector<uint32_t>{10, 7, 10}));
+  // An OID past the BAT is an error, not a skip.
+  std::vector<oid_t> past = {0, 4};
+  EXPECT_EQ(BatGatherU32(b, past).status().code(), StatusCode::kOutOfRange);
   // Non-integral tail rejected.
   Bat f = Bat::DenseTail(Column::F64({1.0}));
   std::vector<oid_t> zero = {0};
-  EXPECT_EQ(BatProject(f, zero).status().code(),
+  EXPECT_EQ(BatGatherU32(f, zero).status().code(),
             StatusCode::kInvalidArgument);
 }
 

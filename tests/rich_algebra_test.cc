@@ -16,6 +16,7 @@
 #include "exec/operator.h"
 #include "exec/plan.h"
 #include "model/planner.h"
+#include "util/rng.h"
 
 namespace ccdb {
 namespace {
@@ -366,6 +367,88 @@ TEST(GroupAggTableTest, CapacityHintMakesGrowthRehashFree) {
   }
   EXPECT_EQ(low_hint.num_groups(), kGroups);
   EXPECT_GT(low_hint.rehash_count(), 0u);
+}
+
+TEST(GroupAggTableTest, AddColumnsEqualsPerRowAdd) {
+  // The columnar bulk path must be the per-row path, block boundaries and
+  // growth included: same group order, keys, rows, (sum, min, max) and
+  // rehash_count() for key widths 1-3, 0-2 value columns, sizes around the
+  // 1024-row block, hints of 0 / exact / 8x low, keys equal to UINT32_MAX,
+  // and a single group.
+  Rng rng(1717);
+  bool saw_rehash = false;
+  for (size_t kw = 1; kw <= 3; ++kw) {
+    for (size_t nv = 0; nv <= 2; ++nv) {
+      for (size_t n : {0, 1, 1023, 1024, 1025, 5000}) {
+        for (bool single_group : {false, true}) {
+          std::vector<std::vector<uint32_t>> keys(kw, std::vector<uint32_t>(n));
+          std::vector<std::vector<uint32_t>> vals(nv, std::vector<uint32_t>(n));
+          for (size_t i = 0; i < n; ++i) {
+            for (size_t c = 0; c < kw; ++c) {
+              // Small per-column domains make many multi-word groups; 1 in 8
+              // key words is UINT32_MAX (the slot marker's value).
+              uint32_t k = static_cast<uint32_t>(rng.NextBelow(24));
+              keys[c][i] = single_group ? UINT32_MAX
+                           : k < 3      ? UINT32_MAX
+                                        : k;
+            }
+            for (size_t v = 0; v < nv; ++v) {
+              vals[v][i] = rng.NextBelow(4) == 0
+                               ? UINT32_MAX
+                               : static_cast<uint32_t>(rng.NextU64());
+            }
+          }
+          std::vector<const uint32_t*> key_cols, val_cols;
+          for (const auto& k : keys) key_cols.push_back(k.data());
+          for (const auto& v : vals) val_cols.push_back(v.data());
+
+          // Count the groups once to derive the exact and 8x-low hints.
+          GroupAggTable probe(kw, nv);
+          probe.AddColumns(key_cols, val_cols, 0, n);
+          const size_t groups = probe.num_groups();
+          for (size_t hint : {size_t{0}, groups, groups / 8}) {
+            SCOPED_TRACE(testing::Message()
+                         << "kw=" << kw << " nv=" << nv << " n=" << n
+                         << " single=" << single_group << " hint=" << hint);
+            GroupAggTable rowwise(kw, nv, hint);
+            std::vector<uint32_t> kbuf(kw), vbuf(nv);
+            for (size_t i = 0; i < n; ++i) {
+              for (size_t c = 0; c < kw; ++c) kbuf[c] = keys[c][i];
+              for (size_t v = 0; v < nv; ++v) vbuf[v] = vals[v][i];
+              rowwise.Add(kbuf.data(), vbuf.data());
+            }
+            // Two calls split off the block grid, as a shard boundary does.
+            GroupAggTable columnar(kw, nv, hint);
+            const size_t mid = n / 3;
+            columnar.AddColumns(key_cols, val_cols, 0, mid);
+            columnar.AddColumns(key_cols, val_cols, mid, n);
+
+            ASSERT_EQ(columnar.num_groups(), rowwise.num_groups());
+            EXPECT_EQ(columnar.rehash_count(), rowwise.rehash_count());
+            saw_rehash = saw_rehash || rowwise.rehash_count() > 0;
+            if (hint >= groups) {
+              EXPECT_EQ(columnar.rehash_count(), 0u);
+            }
+            if (single_group) {
+              EXPECT_EQ(columnar.num_groups(), n > 0 ? 1u : 0u);
+            }
+            for (size_t g = 0; g < rowwise.num_groups(); ++g) {
+              for (size_t c = 0; c < kw; ++c) {
+                ASSERT_EQ(columnar.key(g, c), rowwise.key(g, c));
+              }
+              ASSERT_EQ(columnar.group_rows(g), rowwise.group_rows(g));
+              for (size_t v = 0; v < nv; ++v) {
+                ASSERT_EQ(columnar.state(g, v).sum, rowwise.state(g, v).sum);
+                ASSERT_EQ(columnar.state(g, v).min, rowwise.state(g, v).min);
+                ASSERT_EQ(columnar.state(g, v).max, rowwise.state(g, v).max);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_rehash);  // growth happened mid-stream somewhere
 }
 
 TEST(AggregateOverflowTest, CheckedNarrowingSurfacesOutOfRange) {
