@@ -31,7 +31,7 @@ double MaxClusterShare(std::span<const Bun> rel, int bits) {
   auto out = RadixCluster<DirectMemory, HashFn>(
       rel, RadixClusterOptions{bits, (bits + 5) / 6, {}}, mem);
   CCDB_CHECK(out.ok());
-  auto bounds = ClusterBounds<HashFn>(*out);
+  const std::vector<uint64_t>& bounds = out->bounds;
   uint64_t max_size = 0;
   for (size_t c = 0; c + 1 < bounds.size(); ++c) {
     max_size = std::max(max_size, bounds[c + 1] - bounds[c]);

@@ -96,7 +96,10 @@ if [ "$MODE" = "tsan" ]; then
   echo "== parallel executor tests under TSan =="
   # plan_test, rich_algebra_test and expr_test run the operators (including
   # the parallel multi-key aggregate, outer/anti/semi join, and
-  # OR-expression union paths) at parallelism {1,2,8}; stats_test runs the
+  # OR-expression union paths) at parallelism {1,2,8}; exec_test's
+  # JoinOpTest.MultiChunkParallelJoinsAreByteIdentical fills JoinOp's kept
+  # match buffers from pool workers chunk after chunk at parallelism
+  # {1,2,8}; stats_test runs the
   # reordered join chains at parallelism {1,2,8} and the shared lazy stats
   # cache; thread_pool_test hammers the pool itself; serve_test and
   # concurrent_exec_test drive the serving front end, the stats-vs-append

@@ -26,9 +26,9 @@ StatusOr<GroupAggregates> RadixGroupSum(std::span<const uint32_t> keys,
                                         int bits, int passes, Mem& mem) {
   CCDB_CHECK(keys.size() == values.size());
   if (bits > 24) {
-    // ClusterBounds materializes 2^bits boundaries; beyond 24 bits that is
-    // no longer a sane grouping granularity (and 2^24 already means <= a
-    // handful of groups per cluster).
+    // The clustered relation carries 2^bits + 1 boundaries; beyond 24 bits
+    // that is no longer a sane grouping granularity (and 2^24 already means
+    // <= a handful of groups per cluster).
     return Status::InvalidArgument("RadixGroupSum supports at most 24 bits");
   }
   // Pack into BUNs: head = value payload, tail = group key (the radix key).
@@ -44,7 +44,7 @@ StatusOr<GroupAggregates> RadixGroupSum(std::span<const uint32_t> keys,
   pairs.shrink_to_fit();
 
   // Reusable scratch table sized for the largest cluster.
-  auto bounds = ClusterBounds<HashFn>(clustered);
+  const std::vector<uint64_t>& bounds = clustered.bounds;
   uint64_t max_cluster = 0;
   for (size_t c = 0; c + 1 < bounds.size(); ++c) {
     max_cluster = std::max(max_cluster, bounds[c + 1] - bounds[c]);

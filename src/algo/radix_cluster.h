@@ -6,9 +6,10 @@
 // number of cache lines / TLB entries if Bp is chosen well. With P = 1 this
 // is the straightforward clustering of [SKN94] (Fig. 5).
 //
-// After clustering on B bits the relation is ordered on its B radix bits, so
-// cluster boundaries need no extra structure: joins rediscover them with a
-// merge scan (MergeClusterPairs below), exactly as the paper describes.
+// After clustering on B bits the relation is ordered on its B radix bits;
+// the last pass's region bounds are the cluster boundaries. They come with
+// the result, and a merge scan (MergeClusterPairs below) can rediscover
+// them from the radix bits, as the paper describes.
 #ifndef CCDB_ALGO_RADIX_CLUSTER_H_
 #define CCDB_ALGO_RADIX_CLUSTER_H_
 
@@ -50,9 +51,11 @@ struct RadixClusterStats {
 using BunVec = ColVec<Bun>;
 
 /// A relation radix-clustered on `bits` bits: tuples ordered ascending on
-/// (Hash(tail) & LowMask32(bits)).
+/// (Hash(tail) & LowMask32(bits)). Cluster c (c < H = 2^bits) is
+/// tuples[bounds[c], bounds[c + 1]); `bounds` has H + 1 entries.
 struct ClusteredRelation {
   BunVec tuples;
+  std::vector<uint64_t> bounds;
   int bits = 0;
 };
 
@@ -99,82 +102,79 @@ void ClusterPass(const Bun* src, Bun* dst,
 
 }  // namespace internal
 
-/// Clusters `input` on `options.bits` bits in `options.passes` passes.
-/// The input is left untouched; the result holds a clustered copy.
+/// Clusters `input` on `options.bits` bits in `options.passes` passes into
+/// `out`, reusing the buffers `out` and `scratch` (the multi-pass ping-pong
+/// target) already hold: a caller that clusters one chunk after another
+/// allocates only when a chunk outgrows them. The input is left untouched.
 template <class Mem, class HashFn = IdentityHash>
-StatusOr<ClusteredRelation> RadixCluster(std::span<const Bun> input,
-                                         const RadixClusterOptions& options,
-                                         Mem& mem,
-                                         RadixClusterStats* stats = nullptr) {
+Status RadixClusterInto(std::span<const Bun> input,
+                        const RadixClusterOptions& options, Mem& mem,
+                        ClusteredRelation* out, BunVec* scratch,
+                        RadixClusterStats* stats = nullptr) {
   CCDB_RETURN_IF_ERROR(options.Validate());
-  ClusteredRelation out;
-  out.bits = options.bits;
-  if (options.bits == 0) {
-    // H = 1: clustering is the identity; still one counted copy pass so that
-    // time/miss comparisons against B > 0 are like-for-like.
-    out.tuples.resize(input.size());
-    WallTimer t;
-    for (size_t i = 0; i < input.size(); ++i) {
-      mem.Store(&out.tuples[i], mem.Load(&input[i]));
-    }
-    if (stats != nullptr) {
-      stats->pass_ms = {t.ElapsedMillis()};
-      stats->total_ms = t.ElapsedMillis();
-    }
-    return out;
-  }
-
-  std::vector<int> per_pass = options.EffectiveBits();
   size_t n = input.size();
-  BunVec a(n), b;
-  if (per_pass.size() > 1) b.resize(n);
-
-  std::vector<uint64_t> bounds = {0, n};
-  std::vector<uint64_t> next_bounds;
+  std::vector<int> per_pass = options.EffectiveBits();
+  out->bits = options.bits;
+  out->tuples.resize(n);
+  if (per_pass.size() > 1) scratch->resize(n);
+  out->bounds.assign({0, n});
   if (stats != nullptr) {
     stats->pass_ms.clear();
     stats->total_ms = 0;
   }
+  if (options.bits == 0) {
+    // H = 1: clustering is the identity; still one counted copy pass so that
+    // time/miss comparisons against B > 0 are like-for-like.
+    WallTimer t;
+    for (size_t i = 0; i < n; ++i) {
+      mem.Store(&out->tuples[i], mem.Load(&input[i]));
+    }
+    if (stats != nullptr) {
+      stats->pass_ms = {t.ElapsedMillis()};
+      stats->total_ms = stats->pass_ms[0];
+    }
+    return Status::Ok();
+  }
 
+  std::vector<uint64_t> next_bounds;
   const Bun* src = input.data();
-  Bun* dst = a.data();
-  bool dst_is_a = true;
+  Bun* dst = out->tuples.data();
+  bool dst_is_out = true;
   int consumed = 0;
   for (size_t p = 0; p < per_pass.size(); ++p) {
     int bp = per_pass[p];
     int shift = options.bits - consumed - bp;
     WallTimer t;
-    internal::ClusterPass<Mem, HashFn>(src, dst, bounds, shift, bp, mem,
+    internal::ClusterPass<Mem, HashFn>(src, dst, out->bounds, shift, bp, mem,
                                        &next_bounds);
     double ms = t.ElapsedMillis();
     if (stats != nullptr) {
       stats->pass_ms.push_back(ms);
       stats->total_ms += ms;
     }
-    bounds.swap(next_bounds);
+    out->bounds.swap(next_bounds);
     consumed += bp;
     src = dst;
     if (p + 1 < per_pass.size()) {
-      dst = dst_is_a ? b.data() : a.data();
-      dst_is_a = !dst_is_a;
+      dst = dst_is_out ? scratch->data() : out->tuples.data();
+      dst_is_out = !dst_is_out;
     }
   }
-  out.tuples = dst_is_a ? std::move(a) : std::move(b);
-  return out;
+  if (!dst_is_out) out->tuples.swap(*scratch);
+  return Status::Ok();
 }
 
-/// Cluster start offsets (H+1 entries, H = 2^bits) recovered by scanning the
-/// radix bits, as the paper notes is always possible. O(N + H).
-template <class HashFn = IdentityHash>
-std::vector<uint64_t> ClusterBounds(const ClusteredRelation& rel) {
-  size_t h = size_t{1} << rel.bits;
-  uint32_t mask = LowMask32(rel.bits);
-  std::vector<uint64_t> bounds(h + 1, 0);
-  for (const Bun& t : rel.tuples) {
-    ++bounds[(HashFn::Hash(t.tail) & mask) + 1];
-  }
-  for (size_t c = 1; c <= h; ++c) bounds[c] += bounds[c - 1];
-  return bounds;
+/// RadixClusterInto fresh buffers: the result holds a clustered copy.
+template <class Mem, class HashFn = IdentityHash>
+StatusOr<ClusteredRelation> RadixCluster(std::span<const Bun> input,
+                                         const RadixClusterOptions& options,
+                                         Mem& mem,
+                                         RadixClusterStats* stats = nullptr) {
+  ClusteredRelation out;
+  BunVec scratch;
+  CCDB_RETURN_IF_ERROR((RadixClusterInto<Mem, HashFn>(input, options, mem,
+                                                      &out, &scratch, stats)));
+  return out;
 }
 
 /// Merge step over two relations clustered on the same bits (§3.3.1): walks

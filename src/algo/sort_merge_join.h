@@ -21,9 +21,9 @@ enum class SortAlgo {
 /// to `out` (equal-value runs emit the cross product, l-major). Shared by
 /// SortMergeJoin and JoinOp's chunked sort-merge path so their emit order
 /// can never drift apart.
-template <class Mem>
+template <class Mem, class Out>
 void MergeSortedByTail(std::span<const Bun> ls, std::span<const Bun> rs,
-                       Mem& mem, std::vector<Bun>& out) {
+                       Mem& mem, Out& out) {
   size_t i = 0, j = 0;
   while (i < ls.size() && j < rs.size()) {
     uint32_t vl = mem.Load(&ls[i]).tail;

@@ -1064,7 +1064,7 @@ JoinOp::JoinOp(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
                std::string left_key, std::string right_key, JoinType join_type,
                JoinStrategy strategy, const MachineProfile& profile,
                JoinNodeInfo* info, const ExecContext* ctx,
-               uint64_t est_result_rows, uint64_t est_probe_rows)
+               uint64_t est_probe_rows)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_key_(std::move(left_key)),
@@ -1074,7 +1074,6 @@ JoinOp::JoinOp(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
       profile_(profile),
       info_(info),
       ctx_(ctx),
-      est_result_rows_(est_result_rows),
       est_probe_rows_(est_probe_rows) {}
 
 Status JoinOp::Open() {
@@ -1137,7 +1136,7 @@ Status JoinOp::Open() {
       CCDB_ASSIGN_OR_RETURN(inner_clustered_,
                             (RadixCluster<DirectMemory, IdentityHash>(
                                 inner_buns, opt, mem, &cs)));
-      inner_bounds_ = ClusterBounds<IdentityHash>(inner_clustered_);
+      inner_bounds_ = std::move(inner_clustered_.bounds);
       prepare_ms = cs.total_ms;
       clustered = inner_clustered_.tuples;
     }
@@ -1182,103 +1181,107 @@ void JoinOp::Close() {
   inner_clustered_ = ClusteredRelation{};
   inner_sorted_.clear();
   inner_ = Chunk{};
+  probe_ = ProbeBuffers{};
 }
 
 namespace {
 
-/// Concatenates per-task result vectors in task order (deterministic join
-/// output regardless of which worker ran which task). The per-task parts
-/// are arena-backed: every start is cache-line aligned, so no two tasks'
-/// output buffers ever share a line.
-std::vector<Bun> ConcatBuns(std::vector<BunVec> parts) {
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<Bun> out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  return out;
-}
+/// The push_back a probe task's join loop emits through: fills the task's
+/// region of the match buffer (one slot per probe row, so a PK-FK task
+/// never spills), then appends to the task's spill buffer.
+struct MatchSink {
+  Bun* pos;
+  Bun* end;
+  BunVec* spill;
 
-/// Per-chunk match reserve: scale the planner's whole-join output estimate
-/// down to this chunk's share of the probe side (clamped to 4x the chunk so
-/// a bad overestimate cannot balloon the allocation); without an estimate,
-/// the historical min(probe, inner) default.
-size_t MatchReserveRows(size_t probe_rows, size_t inner_rows,
-                        uint64_t est_result, uint64_t est_probe) {
-  if (est_result > 0 && est_probe > 0) {
-    double share = static_cast<double>(probe_rows) /
-                   static_cast<double>(est_probe);
-    double est = static_cast<double>(est_result) * share;
-    double cap = static_cast<double>(probe_rows) * 4.0;
-    return static_cast<size_t>(std::min(est, cap));
+  CCDB_ALWAYS_INLINE void push_back(Bun b) {
+    if (pos != end) {
+      *pos++ = b;
+    } else {
+      spill->push_back(b);
+    }
   }
-  return std::min(probe_rows, inner_rows);
-}
+};
 
 }  // namespace
 
-StatusOr<std::vector<Bun>> JoinOp::JoinPartitions(
-    std::span<const Bun> probe) {
-  // Tasks: a probe range and the inner partition it joins, the independent
-  // units the pool executes. A simple-hash plan splits the probe into
-  // morsel shards against its one partition. Otherwise there is one task
-  // per probe cluster whose radix value has inner tuples: probe cluster
-  // boundaries are rediscovered from the radix bits (as the paper notes is
-  // always possible), inner ones come from the bounds built at Open().
-  struct Task {
-    size_t lo, hi, part;
-  };
-  std::vector<Task> tasks;
+Status JoinOp::JoinPartitions(std::span<const Bun> probe) {
+  // Tasks, the independent units the pool executes: the whole chunk for
+  // sort-merge, morsel shards of the probe for simple hash, and otherwise
+  // one task per probe cluster whose radix value has inner tuples.
+  std::vector<ProbeBuffers::Task>& tasks = probe_.tasks;
+  tasks.clear();
   size_t n = probe.size();
-  if (RunsSimpleHash(plan_)) {
+  if (plan_.strategy == JoinStrategy::kSortMerge) {
+    tasks.push_back({0, n, 0, 0});
+  } else if (RunsSimpleHash(plan_)) {
     size_t shards = inner_bounds_[1] > 0 ? CtxShards(ctx_, n) : 0;
     for (size_t s = 0; s < shards; ++s) {
-      tasks.push_back({n * s / shards, n * (s + 1) / shards, 0});
+      tasks.push_back({n * s / shards, n * (s + 1) / shards, 0, 0});
     }
   } else {
-    uint32_t mask = LowMask32(plan_.bits);
-    size_t i = 0;
-    while (i < n) {
-      uint32_t h = IdentityHash::Hash(probe[i].tail) & mask;
-      size_t j = i + 1;
-      while (j < n && (IdentityHash::Hash(probe[j].tail) & mask) == h) ++j;
-      if (inner_bounds_[h + 1] > inner_bounds_[h]) tasks.push_back({i, j, h});
-      i = j;
+    const std::vector<uint64_t>& bounds = probe_.clustered.bounds;
+    for (size_t c = 0; c + 1 < bounds.size(); ++c) {
+      if (bounds[c + 1] > bounds[c] &&
+          inner_bounds_[c + 1] > inner_bounds_[c]) {
+        tasks.push_back({bounds[c], bounds[c + 1], c, 0});
+      }
     }
     if (info_ != nullptr) info_->partition_tasks += tasks.size();
   }
 
-  // Every task runs an algo/ join loop: a nested loop over the radix
-  // cluster pair, or a probe of the partition's prebuilt hash table.
-  auto run = [&](const Task& task, auto& out) {
-    DirectMemory mem;
-    std::span<const Bun> l = probe.subspan(task.lo, task.hi - task.lo);
-    uint64_t r_lo = inner_bounds_[task.part];
-    uint64_t r_hi = inner_bounds_[task.part + 1];
-    if (plan_.use_radix_join) {
-      NestedLoopJoinInto(l,
-                         std::span<const Bun>(inner_clustered_.tuples)
-                             .subspan(r_lo, r_hi - r_lo),
-                         mem, out);
-    } else {
-      ProbeHashTable(*inner_tables_[task.part], l, mem, out);
+  // Every task runs an algo/ join loop — a merge against the sorted inner,
+  // a nested loop over the radix cluster pair, or a probe of the
+  // partition's prebuilt hash table — into its region of the match buffer.
+  probe_.matches.resize(n);
+  if (probe_.spill.size() < tasks.size()) probe_.spill.resize(tasks.size());
+  // ExecParallelFor polls cancellation/deadline before every task; this
+  // poll covers a chunk without tasks.
+  CCDB_RETURN_IF_ERROR(SchedCheck(ctx_));
+  CCDB_RETURN_IF_ERROR(
+      ExecParallelFor(ctx_, tasks.size(), [&](size_t t) -> Status {
+        ProbeBuffers::Task& task = tasks[t];
+        Bun* region = probe_.matches.data() + task.lo;
+        probe_.spill[t].clear();
+        MatchSink out{region, region + (task.hi - task.lo), &probe_.spill[t]};
+        DirectMemory mem;
+        std::span<const Bun> l = probe.subspan(task.lo, task.hi - task.lo);
+        if (plan_.strategy == JoinStrategy::kSortMerge) {
+          MergeSortedByTail(l, std::span<const Bun>(inner_sorted_), mem, out);
+        } else if (plan_.use_radix_join) {
+          uint64_t r_lo = inner_bounds_[task.part];
+          uint64_t r_hi = inner_bounds_[task.part + 1];
+          NestedLoopJoinInto(l,
+                             std::span<const Bun>(inner_clustered_.tuples)
+                                 .subspan(r_lo, r_hi - r_lo),
+                             mem, out);
+        } else {
+          ProbeHashTable(*inner_tables_[task.part], l, mem, out);
+        }
+        task.filled = static_cast<size_t>(out.pos - region);
+        return Status::Ok();
+      }));
+
+  // The one copy of every match, in task order, so output is identical at
+  // any parallelism.
+  size_t total = 0;
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    total += tasks[t].filled + probe_.spill[t].size();
+  }
+  probe_.lpos.resize(total);
+  probe_.rpos.resize(total);
+  size_t k = 0;
+  auto put = [&](std::span<const Bun> buns) {
+    for (const Bun& b : buns) {
+      probe_.lpos[k] = b.head;
+      probe_.rpos[k++] = b.tail;
     }
   };
-  if (tasks.size() <= 1) {
-    CCDB_RETURN_IF_ERROR(SchedCheck(ctx_));
-    std::vector<Bun> out;
-    out.reserve(MatchReserveRows(n, inner_.rows, est_result_rows_,
-                                 est_probe_rows_));
-    if (!tasks.empty()) run(tasks[0], out);
-    return out;
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    put({probe_.matches.data() + tasks[t].lo, tasks[t].filled});
+    put(probe_.spill[t]);
   }
-  std::vector<BunVec> results(tasks.size());
-  CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx_, tasks.size(),
-                                       [&](size_t t) -> Status {
-                                         run(tasks[t], results[t]);
-                                         return Status::Ok();
-                                       }));
-  return ConcatBuns(std::move(results));
+  return Status::Ok();
 }
 
 StatusOr<bool> JoinOp::Next(Chunk* out) {
@@ -1287,43 +1290,33 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
   if (!more) return false;
   CCDB_ASSIGN_OR_RETURN(size_t lk, probe.Find(left_key_));
   CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> keys, probe.GatherU32(lk));
-  std::vector<Bun> probe_buns(keys.size());
+  probe_.buns.resize(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    probe_buns[i] = {static_cast<oid_t>(i), keys[i]};
+    probe_.buns[i] = {static_cast<oid_t>(i), keys[i]};
   }
+  // Only the cache-sized probe chunk is reorganized per Next(); the inner
+  // stays prepared from Open(). A simple-hash plan probes as is.
   JoinStats stats;
-  std::vector<Bun> matches;
+  DirectMemory mem;
+  std::span<const Bun> probe_side = probe_.buns;
   if (plan_.strategy == JoinStrategy::kSortMerge) {
-    DirectMemory mem;
     WallTimer t_sort;
     // The bun heads carry the chunk positions, so sorting in place loses
-    // nothing — probe_buns is not read again after the merge.
-    QuickSortByTail(std::span<Bun>(probe_buns), mem);
+    // nothing.
+    QuickSortByTail(std::span<Bun>(probe_.buns), mem);
     stats.cluster_left_ms = t_sort.ElapsedMillis();
-    WallTimer t_join;
-    matches.reserve(MatchReserveRows(probe_buns.size(), inner_sorted_.size(),
-                                     est_result_rows_, est_probe_rows_));
-    MergeSortedByTail<DirectMemory>(probe_buns, inner_sorted_, mem, matches);
-    stats.join_ms = t_join.ElapsedMillis();
-  } else {
-    // Only the cache-sized probe chunk is clustered per Next(); the inner
-    // stays partitioned from Open(). A simple-hash plan probes unclustered.
-    std::span<const Bun> probe_side = probe_buns;
-    ClusteredRelation cl;
-    if (!RunsSimpleHash(plan_)) {
-      DirectMemory mem;
-      RadixClusterOptions opt{
-          .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
-      RadixClusterStats cs;
-      CCDB_ASSIGN_OR_RETURN(cl, (RadixCluster<DirectMemory, IdentityHash>(
-                                    probe_buns, opt, mem, &cs)));
-      stats.cluster_left_ms = cs.total_ms;
-      probe_side = cl.tuples;
-    }
-    WallTimer t;
-    CCDB_ASSIGN_OR_RETURN(matches, JoinPartitions(probe_side));
-    stats.join_ms = t.ElapsedMillis();
+  } else if (!RunsSimpleHash(plan_)) {
+    RadixClusterOptions opt{
+        .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
+    RadixClusterStats cs;
+    CCDB_RETURN_IF_ERROR((RadixClusterInto<DirectMemory, IdentityHash>(
+        probe_.buns, opt, mem, &probe_.clustered, &probe_.scratch, &cs)));
+    stats.cluster_left_ms = cs.total_ms;
+    probe_side = probe_.clustered.tuples;
   }
+  WallTimer t_join;
+  CCDB_RETURN_IF_ERROR(JoinPartitions(probe_side));
+  stats.join_ms = t_join.ElapsedMillis();
   // The match list [probe position, inner position] becomes an output
   // chunk according to the join type; the prepared inner and probe phases
   // above are identical for all four types.
@@ -1332,14 +1325,9 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
       // Take each side through its positions, then zip the column sets.
       // Both sides stay lazy — the join produced nothing but two candidate
       // lists.
-      std::vector<uint32_t> lpos(matches.size()), rpos(matches.size());
-      for (size_t i = 0; i < matches.size(); ++i) {
-        lpos[i] = matches[i].head;
-        rpos[i] = matches[i].tail;
-      }
-      CCDB_ASSIGN_OR_RETURN(Chunk lpart, probe.Take(lpos));
-      CCDB_ASSIGN_OR_RETURN(Chunk rpart, inner_.Take(rpos));
-      out->rows = matches.size();
+      CCDB_ASSIGN_OR_RETURN(Chunk lpart, probe.Take(probe_.lpos));
+      CCDB_ASSIGN_OR_RETURN(Chunk rpart, inner_.Take(probe_.rpos));
+      out->rows = probe_.lpos.size();
       out->cands = std::move(lpart.cands);
       size_t shift = out->cands.size();
       for (Candidates& cd : rpart.cands) out->cands.push_back(std::move(cd));
@@ -1355,7 +1343,7 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
       // A filter on the probe side: emit probe rows with (semi) / without
       // (anti) a match, in probe order — each row at most once.
       std::vector<uint8_t> matched(probe.rows, 0);
-      for (const Bun& m : matches) matched[m.head] = 1;
+      for (uint32_t l : probe_.lpos) matched[l] = 1;
       const uint8_t want = join_type_ == JoinType::kSemi ? 1 : 0;
       std::vector<uint32_t> positions;
       for (size_t i = 0; i < probe.rows; ++i) {
@@ -1365,31 +1353,25 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
       break;
     }
     case JoinType::kLeftOuter: {
-      // Restore probe order (matches arrive in radix order, which is
-      // deterministic, so this stable sort is too) and interleave unmatched
-      // probe rows with a null right side.
-      std::stable_sort(matches.begin(), matches.end(),
-                       [](const Bun& a, const Bun& b) {
-                         return a.head < b.head;
-                       });
-      std::vector<uint32_t> lpos, rpos;
-      std::vector<uint8_t> valid;
-      lpos.reserve(matches.size());
-      size_t m = 0;
+      // Probe order with unmatched probe rows interleaved (null right
+      // side): a stable counting sort of the matches (which arrive in
+      // radix order) on their probe position. Probe row i owns
+      // max(1, its match count) output slots starting at slot[i].
+      std::vector<uint32_t> slot(probe.rows, 0);
+      for (uint32_t l : probe_.lpos) ++slot[l];
+      std::vector<uint32_t> lpos;
+      lpos.reserve(probe_.lpos.size() + probe.rows);
       for (size_t i = 0; i < probe.rows; ++i) {
-        bool any = false;
-        while (m < matches.size() && matches[m].head == i) {
-          lpos.push_back(static_cast<uint32_t>(i));
-          rpos.push_back(matches[m].tail);
-          valid.push_back(1);
-          any = true;
-          ++m;
-        }
-        if (!any) {
-          lpos.push_back(static_cast<uint32_t>(i));
-          rpos.push_back(0);
-          valid.push_back(0);
-        }
+        size_t rows = std::max<uint32_t>(slot[i], 1);
+        slot[i] = static_cast<uint32_t>(lpos.size());
+        lpos.insert(lpos.end(), rows, static_cast<uint32_t>(i));
+      }
+      std::vector<uint32_t> rpos(lpos.size(), 0);
+      std::vector<uint8_t> valid(lpos.size(), 0);
+      for (size_t m = 0; m < probe_.lpos.size(); ++m) {
+        uint32_t at = slot[probe_.lpos[m]]++;
+        rpos[at] = probe_.rpos[m];
+        valid[at] = 1;
       }
       CCDB_ASSIGN_OR_RETURN(Chunk lpart, probe.Take(lpos));
       CCDB_ASSIGN_OR_RETURN(std::vector<ChunkColumn> rcols,

@@ -212,7 +212,11 @@ class SelectOp : public Operator {
 /// benches run (ProbeHashTable, NestedLoopJoinInto, MergeSortedByTail);
 /// each radix partition (simple hash: each probe morsel) is an independent
 /// task run on the ExecContext's pool, and task results concatenate in
-/// order so join output is byte-identical at any parallelism.
+/// order so join output is byte-identical at any parallelism. Each task
+/// fills its own region (one slot per probe row) of a match buffer kept
+/// across chunks, spilling past it only on duplicate keys; the matches are
+/// copied once, in task order, into the position lists the output chunk is
+/// taken through.
 ///
 /// All four JoinTypes probe the same prepared-once inner structures; they
 /// differ only in how the per-chunk match list becomes an output chunk:
@@ -225,14 +229,13 @@ class SelectOp : public Operator {
 ///    type defaults (0 / 0.0 / "") standing in for nulls.
 class JoinOp : public Operator {
  public:
-  /// `est_result_rows` is the planner's estimated join output (0 = no
-  /// estimate): per-chunk match buffers are pre-sized from it instead of
-  /// the inner-cardinality default.
+  /// `est_probe_rows` is the planner's estimated probe cardinality (0 = no
+  /// estimate), used to price the plan that runs.
   JoinOp(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
          std::string left_key, std::string right_key, JoinType join_type,
          JoinStrategy strategy, const MachineProfile& profile,
          JoinNodeInfo* info, const ExecContext* ctx = nullptr,
-         uint64_t est_result_rows = 0, uint64_t est_probe_rows = 0);
+         uint64_t est_probe_rows = 0);
   Status Open() override;
   StatusOr<bool> Next(Chunk* out) override;
   void Close() override;
@@ -240,10 +243,11 @@ class JoinOp : public Operator {
  private:
   using InnerHashTable = BucketChainedHashTable<DirectMemory, IdentityHash>;
 
-  /// Joins one (clustered, unless simple hash) probe chunk against the
-  /// prepared inner partitions with the algo/ join loops, one pool task
-  /// per probe range; task results concatenate in task order.
-  StatusOr<std::vector<Bun>> JoinPartitions(std::span<const Bun> probe);
+  /// Joins one probe chunk (sorted for sort-merge, clustered into
+  /// probe_.clustered for radix plans) against the prepared inner with the
+  /// algo/ join loops, one pool task per probe range, and collects the
+  /// matches into probe_.lpos/rpos.
+  Status JoinPartitions(std::span<const Bun> probe);
 
   /// Right-side columns for a left-outer output chunk: inner row `rpos[i]`
   /// when `valid[i]`, the type's null surrogate otherwise. Always owned
@@ -258,7 +262,7 @@ class JoinOp : public Operator {
   MachineProfile profile_;
   JoinNodeInfo* info_;  // owned by the PhysicalPlan; may be null
   const ExecContext* ctx_;
-  uint64_t est_result_rows_ = 0, est_probe_rows_ = 0;  // planner sizing hints
+  uint64_t est_probe_rows_ = 0;  // planner estimate, for the cost report
   JoinPlan plan_;
   Chunk inner_;
   // Inner side prepared once at Open():
@@ -267,6 +271,21 @@ class JoinOp : public Operator {
   // Hash plans: one table per non-empty partition (simple hash: one).
   std::vector<std::unique_ptr<InnerHashTable>> inner_tables_;
   BunVec inner_sorted_;                 // sort-merge: sorted copy
+  // Probe-side buffers, reused by every Next() and freed by Close():
+  struct ProbeBuffers {
+    BunVec buns;                  // [chunk position, key]
+    ClusteredRelation clustered;  // radix plans: the clustered chunk ...
+    BunVec scratch;               //   ... and its multi-pass ping-pong
+    /// A probe range, the inner partition it joins, and how many of its
+    /// matches fit its region [lo, hi) of `matches`.
+    struct Task {
+      size_t lo, hi, part, filled;
+    };
+    std::vector<Task> tasks;
+    BunVec matches;               // one slot per probe row
+    std::vector<BunVec> spill;    // per task: matches past its region
+    std::vector<uint32_t> lpos, rpos;  // all matches: probe/inner positions
+  } probe_;
 };
 
 /// Narrows and reorders the visible columns; unused candidate slots are

@@ -429,14 +429,13 @@ StatusOr<Lowered> LowerOneJoin(Lowered left, uint64_t est_probe,
       std::string lk = e.left_key, rk = e.right_key;
       JoinType jt = join_node.join_type;
       JoinStrategy js = e.strategy;
-      uint64_t est_out_part = std::max<uint64_t>(est_out / nparts, 1);
       FragmentFactory factory =
-          [winfos, lk, rk, jt, js, profile, est_out_part, part_probe](
+          [winfos, lk, rk, jt, js, profile, part_probe](
               size_t p, std::vector<std::unique_ptr<Operator>> ins,
               const ExecContext* wctx) -> StatusOr<std::unique_ptr<Operator>> {
         std::unique_ptr<Operator> join = std::make_unique<JoinOp>(
             std::move(ins[0]), std::move(ins[1]), lk, rk, jt, js, profile,
-            &(*winfos)[p], wctx, est_out_part, part_probe);
+            &(*winfos)[p], wctx, part_probe);
         return join;
       };
       JoinNodeInfo* plan_info = info;
@@ -494,8 +493,7 @@ StatusOr<Lowered> LowerOneJoin(Lowered left, uint64_t est_probe,
   if (op == nullptr) {
     op = std::make_unique<JoinOp>(
         std::move(left.op), std::move(right.op), e.left_key, e.right_key,
-        join_node.join_type, e.strategy, profile, info, c.ctx, est_out,
-        est_probe);
+        join_node.join_type, e.strategy, profile, info, c.ctx, est_probe);
   }
 
   Lowered out;

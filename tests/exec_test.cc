@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 
 #include "exec/operator.h"
 #include "exec/table.h"
+#include "mem/arena.h"
 #include "model/planner.h"
 #include "model/strategy.h"
 #include "util/rng.h"
@@ -34,6 +36,21 @@ RowStore MakeItems(size_t n) {
     rs->SetBytes(r, 3, m, strlen(m));
   }
   return *std::move(rs);
+}
+
+// A join input: `n` rows of (k, id) with k uniform below `key_range` (or
+// k = row id when `key_range` is 0, a primary key) and id = row id.
+Table MakeKeyedTable(size_t n, uint32_t key_range, const char* id, Rng& rng) {
+  auto rs = RowStore::Make({{"k", FieldType::kU32}, {id, FieldType::kU32}}, n);
+  CCDB_CHECK(rs.ok());
+  for (size_t i = 0; i < n; ++i) {
+    size_t r = *rs->AppendRow();
+    rs->SetU32(r, 0,
+               key_range == 0 ? static_cast<uint32_t>(i)
+                              : static_cast<uint32_t>(rng.NextBelow(key_range)));
+    rs->SetU32(r, 1, static_cast<uint32_t>(i));
+  }
+  return *Table::FromRowStore(*rs);
 }
 
 // The OIDs a Filter selects: SelectOp over one whole-table scan chunk.
@@ -308,6 +325,126 @@ TEST(JoinOpTest, ProjectsBothSides) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+}
+
+TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
+  // The JoinOp probe path keeps its match buffers, cluster scratch and
+  // position lists from chunk to chunk and fills them from pool workers.
+  // The MatchesExecuteJoinRowForRow tables (~4 inner rows per key) make
+  // tasks outgrow their one-slot-per-probe-row regions, so the spill path
+  // runs too. Every chunk size x join type must give the same bytes at
+  // any parallelism, and the right rows: checked against a key -> rid
+  // map.
+  constexpr size_t kN = 100000;
+  Rng rng(5);
+  Table left = MakeKeyedTable(kN / 2, kN / 4, "lid", rng);
+  Table right = MakeKeyedTable(kN, kN / 4, "rid", rng);
+  std::vector<std::vector<uint32_t>> rids_of(kN / 4);
+  std::vector<Bun> build = *right.column_bat(0).ToBuns();
+  for (const Bun& b : build) rids_of[b.tail].push_back(b.head);
+  std::vector<Bun> probe = *left.column_bat(0).ToBuns();
+
+  using Row = std::tuple<uint32_t, uint32_t>;  // (lid, rid)
+  for (JoinType jt : {JoinType::kInner, JoinType::kSemi, JoinType::kAnti,
+                      JoinType::kLeftOuter}) {
+    const bool right_cols = jt == JoinType::kInner ||
+                            jt == JoinType::kLeftOuter;
+    std::vector<Row> want;
+    for (const Bun& p : probe) {
+      const std::vector<uint32_t>& rids = rids_of[p.tail];
+      if (jt == JoinType::kSemi && !rids.empty()) want.emplace_back(p.head, 0);
+      if (jt == JoinType::kAnti && rids.empty()) want.emplace_back(p.head, 0);
+      if (right_cols) {
+        for (uint32_t r : rids) want.emplace_back(p.head, r);
+        if (jt == JoinType::kLeftOuter && rids.empty()) {
+          want.emplace_back(p.head, 0);
+        }
+      }
+    }
+    std::sort(want.begin(), want.end());
+    for (JoinStrategy s : {JoinStrategy::kBest, JoinStrategy::kSimpleHash,
+                           JoinStrategy::kSortMerge, JoinStrategy::kRadix8}) {
+      for (size_t chunk_rows : {SIZE_MAX, size_t{4096}, size_t{10007}}) {
+        std::string label = std::string(JoinTypeName(jt)) + " " +
+                            JoinStrategyName(s) + " chunk " +
+                            std::to_string(chunk_rows);
+        std::vector<std::string> cols = {"lid"};
+        if (right_cols) cols.push_back("rid");
+        auto plan = QueryBuilder(left).Join(right, "k", "k", jt, s)
+                        .Project(cols)
+                        .Build();
+        ASSERT_TRUE(plan.ok()) << label;
+        std::vector<uint32_t> ref_lid, ref_rid;
+        for (size_t par : {1, 2, 8}) {
+          PlannerOptions opts;
+          opts.profile = MachineProfile::GenericX86();
+          opts.exec.parallelism = par;
+          opts.exec.scan_chunk_rows = chunk_rows;
+          auto got = Execute(*plan, opts);
+          ASSERT_TRUE(got.ok()) << label;
+          const std::vector<uint32_t>& lid = got->columns[0].u32_values;
+          std::vector<uint32_t> rid =
+              right_cols ? got->columns[1].u32_values
+                         : std::vector<uint32_t>(lid.size(), 0);
+          if (par == 1) {
+            ref_lid = lid;
+            ref_rid = rid;
+            std::vector<Row> rows;
+            for (size_t i = 0; i < lid.size(); ++i) {
+              rows.emplace_back(lid[i], rid[i]);
+            }
+            std::sort(rows.begin(), rows.end());
+            EXPECT_EQ(rows, want) << label;
+            if (jt != JoinType::kInner) {
+              // Probe order: the scan emits lids ascending.
+              EXPECT_TRUE(std::is_sorted(lid.begin(), lid.end())) << label;
+            }
+          } else {
+            EXPECT_EQ(lid, ref_lid) << label << " parallelism " << par;
+            EXPECT_EQ(rid, ref_rid) << label << " parallelism " << par;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(JoinOpTest, ArenaAllocationsDoNotGrowWithChunkCount) {
+  // A PK-FK join (every probe row matches one inner row) keeps its probe
+  // buffers across chunks: once the first chunk has sized them, further
+  // chunks allocate nothing from the arena, so 16 probe chunks cost about
+  // what 4 do.
+  constexpr size_t kProbe = 400000, kInner = 100000;
+  Rng rng(11);
+  Table fact = MakeKeyedTable(kProbe, kInner, "fid", rng);
+  Table dim = MakeKeyedTable(kInner, /*key_range=*/0, "did", rng);
+  for (size_t par : {1, 2}) {
+    uint64_t allocs[2];
+    for (size_t chunks : {4, 16}) {
+      PlannerOptions opts;
+      opts.profile = MachineProfile::GenericX86();
+      opts.exec.parallelism = par;
+      opts.exec.scan_chunk_rows = kProbe / chunks;
+      auto plan = QueryBuilder(fact)
+                      .Join(dim, "k", "k", JoinStrategy::kPhashL2)
+                      .Project({"fid", "did"})
+                      .Build();
+      ASSERT_TRUE(plan.ok());
+      auto physical = Planner(opts).Lower(*plan);
+      ASSERT_TRUE(physical.ok());
+      arena::ArenaStats before = arena::Stats();
+      auto got = physical->Execute();
+      arena::ArenaStats after = arena::Stats();
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->num_rows(), kProbe);
+      allocs[chunks == 16] = (after.small_allocs - before.small_allocs) +
+                             (after.large_allocs - before.large_allocs);
+    }
+    EXPECT_LT(std::max(allocs[0], allocs[1]) - std::min(allocs[0], allocs[1]),
+              12u)
+        << "parallelism " << par << ": " << allocs[0] << " arena allocations"
+        << " at 4 probe chunks, " << allocs[1] << " at 16";
+  }
 }
 
 }  // namespace

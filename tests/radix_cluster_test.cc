@@ -1,11 +1,11 @@
 // Radix-cluster invariants (§3.3.1): the output is a permutation of the
 // input ordered on its radix bits; multi-pass and single-pass clusterings
-// produce the identical array; cluster boundaries recovered from radix bits
+// produce the identical array; the cluster bounds carried with the result
 // partition the relation correctly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
 #include "algo/radix_cluster.h"
 #include "util/rng.h"
@@ -175,7 +175,7 @@ TEST(ClusterBoundsTest, PartitionIsExact) {
   auto out = RadixCluster(std::span<const Bun>(input),
                           RadixClusterOptions{4, 2, {}}, mem);
   ASSERT_TRUE(out.ok());
-  auto bounds = ClusterBounds(*out);
+  const std::vector<uint64_t>& bounds = out->bounds;
   ASSERT_EQ(bounds.size(), 17u);
   EXPECT_EQ(bounds.front(), 0u);
   EXPECT_EQ(bounds.back(), input.size());
@@ -186,17 +186,62 @@ TEST(ClusterBoundsTest, PartitionIsExact) {
   }
 }
 
-TEST(ClusterBoundsTest, CountsMatchHistogram) {
+// The bounds the last pass leaves behind equal a histogram of the radix
+// values, for every bits x passes split and for an empty input.
+class ClusterBoundsGrid
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(ClusterBoundsGrid, CountsMatchHistogram) {
+  auto [bits, passes] = GetParam();
+  if (passes > std::max(bits, 1)) GTEST_SKIP();
   DirectMemory mem;
-  auto input = RandomRelation(2000, 8, /*value_range=*/256);
-  auto out = RadixCluster(std::span<const Bun>(input),
-                          RadixClusterOptions{3, 1, {}}, mem);
-  ASSERT_TRUE(out.ok());
-  auto bounds = ClusterBounds(*out);
-  std::map<uint32_t, uint64_t> expect;
-  for (const Bun& t : input) ++expect[t.tail & 7u];
-  for (uint32_t c = 0; c < 8; ++c) {
-    EXPECT_EQ(bounds[c + 1] - bounds[c], expect[c]) << "cluster " << c;
+  RadixClusterOptions opt{bits, passes, {}};
+  for (size_t n : {size_t{0}, size_t{5000}}) {
+    auto input = RandomRelation(n, 8 + bits, /*value_range=*/1u << 14);
+    auto out = RadixCluster<DirectMemory, MurmurHash>(
+        std::span<const Bun>(input), opt, mem);
+    ASSERT_TRUE(out.ok());
+    uint32_t mask = LowMask32(bits);
+    std::vector<uint64_t> expect(size_t{1} << bits, 0);
+    for (const Bun& t : input) ++expect[MurmurHash::Hash(t.tail) & mask];
+    ASSERT_EQ(out->bounds.size(), expect.size() + 1) << "n=" << n;
+    EXPECT_EQ(out->bounds.front(), 0u);
+    for (size_t c = 0; c < expect.size(); ++c) {
+      ASSERT_EQ(out->bounds[c + 1] - out->bounds[c], expect[c])
+          << "n=" << n << " cluster " << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, ClusterBoundsGrid,
+                         ::testing::Combine(::testing::Values(0, 1, 6, 12),
+                                            ::testing::Values(1, 2, 3)));
+
+TEST(RadixClusterIntoTest, ReusedBuffersMatchFreshClustering) {
+  // One output and scratch pair clusters relations that shrink, empty out
+  // and grow again (and a 0-bit copy), as JoinOp does chunk after chunk:
+  // each result equals a fresh clustering, never the previous input's tail.
+  DirectMemory mem;
+  ClusteredRelation out;
+  BunVec scratch;
+  uint64_t seed = 20;
+  for (auto [n, bits, passes] : {std::tuple<size_t, int, int>{3000, 6, 2},
+                                 {700, 6, 3},
+                                 {0, 4, 2},
+                                 {1500, 5, 1},
+                                 {900, 0, 1}}) {
+    auto input = RandomRelation(n, ++seed);
+    RadixClusterOptions opt{bits, passes, {}};
+    ASSERT_TRUE(RadixClusterInto(std::span<const Bun>(input), opt, mem, &out,
+                                 &scratch)
+                    .ok());
+    auto fresh = RadixCluster(std::span<const Bun>(input), opt, mem);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(std::vector<Bun>(out.tuples.begin(), out.tuples.end()),
+              std::vector<Bun>(fresh->tuples.begin(), fresh->tuples.end()))
+        << "n=" << n;
+    EXPECT_EQ(out.bounds, fresh->bounds) << "n=" << n;
+    EXPECT_EQ(out.bits, bits);
   }
 }
 
@@ -258,8 +303,8 @@ TEST_P(RadixClusterSweep, Invariants) {
   for (size_t i = 1; i < out->tuples.size(); ++i) {
     ASSERT_LE(out->tuples[i - 1].tail & mask, out->tuples[i].tail & mask);
   }
-  auto bounds = ClusterBounds(*out);
-  EXPECT_EQ(bounds.back(), n);
+  ASSERT_EQ(out->bounds.size(), (size_t{1} << bits) + 1);
+  EXPECT_EQ(out->bounds.back(), n);
 }
 
 INSTANTIATE_TEST_SUITE_P(
