@@ -2,6 +2,8 @@
 // per pass count, hash table build/probe, sorting kernels, grouping.
 #include <benchmark/benchmark.h>
 
+#include <unordered_set>
+
 #include "algo/aggregate.h"
 #include "algo/hash_table.h"
 #include "algo/partitioned_hash_join.h"
@@ -52,20 +54,64 @@ void BM_HashTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_HashTableBuild);
 
-void BM_HashTableProbe(benchmark::State& state) {
-  auto rel = Relation(1 << 18, 7);
-  DirectMemory mem;
-  BucketChainedHashTable<DirectMemory> t(rel, 0, kDefaultChainLength, mem);
-  Rng rng(8);
-  for (auto _ : state) {
-    uint64_t hits = 0;
-    Bun probe{0, rng.NextU32()};
-    t.Probe(probe, mem, [&](Bun) { ++hits; });
-    benchmark::DoNotOptimize(hits);
+// JoinOp's output for a probe: one slot per probe row, spilling past it
+// only on duplicate keys (none here).
+struct ProbeSink {
+  Bun* pos;
+  Bun* end;
+  std::vector<Bun>* spill;
+
+  void push_back_if(Bun b, bool keep) {
+    if (pos != end) {
+      *pos = b;
+      pos += keep;
+    } else if (keep) {
+      spill->push_back(b);
+    }
   }
-  state.SetItemsProcessed(state.iterations());
+};
+
+// ProbeHashTable, the probe loop of every hash join, over a 2^18-tuple
+// build with a 2^16-tuple probe stream whose keys hit the build at the
+// given percentage (misses are keys absent from the build). Reports
+// ns_per_probe.
+void BM_ProbeHashTable(benchmark::State& state) {
+  const uint64_t hit_pct = static_cast<uint64_t>(state.range(0));
+  auto build = Relation(1 << 18, 7);
+  std::unordered_set<uint32_t> keys;
+  for (const Bun& b : build) keys.insert(b.tail);
+  Rng rng(8);
+  std::vector<Bun> probe(1 << 16);
+  for (size_t i = 0; i < probe.size(); ++i) {
+    uint32_t key;
+    if (rng.NextBelow(100) < hit_pct) {
+      key = build[rng.NextBelow(build.size())].tail;
+    } else {
+      do key = rng.NextU32(); while (keys.count(key) != 0);
+    }
+    probe[i] = {static_cast<oid_t>(i), key};
+  }
+  DirectMemory mem;
+  BucketChainedHashTable<DirectMemory> table(build, 0, kDefaultChainLength,
+                                             mem);
+  std::vector<Bun> region(probe.size());
+  std::vector<Bun> spill;
+  size_t matches = 0;
+  for (auto _ : state) {
+    ProbeSink out{region.data(), region.data() + region.size(), &spill};
+    spill.clear();
+    ProbeHashTable(table, std::span<const Bun>(probe), mem, out);
+    matches = static_cast<size_t>(out.pos - region.data()) + spill.size();
+    benchmark::DoNotOptimize(region.data());
+  }
+  state.SetItemsProcessed(state.iterations() * probe.size());
+  state.counters["ns_per_probe"] = benchmark::Counter(
+      static_cast<double>(probe.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["matches"] = static_cast<double>(matches);
 }
-BENCHMARK(BM_HashTableProbe);
+BENCHMARK(BM_ProbeHashTable)->Arg(0)->Arg(5)->Arg(30)->Arg(60)->Arg(100);
 
 void BM_SimpleHashJoin(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

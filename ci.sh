@@ -165,6 +165,9 @@ echo "== bench smoke =="
 # GroupByAggOp runs) beside hash/sort/radix grouping and CCDB_CHECKs that
 # its group count and total sum equal HashGroupSum's.
 "$BUILD_DIR/ablation_aggregation"
+# ablation_prefetch CCDB_CHECKs the output size of SimpleHashJoinPrefetch,
+# the one kernel that probes through the table's callback Probe.
+"$BUILD_DIR/ablation_prefetch"
 
 echo "== bench artifact (BENCH_ci.json) =="
 # Parallel-join/group-by micro numbers + radix-cluster smoke, written as

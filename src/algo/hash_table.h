@@ -7,6 +7,16 @@
 // plus about 4 bytes of offsets per tuple — the paper's "12 bytes per tuple
 // including hash table" used by the phash strategies.
 //
+// Once partitioning keeps the table cache-resident, a probe's cost is CPU
+// work, and most of that is mispredicted branches on the run length and the
+// key compare. So the run array carries one padding tuple after the last
+// run, which makes tuples[off[b]] readable for every bucket, empty ones
+// included. A probe reads that first tuple unconditionally and hands it on
+// with a keep flag, (off[b] < off[b+1]) & (key equal), which a match sink
+// turns into a conditional advance (the no-branch selection of Ross,
+// "Selection conditions in main memory", TODS 2004). Only a run longer than
+// one tuple takes a loop over the rest.
+//
 // Each bucket is filled back to front, so a probe emits duplicate keys in
 // reverse build order — the Monet bucket-chain order (head insertion) that
 // every join's output order is pinned to.
@@ -40,10 +50,12 @@ class BucketChainedHashTable {
     size_t nbuckets = NextPowerOfTwo(want);
     mask_ = static_cast<uint32_t>(nbuckets - 1);
     off_.assign(nbuckets + 1, 0);
-    tuples_.resize(build.size());
+    // One padding tuple past the last run: an empty last bucket's first
+    // tuple is still in bounds.
+    tuples_.resize(build.size() + 1);
     // Histogram, then an inclusive prefix sum: off_[b] = end of bucket b.
     for (size_t i = 0; i < build.size(); ++i) {
-      mem.Update(&off_[Bucket(mem.Load(&build[i]).tail)], 1u);
+      mem.Update(&off_[view().Bucket(mem.Load(&build[i]).tail)], 1u);
     }
     uint32_t sum = 0;
     for (size_t b = 0; b < nbuckets; ++b) {
@@ -54,24 +66,57 @@ class BucketChainedHashTable {
     // Scatter back to front: off_[b] walks down to the start of bucket b.
     for (size_t i = 0; i < build.size(); ++i) {
       Bun t = mem.Load(&build[i]);
-      uint32_t* end = &off_[Bucket(t.tail)];
+      uint32_t* end = &off_[view().Bucket(t.tail)];
       uint32_t pos = mem.Load(end) - 1;
       mem.Store(end, pos);
       mem.Store(&tuples_[pos], t);
     }
   }
 
+  /// What a probe reads of the table, by value. A probe loop keeps one in
+  /// registers; read through the table instead, the fields would be
+  /// reloaded after every result store that might alias them.
+  struct View {
+    int shift;
+    uint32_t mask;
+    const uint32_t* off;  // bucket b = tuples[off[b], off[b + 1])
+    const Bun* tuples;    // the runs, then one padding tuple
+
+    CCDB_ALWAYS_INLINE uint32_t Bucket(uint32_t tail) const {
+      return (HashFn::Hash(tail) >> shift) & mask;
+    }
+
+    /// The probe step: calls `emit_if(t, keep)` once with the first tuple
+    /// of `key`'s bucket (the next bucket's, or the padding tuple, when it
+    /// is empty) and keep = whether it is a match, without a
+    /// data-dependent branch; then `emit_if(t, true)` for every further
+    /// match in the run.
+    template <class Fn>
+    CCDB_ALWAYS_INLINE void Probe(uint32_t key, Mem& mem,
+                                  Fn&& emit_if) const {
+      uint32_t b = Bucket(key);
+      uint32_t lo = mem.Load(&off[b]);
+      uint32_t hi = mem.Load(&off[b + 1]);
+      Bun first = mem.Load(&tuples[lo]);
+      emit_if(first, (lo < hi) & (first.tail == key));
+      if (hi - lo > 1) [[unlikely]] {
+        for (uint32_t i = lo + 1; i < hi; ++i) {
+          Bun t = mem.Load(&tuples[i]);
+          if (t.tail == key) emit_if(t, true);
+        }
+      }
+    }
+  };
+
+  View view() const { return {shift_, mask_, off_.data(), tuples_.data()}; }
+
   /// Calls `emit(build_tuple)` for every build tuple whose tail equals
   /// `probe.tail`.
   template <class Fn>
   CCDB_ALWAYS_INLINE void Probe(Bun probe, Mem& mem, Fn&& emit) const {
-    uint32_t b = Bucket(probe.tail);
-    uint32_t lo = mem.Load(&off_[b]);
-    uint32_t hi = mem.Load(&off_[b + 1]);
-    for (uint32_t i = lo; i < hi; ++i) {
-      Bun t = mem.Load(&tuples_[i]);
-      if (t.tail == probe.tail) emit(t);
-    }
+    view().Probe(probe.tail, mem, [&](Bun t, bool keep) {
+      if (keep) emit(t);
+    });
   }
 
   size_t bucket_count() const { return off_.size() - 1; }
@@ -81,7 +126,7 @@ class BucketChainedHashTable {
   /// SimpleHashJoinPrefetch).
   void PrefetchBucket(uint32_t tail) const {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&off_[Bucket(tail)], /*rw=*/0, /*locality=*/1);
+    __builtin_prefetch(&off_[view().Bucket(tail)], /*rw=*/0, /*locality=*/1);
 #endif
   }
 
@@ -89,13 +134,9 @@ class BucketChainedHashTable {
   size_t ChainLength(uint32_t b) const { return off_[b + 1] - off_[b]; }
 
  private:
-  CCDB_ALWAYS_INLINE uint32_t Bucket(uint32_t tail) const {
-    return (HashFn::Hash(tail) >> shift_) & mask_;
-  }
-
   int shift_;
   uint32_t mask_;
-  std::vector<uint32_t> off_;  // bucket b = tuples_[off_[b], off_[b + 1])
+  std::vector<uint32_t> off_;
   std::vector<Bun> tuples_;
 };
 
@@ -106,10 +147,12 @@ class BucketChainedHashTable {
 template <class Mem, class HashFn, class Out>
 void ProbeHashTable(const BucketChainedHashTable<Mem, HashFn>& table,
                     std::span<const Bun> probe, Mem& mem, Out& out) {
+  const auto view = table.view();
   for (size_t i = 0; i < probe.size(); ++i) {
     Bun lt = mem.Load(&probe[i]);
-    table.Probe(lt, mem,
-                [&](Bun rt) { EmitResult(out, Bun{lt.head, rt.head}, mem); });
+    view.Probe(lt.tail, mem, [&](Bun rt, bool keep) {
+      EmitResultIf(out, Bun{lt.head, rt.head}, keep, mem);
+    });
   }
 }
 

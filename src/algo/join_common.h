@@ -61,6 +61,20 @@ CCDB_ALWAYS_INLINE void EmitResult(Out& out, Bun b, Mem& mem) {
   }
 }
 
+/// Appends `b` to `out` when `keep` is set — the hash probe's emit. An
+/// output with `push_back_if` (JoinOp's match sink) stores `b`
+/// unconditionally and advances by `keep`, so a probe of a short bucket
+/// runs no data-dependent branch. Vectors append under `if (keep)` through
+/// EmitResult, so the simulator still counts one result store per match.
+template <class Mem, class Out>
+CCDB_ALWAYS_INLINE void EmitResultIf(Out& out, Bun b, bool keep, Mem& mem) {
+  if constexpr (requires { out.push_back_if(b, keep); }) {
+    out.push_back_if(b, keep);
+  } else if (keep) {
+    EmitResult(out, b, mem);
+  }
+}
+
 }  // namespace ccdb
 
 #endif  // CCDB_ALGO_JOIN_COMMON_H_

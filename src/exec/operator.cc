@@ -1186,7 +1186,7 @@ void JoinOp::Close() {
 
 namespace {
 
-/// The push_back a probe task's join loop emits through: fills the task's
+/// The output a probe task's join loop emits through: fills the task's
 /// region of the match buffer (one slot per probe row, so a PK-FK task
 /// never spills), then appends to the task's spill buffer.
 struct MatchSink {
@@ -1194,13 +1194,17 @@ struct MatchSink {
   Bun* end;
   BunVec* spill;
 
-  CCDB_ALWAYS_INLINE void push_back(Bun b) {
-    if (pos != end) {
-      *pos++ = b;
-    } else {
+  /// The hash probe's append: stores into the next slot and advances by
+  /// `keep`, so a miss costs a dead store instead of a branch.
+  CCDB_ALWAYS_INLINE void push_back_if(Bun b, bool keep) {
+    if (pos != end) [[likely]] {
+      *pos = b;
+      pos += keep;
+    } else if (keep) {
       spill->push_back(b);
     }
   }
+  CCDB_ALWAYS_INLINE void push_back(Bun b) { push_back_if(b, true); }
 };
 
 }  // namespace

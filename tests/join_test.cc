@@ -153,6 +153,125 @@ TEST(BucketChainedHashTableTest, ChainLengthsPartitionTheBuild) {
   EXPECT_EQ(total, build.size());
 }
 
+// A ProbeHashTable output with push_back_if, shaped like JoinOp's match
+// sink: `capacity` slots, then a spill vector. Small capacities make the
+// conditional advance reach the end of its region.
+struct RegionSink {
+  explicit RegionSink(size_t capacity) : region(capacity) {}
+
+  void push_back_if(Bun b, bool keep) {
+    if (filled != region.size()) {
+      region[filled] = b;
+      filled += keep;
+    } else if (keep) {
+      spill.push_back(b);
+    }
+  }
+
+  std::vector<Bun> Contents() const {
+    std::vector<Bun> all(region.begin(), region.begin() + filled);
+    all.insert(all.end(), spill.begin(), spill.end());
+    return all;
+  }
+
+  std::vector<Bun> region;
+  size_t filled = 0;
+  std::vector<Bun> spill;
+};
+
+// ProbeHashTable over `build` must emit, for each probe row in order, one
+// [probe head, build head] pair per build tuple with the probe's key, in
+// reverse build order — into a vector and into a match sink of every size
+// from empty to one slot per probe row.
+void ExpectProbeMatchesReference(std::span<const Bun> build,
+                                 std::span<const Bun> probe, int shift) {
+  std::map<uint32_t, std::vector<oid_t>> heads;
+  for (const Bun& b : build) {
+    std::vector<oid_t>& h = heads[b.tail];
+    h.insert(h.begin(), b.head);
+  }
+  std::vector<Bun> expect;
+  for (const Bun& p : probe) {
+    auto it = heads.find(p.tail);
+    if (it == heads.end()) continue;
+    for (oid_t h : it->second) expect.push_back({p.head, h});
+  }
+
+  DirectMemory mem;
+  BucketChainedHashTable<DirectMemory> t(build, shift, kDefaultChainLength,
+                                         mem);
+  std::vector<Bun> got;
+  ProbeHashTable(t, probe, mem, got);
+  EXPECT_EQ(got, expect) << "vector, shift=" << shift;
+  for (size_t cap : {size_t{0}, probe.size() / 2, probe.size()}) {
+    RegionSink sink(cap);
+    ProbeHashTable(t, probe, mem, sink);
+    EXPECT_EQ(sink.Contents(), expect) << "sink " << cap << ", shift=" << shift;
+  }
+}
+
+TEST(ProbeHashTableTest, RunLengthsZeroToThree) {
+  // Eight tuples, eight buckets (key bits [shift, shift + 3)): bucket 0 is
+  // empty, bucket 1 holds one tuple, bucket 2 a duplicate key, bucket 3 a
+  // duplicate plus a colliding key, bucket 4 two colliding keys, and the
+  // last three buckets are empty.
+  const uint32_t base[] = {1, 2, 3, 11, 2, 3, 12, 20};
+  for (int shift : {0, 4}) {
+    std::vector<Bun> build;
+    for (uint32_t i = 0; i < 8; ++i) build.push_back({i, base[i] << shift});
+    DirectMemory mem;
+    BucketChainedHashTable<DirectMemory> t(build, shift, kDefaultChainLength,
+                                           mem);
+    ASSERT_EQ(t.bucket_count(), 8u);
+    const size_t runs[] = {0, 1, 2, 3, 2, 0, 0, 0};
+    for (uint32_t b = 0; b < 8; ++b) EXPECT_EQ(t.ChainLength(b), runs[b]) << b;
+    // Every key of 0..31 (hits, misses into empty buckets, misses that
+    // collide with a stored key), then the same keys in reverse.
+    std::vector<Bun> probe;
+    for (uint32_t k = 0; k < 32; ++k) probe.push_back({100 + k, k << shift});
+    for (uint32_t k = 32; k-- > 0;) probe.push_back({200 + k, k << shift});
+    ExpectProbeMatchesReference(build, probe, shift);
+  }
+}
+
+TEST(ProbeHashTableTest, EmptyBuildReadsOnlyThePaddingTuple) {
+  // The only tuple an empty table has is the padding one, [0, 0]; probing
+  // key 0 reads it and must still emit nothing.
+  std::vector<Bun> none;
+  std::vector<Bun> probe = {{0, 0}, {7, 0}, {8, 1}};
+  ExpectProbeMatchesReference(none, probe, 0);
+  ExpectProbeMatchesReference(none, probe, 4);
+}
+
+TEST(ProbeHashTableTest, LastBucketsEmpty) {
+  // Keys 0..4 fill the first five of eight buckets; probes into buckets
+  // 5..7 read past the last run.
+  std::vector<Bun> build;
+  for (uint32_t i = 0; i < 5; ++i) build.push_back({10 + i, i});
+  std::vector<Bun> probe;
+  for (uint32_t k = 0; k < 16; ++k) probe.push_back({k, k});
+  ExpectProbeMatchesReference(build, probe, 0);
+}
+
+TEST(ProbeHashTableTest, MaxKeysAndHeads) {
+  const uint32_t kMax = UINT32_MAX;
+  std::vector<Bun> build = {
+      {kMax, kMax}, {0, kMax}, {kMax - 1, 0}, {kMax, kMax - 1}, {5, 3}};
+  std::vector<Bun> probe = {
+      {kMax, kMax}, {kMax, 0}, {0, kMax - 1}, {kMax, 3}, {1, kMax - 2}};
+  ExpectProbeMatchesReference(build, probe, 0);
+  ExpectProbeMatchesReference(build, probe, 4);
+}
+
+TEST(ProbeHashTableTest, RandomDuplicatesMatchReference) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    auto build = MakeRelation(300 + 37 * seed, 40 + seed, 256);
+    auto probe = MakeRelation(500, 60 + seed, 512, /*head_base=*/1000);
+    ExpectProbeMatchesReference(build, probe, 0);
+    ExpectProbeMatchesReference(build, probe, 4);
+  }
+}
+
 TEST(NestedLoopJoinTest, CrossProductOnAllEqual) {
   DirectMemory mem;
   std::vector<Bun> l = {{0, 7}, {1, 7}};
