@@ -3,7 +3,8 @@
 //     1-byte encoded stride,
 //   * predicate remap on encoded columns (through SelectOp, the operator a
 //     query's Filter runs),
-//   * tuple reconstruction via positional lookup,
+//   * tuple reconstruction via positional lookup, and the chunk-level
+//     positional take (Chunk::Take) that filters and joins emit through,
 //   * dictionary encode/decode throughput.
 #include <benchmark/benchmark.h>
 
@@ -140,6 +141,59 @@ void BM_TupleReconstruct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TupleReconstruct);
+
+// Chunk::Take of 64k rows: the positional take every filter and join output
+// goes through. The chunk looks like a join result: lazy columns over a
+// dense (scan) and a sparse (build-side) candidate list of the wide table.
+// Arg 0 takes a contiguous run of a 128k-row chunk, Arg 1 random positions
+// of it, Arg 2 every row of a 64k-row chunk in order (the identity take).
+constexpr size_t kTakeRows = 1 << 16;
+
+void BM_ChunkTake(benchmark::State& state) {
+  const Table& t = DecomposedWideTable();
+  const bool identity = state.range(0) == 2;
+  const size_t rows = identity ? kTakeRows : 2 * kTakeRows;
+  Rng rng(13);
+  std::vector<oid_t> build_oids(rows);
+  for (oid_t& o : build_oids) o = static_cast<oid_t>(rng.NextBelow(kRows));
+  Chunk chunk;
+  chunk.rows = rows;
+  chunk.cands = {Candidates::Dense(0, rows),
+                 Candidates::FromOids(std::move(build_oids))};
+  for (auto [name, slot] : {std::pair<const char*, size_t>{"qty", 0},
+                            {"price", 0},
+                            {"key", 1},
+                            {"date", 1}}) {
+    ChunkColumn col;
+    col.name = name;
+    col.base = &t;
+    col.base_col = *t.schema().FieldIndex(name);
+    col.cand_slot = slot;
+    chunk.cols.push_back(std::move(col));
+  }
+  std::vector<uint32_t> positions(kTakeRows);
+  for (size_t i = 0; i < kTakeRows; ++i) {
+    switch (state.range(0)) {
+      case 0: positions[i] = static_cast<uint32_t>(kTakeRows / 2 + i); break;
+      case 1: positions[i] = static_cast<uint32_t>(rng.NextBelow(rows)); break;
+      default: positions[i] = static_cast<uint32_t>(i); break;
+    }
+  }
+  for (auto _ : state) {
+    auto taken = chunk.Take(positions);
+    CCDB_CHECK(taken.ok());
+    benchmark::DoNotOptimize(taken->cands.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kTakeRows);
+  state.SetLabel(state.range(0) == 0   ? "dense"
+                 : state.range(0) == 1 ? "sparse-random"
+                                       : "identity");
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(kTakeRows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ChunkTake)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_DictEncodeStrings(benchmark::State& state) {
   std::vector<std::string> modes = {"MAIL", "AIR",  "TRUCK",

@@ -99,7 +99,9 @@ if [ "$MODE" = "tsan" ]; then
   # OR-expression union paths) at parallelism {1,2,8}; exec_test's
   # JoinOpTest.MultiChunkParallelJoinsAreByteIdentical fills JoinOp's kept
   # match buffers from pool workers chunk after chunk at parallelism
-  # {1,2,8}; stats_test runs the
+  # {1,2,8}, over three build shapes (an unfiltered base table, a filtered
+  # base table whose build heads are base OIDs, and a two-list join result
+  # taken through positions); stats_test runs the
   # reordered join chains at parallelism {1,2,8} and the shared lazy stats
   # cache; thread_pool_test hammers the pool itself; serve_test and
   # concurrent_exec_test drive the serving front end, the stats-vs-append

@@ -96,6 +96,45 @@ std::span<const oid_t> OidSpan(const Candidates& c) {
   return {c.oids->data(), c.oids->size()};
 }
 
+/// The one loop behind every candidate-list walk (Take, the gathers,
+/// ConcatChunks): calls `fn(i, oid)` for i in [0, n) with the OID of list
+/// row `row(i)`. The dense/sparse branch is taken once per walk instead of
+/// once per row. Stops at the first `fn` that returns false and reports
+/// whether the walk completed.
+template <typename RowFn, typename Fn>
+CCDB_ALWAYS_INLINE bool WalkOids(const Candidates& cd, size_t n, RowFn row,
+                                 Fn fn) {
+  if (cd.dense()) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!fn(i, static_cast<oid_t>(cd.base + row(i)))) return false;
+    }
+  } else {
+    const oid_t* oids = cd.oids->data();
+    for (size_t i = 0; i < n; ++i) {
+      if (!fn(i, oids[row(i)])) return false;
+    }
+  }
+  return true;
+}
+
+/// WalkOids' `row` for a walk over the whole list in order.
+constexpr auto kEveryRow = [](size_t i) { return i; };
+
+/// Gathers `v[oid]` for every row of `cd`; OutOfRange when an OID is past
+/// the end of `v`.
+template <typename T>
+StatusOr<std::vector<T>> GatherThrough(const Candidates& cd,
+                                       std::span<const T> v) {
+  std::vector<T> out(cd.count);
+  bool in_range = WalkOids(cd, cd.count, kEveryRow, [&](size_t i, oid_t o) {
+    if (o >= v.size()) return false;
+    out[i] = v[o];
+    return true;
+  });
+  if (!in_range) return Status::OutOfRange("candidate beyond column");
+  return out;
+}
+
 Status RequireIntegral(const Column& tail, const char* what) {
   switch (tail.type()) {
     case PhysType::kVoid:
@@ -157,15 +196,9 @@ StatusOr<std::vector<int64_t>> Chunk::GatherI64(size_t c) const {
   }
   if (col.lazy() &&
       col.base->column_bat(col.base_col).tail().type() == PhysType::kI64) {
-    auto v = col.base->column_bat(col.base_col).tail().Span<int64_t>();
-    const Candidates& cd = cands[col.cand_slot];
-    std::vector<int64_t> out(cd.count);
-    for (size_t i = 0; i < cd.count; ++i) {
-      oid_t o = cd.Get(i);
-      if (o >= v.size()) return Status::OutOfRange("candidate beyond column");
-      out[i] = v[o];
-    }
-    return out;
+    return GatherThrough(
+        cands[col.cand_slot],
+        col.base->column_bat(col.base_col).tail().Span<int64_t>());
   }
   CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> narrow, GatherU32(c));
   return std::vector<int64_t>(narrow.begin(), narrow.end());
@@ -185,15 +218,7 @@ StatusOr<std::vector<double>> Chunk::GatherF64(size_t c) const {
   if (tail.type() != PhysType::kF64) {
     return Status::InvalidArgument("GatherF64 on non-f64 column " + col.name);
   }
-  auto v = tail.Span<double>();
-  const Candidates& cd = cands[col.cand_slot];
-  std::vector<double> out(cd.count);
-  for (size_t i = 0; i < cd.count; ++i) {
-    oid_t o = cd.Get(i);
-    if (o >= v.size()) return Status::OutOfRange("candidate beyond column");
-    out[i] = v[o];
-  }
-  return out;
+  return GatherThrough(cands[col.cand_slot], tail.Span<double>());
 }
 
 StatusOr<std::vector<std::string>> Chunk::GatherStr(size_t c) const {
@@ -212,7 +237,10 @@ StatusOr<std::vector<std::string>> Chunk::GatherStr(size_t c) const {
   const Candidates& cd = cands[col.cand_slot];
   if (cd.dense()) {
     std::vector<oid_t> oids(cd.count);
-    for (size_t i = 0; i < cd.count; ++i) oids[i] = cd.Get(i);
+    WalkOids(cd, cd.count, kEveryRow, [&](size_t i, oid_t o) {
+      oids[i] = o;
+      return true;
+    });
     return col.base->GatherStr(col.base_col, oids);
   }
   return col.base->GatherStr(col.base_col, OidSpan(cd));
@@ -255,18 +283,42 @@ StatusOr<Column> TakeOwned(const Column& col,
   }
 }
 
+/// True when `positions` keeps all `rows` rows in order: the take is then
+/// the chunk itself.
+bool IsIdentity(std::span<const uint32_t> positions, size_t rows) {
+  if (positions.size() != rows) return false;
+  // Blocks with no exit inside, so the compare vectorizes; a list that is
+  // not the identity usually fails in its first block.
+  constexpr size_t kBlock = 64;
+  for (size_t lo = 0; lo < rows; lo += kBlock) {
+    uint32_t diff = 0;
+    for (size_t i = lo; i < std::min(rows, lo + kBlock); ++i) {
+      diff |= positions[i] ^ static_cast<uint32_t>(i);
+    }
+    if (diff != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 StatusOr<Chunk> Chunk::Take(std::span<const uint32_t> positions) const {
+  if (IsIdentity(positions, rows)) return *this;
   Chunk out;
   out.rows = positions.size();
   out.cands.reserve(cands.size());
   for (const Candidates& cd : cands) {
     std::vector<oid_t> oids(positions.size());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      CCDB_DCHECK(positions[i] < rows);
-      oids[i] = cd.Get(positions[i]);
-    }
+    WalkOids(
+        cd, positions.size(),
+        [&](size_t i) {
+          CCDB_DCHECK(positions[i] < rows);
+          return positions[i];
+        },
+        [&](size_t i, oid_t o) {
+          oids[i] = o;
+          return true;
+        });
     out.cands.push_back(Candidates::FromOids(std::move(oids)));
   }
   out.cols.reserve(cols.size());
@@ -324,12 +376,17 @@ StatusOr<Chunk> ConcatChunks(std::vector<Chunk> chunks) {
   }
   // Candidate lists concatenate into one materialized list per slot.
   for (size_t s = 0; s < first.cands.size(); ++s) {
-    std::vector<oid_t> oids;
-    oids.reserve(out.rows);
+    size_t n = 0;
+    for (const Chunk& c : chunks) n += c.cands[s].count;
+    std::vector<oid_t> oids(n);
+    oid_t* at = oids.data();
     for (const Chunk& c : chunks) {
-      for (size_t i = 0; i < c.cands[s].count; ++i) {
-        oids.push_back(c.cands[s].Get(i));
-      }
+      const Candidates& cd = c.cands[s];
+      WalkOids(cd, cd.count, kEveryRow, [&](size_t i, oid_t o) {
+        at[i] = o;
+        return true;
+      });
+      at += cd.count;
     }
     out.cands.push_back(Candidates::FromOids(std::move(oids)));
   }
@@ -1093,10 +1150,22 @@ Status JoinOp::Open() {
   CCDB_ASSIGN_OR_RETURN(size_t rk, inner_.Find(right_key_));
   CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> keys, inner_.GatherU32(rk));
   // Scratch for the build only: every prepared form below owns its copy.
+  // A build side that resolves through one candidate list (a base table,
+  // filtered or not) carries its base OIDs as BUN heads; every join loop
+  // passes heads through unchanged, so each match names its build row as
+  // the output needs it and nothing re-gathers the build side. Other
+  // shapes (join results, aggregates, serialized exchange outputs) carry
+  // chunk positions, which Next() takes the inner through.
+  build_oids_ = inner_.cands.size() == 1 &&
+                std::all_of(inner_.cols.begin(), inner_.cols.end(),
+                            [](const ChunkColumn& c) { return c.lazy(); });
+  const Candidates heads = build_oids_ ? inner_.cands[0]
+                                      : Candidates::Dense(0, keys.size());
   BunVec inner_buns(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    inner_buns[i] = {static_cast<oid_t>(i), keys[i]};
-  }
+  WalkOids(heads, keys.size(), kEveryRow, [&](size_t i, oid_t head) {
+    inner_buns[i] = {head, keys[i]};
+    return true;
+  });
   // An empty inner needs no clustering; the model's argmin is undefined at
   // C = 0.
   plan_ = inner_buns.empty()
@@ -1267,7 +1336,8 @@ Status JoinOp::JoinPartitions(std::span<const Bun> probe) {
       }));
 
   // The one copy of every match, in task order, so output is identical at
-  // any parallelism.
+  // any parallelism. With base-OID build heads, rpos is already the
+  // output's build-side candidate list.
   size_t total = 0;
   for (size_t t = 0; t < tasks.size(); ++t) {
     total += tasks[t].filled + probe_.spill[t].size();
@@ -1326,11 +1396,11 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
   // above are identical for all four types.
   switch (join_type_) {
     case JoinType::kInner: {
-      // Take each side through its positions, then zip the column sets.
-      // Both sides stay lazy — the join produced nothing but two candidate
-      // lists.
+      // Take the probe side through its positions, resolve the build rows,
+      // then zip the column sets. Both sides stay lazy — the join produced
+      // nothing but candidate lists.
       CCDB_ASSIGN_OR_RETURN(Chunk lpart, probe.Take(probe_.lpos));
-      CCDB_ASSIGN_OR_RETURN(Chunk rpart, inner_.Take(probe_.rpos));
+      CCDB_ASSIGN_OR_RETURN(Chunk rpart, BuildRows(std::move(probe_.rpos)));
       out->rows = probe_.lpos.size();
       out->cands = std::move(lpart.cands);
       size_t shift = out->cands.size();
@@ -1379,7 +1449,7 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
       }
       CCDB_ASSIGN_OR_RETURN(Chunk lpart, probe.Take(lpos));
       CCDB_ASSIGN_OR_RETURN(std::vector<ChunkColumn> rcols,
-                            TakeInnerWithNulls(rpos, valid));
+                            TakeInnerWithNulls(std::move(rpos), valid));
       out->rows = lpos.size();
       out->cands = std::move(lpart.cands);
       out->cols = std::move(lpart.cols);
@@ -1397,16 +1467,26 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
   return true;
 }
 
+StatusOr<Chunk> JoinOp::BuildRows(std::vector<uint32_t>&& heads) const {
+  if (!build_oids_) return inner_.Take(heads);
+  Chunk out;
+  out.rows = heads.size();
+  out.cands = {Candidates::FromOids(std::move(heads))};
+  out.cols = inner_.cols;
+  return out;
+}
+
 StatusOr<std::vector<ChunkColumn>> JoinOp::TakeInnerWithNulls(
-    std::span<const uint32_t> rpos, std::span<const uint8_t> valid) const {
-  // Materialize the inner rows at rpos (all rows are unmatched when the
-  // inner is empty, so Take is skipped), then overwrite null slots with the
-  // type's surrogate. Owned columns always, so every chunk of a left-outer
-  // join has the same layout.
+    std::vector<uint32_t>&& rpos, std::span<const uint8_t> valid) const {
+  // Materialize the inner rows rpos names (all rows are unmatched when the
+  // inner is empty, so nothing is resolved), then overwrite null slots with
+  // the type's surrogate. Null slots hold head 0, a valid position and
+  // base OID whenever the inner has rows. Owned columns always, so every
+  // chunk of a left-outer join has the same layout.
   const size_t n = rpos.size();
   Chunk taken;
   if (inner_.rows > 0) {
-    CCDB_ASSIGN_OR_RETURN(taken, inner_.Take(rpos));
+    CCDB_ASSIGN_OR_RETURN(taken, BuildRows(std::move(rpos)));
   }
   std::vector<ChunkColumn> out;
   out.reserve(inner_.cols.size());

@@ -90,6 +90,8 @@ struct Chunk {
 
   /// Rows at `positions` (indices into this chunk, duplicates allowed —
   /// a join's take). Candidate lists are remapped, owned columns compacted.
+  /// Identity positions (every row, in order) return the chunk itself,
+  /// sharing its candidate lists and owned columns.
   StatusOr<Chunk> Take(std::span<const uint32_t> positions) const;
 
   /// Appends column `c`'s values for all rows onto `out` (decoding strings,
@@ -215,13 +217,23 @@ class SelectOp : public Operator {
 /// order so join output is byte-identical at any parallelism. Each task
 /// fills its own region (one slot per probe row) of a match buffer kept
 /// across chunks, spilling past it only on duplicate keys; the matches are
-/// copied once, in task order, into the position lists the output chunk is
-/// taken through.
+/// copied once, in task order, into a probe position list and a build
+/// list.
+///
+/// The build list holds base OIDs, as Monet's join index does, whenever the
+/// inner resolves through one candidate list (a base table, filtered or
+/// not): Open() makes each build BUN's head its base OID, the join loops
+/// carry heads through unchanged, and the list becomes the output's
+/// build-side candidate list as is — no match re-reads the build side.
+/// Other inner shapes (a join result, an aggregate, a serialized exchange
+/// output) carry chunk positions and are taken through them. The probe
+/// side is always taken through its positions; a probe list that keeps
+/// every row in order is the identity take, which shares the probe chunk.
 ///
 /// All four JoinTypes probe the same prepared-once inner structures; they
 /// differ only in how the per-chunk match list becomes an output chunk:
 ///  - kInner: matching pairs in radix order; both sides stay lazy — the
-///    join only produces two candidate lists.
+///    join only produces candidate lists.
 ///  - kSemi / kAnti: probe rows with / without a match, in probe order;
 ///    only left columns (and candidate lists) survive.
 ///  - kLeftOuter: matches sorted to probe order with unmatched probe rows
@@ -249,11 +261,17 @@ class JoinOp : public Operator {
   /// matches into probe_.lpos/rpos.
   Status JoinPartitions(std::span<const Bun> probe);
 
-  /// Right-side columns for a left-outer output chunk: inner row `rpos[i]`
-  /// when `valid[i]`, the type's null surrogate otherwise. Always owned
-  /// columns, so chunk layout is identical whether or not rows matched.
+  /// The inner rows that build heads name, with the inner's layout. Base
+  /// OIDs become the chunk's one candidate list, consuming `heads`; chunk
+  /// positions are taken through, leaving `heads` as it was.
+  StatusOr<Chunk> BuildRows(std::vector<uint32_t>&& heads) const;
+
+  /// Right-side columns for a left-outer output chunk: the inner row build
+  /// head `rpos[i]` names when `valid[i]`, the type's null surrogate
+  /// otherwise. Always owned columns, so chunk layout is identical whether
+  /// or not rows matched.
   StatusOr<std::vector<ChunkColumn>> TakeInnerWithNulls(
-      std::span<const uint32_t> rpos, std::span<const uint8_t> valid) const;
+      std::vector<uint32_t>&& rpos, std::span<const uint8_t> valid) const;
 
   std::unique_ptr<Operator> left_, right_;
   std::string left_key_, right_key_;
@@ -265,6 +283,7 @@ class JoinOp : public Operator {
   uint64_t est_probe_rows_ = 0;  // planner estimate, for the cost report
   JoinPlan plan_;
   Chunk inner_;
+  bool build_oids_ = false;  // build heads are base OIDs, not positions
   // Inner side prepared once at Open():
   std::vector<uint64_t> inner_bounds_;  // hash/radix: partition bounds
   ClusteredRelation inner_clustered_;   // radix: clustered copy
@@ -284,7 +303,9 @@ class JoinOp : public Operator {
     std::vector<Task> tasks;
     BunVec matches;               // one slot per probe row
     std::vector<BunVec> spill;    // per task: matches past its region
-    std::vector<uint32_t> lpos, rpos;  // all matches: probe/inner positions
+    // All matches: probe positions and build heads. Base-OID heads move
+    // into the output chunk, so rpos is then refilled fresh every chunk.
+    std::vector<uint32_t> lpos, rpos;
   } probe_;
 };
 

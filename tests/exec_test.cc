@@ -332,78 +332,177 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
   // position lists from chunk to chunk and fills them from pool workers.
   // The MatchesExecuteJoinRowForRow tables (~4 inner rows per key) make
   // tasks outgrow their one-slot-per-probe-row regions, so the spill path
-  // runs too. Every chunk size x join type must give the same bytes at
-  // any parallelism, and the right rows: checked against a key -> rid
-  // map.
+  // runs too. Every build shape x chunk size x join type must give the same
+  // bytes at any parallelism, and the right rows: checked against a key ->
+  // rid map. The build shapes cover both ways JoinOp names build rows: the
+  // unfiltered base table (base OID == chunk position), the base table
+  // filtered so its surviving OIDs are not their positions (base-OID build
+  // heads), and a join result with two candidate lists (chunk positions,
+  // taken through).
   constexpr size_t kN = 100000;
   Rng rng(5);
   Table left = MakeKeyedTable(kN / 2, kN / 4, "lid", rng);
   Table right = MakeKeyedTable(kN, kN / 4, "rid", rng);
-  std::vector<std::vector<uint32_t>> rids_of(kN / 4);
+  auto ids = RowStore::Make({{"right_id", FieldType::kU32}}, kN);
+  ASSERT_TRUE(ids.ok());
+  for (uint32_t i = 0; i < kN; ++i) ids->SetU32(*ids->AppendRow(), 0, i);
+  Table right_ids = *Table::FromRowStore(*ids);
   std::vector<Bun> build = *right.column_bat(0).ToBuns();
-  for (const Bun& b : build) rids_of[b.tail].push_back(b.head);
   std::vector<Bun> probe = *left.column_bat(0).ToBuns();
+  // Drops rid 0 and a block from the middle: rid = base OID of `right`.
+  auto build_filter = [] {
+    return Col("rid") >= 1000u && !Between(Col("rid"), 40000u, 59999u);
+  };
+  auto kept = [](uint32_t rid) {
+    return rid >= 1000u && (rid < 40000u || rid > 59999u);
+  };
 
+  enum class BuildShape { kBaseTable, kFilteredBaseTable, kJoinResult };
   using Row = std::tuple<uint32_t, uint32_t>;  // (lid, rid)
-  for (JoinType jt : {JoinType::kInner, JoinType::kSemi, JoinType::kAnti,
-                      JoinType::kLeftOuter}) {
-    const bool right_cols = jt == JoinType::kInner ||
-                            jt == JoinType::kLeftOuter;
-    std::vector<Row> want;
-    for (const Bun& p : probe) {
-      const std::vector<uint32_t>& rids = rids_of[p.tail];
-      if (jt == JoinType::kSemi && !rids.empty()) want.emplace_back(p.head, 0);
-      if (jt == JoinType::kAnti && rids.empty()) want.emplace_back(p.head, 0);
-      if (right_cols) {
-        for (uint32_t r : rids) want.emplace_back(p.head, r);
-        if (jt == JoinType::kLeftOuter && rids.empty()) {
-          want.emplace_back(p.head, 0);
+  for (BuildShape shape : {BuildShape::kBaseTable,
+                           BuildShape::kFilteredBaseTable,
+                           BuildShape::kJoinResult}) {
+    const char* shape_name = shape == BuildShape::kBaseTable ? "base table"
+                             : shape == BuildShape::kFilteredBaseTable
+                                 ? "filtered base table"
+                                 : "join result";
+    std::vector<std::vector<uint32_t>> rids_of(kN / 4);
+    for (const Bun& b : build) {
+      if (shape != BuildShape::kFilteredBaseTable || kept(b.head)) {
+        rids_of[b.tail].push_back(b.head);
+      }
+    }
+    for (JoinType jt : {JoinType::kInner, JoinType::kSemi, JoinType::kAnti,
+                        JoinType::kLeftOuter}) {
+      const bool right_cols = jt == JoinType::kInner ||
+                              jt == JoinType::kLeftOuter;
+      std::vector<Row> want;
+      for (const Bun& p : probe) {
+        const std::vector<uint32_t>& rids = rids_of[p.tail];
+        if (jt == JoinType::kSemi && !rids.empty()) want.emplace_back(p.head, 0);
+        if (jt == JoinType::kAnti && rids.empty()) want.emplace_back(p.head, 0);
+        if (right_cols) {
+          for (uint32_t r : rids) want.emplace_back(p.head, r);
+          if (jt == JoinType::kLeftOuter && rids.empty()) {
+            want.emplace_back(p.head, 0);
+          }
+        }
+      }
+      std::sort(want.begin(), want.end());
+      for (JoinStrategy s : {JoinStrategy::kBest, JoinStrategy::kSimpleHash,
+                             JoinStrategy::kSortMerge, JoinStrategy::kRadix8}) {
+        for (size_t chunk_rows : {SIZE_MAX, size_t{4096}, size_t{10007}}) {
+          std::string label = std::string(shape_name) + " " +
+                              JoinTypeName(jt) + " " + JoinStrategyName(s) +
+                              " chunk " + std::to_string(chunk_rows);
+          std::vector<std::string> cols = {"lid"};
+          if (right_cols) cols.push_back("rid");
+          QueryBuilder query(left);
+          if (shape == BuildShape::kBaseTable) {
+            query.Join(right, "k", "k", jt, s);
+          } else {
+            QueryBuilder inner(right);
+            if (shape == BuildShape::kFilteredBaseTable) {
+              inner.Filter(build_filter());
+            } else {
+              // Every right row matches its one right_ids row, so the build
+              // holds all right rows, in radix order.
+              inner.Join(right_ids, "rid", "right_id");
+            }
+            query.Join(std::move(inner), "k", "k", jt, s);
+          }
+          auto plan = query.Project(cols).Build();
+          ASSERT_TRUE(plan.ok()) << label << ": " << plan.status().ToString();
+          std::vector<uint32_t> ref_lid, ref_rid;
+          for (size_t par : {1, 2, 8}) {
+            PlannerOptions opts;
+            opts.profile = MachineProfile::GenericX86();
+            opts.exec.parallelism = par;
+            opts.exec.scan_chunk_rows = chunk_rows;
+            auto got = Execute(*plan, opts);
+            ASSERT_TRUE(got.ok()) << label;
+            const std::vector<uint32_t>& lid = got->columns[0].u32_values;
+            std::vector<uint32_t> rid =
+                right_cols ? got->columns[1].u32_values
+                           : std::vector<uint32_t>(lid.size(), 0);
+            if (par == 1) {
+              ref_lid = lid;
+              ref_rid = rid;
+              std::vector<Row> rows;
+              for (size_t i = 0; i < lid.size(); ++i) {
+                rows.emplace_back(lid[i], rid[i]);
+              }
+              std::sort(rows.begin(), rows.end());
+              EXPECT_EQ(rows, want) << label;
+              if (jt != JoinType::kInner) {
+                // Probe order: the scan emits lids ascending.
+                EXPECT_TRUE(std::is_sorted(lid.begin(), lid.end())) << label;
+              }
+            } else {
+              EXPECT_EQ(lid, ref_lid) << label << " parallelism " << par;
+              EXPECT_EQ(rid, ref_rid) << label << " parallelism " << par;
+            }
+          }
         }
       }
     }
-    std::sort(want.begin(), want.end());
-    for (JoinStrategy s : {JoinStrategy::kBest, JoinStrategy::kSimpleHash,
-                           JoinStrategy::kSortMerge, JoinStrategy::kRadix8}) {
-      for (size_t chunk_rows : {SIZE_MAX, size_t{4096}, size_t{10007}}) {
-        std::string label = std::string(JoinTypeName(jt)) + " " +
-                            JoinStrategyName(s) + " chunk " +
-                            std::to_string(chunk_rows);
-        std::vector<std::string> cols = {"lid"};
-        if (right_cols) cols.push_back("rid");
-        auto plan = QueryBuilder(left).Join(right, "k", "k", jt, s)
-                        .Project(cols)
-                        .Build();
-        ASSERT_TRUE(plan.ok()) << label;
-        std::vector<uint32_t> ref_lid, ref_rid;
-        for (size_t par : {1, 2, 8}) {
-          PlannerOptions opts;
-          opts.profile = MachineProfile::GenericX86();
-          opts.exec.parallelism = par;
-          opts.exec.scan_chunk_rows = chunk_rows;
-          auto got = Execute(*plan, opts);
-          ASSERT_TRUE(got.ok()) << label;
-          const std::vector<uint32_t>& lid = got->columns[0].u32_values;
-          std::vector<uint32_t> rid =
-              right_cols ? got->columns[1].u32_values
-                         : std::vector<uint32_t>(lid.size(), 0);
-          if (par == 1) {
-            ref_lid = lid;
-            ref_rid = rid;
-            std::vector<Row> rows;
-            for (size_t i = 0; i < lid.size(); ++i) {
-              rows.emplace_back(lid[i], rid[i]);
-            }
-            std::sort(rows.begin(), rows.end());
-            EXPECT_EQ(rows, want) << label;
-            if (jt != JoinType::kInner) {
-              // Probe order: the scan emits lids ascending.
-              EXPECT_TRUE(std::is_sorted(lid.begin(), lid.end())) << label;
-            }
-          } else {
-            EXPECT_EQ(lid, ref_lid) << label << " parallelism " << par;
-            EXPECT_EQ(rid, ref_rid) << label << " parallelism " << par;
-          }
-        }
+  }
+}
+
+TEST(JoinOpTest, LeftOuterNullsReadTypeDefaultsPastFilteredBuildRowZero) {
+  // A filtered build table joins on its base OIDs; a null row names build
+  // row 0, which the filter removed. Every right column of a null row must
+  // still read its type default, never row 0's values.
+  auto build_rows = RowStore::Make({{"bk", FieldType::kU32},
+                                    {"bv", FieldType::kU32},
+                                    {"bp", FieldType::kF64},
+                                    {"bs", FieldType::kChar10}},
+                                   64);
+  ASSERT_TRUE(build_rows.ok());
+  const char* words[] = {"zero", "one", "two", "three"};
+  for (uint32_t i = 0; i < 64; ++i) {
+    size_t r = *build_rows->AppendRow();
+    build_rows->SetU32(r, 0, i);
+    build_rows->SetU32(r, 1, 100 + i);
+    build_rows->SetF64(r, 2, 0.5 + i);
+    build_rows->SetBytes(r, 3, words[i % 4], strlen(words[i % 4]));
+  }
+  Table build = *Table::FromRowStore(*build_rows);
+  // Probe keys 0..79: key 0's build row is filtered out, keys >= 64 have
+  // none.
+  Rng rng(17);
+  Table probe = MakeKeyedTable(80, /*key_range=*/0, "pid", rng);
+  for (JoinStrategy s : {JoinStrategy::kSimpleHash, JoinStrategy::kSortMerge,
+                         JoinStrategy::kRadix8}) {
+    for (size_t chunk_rows : {SIZE_MAX, size_t{7}}) {
+      std::string label =
+          std::string(JoinStrategyName(s)) + " chunk " +
+          std::to_string(chunk_rows);
+      QueryBuilder inner(build);
+      inner.Filter(Col("bk") >= 1u);
+      auto plan = QueryBuilder(probe)
+                      .Join(std::move(inner), "k", "bk", JoinType::kLeftOuter,
+                            s)
+                      .Project({"pid", "bv", "bp", "bs"})
+                      .Build();
+      ASSERT_TRUE(plan.ok()) << label;
+      PlannerOptions opts;
+      opts.profile = MachineProfile::GenericX86();
+      opts.exec.scan_chunk_rows = chunk_rows;
+      auto got = Execute(*plan, opts);
+      ASSERT_TRUE(got.ok()) << label;
+      ASSERT_EQ(got->num_rows(), 80u) << label;
+      for (size_t i = 0; i < 80; ++i) {
+        uint32_t pid = got->columns[0].u32_values[i];
+        ASSERT_EQ(pid, i) << label;  // probe order
+        const bool matched = pid >= 1 && pid < 64;
+        EXPECT_EQ(got->columns[1].u32_values[i], matched ? 100 + pid : 0u)
+            << label << " pid " << pid;
+        EXPECT_EQ(got->columns[2].f64_values[i], matched ? 0.5 + pid : 0.0)
+            << label << " pid " << pid;
+        EXPECT_EQ(got->columns[3].str_values[i],
+                  matched ? words[pid % 4] : "")
+            << label << " pid " << pid;
       }
     }
   }
@@ -444,6 +543,136 @@ TEST(JoinOpTest, ArenaAllocationsDoNotGrowWithChunkCount) {
               12u)
         << "parallelism " << par << ": " << allocs[0] << " arena allocations"
         << " at 4 probe chunks, " << allocs[1] << " at 16";
+  }
+}
+
+// Every row of `chunk` rendered as one string of all its column values.
+std::vector<std::string> RenderRows(const Chunk& chunk) {
+  std::vector<std::string> rows(chunk.rows);
+  for (size_t c = 0; c < chunk.cols.size(); ++c) {
+    MaterializedColumn col;
+    col.type = chunk.TypeOf(c);
+    CCDB_CHECK(chunk.AppendTo(c, &col).ok());
+    CCDB_CHECK(col.size() == chunk.rows);
+    for (size_t r = 0; r < chunk.rows; ++r) {
+      switch (col.type) {
+        case PhysType::kStr: rows[r] += col.str_values[r]; break;
+        case PhysType::kF64: rows[r] += std::to_string(col.f64_values[r]); break;
+        case PhysType::kI64: rows[r] += std::to_string(col.i64_values[r]); break;
+        default: rows[r] += std::to_string(col.u32_values[r]); break;
+      }
+      rows[r] += "|";
+    }
+  }
+  return rows;
+}
+
+// A 20-row chunk of every column kind: lazy columns over a dense and a
+// sparse candidate list of one base table, and owned columns of each type.
+Chunk MakeMixedChunk(const Table& t) {
+  constexpr size_t kRows = 20;
+  Chunk chunk;
+  chunk.rows = kRows;
+  std::vector<oid_t> scattered(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    scattered[i] = static_cast<oid_t>((i * 13 + 5) % t.num_rows());
+  }
+  chunk.cands = {Candidates::Dense(7, kRows),
+                 Candidates::FromOids(std::move(scattered))};
+  for (auto [name, slot] : {std::pair<const char*, size_t>{"qty", 0},
+                            {"price", 0},
+                            {"shipmode", 1},
+                            {"order", 1}}) {
+    ChunkColumn col;
+    col.name = name;
+    col.base = &t;
+    col.base_col = *t.schema().FieldIndex(name);
+    col.cand_slot = slot;
+    chunk.cols.push_back(std::move(col));
+  }
+  std::vector<uint32_t> u32(kRows);
+  std::vector<int64_t> i64(kRows);
+  std::vector<double> f64(kRows);
+  std::vector<std::string> str(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    u32[i] = static_cast<uint32_t>(1000 + i);
+    i64[i] = -static_cast<int64_t>(i) * 7;
+    f64[i] = 0.25 * static_cast<double>(i);
+    str[i] = "s";
+    str[i] += std::to_string(i);
+  }
+  for (auto& [name, column] :
+       std::vector<std::pair<const char*, Column>>{{"o_u32", Column::U32(u32)},
+                                                   {"o_i64", Column::I64(i64)},
+                                                   {"o_f64", Column::F64(f64)},
+                                                   {"o_str", Column::Str(str)}}) {
+    ChunkColumn col;
+    col.name = name;
+    col.owned = std::make_shared<const Column>(std::move(column));
+    chunk.cols.push_back(std::move(col));
+  }
+  return chunk;
+}
+
+TEST(ChunkTakeTest, EveryPositionShapeMatchesPerRowReference) {
+  Table t = *Table::FromRowStore(MakeItems(40));
+  Chunk chunk = MakeMixedChunk(t);
+  const std::vector<std::string> ref = RenderRows(chunk);
+  const std::vector<std::pair<const char*, std::vector<uint32_t>>> cases = {
+      {"dense", {5, 6, 7, 8, 9, 10, 11, 12, 13, 14}},
+      {"sparse", {19, 2, 11, 0, 7}},
+      {"duplicate", {3, 3, 3, 0, 19, 19}},
+      {"empty", {}},
+      {"reversed", {19, 18, 17, 16, 15, 14, 13, 12, 11, 10,
+                    9,  8,  7,  6,  5,  4,  3,  2,  1,  0}},
+  };
+  for (const auto& [label, positions] : cases) {
+    auto taken = chunk.Take(positions);
+    ASSERT_TRUE(taken.ok()) << label;
+    ASSERT_EQ(taken->rows, positions.size()) << label;
+    ASSERT_EQ(taken->cands.size(), chunk.cands.size()) << label;
+    for (size_t s = 0; s < chunk.cands.size(); ++s) {
+      ASSERT_EQ(taken->cands[s].count, positions.size()) << label;
+      for (size_t i = 0; i < positions.size(); ++i) {
+        EXPECT_EQ(taken->cands[s].Get(i), chunk.cands[s].Get(positions[i]))
+            << label << " slot " << s << " row " << i;
+      }
+    }
+    std::vector<std::string> got = RenderRows(*taken);
+    for (size_t i = 0; i < positions.size(); ++i) {
+      EXPECT_EQ(got[i], ref[positions[i]]) << label << " row " << i;
+    }
+  }
+}
+
+TEST(ChunkTakeTest, IdentityPositionsShareTheInput) {
+  Table t = *Table::FromRowStore(MakeItems(40));
+  Chunk chunk = MakeMixedChunk(t);
+  std::vector<uint32_t> identity(chunk.rows), reversed(chunk.rows);
+  for (size_t i = 0; i < chunk.rows; ++i) {
+    identity[i] = static_cast<uint32_t>(i);
+    reversed[i] = static_cast<uint32_t>(chunk.rows - 1 - i);
+  }
+  auto same = chunk.Take(identity);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(RenderRows(*same), RenderRows(chunk));
+  ASSERT_EQ(same->cands.size(), 2u);
+  EXPECT_TRUE(same->cands[0].dense());
+  EXPECT_EQ(same->cands[0].base, chunk.cands[0].base);
+  EXPECT_EQ(same->cands[0].count, chunk.cands[0].count);
+  EXPECT_EQ(same->cands[1].oids.get(), chunk.cands[1].oids.get());
+  for (size_t c = 0; c < chunk.cols.size(); ++c) {
+    EXPECT_EQ(same->cols[c].owned.get(), chunk.cols[c].owned.get())
+        << chunk.cols[c].name;
+  }
+  // A permutation of the same length is not the identity: it copies.
+  auto copied = chunk.Take(reversed);
+  ASSERT_TRUE(copied.ok());
+  EXPECT_NE(copied->cands[1].oids.get(), chunk.cands[1].oids.get());
+  for (size_t c = 0; c < chunk.cols.size(); ++c) {
+    if (chunk.cols[c].lazy()) continue;
+    EXPECT_NE(copied->cols[c].owned.get(), chunk.cols[c].owned.get())
+        << chunk.cols[c].name;
   }
 }
 
