@@ -8,7 +8,7 @@
 // hiding them.
 #include "bench_common.h"
 
-#include "algo/partitioned_hash_join.h"
+#include "algo/join.h"
 #include "algo/simple_hash_join.h"
 #include "model/cost_model.h"
 #include "util/table_printer.h"
@@ -46,9 +46,11 @@ int Run(int argc, char** argv) {
   CostModel model(env.profile);
   int bits = model.BestPhashBits(kC);
   double phash_ms = MinTimeMillis(3, [&] {
-    auto out = PartitionedHashJoin(std::span<const Bun>(l),
-                                   std::span<const Bun>(r), bits,
-                                   model.OptimalPasses(bits), direct);
+    auto out = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                             {.kernel = JoinKernel::kHash,
+                              .bits = bits,
+                              .passes = model.OptimalPasses(bits)},
+                             direct);
     CCDB_CHECK(out.ok() && out->size() == kC);
   });
   char name[40];

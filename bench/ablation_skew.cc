@@ -14,7 +14,7 @@
 
 #include <cmath>
 
-#include "algo/partitioned_hash_join.h"
+#include "algo/join.h"
 #include "algo/radix_cluster.h"
 #include "util/table_printer.h"
 #include "util/zipf.h"
@@ -44,8 +44,10 @@ double JoinMs(std::span<const Bun> probe, std::span<const Bun> build,
               int bits, uint64_t* result_count) {
   DirectMemory mem;
   JoinStats stats;
-  auto out = PartitionedHashJoin<DirectMemory, HashFn>(
-      probe, build, bits, (bits + 5) / 6, mem, &stats);
+  auto out = JoinRelations<DirectMemory, HashFn>(
+      probe, build,
+      {.kernel = JoinKernel::kHash, .bits = bits, .passes = (bits + 5) / 6},
+      mem, &stats);
   CCDB_CHECK(out.ok());
   *result_count = out->size();
   return stats.total_ms();

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/join.h"
 #include "bat/types.h"
 #include "mem/machine.h"
 #include "model/calibrator.h"
@@ -82,6 +83,22 @@ inline std::pair<std::vector<Bun>, std::vector<Bun>> JoinPair(size_t n,
   for (size_t i = 0; i < n; ++i)
     r[i] = {static_cast<oid_t>(0x40000000 + i), values[i]};
   return {std::move(l), std::move(r)};
+}
+
+/// The join phase of the join driver (algo/join.h) over two relations
+/// clustered on `shape.bits`: prepares the build from its clusters (one
+/// hash table per cluster for a hash shape, as JoinOp does) and runs every
+/// probe task. What figs. 10 and 11 time and simulate.
+template <class Mem>
+std::vector<Bun> JoinPhase(const ClusteredRelation& probe,
+                           ClusteredRelation build_side,
+                           const JoinShape& shape, Mem& mem) {
+  JoinBuild<Mem> build;
+  CCDB_CHECK(build.Prepare(std::move(build_side), shape, mem).ok());
+  std::vector<Bun> out;
+  out.reserve(probe.tuples.size());
+  build.RunAll(probe.tuples, probe.bounds, mem, out);
+  return out;
 }
 
 }  // namespace ccdb::bench

@@ -1,6 +1,8 @@
 // Figure 10 — "Performance and Model of Radix-Join" (join phase only, not
 // including clustering cost). Sweeps radix bits per cardinality, reporting
-// measured join-phase time, the model Tr(B,C), and simulated misses.
+// the measured join-phase time of the join driver JoinOp runs (its
+// nested-loop tasks over the cluster pairs), the model Tr(B,C), and
+// simulated misses.
 //
 // Expected shape: time falls monotonically with B (smaller clusters =
 // smaller nested loops) down to clusters of a few tuples; L1 misses explode
@@ -11,7 +13,6 @@
 
 #include <cmath>
 
-#include "algo/radix_join.h"
 #include "model/cost_model.h"
 #include "util/bits.h"
 #include "util/table_printer.h"
@@ -21,6 +22,12 @@ namespace ccdb {
 namespace {
 
 using bench::BenchEnv;
+
+JoinShape Radix(const RadixClusterOptions& opt) {
+  return {.kernel = JoinKernel::kNestedLoop,
+          .bits = opt.bits,
+          .passes = opt.passes};
+}
 
 int Run(int argc, char** argv) {
   BenchEnv env = BenchEnv::FromArgs(argc, argv);
@@ -50,7 +57,7 @@ int Run(int argc, char** argv) {
       CCDB_CHECK(cl.ok() && cr.ok());
 
       WallTimer t;
-      auto out = RadixJoinClustered(*cl, *cr, direct, c);
+      auto out = bench::JoinPhase(*cl, *std::move(cr), Radix(opt), direct);
       double measured_ms = t.ElapsedMillis();
       CCDB_CHECK(out.size() == c);
 
@@ -69,7 +76,8 @@ int Run(int argc, char** argv) {
         CCDB_CHECK(scl.ok() && scr.ok());
         MemoryHierarchy h(env.profile);
         SimulatedMemory sim(&h);
-        auto sim_out = RadixJoinClustered(*scl, *scr, sim, sim_c);
+        auto sim_out =
+            bench::JoinPhase(*scl, *std::move(scr), Radix(sopt), sim);
         CCDB_CHECK(sim_out.size() == sim_c);
         ev = h.events();
       }

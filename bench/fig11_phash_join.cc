@@ -1,5 +1,8 @@
 // Figure 11 — "Performance and Model of Partitioned Hash-Join" (join phase
-// only). Same sweep as Figure 10 but hash-joining each cluster pair.
+// only). Same sweep as Figure 10 but hash-joining each cluster pair through
+// the join driver JoinOp runs: the join phase builds one table per inner
+// cluster up front, then probes each with its outer cluster. At 0 bits
+// that is one table over the whole inner.
 //
 // Expected shape: large gains until the inner cluster (plus hash table)
 // spans fewer pages than there are TLB entries / fits L2; minimum near
@@ -9,7 +12,6 @@
 
 #include <cmath>
 
-#include "algo/partitioned_hash_join.h"
 #include "model/cost_model.h"
 #include "util/bits.h"
 #include "util/table_printer.h"
@@ -19,6 +21,10 @@ namespace ccdb {
 namespace {
 
 using bench::BenchEnv;
+
+JoinShape Hash(const RadixClusterOptions& opt) {
+  return {.kernel = JoinKernel::kHash, .bits = opt.bits, .passes = opt.passes};
+}
 
 int Run(int argc, char** argv) {
   BenchEnv env = BenchEnv::FromArgs(argc, argv);
@@ -44,7 +50,7 @@ int Run(int argc, char** argv) {
       CCDB_CHECK(cl.ok() && cr.ok());
 
       WallTimer t;
-      auto out = PartitionedHashJoinClustered(*cl, *cr, direct, c);
+      auto out = bench::JoinPhase(*cl, *std::move(cr), Hash(opt), direct);
       double measured_ms = t.ElapsedMillis();
       CCDB_CHECK(out.size() == c);
 
@@ -65,7 +71,8 @@ int Run(int argc, char** argv) {
         CCDB_CHECK(scl.ok() && scr.ok());
         MemoryHierarchy h(env.profile);
         SimulatedMemory sim(&h);
-        auto sim_out = PartitionedHashJoinClustered(*scl, *scr, sim, sim_c);
+        auto sim_out =
+            bench::JoinPhase(*scl, *std::move(scr), Hash(sopt), sim);
         CCDB_CHECK(sim_out.size() == sim_c);
         ev = h.events();
       }

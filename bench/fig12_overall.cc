@@ -11,8 +11,7 @@
 
 #include <cmath>
 
-#include "algo/partitioned_hash_join.h"
-#include "algo/radix_join.h"
+#include "algo/join.h"
 #include "model/strategy.h"
 #include "util/bits.h"
 #include "util/table_printer.h"
@@ -50,9 +49,10 @@ int Run(int argc, char** argv) {
       int passes = model.OptimalPasses(bits);
 
       JoinStats ph_stats;
-      auto ph = PartitionedHashJoin(std::span<const Bun>(l),
-                                    std::span<const Bun>(r), bits, passes,
-                                    direct, &ph_stats);
+      auto ph = JoinRelations(
+          std::span<const Bun>(l), std::span<const Bun>(r),
+          {.kernel = JoinKernel::kHash, .bits = bits, .passes = passes},
+          direct, &ph_stats);
       CCDB_CHECK(ph.ok() && ph->size() == c);
       double phash_ms = ph_stats.total_ms();
       double phash_model = model.Millis(model.TotalPhashJoin(bits, c));
@@ -63,9 +63,11 @@ int Run(int argc, char** argv) {
       double radix_ms = -1;
       if (nl_work <= work_budget) {
         JoinStats rj_stats;
-        auto rj =
-            RadixJoin(std::span<const Bun>(l), std::span<const Bun>(r), bits,
-                      passes, direct, &rj_stats);
+        auto rj = JoinRelations(
+            std::span<const Bun>(l), std::span<const Bun>(r),
+            {.kernel = JoinKernel::kNestedLoop, .bits = bits,
+             .passes = passes},
+            direct, &rj_stats);
         CCDB_CHECK(rj.ok() && rj->size() == c);
         radix_ms = rj_stats.total_ms();
       }

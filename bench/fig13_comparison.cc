@@ -8,6 +8,7 @@
 // with radix-join competitive only at the largest cardinalities.
 #include "bench_common.h"
 
+#include "algo/join.h"
 #include "model/strategy.h"
 #include "util/table_printer.h"
 
@@ -35,6 +36,7 @@ int Run(int argc, char** argv) {
   std::vector<std::string> header = {"cardinality"};
   for (JoinStrategy s : strategies) header.push_back(JoinStrategyName(s));
   TablePrinter table(header);
+  DirectMemory direct;
 
   for (size_t c : cards) {
     auto [l, r] = bench::JoinPair(c, 4242 + c);
@@ -42,7 +44,9 @@ int Run(int argc, char** argv) {
     for (JoinStrategy s : strategies) {
       JoinPlan plan = PlanJoin(s, c, env.profile);
       JoinStats stats;
-      auto out = ExecuteJoin(l, r, plan, &stats);
+      auto out = JoinRelations(std::span<const Bun>(l),
+                               std::span<const Bun>(r), ShapeOf(plan),
+                               direct, &stats);
       CCDB_CHECK(out.ok());
       CCDB_CHECK(out->size() == c);
       row.push_back(TablePrinter::Fmt(stats.total_ms(), 1));

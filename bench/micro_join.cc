@@ -6,10 +6,9 @@
 
 #include "algo/aggregate.h"
 #include "algo/hash_table.h"
-#include "algo/partitioned_hash_join.h"
+#include "algo/join.h"
 #include "algo/radix_cluster.h"
 #include "algo/radix_sort.h"
-#include "algo/simple_hash_join.h"
 #include "util/rng.h"
 
 namespace ccdb {
@@ -119,9 +118,10 @@ void BM_SimpleHashJoin(benchmark::State& state) {
   auto r = Relation(n, 10);
   DirectMemory mem;
   for (auto _ : state) {
-    auto out = SimpleHashJoin(std::span<const Bun>(l), std::span<const Bun>(r),
-                              mem, nullptr, n);
-    benchmark::DoNotOptimize(out.data());
+    auto out = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                             JoinShape{}, mem);
+    CCDB_CHECK(out.ok());
+    benchmark::DoNotOptimize(out->data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -135,8 +135,9 @@ void BM_PartitionedHashJoin(benchmark::State& state) {
   int bits = std::max(Log2Floor(n) - 8, 0);  // ~256-tuple clusters
   int passes = std::max((bits + 5) / 6, 1);
   for (auto _ : state) {
-    auto out = PartitionedHashJoin(std::span<const Bun>(l),
-                                   std::span<const Bun>(r), bits, passes, mem);
+    auto out = JoinRelations(
+        std::span<const Bun>(l), std::span<const Bun>(r),
+        {.kernel = JoinKernel::kHash, .bits = bits, .passes = passes}, mem);
     CCDB_CHECK(out.ok());
     benchmark::DoNotOptimize(out->data());
   }

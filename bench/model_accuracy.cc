@@ -12,8 +12,7 @@
 
 #include <cmath>
 
-#include "algo/partitioned_hash_join.h"
-#include "algo/radix_join.h"
+#include "algo/join.h"
 #include "exec/plan.h"
 #include "exec/table.h"
 #include "model/calibrator.h"
@@ -79,7 +78,10 @@ int Run(int argc, char** argv) {
     CCDB_CHECK(cl.ok() && cr.ok());
     MemoryHierarchy h(env.profile);
     SimulatedMemory sim(&h);
-    auto out = PartitionedHashJoinClustered(*cl, *cr, sim, kC);
+    auto out = bench::JoinPhase(
+        *cl, *std::move(cr),
+        {.kernel = JoinKernel::kHash, .bits = bits, .passes = opt.passes},
+        sim);
     CCDB_CHECK(out.size() == kC);
     MemEvents ev = h.events();
     ModelPrediction p = model.PhashJoinPhase(bits, kC);
@@ -103,7 +105,11 @@ int Run(int argc, char** argv) {
     CCDB_CHECK(cl.ok() && cr.ok());
     MemoryHierarchy h(env.profile);
     SimulatedMemory sim(&h);
-    auto out = RadixJoinClustered(*cl, *cr, sim, kC);
+    auto out = bench::JoinPhase(
+        *cl, *std::move(cr),
+        {.kernel = JoinKernel::kNestedLoop, .bits = bits,
+         .passes = opt.passes},
+        sim);
     CCDB_CHECK(out.size() == kC);
     MemEvents ev = h.events();
     ModelPrediction p = model.RadixJoinPhase(bits, kC);

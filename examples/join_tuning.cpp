@@ -8,8 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "algo/partitioned_hash_join.h"
-#include "algo/radix_join.h"
+#include "algo/join.h"
 #include "model/strategy.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
@@ -37,17 +36,20 @@ int main() {
   for (int bits = 0; bits <= 20; bits += 2) {
     int passes = model.OptimalPasses(bits);
     JoinStats ps;
-    auto ph = PartitionedHashJoin(std::span<const Bun>(l),
-                                  std::span<const Bun>(r), bits, passes, mem,
-                                  &ps);
+    auto ph = JoinRelations(
+        std::span<const Bun>(l), std::span<const Bun>(r),
+        {.kernel = JoinKernel::kHash, .bits = bits, .passes = passes}, mem,
+        &ps);
     CCDB_CHECK(ph.ok() && ph->size() == kC);
 
     // Radix-join only where the nested loop is affordable (cluster <= 1024).
     std::string radix_ms = "-";
     if (kC / std::exp2(bits) <= 1024) {
       JoinStats rs;
-      auto rj = RadixJoin(std::span<const Bun>(l), std::span<const Bun>(r),
-                          bits, passes, mem, &rs);
+      auto rj = JoinRelations(
+          std::span<const Bun>(l), std::span<const Bun>(r),
+          {.kernel = JoinKernel::kNestedLoop, .bits = bits, .passes = passes},
+          mem, &rs);
       CCDB_CHECK(rj.ok() && rj->size() == kC);
       radix_ms = TablePrinter::Fmt(rs.total_ms(), 1);
     }

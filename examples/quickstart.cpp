@@ -11,11 +11,9 @@
 //                ./build/examples/quickstart
 #include <cstdio>
 
-#include "algo/partitioned_hash_join.h"
-#include "algo/simple_hash_join.h"
+#include "algo/join.h"
 #include "model/strategy.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 using namespace ccdb;
 
@@ -39,23 +37,25 @@ int main() {
               plan.passes, plan.predicted_ms);
 
   // ---- 3. execute and compare against the naive baseline ------------------
+  DirectMemory direct;
   JoinStats stats;
-  auto result = ExecuteJoin(orders, lineitems, plan, &stats);
+  auto result = JoinRelations(std::span<const Bun>(orders),
+                              std::span<const Bun>(lineitems), ShapeOf(plan),
+                              direct, &stats);
   CCDB_CHECK(result.ok());
   std::printf("cache-conscious: %8.1f ms  (%.1f cluster + %.1f join), %zu pairs\n",
               stats.total_ms(), stats.cluster_left_ms + stats.cluster_right_ms,
               stats.join_ms, result->size());
 
-  DirectMemory direct;
   JoinStats naive_stats;
-  WallTimer t;
-  auto naive = SimpleHashJoin(std::span<const Bun>(orders),
-                              std::span<const Bun>(lineitems), direct,
-                              &naive_stats, kC);
+  auto naive = JoinRelations(std::span<const Bun>(orders),
+                             std::span<const Bun>(lineitems), JoinShape{},
+                             direct, &naive_stats);
+  CCDB_CHECK(naive.ok());
   std::printf("simple hash:     %8.1f ms, %zu pairs  => %.1fx speedup\n",
-              naive_stats.total_ms(), naive.size(),
+              naive_stats.total_ms(), naive->size(),
               naive_stats.total_ms() / stats.total_ms());
-  CCDB_CHECK(naive.size() == result->size());
+  CCDB_CHECK(naive->size() == result->size());
 
   // ---- 4. exact miss counts via the simulator -----------------------------
   constexpr size_t kSimC = 1 << 17;  // smaller: simulation is exact but slow
@@ -64,12 +64,13 @@ int main() {
 
   MemoryHierarchy h1(MachineProfile::Origin2000());
   SimulatedMemory sim1(&h1);
-  (void)SimpleHashJoin(l, r, sim1);
+  CCDB_CHECK(JoinRelations(l, r, JoinShape{}, sim1).ok());
   MemEvents naive_ev = h1.events();
 
   MemoryHierarchy h2(MachineProfile::Origin2000());
   SimulatedMemory sim2(&h2);
-  auto phash = PartitionedHashJoin(l, r, /*bits=*/9, /*passes=*/2, sim2);
+  auto phash = JoinRelations(
+      l, r, {.kernel = JoinKernel::kHash, .bits = 9, .passes = 2}, sim2);
   CCDB_CHECK(phash.ok());
   MemEvents smart_ev = h2.events();
 

@@ -5,9 +5,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "algo/join.h"
 #include "algo/positional_join.h"
 #include "algo/radix_sort.h"
-#include "algo/simple_hash_join.h"
 
 namespace ccdb {
 
@@ -91,8 +91,10 @@ StatusOr<Bat> BatJoin(const Bat& l, const Bat& r) {
   for (size_t i = 0; i < r.size(); ++i) {
     rb[i] = {static_cast<oid_t>(i), r_heads[i]};
   }
-  std::vector<Bun> matches =
-      SimpleHashJoin(std::span<const Bun>(lb), std::span<const Bun>(rb), mem);
+  CCDB_ASSIGN_OR_RETURN(
+      std::vector<Bun> matches,
+      JoinRelations(std::span<const Bun>(lb), std::span<const Bun>(rb),
+                    JoinShape{}, mem));
   // matches = [l.head, r-position].
   std::vector<uint32_t> heads(matches.size());
   std::vector<uint32_t> tails(matches.size());
@@ -145,7 +147,7 @@ StatusOr<uint64_t> BatSum(const Bat& b) {
 StatusOr<Bat> BatSlice(const Bat& b, size_t first, size_t count) {
   CCDB_RETURN_IF_ERROR(RequireIntegralTail(b, "slice"));
   size_t lo = std::min(first, b.size());
-  size_t hi = std::min(first + count, b.size());
+  size_t hi = count > b.size() - lo ? b.size() : lo + count;
   std::vector<uint32_t> heads(hi - lo), tails(hi - lo);
   for (size_t i = lo; i < hi; ++i) {
     heads[i - lo] = b.head().GetOid(i);

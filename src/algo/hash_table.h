@@ -141,9 +141,8 @@ class BucketChainedHashTable {
 };
 
 /// The hash-join probe loop: probes `table` with every BUN of `probe` in
-/// order and appends [probe.head, build.head] per match to `out`. Shared by
-/// SimpleHashJoin, each cluster pair of PartitionedHashJoinClustered, and
-/// JoinOp's probe shards and partition tasks.
+/// order and appends [probe.head, build.head] per match to `out`: the loop
+/// of every hash-join task of the join driver (algo/join.h).
 template <class Mem, class HashFn, class Out>
 void ProbeHashTable(const BucketChainedHashTable<Mem, HashFn>& table,
                     std::span<const Bun> probe, Mem& mem, Out& out) {

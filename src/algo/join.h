@@ -1,0 +1,279 @@
+// The join driver (§3.3): an equi-join as a cluster phase and a join phase,
+// the way JoinOp runs it. A JoinBuild prepares the build (inner) relation
+// once for a JoinShape:
+//  - sort-merge: a sorted copy;
+//  - radix-join: the clustered tuples plus their cluster bounds;
+//  - hash joins: one bucket-sorted table per non-empty cluster, and at
+//    B = 0 one table over the build itself, uncopied.
+// A probe relation is then reorganized the same way into caller-owned
+// buffers. Its cluster bounds list the probe tasks, one per pair of
+// non-empty clusters with equal radix value. Each task runs its kernel's
+// loop (MergeSortedByTail, NestedLoopJoinInto or ProbeHashTable) into any
+// sink. JoinOp runs the tasks of each probe chunk on its pool;
+// JoinRelations runs them serially over two whole relations, for the
+// paper's figures and the tests.
+#ifndef CCDB_ALGO_JOIN_H_
+#define CCDB_ALGO_JOIN_H_
+
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "algo/hash_table.h"
+#include "algo/nested_loop_join.h"
+#include "algo/radix_cluster.h"
+#include "algo/radix_sort.h"
+#include "util/timer.h"
+
+namespace ccdb {
+
+/// The merge loop over two tail-sorted runs: appends [l.head, r.head] pairs
+/// to `out`, the cross product of each equal-value run, l-major.
+template <class Mem, class Out>
+void MergeSortedByTail(std::span<const Bun> ls, std::span<const Bun> rs,
+                       Mem& mem, Out& out) {
+  size_t i = 0, j = 0;
+  while (i < ls.size() && j < rs.size()) {
+    uint32_t vl = mem.Load(&ls[i]).tail;
+    uint32_t vr = mem.Load(&rs[j]).tail;
+    if (vl < vr) {
+      ++i;
+    } else if (vr < vl) {
+      ++j;
+    } else {
+      size_t i2 = i;
+      while (i2 < ls.size() && mem.Load(&ls[i2]).tail == vl) ++i2;
+      size_t j2 = j;
+      while (j2 < rs.size() && mem.Load(&rs[j2]).tail == vl) ++j2;
+      for (size_t a = i; a < i2; ++a) {
+        Bun lt = mem.Load(&ls[a]);
+        for (size_t b = j; b < j2; ++b) {
+          Bun rt = mem.Load(&rs[b]);
+          EmitResult(out, Bun{lt.head, rt.head}, mem);
+        }
+      }
+      i = i2;
+      j = j2;
+    }
+  }
+}
+
+/// One probe task: the probe range [lo, hi) of a reorganized probe relation
+/// and the build cluster `part` it joins.
+struct JoinTask {
+  size_t lo, hi, part;
+};
+
+/// A probe relation reorganized for a JoinBuild. The caller keeps it across
+/// probes, so joining chunk after chunk allocates only when a chunk
+/// outgrows the buffers.
+struct JoinProbe {
+  /// What the tasks read: `clustered.tuples`, or the probe input itself
+  /// for the B = 0 hash join.
+  std::span<const Bun> tuples;
+  /// The sorted or clustered copy. Its bounds are always set, to {0, n}
+  /// when nothing is clustered.
+  ClusteredRelation clustered;
+  BunVec scratch;  // the multi-pass cluster's ping-pong target
+};
+
+template <class Mem, class HashFn = IdentityHash>
+class JoinBuild {
+ public:
+  using Memory = Mem;
+
+  const JoinShape& shape() const { return shape_; }
+
+  /// Prepares build relation `r` for `shape`. The build keeps what it
+  /// needs, so `r` need not outlive it.
+  Status Prepare(std::span<const Bun> r, const JoinShape& shape, Mem& mem) {
+    if (shape.clusters()) {
+      ClusteredRelation clustered;
+      BunVec scratch;
+      CCDB_RETURN_IF_ERROR((RadixClusterInto<Mem, HashFn>(
+          r, ClusterOptions(shape), mem, &clustered, &scratch)));
+      return Prepare(std::move(clustered), shape, mem);
+    }
+    shape_ = shape;
+    bounds_.assign({0, r.size()});
+    tables_.clear();
+    tuples_.clear();
+    if (shape.kernel == JoinKernel::kHash) {
+      BuildTables(r, mem);
+    } else {
+      SortedCopy(r, mem, &tuples_);
+    }
+    return Status::Ok();
+  }
+
+  /// Prepares a build relation that is already clustered on `shape.bits`
+  /// (a hash or nested-loop shape).
+  Status Prepare(ClusteredRelation r, const JoinShape& shape, Mem& mem) {
+    if (shape.kernel == JoinKernel::kSortMerge || r.bits != shape.bits) {
+      return Status::InvalidArgument(
+          "a clustered build needs a hash or nested-loop shape on its bits");
+    }
+    shape_ = shape;
+    bounds_ = std::move(r.bounds);
+    tables_.clear();
+    tuples_.clear();
+    if (shape.kernel == JoinKernel::kHash) {
+      BuildTables(r.tuples, mem);
+    } else {
+      tuples_ = std::move(r.tuples);
+    }
+    return Status::Ok();
+  }
+
+  /// Reorganizes probe relation `l` as the build is: a sorted or clustered
+  /// copy into `probe`'s buffers, or `l` as is for the B = 0 hash join.
+  Status Reorganize(std::span<const Bun> l, Mem& mem, JoinProbe* probe) const {
+    ClusteredRelation& c = probe->clustered;
+    if (shape_.clusters()) {
+      CCDB_RETURN_IF_ERROR((RadixClusterInto<Mem, HashFn>(
+          l, ClusterOptions(shape_), mem, &c, &probe->scratch)));
+      probe->tuples = c.tuples;
+      return Status::Ok();
+    }
+    c.bounds.assign({0, l.size()});
+    if (shape_.kernel == JoinKernel::kSortMerge) {
+      SortedCopy(l, mem, &c.tuples);
+      probe->tuples = c.tuples;
+    } else {
+      probe->tuples = l;
+    }
+    return Status::Ok();
+  }
+
+  /// Lists the tasks over a probe relation with cluster bounds
+  /// `probe_bounds`: one per pair of non-empty clusters with equal radix
+  /// value, in radix order. Sort-merge has one task. The B = 0 hash join
+  /// splits the probe into `shards` ranges, and has none over an empty
+  /// build.
+  void Tasks(std::span<const uint64_t> probe_bounds, size_t shards,
+             std::vector<JoinTask>* tasks) const {
+    tasks->clear();
+    const size_t n = probe_bounds.back();
+    if (shape_.kernel == JoinKernel::kSortMerge) {
+      tasks->push_back({0, n, 0});
+    } else if (!shape_.clusters()) {
+      if (bounds_[1] == 0) shards = 0;
+      for (size_t s = 0; s < shards; ++s) {
+        tasks->push_back({n * s / shards, n * (s + 1) / shards, 0});
+      }
+    } else {
+      CCDB_CHECK(probe_bounds.size() == bounds_.size());
+      for (size_t c = 0; c + 1 < bounds_.size(); ++c) {
+        if (probe_bounds[c + 1] > probe_bounds[c] &&
+            bounds_[c + 1] > bounds_[c]) {
+          tasks->push_back({probe_bounds[c], probe_bounds[c + 1], c});
+        }
+      }
+    }
+  }
+
+  /// Runs `task` over `probe` (the tuples its bounds were listed from),
+  /// appending [probe head, build head] per match to `out`.
+  template <class Out>
+  void Run(const JoinTask& task, std::span<const Bun> probe, Mem& mem,
+           Out& out) const {
+    std::span<const Bun> l = probe.subspan(task.lo, task.hi - task.lo);
+    switch (shape_.kernel) {
+      case JoinKernel::kSortMerge:
+        MergeSortedByTail(l, std::span<const Bun>(tuples_), mem, out);
+        return;
+      case JoinKernel::kNestedLoop: {
+        uint64_t lo = bounds_[task.part], hi = bounds_[task.part + 1];
+        NestedLoopJoinInto(
+            l, std::span<const Bun>(tuples_).subspan(lo, hi - lo), mem, out);
+        return;
+      }
+      case JoinKernel::kHash:
+        ProbeHashTable(*tables_[task.part], l, mem, out);
+        return;
+    }
+  }
+
+  /// Runs every task over `probe`, serially and in task order.
+  template <class Out>
+  void RunAll(std::span<const Bun> probe,
+              std::span<const uint64_t> probe_bounds, Mem& mem,
+              Out& out) const {
+    std::vector<JoinTask> tasks;
+    Tasks(probe_bounds, 1, &tasks);
+    for (const JoinTask& t : tasks) Run(t, probe, mem, out);
+  }
+
+ private:
+  using Table = BucketChainedHashTable<Mem, HashFn>;
+
+  static RadixClusterOptions ClusterOptions(const JoinShape& shape) {
+    return {.bits = shape.bits, .passes = shape.passes, .bits_per_pass = {}};
+  }
+
+  static void SortedCopy(std::span<const Bun> in, Mem& mem, BunVec* out) {
+    out->resize(in.size());
+    for (size_t i = 0; i < in.size(); ++i) {
+      mem.Store(&(*out)[i], mem.Load(&in[i]));
+    }
+    QuickSortByTail(std::span<Bun>(*out), mem);
+  }
+
+  /// One table per non-empty cluster of `clustered`. Bucket bits come from
+  /// above the radix bits, which are equal within a cluster.
+  void BuildTables(std::span<const Bun> clustered, Mem& mem) {
+    tables_.resize(bounds_.size() - 1);
+    for (size_t c = 0; c < tables_.size(); ++c) {
+      uint64_t lo = bounds_[c], hi = bounds_[c + 1];
+      if (hi > lo) {
+        tables_[c] = std::make_unique<Table>(clustered.subspan(lo, hi - lo),
+                                             shape_.bits, kDefaultChainLength,
+                                             mem);
+      }
+    }
+  }
+
+  JoinShape shape_;
+  // Build cluster c is [bounds_[c], bounds_[c + 1]); {0, n} unclustered.
+  std::vector<uint64_t> bounds_{0, 0};
+  BunVec tuples_;  // sort-merge: the sorted copy; radix-join: the clusters
+  std::vector<std::unique_ptr<Table>> tables_;  // hash: one per cluster
+};
+
+/// Joins two whole relations: prepares `r` as the build, reorganizes `l`,
+/// and runs every task serially into one vector. `stats` (optional)
+/// receives the phase split JoinOp reports: the build's preparation as
+/// cluster_right, the probe's reorganization as cluster_left.
+template <class Mem, class HashFn = IdentityHash>
+StatusOr<std::vector<Bun>> JoinRelations(std::span<const Bun> l,
+                                         std::span<const Bun> r,
+                                         const JoinShape& shape, Mem& mem,
+                                         JoinStats* stats = nullptr) {
+  JoinBuild<Mem, HashFn> build;
+  JoinProbe probe;
+  WallTimer t_build;
+  CCDB_RETURN_IF_ERROR(build.Prepare(r, shape, mem));
+  double build_ms = t_build.ElapsedMillis();
+  WallTimer t_probe;
+  CCDB_RETURN_IF_ERROR(build.Reorganize(l, mem, &probe));
+  double probe_ms = t_probe.ElapsedMillis();
+  WallTimer t_join;
+  std::vector<Bun> out;
+  out.reserve(std::min(l.size(), r.size()));
+  build.RunAll(probe.tuples, probe.clustered.bounds, mem, out);
+  if (stats != nullptr) {
+    *stats = JoinStats{};
+    stats->cluster_left_ms = probe_ms;
+    stats->cluster_right_ms = build_ms;
+    stats->join_ms = t_join.ElapsedMillis();
+    stats->result_count = out.size();
+    stats->bits = shape.bits;
+    stats->passes = shape.passes;
+  }
+  return out;
+}
+
+}  // namespace ccdb
+
+#endif  // CCDB_ALGO_JOIN_H_

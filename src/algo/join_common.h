@@ -37,6 +37,30 @@ struct MurmurHash {
   }
 };
 
+/// The loop every probe task of a join runs (algo/join.h).
+enum class JoinKernel {
+  kSortMerge,   ///< merge against the sorted build; nothing is clustered
+  kHash,        ///< probe the build cluster's bucket-sorted hash table
+  kNestedLoop,  ///< nested loop over the cluster pair: the radix-join
+};
+
+/// The physical shape of an equi-join (§3.3): its kernel, and the radix
+/// bits B and passes P both relations are clustered on. Sort-merge ignores
+/// B and P. The hash join at B = 0 is the non-partitioned (simple) hash
+/// join: one table over the build, probed as is.
+struct JoinShape {
+  JoinKernel kernel = JoinKernel::kHash;
+  int bits = 0;
+  int passes = 1;
+
+  /// Whether both relations are radix-clustered: every shape but
+  /// sort-merge and the B = 0 hash join.
+  bool clusters() const {
+    return kernel == JoinKernel::kNestedLoop ||
+           (kernel == JoinKernel::kHash && bits != 0);
+  }
+};
+
 /// Timings of a two-phase (cluster + join) algorithm, milliseconds.
 struct JoinStats {
   double cluster_left_ms = 0;

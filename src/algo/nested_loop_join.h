@@ -9,8 +9,8 @@
 namespace ccdb {
 
 /// The nested-loop join loop: appends [l.head, r.head] for every equal-tail
-/// pair to `out`, l-major. The one loop behind NestedLoopJoin, each cluster
-/// pair of RadixJoinClustered, and JoinOp's radix partition tasks.
+/// pair to `out`, l-major. The one loop behind NestedLoopJoin and every
+/// radix-join task of the join driver (algo/join.h).
 template <class Mem, class Out>
 void NestedLoopJoinInto(std::span<const Bun> l, std::span<const Bun> r,
                         Mem& mem, Out& out) {

@@ -8,8 +8,8 @@
 //
 // After clustering on B bits the relation is ordered on its B radix bits;
 // the last pass's region bounds are the cluster boundaries. They come with
-// the result, and a merge scan (MergeClusterPairs below) can rediscover
-// them from the radix bits, as the paper describes.
+// the result, so the join driver (algo/join.h) pairs clusters through the
+// bounds instead of rediscovering them from the radix bits.
 #ifndef CCDB_ALGO_RADIX_CLUSTER_H_
 #define CCDB_ALGO_RADIX_CLUSTER_H_
 
@@ -174,75 +174,6 @@ StatusOr<ClusteredRelation> RadixCluster(std::span<const Bun> input,
   BunVec scratch;
   CCDB_RETURN_IF_ERROR((RadixClusterInto<Mem, HashFn>(input, options, mem,
                                                       &out, &scratch, stats)));
-  return out;
-}
-
-/// Merge step over two relations clustered on the same bits (§3.3.1): walks
-/// both in radix order and invokes `fn(l_lo, l_hi, r_lo, r_hi)` for every
-/// pair of non-empty clusters with equal radix value. Boundaries are
-/// detected from the radix bits themselves; no bounds array is needed.
-template <class Mem, class HashFn, class Fn>
-void MergeClusterPairs(const ClusteredRelation& l, const ClusteredRelation& r,
-                       Mem& mem, Fn&& fn) {
-  CCDB_CHECK(l.bits == r.bits);
-  uint32_t mask = LowMask32(l.bits);
-  size_t nl = l.tuples.size(), nr = r.tuples.size();
-  size_t i = 0, j = 0;
-  auto radix_at_l = [&](size_t k) {
-    return HashFn::Hash(mem.Load(&l.tuples[k]).tail) & mask;
-  };
-  auto radix_at_r = [&](size_t k) {
-    return HashFn::Hash(mem.Load(&r.tuples[k]).tail) & mask;
-  };
-  while (i < nl && j < nr) {
-    uint32_t vl = radix_at_l(i);
-    uint32_t vr = radix_at_r(j);
-    if (vl < vr) {
-      ++i;
-      continue;
-    }
-    if (vr < vl) {
-      ++j;
-      continue;
-    }
-    size_t i2 = i + 1;
-    while (i2 < nl && radix_at_l(i2) == vl) ++i2;
-    size_t j2 = j + 1;
-    while (j2 < nr && radix_at_r(j2) == vr) ++j2;
-    fn(i, i2, j, j2);
-    i = i2;
-    j = j2;
-  }
-}
-
-/// The two-phase frame of radix-join and partitioned hash-join
-/// (§3.3): radix-clusters both inputs on `bits` over `passes`, then runs
-/// `join_phase(cl, cr)` on the clustered pair. Fills `stats` (cluster/join
-/// split) when non-null.
-template <class Mem, class HashFn, class JoinPhase>
-StatusOr<std::vector<Bun>> ClusterBothAndJoin(std::span<const Bun> l,
-                                              std::span<const Bun> r, int bits,
-                                              int passes, Mem& mem,
-                                              JoinStats* stats,
-                                              JoinPhase&& join_phase) {
-  RadixClusterOptions opt{.bits = bits, .passes = passes, .bits_per_pass = {}};
-  RadixClusterStats cs;
-  CCDB_ASSIGN_OR_RETURN(ClusteredRelation cl,
-                        (RadixCluster<Mem, HashFn>(l, opt, mem, &cs)));
-  double l_ms = cs.total_ms;
-  CCDB_ASSIGN_OR_RETURN(ClusteredRelation cr,
-                        (RadixCluster<Mem, HashFn>(r, opt, mem, &cs)));
-  double r_ms = cs.total_ms;
-  WallTimer t;
-  std::vector<Bun> out = join_phase(cl, cr);
-  if (stats != nullptr) {
-    stats->cluster_left_ms = l_ms;
-    stats->cluster_right_ms = r_ms;
-    stats->join_ms = t.ElapsedMillis();
-    stats->result_count = out.size();
-    stats->bits = bits;
-    stats->passes = passes;
-  }
   return out;
 }
 

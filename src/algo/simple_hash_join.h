@@ -1,8 +1,8 @@
-// Non-partitioned ("simple") hash-join: the classic main-memory equi-join
-// the paper uses as baseline in Fig. 13. Builds one bucket-sorted hash
-// table over the entire inner relation and probes it with the outer. When
-// inner + table exceed the caches, every probe is a random-access cache
-// miss — the paper's motivating pathology (§3.2).
+// The non-partitioned ("simple") hash join with software prefetching: a
+// bench-only ablation of the B = 0 hash join that algo/join.h runs. One
+// bucket-sorted hash table over the entire inner relation, probed with the
+// outer; when inner + table exceed the caches, every probe is a
+// random-access cache miss — the paper's motivating pathology (§3.2).
 #ifndef CCDB_ALGO_SIMPLE_HASH_JOIN_H_
 #define CCDB_ALGO_SIMPLE_HASH_JOIN_H_
 
@@ -10,24 +10,6 @@
 #include "util/timer.h"
 
 namespace ccdb {
-
-template <class Mem, class HashFn = IdentityHash>
-std::vector<Bun> SimpleHashJoin(std::span<const Bun> l, std::span<const Bun> r,
-                                Mem& mem, JoinStats* stats = nullptr,
-                                size_t result_hint = 0,
-                                size_t avg_chain = kDefaultChainLength) {
-  WallTimer t;
-  std::vector<Bun> out;
-  out.reserve(result_hint != 0 ? result_hint : std::min(l.size(), r.size()));
-  BucketChainedHashTable<Mem, HashFn> table(r, /*shift=*/0, avg_chain, mem);
-  ProbeHashTable(table, l, mem, out);
-  if (stats != nullptr) {
-    *stats = JoinStats{};
-    stats->join_ms = t.ElapsedMillis();
-    stats->result_count = out.size();
-  }
-  return out;
-}
 
 /// Simple hash join with software prefetching on the probe stream — the
 /// [Mow94] latency-hiding idea §2 discusses. While probing tuple i, the

@@ -6,11 +6,7 @@
 #include <string_view>
 
 #include "algo/bat_algebra.h"
-#include "algo/hash_table.h"
-#include "algo/nested_loop_join.h"
-#include "algo/radix_cluster.h"
-#include "algo/radix_sort.h"
-#include "algo/sort_merge_join.h"
+#include "algo/join.h"
 #include "exec/shared_scan.h"
 #include "util/thread_pool.h"
 
@@ -1180,50 +1176,12 @@ Status JoinOp::Open() {
       est_probe_rows_ > 0 ? est_probe_rows_ : inner_buns.size()));
 
   // Prepare the inner side exactly once for the chosen plan; probe chunks
-  // reuse it. (This fixes the ROADMAP chunking defect: the full join kernel
-  // used to re-cluster the inner for every probe chunk.) The build cost is
-  // reported as the cluster_right phase, including the per-partition hash
-  // tables that used to be rebuilt inside every chunk's join phase.
-  DirectMemory mem;
-  double prepare_ms = 0;
-  if (plan_.strategy == JoinStrategy::kSortMerge) {
-    WallTimer t;
-    inner_sorted_ = std::move(inner_buns);
-    QuickSortByTail(std::span<Bun>(inner_sorted_), mem);
-    prepare_ms = t.ElapsedMillis();
-  } else {
-    // Hash and radix plans keep the inner as partitions, one per radix
-    // value (inner_bounds_). A simple-hash plan is the B = 0 case: one
-    // partition over the inner BUNs themselves, with no cluster copy.
-    std::span<const Bun> clustered = inner_buns;
-    if (RunsSimpleHash(plan_)) {
-      inner_bounds_ = {0, inner_buns.size()};
-    } else {
-      RadixClusterOptions opt{
-          .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
-      RadixClusterStats cs;
-      CCDB_ASSIGN_OR_RETURN(inner_clustered_,
-                            (RadixCluster<DirectMemory, IdentityHash>(
-                                inner_buns, opt, mem, &cs)));
-      inner_bounds_ = std::move(inner_clustered_.bounds);
-      prepare_ms = cs.total_ms;
-      clustered = inner_clustered_.tuples;
-    }
-    if (!plan_.use_radix_join) {
-      WallTimer t;
-      inner_tables_.resize(inner_bounds_.size() - 1);
-      for (size_t c = 0; c < inner_tables_.size(); ++c) {
-        size_t lo = inner_bounds_[c], hi = inner_bounds_[c + 1];
-        if (hi == lo) continue;
-        inner_tables_[c] = std::make_unique<InnerHashTable>(
-            clustered.subspan(lo, hi - lo), /*shift=*/plan_.bits,
-            kDefaultChainLength, mem);
-      }
-      // The tables hold their own copies; only the bounds are read again.
-      inner_clustered_ = ClusteredRelation{};
-      prepare_ms += t.ElapsedMillis();
-    }
-  }
+  // reuse it. The build cost is reported as the cluster_right phase,
+  // including the per-partition hash tables.
+  WallTimer t_prepare;
+  InnerBuild::Memory mem;
+  CCDB_RETURN_IF_ERROR(build_.Prepare(inner_buns, ShapeOf(plan_), mem));
+  const double prepare_ms = t_prepare.ElapsedMillis();
 
   if (info_ != nullptr) {
     info_->left_key = left_key_;
@@ -1245,10 +1203,7 @@ Status JoinOp::Open() {
 void JoinOp::Close() {
   left_->Close();
   right_->Close();
-  inner_tables_.clear();
-  inner_bounds_.clear();
-  inner_clustered_ = ClusteredRelation{};
-  inner_sorted_.clear();
+  build_ = InnerBuild{};
   inner_ = Chunk{};
   probe_ = ProbeBuffers{};
 }
@@ -1278,60 +1233,36 @@ struct MatchSink {
 
 }  // namespace
 
-Status JoinOp::JoinPartitions(std::span<const Bun> probe) {
+Status JoinOp::JoinPartitions() {
   // Tasks, the independent units the pool executes: the whole chunk for
   // sort-merge, morsel shards of the probe for simple hash, and otherwise
   // one task per probe cluster whose radix value has inner tuples.
-  std::vector<ProbeBuffers::Task>& tasks = probe_.tasks;
-  tasks.clear();
-  size_t n = probe.size();
-  if (plan_.strategy == JoinStrategy::kSortMerge) {
-    tasks.push_back({0, n, 0, 0});
-  } else if (RunsSimpleHash(plan_)) {
-    size_t shards = inner_bounds_[1] > 0 ? CtxShards(ctx_, n) : 0;
-    for (size_t s = 0; s < shards; ++s) {
-      tasks.push_back({n * s / shards, n * (s + 1) / shards, 0, 0});
-    }
-  } else {
-    const std::vector<uint64_t>& bounds = probe_.clustered.bounds;
-    for (size_t c = 0; c + 1 < bounds.size(); ++c) {
-      if (bounds[c + 1] > bounds[c] &&
-          inner_bounds_[c + 1] > inner_bounds_[c]) {
-        tasks.push_back({bounds[c], bounds[c + 1], c, 0});
-      }
-    }
-    if (info_ != nullptr) info_->partition_tasks += tasks.size();
+  const JoinProbe& probe = probe_.reorganized;
+  std::vector<JoinTask>& tasks = probe_.tasks;
+  const size_t n = probe.tuples.size();
+  build_.Tasks(probe.clustered.bounds, CtxShards(ctx_, n), &tasks);
+  if (info_ != nullptr && build_.shape().clusters()) {
+    info_->partition_tasks += tasks.size();
   }
 
-  // Every task runs an algo/ join loop — a merge against the sorted inner,
-  // a nested loop over the radix cluster pair, or a probe of the
+  // Every task runs the driver's join loop — a merge against the sorted
+  // inner, a nested loop over the radix cluster pair, or a probe of the
   // partition's prebuilt hash table — into its region of the match buffer.
   probe_.matches.resize(n);
+  probe_.filled.resize(tasks.size());
   if (probe_.spill.size() < tasks.size()) probe_.spill.resize(tasks.size());
   // ExecParallelFor polls cancellation/deadline before every task; this
   // poll covers a chunk without tasks.
   CCDB_RETURN_IF_ERROR(SchedCheck(ctx_));
   CCDB_RETURN_IF_ERROR(
       ExecParallelFor(ctx_, tasks.size(), [&](size_t t) -> Status {
-        ProbeBuffers::Task& task = tasks[t];
+        const JoinTask& task = tasks[t];
         Bun* region = probe_.matches.data() + task.lo;
         probe_.spill[t].clear();
         MatchSink out{region, region + (task.hi - task.lo), &probe_.spill[t]};
-        DirectMemory mem;
-        std::span<const Bun> l = probe.subspan(task.lo, task.hi - task.lo);
-        if (plan_.strategy == JoinStrategy::kSortMerge) {
-          MergeSortedByTail(l, std::span<const Bun>(inner_sorted_), mem, out);
-        } else if (plan_.use_radix_join) {
-          uint64_t r_lo = inner_bounds_[task.part];
-          uint64_t r_hi = inner_bounds_[task.part + 1];
-          NestedLoopJoinInto(l,
-                             std::span<const Bun>(inner_clustered_.tuples)
-                                 .subspan(r_lo, r_hi - r_lo),
-                             mem, out);
-        } else {
-          ProbeHashTable(*inner_tables_[task.part], l, mem, out);
-        }
-        task.filled = static_cast<size_t>(out.pos - region);
+        InnerBuild::Memory mem;
+        build_.Run(task, probe.tuples, mem, out);
+        probe_.filled[t] = static_cast<size_t>(out.pos - region);
         return Status::Ok();
       }));
 
@@ -1340,7 +1271,7 @@ Status JoinOp::JoinPartitions(std::span<const Bun> probe) {
   // output's build-side candidate list.
   size_t total = 0;
   for (size_t t = 0; t < tasks.size(); ++t) {
-    total += tasks[t].filled + probe_.spill[t].size();
+    total += probe_.filled[t] + probe_.spill[t].size();
   }
   probe_.lpos.resize(total);
   probe_.rpos.resize(total);
@@ -1352,7 +1283,7 @@ Status JoinOp::JoinPartitions(std::span<const Bun> probe) {
     }
   };
   for (size_t t = 0; t < tasks.size(); ++t) {
-    put({probe_.matches.data() + tasks[t].lo, tasks[t].filled});
+    put({probe_.matches.data() + tasks[t].lo, probe_.filled[t]});
     put(probe_.spill[t]);
   }
   return Status::Ok();
@@ -1371,25 +1302,13 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
   // Only the cache-sized probe chunk is reorganized per Next(); the inner
   // stays prepared from Open(). A simple-hash plan probes as is.
   JoinStats stats;
-  DirectMemory mem;
-  std::span<const Bun> probe_side = probe_.buns;
-  if (plan_.strategy == JoinStrategy::kSortMerge) {
-    WallTimer t_sort;
-    // The bun heads carry the chunk positions, so sorting in place loses
-    // nothing.
-    QuickSortByTail(std::span<Bun>(probe_.buns), mem);
-    stats.cluster_left_ms = t_sort.ElapsedMillis();
-  } else if (!RunsSimpleHash(plan_)) {
-    RadixClusterOptions opt{
-        .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
-    RadixClusterStats cs;
-    CCDB_RETURN_IF_ERROR((RadixClusterInto<DirectMemory, IdentityHash>(
-        probe_.buns, opt, mem, &probe_.clustered, &probe_.scratch, &cs)));
-    stats.cluster_left_ms = cs.total_ms;
-    probe_side = probe_.clustered.tuples;
-  }
+  WallTimer t_cluster;
+  InnerBuild::Memory mem;
+  CCDB_RETURN_IF_ERROR(
+      build_.Reorganize(probe_.buns, mem, &probe_.reorganized));
+  stats.cluster_left_ms = t_cluster.ElapsedMillis();
   WallTimer t_join;
-  CCDB_RETURN_IF_ERROR(JoinPartitions(probe_side));
+  CCDB_RETURN_IF_ERROR(JoinPartitions());
   stats.join_ms = t_join.ElapsedMillis();
   // The match list [probe position, inner position] becomes an output
   // chunk according to the join type; the prepared inner and probe phases

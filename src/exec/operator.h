@@ -17,8 +17,7 @@
 #include <vector>
 
 #include "algo/aggregate.h"
-#include "algo/hash_table.h"
-#include "algo/radix_cluster.h"
+#include "algo/join.h"
 #include "exec/exec_context.h"
 #include "exec/plan.h"
 #include "exec/result.h"
@@ -207,14 +206,14 @@ class SelectOp : public Operator {
 
 /// Equi-join. Open() drains the inner (right) child, asks the cost model
 /// for a JoinPlan at the *actual* inner cardinality (recorded into `info`),
-/// and prepares the inner side exactly once for that plan: radix-clustered
+/// and prepares the inner side exactly once for that plan through the join
+/// driver (algo/join.h) that the paper-figure benches run: radix-clustered
 /// (plus per-partition hash tables for the phash family), sorted, or
-/// hash-table-built — never redone per probe chunk. Next() probes with one
-/// outer chunk at a time through the same algo/ join loops the paper-figure
-/// benches run (ProbeHashTable, NestedLoopJoinInto, MergeSortedByTail);
-/// each radix partition (simple hash: each probe morsel) is an independent
-/// task run on the ExecContext's pool, and task results concatenate in
-/// order so join output is byte-identical at any parallelism. Each task
+/// hash-table-built — never redone per probe chunk. Next() reorganizes one
+/// outer chunk at a time through the same driver; each of its tasks (a
+/// radix partition pair; simple hash: a probe morsel) runs on the
+/// ExecContext's pool, and task results concatenate in order so join
+/// output is byte-identical at any parallelism. Each task
 /// fills its own region (one slot per probe row) of a match buffer kept
 /// across chunks, spilling past it only on duplicate keys; the matches are
 /// copied once, in task order, into a probe position list and a build
@@ -253,13 +252,14 @@ class JoinOp : public Operator {
   void Close() override;
 
  private:
-  using InnerHashTable = BucketChainedHashTable<DirectMemory, IdentityHash>;
+  /// The inner prepared for the join driver; its memory policy is the one
+  /// every phase of the join runs under.
+  using InnerBuild = JoinBuild<DirectMemory, IdentityHash>;
 
-  /// Joins one probe chunk (sorted for sort-merge, clustered into
-  /// probe_.clustered for radix plans) against the prepared inner with the
-  /// algo/ join loops, one pool task per probe range, and collects the
+  /// Joins the reorganized probe chunk (probe_.reorganized) against the
+  /// prepared inner, one pool task per driver task, and collects the
   /// matches into probe_.lpos/rpos.
-  Status JoinPartitions(std::span<const Bun> probe);
+  Status JoinPartitions();
 
   /// The inner rows that build heads name, with the inner's layout. Base
   /// OIDs become the chunk's one candidate list, consuming `heads`; chunk
@@ -284,25 +284,17 @@ class JoinOp : public Operator {
   JoinPlan plan_;
   Chunk inner_;
   bool build_oids_ = false;  // build heads are base OIDs, not positions
-  // Inner side prepared once at Open():
-  std::vector<uint64_t> inner_bounds_;  // hash/radix: partition bounds
-  ClusteredRelation inner_clustered_;   // radix: clustered copy
-  // Hash plans: one table per non-empty partition (simple hash: one).
-  std::vector<std::unique_ptr<InnerHashTable>> inner_tables_;
-  BunVec inner_sorted_;                 // sort-merge: sorted copy
+  InnerBuild build_;         // the inner side, prepared once at Open()
   // Probe-side buffers, reused by every Next() and freed by Close():
   struct ProbeBuffers {
-    BunVec buns;                  // [chunk position, key]
-    ClusteredRelation clustered;  // radix plans: the clustered chunk ...
-    BunVec scratch;               //   ... and its multi-pass ping-pong
-    /// A probe range, the inner partition it joins, and how many of its
-    /// matches fit its region [lo, hi) of `matches`.
-    struct Task {
-      size_t lo, hi, part, filled;
-    };
-    std::vector<Task> tasks;
-    BunVec matches;               // one slot per probe row
-    std::vector<BunVec> spill;    // per task: matches past its region
+    BunVec buns;              // [chunk position, key]
+    JoinProbe reorganized;    // the chunk as the driver's tasks read it
+    std::vector<JoinTask> tasks;
+    /// Per task: how many of its matches fit its region [lo, hi) of
+    /// `matches`.
+    std::vector<size_t> filled;
+    BunVec matches;           // one slot per probe row
+    std::vector<BunVec> spill;  // per task: matches past its region
     // All matches: probe positions and build heads. Base-OID heads move
     // into the output chunk, so rpos is then refilled fresh every chunk.
     std::vector<uint32_t> lpos, rpos;

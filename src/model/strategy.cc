@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "algo/partitioned_hash_join.h"
-#include "algo/radix_join.h"
-#include "algo/simple_hash_join.h"
-#include "algo/sort_merge_join.h"
 #include "util/bits.h"
 
 namespace ccdb {
@@ -128,7 +124,7 @@ ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
     }
     return p;
   }
-  if (RunsSimpleHash(plan)) {
+  if (!ShapeOf(plan).clusters()) {
     // One table over the whole inner (B = 0 — one cluster), no clustering
     // cost.
     return cm.PhashJoinPhaseAsym(0, c_inner, c_probe);
@@ -138,21 +134,6 @@ ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
   p += plan.use_radix_join ? cm.RadixJoinPhaseAsym(plan.bits, c_inner, c_probe)
                            : cm.PhashJoinPhaseAsym(plan.bits, c_inner, c_probe);
   return p;
-}
-
-StatusOr<std::vector<Bun>> ExecuteJoin(std::span<const Bun> l,
-                                       std::span<const Bun> r,
-                                       const JoinPlan& plan,
-                                       JoinStats* stats) {
-  DirectMemory mem;
-  if (plan.strategy == JoinStrategy::kSortMerge) {
-    return SortMergeJoin(l, r, mem, stats);
-  }
-  if (RunsSimpleHash(plan)) return SimpleHashJoin(l, r, mem, stats);
-  if (plan.use_radix_join) {
-    return RadixJoin(l, r, plan.bits, plan.passes, mem, stats);
-  }
-  return PartitionedHashJoin(l, r, plan.bits, plan.passes, mem, stats);
 }
 
 }  // namespace ccdb

@@ -1,14 +1,12 @@
 // Join strategy selection (§3.4.4): the four named strategies (the
 // "diagonals" of Figs. 10-12) plus the empirical optima and the model-driven
-// "best" choice the paper's final comparison (Fig. 13) sweeps over, and
-// ExecuteJoin, which runs a resolved plan on raw BUNs through the algo/
-// kernels.
+// "best" choice the paper's final comparison (Fig. 13) sweeps over. A
+// resolved plan runs as the JoinShape ShapeOf gives it, through the join
+// driver (algo/join.h).
 #ifndef CCDB_MODEL_STRATEGY_H_
 #define CCDB_MODEL_STRATEGY_H_
 
-#include <span>
 #include <string>
-#include <vector>
 
 #include "algo/join_common.h"
 #include "model/cost_model.h"
@@ -56,12 +54,16 @@ int StrategyBits(JoinStrategy s, uint64_t c, const MachineProfile& profile);
 /// plan when B = 0, priced as CostModel::SimpleHashJoin, wins the argmin.
 JoinPlan PlanJoin(JoinStrategy s, uint64_t c, const MachineProfile& profile);
 
-/// True when `plan` runs as one non-partitioned hash table: the simple-hash
-/// baseline, or a partitioned hash plan whose bits rounded to 0 (its one
-/// "cluster" would be an identity copy of each side).
-inline bool RunsSimpleHash(const JoinPlan& plan) {
-  return plan.strategy != JoinStrategy::kSortMerge && !plan.use_radix_join &&
-         plan.bits == 0;
+/// The shape `plan` runs as. A partitioned hash plan whose bits rounded to
+/// 0 runs as the simple-hash baseline does: one table over the whole inner.
+inline JoinShape ShapeOf(const JoinPlan& plan) {
+  if (plan.strategy == JoinStrategy::kSortMerge) {
+    return {.kernel = JoinKernel::kSortMerge, .bits = 0, .passes = 1};
+  }
+  return {.kernel = plan.use_radix_join ? JoinKernel::kNestedLoop
+                                        : JoinKernel::kHash,
+          .bits = plan.bits,
+          .passes = plan.passes};
 }
 
 /// §3.4 prediction of a whole join for a resolved plan, composed for
@@ -72,14 +74,6 @@ inline bool RunsSimpleHash(const JoinPlan& plan) {
 /// n-log-n CPU estimate.
 ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
                                     uint64_t c_inner, uint64_t c_probe);
-
-/// Runs the join described by `plan` on raw BUN spans through the whole
-/// algo/ kernel (SortMergeJoin, SimpleHashJoin, RadixJoin or
-/// PartitionedHashJoin). `stats` (optional) receives phase timings.
-StatusOr<std::vector<Bun>> ExecuteJoin(std::span<const Bun> l,
-                                       std::span<const Bun> r,
-                                       const JoinPlan& plan,
-                                       JoinStats* stats = nullptr);
 
 }  // namespace ccdb
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "algo/bat_algebra.h"
@@ -166,6 +167,21 @@ TEST(BatAlgebraTest, SliceClamps) {
   ASSERT_TRUE(past.ok());
   EXPECT_EQ(past->size(), 1u);
   auto none = BatSlice(b, 99, 5);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->size(), 0u);
+}
+
+TEST(BatAlgebraTest, SliceCountSaturates) {
+  // first + count overflows size_t: the end saturates at the BAT's size.
+  Bat b = SampleBat();
+  auto rest = BatSlice(b, 2, SIZE_MAX);
+  ASSERT_TRUE(rest.ok());
+  ASSERT_EQ(rest->size(), 4u);  // rows 2..5
+  for (size_t i = 0; i < rest->size(); ++i) {
+    EXPECT_EQ(rest->head().GetIntegral(i), b.head().GetIntegral(i + 2));
+    EXPECT_EQ(rest->tail().GetIntegral(i), b.tail().GetIntegral(i + 2));
+  }
+  auto none = BatSlice(b, SIZE_MAX, SIZE_MAX);
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none->size(), 0u);
 }

@@ -1,11 +1,12 @@
 // Exec-layer integration: the Fig. 4 Item table decomposed + byte-encoded,
 // selections with predicate remap, group-by, gathers, and table-level joins
-// against a row-store oracle and the raw-BUN join kernels.
+// against a row-store oracle and the raw-BUN join driver.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <tuple>
 
+#include "algo/join.h"
 #include "exec/operator.h"
 #include "exec/table.h"
 #include "mem/arena.h"
@@ -195,7 +196,7 @@ TEST(TableTest, ColumnBatToBuns) {
             StatusCode::kInvalidArgument);  // f64 tail not BUN-able
 }
 
-TEST(ExecuteJoinTest, AllStrategiesProduceSameResult) {
+TEST(JoinRelationsTest, AllStrategiesProduceSameResult) {
   Rng rng(3);
   constexpr size_t kN = 2000;
   std::vector<Bun> l(kN), r(kN);
@@ -211,8 +212,9 @@ TEST(ExecuteJoinTest, AllStrategiesProduceSameResult) {
     });
     return v;
   };
+  DirectMemory mem;
   JoinPlan ref_plan = PlanJoin(JoinStrategy::kSimpleHash, kN, m);
-  auto ref = ExecuteJoin(l, r, ref_plan);
+  auto ref = JoinRelations(l, r, ShapeOf(ref_plan), mem);
   ASSERT_TRUE(ref.ok());
   auto expect = canon(*ref);
   for (JoinStrategy s : {JoinStrategy::kSortMerge, JoinStrategy::kPhashL2,
@@ -222,19 +224,20 @@ TEST(ExecuteJoinTest, AllStrategiesProduceSameResult) {
                          JoinStrategy::kBest}) {
     JoinPlan plan = PlanJoin(s, kN, m);
     JoinStats stats;
-    auto got = ExecuteJoin(l, r, plan, &stats);
+    auto got = JoinRelations(l, r, ShapeOf(plan), mem, &stats);
     ASSERT_TRUE(got.ok()) << JoinStrategyName(s);
     EXPECT_EQ(canon(*got), expect) << JoinStrategyName(s);
     EXPECT_EQ(stats.result_count, got->size());
   }
 }
 
-TEST(JoinOpTest, MatchesExecuteJoinRowForRow) {
-  // JoinOp (one probe chunk) and the whole algo/ kernel must emit the same
-  // [left OID, right OID] sequence, unsorted: same cluster-pair order, same
-  // probe order within a pair, and duplicate keys in reverse build order.
-  // Each table carries its row id, so projecting both ids from the join
-  // plan yields the join index.
+TEST(JoinOpTest, MatchesJoinRelationsRowForRow) {
+  // JoinOp (one probe chunk) and the whole-relation join driver must emit
+  // the same [left OID, right OID] sequence, unsorted: same cluster-pair
+  // order, same probe order within a pair, and duplicate keys in reverse
+  // build order. Each table carries its row id, so projecting both ids
+  // from the join plan yields the join index. A nested-loop join is the
+  // independent reference for the multiset of pairs.
   constexpr size_t kN = 100000;  // every radix/phash plan gets bits > 0
   Rng rng(5);
   auto make = [&](size_t n, const char* id) {
@@ -253,6 +256,15 @@ TEST(JoinOpTest, MatchesExecuteJoinRowForRow) {
   Table right = make(kN, "rid");
   std::vector<Bun> l = *left.column_bat(0).ToBuns();
   std::vector<Bun> r = *right.column_bat(0).ToBuns();
+  DirectMemory mem;
+  auto canon = [](std::vector<Bun> v) {
+    std::sort(v.begin(), v.end(), [](const Bun& a, const Bun& b) {
+      return a.head != b.head ? a.head < b.head : a.tail < b.tail;
+    });
+    return v;
+  };
+  const std::vector<Bun> reference = canon(NestedLoopJoin(
+      std::span<const Bun>(l), std::span<const Bun>(r), mem));
   MachineProfile m = MachineProfile::GenericX86();
   PlannerOptions opts;
   opts.profile = m;
@@ -267,19 +279,21 @@ TEST(JoinOpTest, MatchesExecuteJoinRowForRow) {
     if (s != JoinStrategy::kSortMerge && s != JoinStrategy::kSimpleHash) {
       EXPECT_GT(plan.bits, 0) << JoinStrategyName(s);
     }
-    auto kernel = ExecuteJoin(l, r, plan);
+    auto driver = JoinRelations(std::span<const Bun>(l),
+                                std::span<const Bun>(r), ShapeOf(plan), mem);
     auto query =
         QueryBuilder(left).Join(right, "k", "k", s).Project({"lid", "rid"})
             .Build();
-    ASSERT_TRUE(kernel.ok() && query.ok()) << JoinStrategyName(s);
+    ASSERT_TRUE(driver.ok() && query.ok()) << JoinStrategyName(s);
     auto engine = Execute(*query, opts);
     ASSERT_TRUE(engine.ok()) << JoinStrategyName(s);
     const std::vector<uint32_t>& lid = engine->columns[0].u32_values;
     const std::vector<uint32_t>& rid = engine->columns[1].u32_values;
     std::vector<Bun> index(lid.size());
     for (size_t i = 0; i < index.size(); ++i) index[i] = {lid[i], rid[i]};
-    EXPECT_GT(kernel->size(), kN) << JoinStrategyName(s);
-    EXPECT_EQ(index, *kernel) << JoinStrategyName(s);
+    EXPECT_GT(driver->size(), kN) << JoinStrategyName(s);
+    EXPECT_EQ(index, *driver) << JoinStrategyName(s);
+    EXPECT_EQ(canon(*driver), reference) << JoinStrategyName(s);
   }
 }
 

@@ -1,19 +1,17 @@
-// Join-family correctness: every algorithm (simple hash, sort-merge with
-// both sorts, partitioned hash, radix) must produce the same multiset of
+// Join-family correctness: every shape of the join driver (simple hash,
+// sort-merge, partitioned hash, radix) must produce the same multiset of
 // [OID,OID] pairs as the nested-loop reference, across crafted edge cases
 // and a randomized parameter sweep. Also covers the paper's experimental
-// setup: unique values, hit rate one, join-index output (§3.4.1).
+// setup: unique values, hit rate one, join-index output (§3.4.1), and the
+// driver's task list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
 #include "algo/hash_table.h"
+#include "algo/join.h"
 #include "algo/nested_loop_join.h"
-#include "algo/partitioned_hash_join.h"
-#include "algo/radix_join.h"
-#include "algo/simple_hash_join.h"
-#include "algo/sort_merge_join.h"
 #include "util/rng.h"
 
 namespace ccdb {
@@ -37,26 +35,33 @@ std::vector<Bun> Canon(std::vector<Bun> v) {
   return v;
 }
 
-// Runs all five algorithms and checks them against nested loop.
+JoinShape Hash(int bits, int passes) {
+  return {.kernel = JoinKernel::kHash, .bits = bits, .passes = passes};
+}
+
+JoinShape Radix(int bits, int passes) {
+  return {.kernel = JoinKernel::kNestedLoop, .bits = bits, .passes = passes};
+}
+
+// Runs every join shape and checks it against nested loop.
 void ExpectAllAlgorithmsAgree(std::span<const Bun> l, std::span<const Bun> r,
                               int bits, int passes) {
   DirectMemory mem;
   std::vector<Bun> expect = Canon(NestedLoopJoin(l, r, mem));
 
-  auto shj = SimpleHashJoin(l, r, mem);
-  EXPECT_EQ(Canon(shj), expect) << "simple hash";
+  auto shj = JoinRelations(l, r, Hash(0, 1), mem);
+  ASSERT_TRUE(shj.ok());
+  EXPECT_EQ(Canon(*shj), expect) << "simple hash";
 
-  auto smq = SortMergeJoin(l, r, mem, nullptr, SortAlgo::kQuickSort);
-  EXPECT_EQ(Canon(smq), expect) << "sort-merge/quick";
+  auto sm = JoinRelations(l, r, {.kernel = JoinKernel::kSortMerge}, mem);
+  ASSERT_TRUE(sm.ok());
+  EXPECT_EQ(Canon(*sm), expect) << "sort-merge";
 
-  auto smr = SortMergeJoin(l, r, mem, nullptr, SortAlgo::kRadixSort);
-  EXPECT_EQ(Canon(smr), expect) << "sort-merge/radix";
-
-  auto ph = PartitionedHashJoin(l, r, bits, passes, mem);
+  auto ph = JoinRelations(l, r, Hash(bits, passes), mem);
   ASSERT_TRUE(ph.ok());
   EXPECT_EQ(Canon(*ph), expect) << "phash bits=" << bits;
 
-  auto rj = RadixJoin(l, r, bits, passes, mem);
+  auto rj = JoinRelations(l, r, Radix(bits, passes), mem);
   ASSERT_TRUE(rj.ok());
   EXPECT_EQ(Canon(*rj), expect) << "radix bits=" << bits;
 }
@@ -335,8 +340,8 @@ TEST(JoinHitRateOne, PaperSetupProducesJoinIndex) {
 
   DirectMemory mem;
   JoinStats stats;
-  auto out = PartitionedHashJoin(std::span<const Bun>(l),
-                                 std::span<const Bun>(r), 6, 1, mem, &stats);
+  auto out = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                           Hash(6, 1), mem, &stats);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), kC);
   EXPECT_EQ(stats.result_count, kC);
@@ -358,8 +363,8 @@ TEST(JoinStatsTest, PhasesAreFilled) {
   auto l = MakeRelation(5000, 21, 5000);
   auto r = MakeRelation(5000, 22, 5000);
   JoinStats stats;
-  auto out = RadixJoin(std::span<const Bun>(l), std::span<const Bun>(r), 8, 2,
-                       mem, &stats);
+  auto out = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                           Radix(8, 2), mem, &stats);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(stats.bits, 8);
   EXPECT_EQ(stats.passes, 2);
@@ -371,12 +376,26 @@ TEST(JoinStatsTest, PhasesAreFilled) {
 TEST(JoinInvalidOptions, PropagateStatus) {
   DirectMemory mem;
   auto l = MakeRelation(10, 1, 10);
-  EXPECT_FALSE(PartitionedHashJoin(std::span<const Bun>(l),
-                                   std::span<const Bun>(l), 4, 9, mem)
+  EXPECT_FALSE(JoinRelations(std::span<const Bun>(l),
+                             std::span<const Bun>(l), Hash(4, 9), mem)
                    .ok());
-  EXPECT_FALSE(
-      RadixJoin(std::span<const Bun>(l), std::span<const Bun>(l), -2, 1, mem)
-          .ok());
+  EXPECT_FALSE(JoinRelations(std::span<const Bun>(l),
+                             std::span<const Bun>(l), Radix(-2, 1), mem)
+                   .ok());
+  EXPECT_FALSE(JoinRelations(std::span<const Bun>(l),
+                             std::span<const Bun>(l), Hash(-2, 1), mem)
+                   .ok());
+  // A clustered build must be prepared for the bits it is clustered on.
+  auto clustered = RadixCluster(std::span<const Bun>(l),
+                                RadixClusterOptions{2, 1, {}}, mem);
+  ASSERT_TRUE(clustered.ok());
+  JoinBuild<DirectMemory> build;
+  EXPECT_EQ(build.Prepare(*clustered, Hash(3, 1), mem).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(build.Prepare(*clustered, {.kernel = JoinKernel::kSortMerge}, mem)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(build.Prepare(*clustered, Radix(2, 1), mem).ok());
 }
 
 TEST(JoinWithMurmurHash, MatchesReference) {
@@ -385,14 +404,84 @@ TEST(JoinWithMurmurHash, MatchesReference) {
   auto r = MakeRelation(300, 32, 40);
   std::vector<Bun> expect = Canon(NestedLoopJoin(
       std::span<const Bun>(l), std::span<const Bun>(r), mem));
-  auto ph = PartitionedHashJoin<DirectMemory, MurmurHash>(
-      std::span<const Bun>(l), std::span<const Bun>(r), 4, 2, mem);
+  auto ph = JoinRelations<DirectMemory, MurmurHash>(
+      std::span<const Bun>(l), std::span<const Bun>(r), Hash(4, 2), mem);
   ASSERT_TRUE(ph.ok());
   EXPECT_EQ(Canon(*ph), expect);
-  auto rj = RadixJoin<DirectMemory, MurmurHash>(
-      std::span<const Bun>(l), std::span<const Bun>(r), 4, 2, mem);
+  auto rj = JoinRelations<DirectMemory, MurmurHash>(
+      std::span<const Bun>(l), std::span<const Bun>(r), Radix(4, 2), mem);
   ASSERT_TRUE(rj.ok());
   EXPECT_EQ(Canon(*rj), expect);
+}
+
+TEST(JoinTasksTest, PairExactlyTheMatchingNonEmptyClusters) {
+  // Radix values (bits = 2): the probe has {0, 1, 2}, the build {1, 2, 3}.
+  // Only clusters 1 and 2 are non-empty on both sides, in radix order.
+  DirectMemory mem;
+  std::vector<Bun> l = {{0, 0}, {1, 4}, {2, 1}, {3, 2}, {4, 6}};
+  std::vector<Bun> r = {{0, 1}, {1, 5}, {2, 2}, {3, 3}};
+  for (JoinShape shape : {Hash(2, 1), Radix(2, 1), Radix(2, 2)}) {
+    JoinBuild<DirectMemory> build;
+    ASSERT_TRUE(build.Prepare(r, shape, mem).ok());
+    JoinProbe probe;
+    ASSERT_TRUE(build.Reorganize(l, mem, &probe).ok());
+    std::vector<JoinTask> tasks;
+    build.Tasks(probe.clustered.bounds, /*shards=*/4, &tasks);
+    ASSERT_EQ(tasks.size(), 2u);
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      const JoinTask& t = tasks[i];
+      EXPECT_EQ(t.part, i + 1);
+      EXPECT_EQ(t.lo, probe.clustered.bounds[t.part]);
+      EXPECT_EQ(t.hi, probe.clustered.bounds[t.part + 1]);
+      for (size_t k = t.lo; k < t.hi; ++k) {
+        EXPECT_EQ(probe.tuples[k].tail & 3u, t.part);
+      }
+    }
+    // Cluster 1 holds probe values {1}, cluster 2 holds {2, 6}.
+    EXPECT_EQ(tasks[0].hi - tasks[0].lo, 1u);
+    EXPECT_EQ(tasks[1].hi - tasks[1].lo, 2u);
+    std::vector<Bun> out;
+    build.RunAll(probe.tuples, probe.clustered.bounds, mem, out);
+    EXPECT_EQ(Canon(out), (std::vector<Bun>{{2, 0}, {3, 2}}));
+  }
+}
+
+TEST(JoinTasksTest, ZeroBitsGiveOneTask) {
+  DirectMemory mem;
+  auto l = MakeRelation(50, 9, 40);
+  auto r = MakeRelation(60, 10, 40, /*head_base=*/1000);
+  for (JoinShape shape : {Hash(0, 1), Radix(0, 1),
+                          JoinShape{.kernel = JoinKernel::kSortMerge}}) {
+    JoinBuild<DirectMemory> build;
+    ASSERT_TRUE(build.Prepare(r, shape, mem).ok());
+    JoinProbe probe;
+    ASSERT_TRUE(build.Reorganize(l, mem, &probe).ok());
+    EXPECT_EQ(probe.clustered.bounds, (std::vector<uint64_t>{0, 50}));
+    std::vector<JoinTask> tasks;
+    build.Tasks(probe.clustered.bounds, /*shards=*/1, &tasks);
+    ASSERT_EQ(tasks.size(), 1u);
+    EXPECT_EQ(tasks[0].lo, 0u);
+    EXPECT_EQ(tasks[0].hi, 50u);
+    EXPECT_EQ(tasks[0].part, 0u);
+  }
+  // The B = 0 hash join probes its input as is, in `shards` ranges, and
+  // has no task over an empty build.
+  JoinBuild<DirectMemory> build;
+  ASSERT_TRUE(build.Prepare(r, Hash(0, 1), mem).ok());
+  JoinProbe probe;
+  ASSERT_TRUE(build.Reorganize(l, mem, &probe).ok());
+  EXPECT_EQ(probe.tuples.data(), l.data());
+  std::vector<JoinTask> tasks;
+  build.Tasks(probe.clustered.bounds, /*shards=*/3, &tasks);
+  ASSERT_EQ(tasks.size(), 3u);
+  EXPECT_EQ(tasks[0].lo, 0u);
+  EXPECT_EQ(tasks[1].lo, tasks[0].hi);
+  EXPECT_EQ(tasks[2].lo, tasks[1].hi);
+  EXPECT_EQ(tasks[2].hi, 50u);
+  std::vector<Bun> none;
+  ASSERT_TRUE(build.Prepare(none, Hash(0, 1), mem).ok());
+  build.Tasks(probe.clustered.bounds, /*shards=*/3, &tasks);
+  EXPECT_TRUE(tasks.empty());
 }
 
 // Randomized sweep over (cardinality, value range, bits, passes): all

@@ -245,45 +245,6 @@ TEST(RadixClusterIntoTest, ReusedBuffersMatchFreshClustering) {
   }
 }
 
-TEST(MergeClusterPairsTest, VisitsExactlyMatchingClusters) {
-  DirectMemory mem;
-  // L has radix values {0,1,2}; R has {1,2,3} (bits=2).
-  std::vector<Bun> l = {{0, 0}, {1, 4}, {2, 1}, {3, 2}};
-  std::vector<Bun> r = {{0, 1}, {1, 5}, {2, 2}, {3, 3}};
-  auto cl = RadixCluster(std::span<const Bun>(l),
-                         RadixClusterOptions{2, 1, {}}, mem);
-  auto cr = RadixCluster(std::span<const Bun>(r),
-                         RadixClusterOptions{2, 1, {}}, mem);
-  ASSERT_TRUE(cl.ok() && cr.ok());
-  std::vector<uint32_t> visited;
-  MergeClusterPairs<DirectMemory, IdentityHash>(
-      *cl, *cr, mem, [&](size_t llo, size_t lhi, size_t rlo, size_t rhi) {
-        EXPECT_LT(llo, lhi);
-        EXPECT_LT(rlo, rhi);
-        visited.push_back(cl->tuples[llo].tail & 3u);
-      });
-  EXPECT_EQ(visited, (std::vector<uint32_t>{1, 2}));
-}
-
-TEST(MergeClusterPairsTest, ZeroBitsVisitsEverythingOnce) {
-  DirectMemory mem;
-  auto l = RandomRelation(50, 9);
-  auto r = RandomRelation(60, 10);
-  auto cl = RadixCluster(std::span<const Bun>(l),
-                         RadixClusterOptions{0, 1, {}}, mem);
-  auto cr = RadixCluster(std::span<const Bun>(r),
-                         RadixClusterOptions{0, 1, {}}, mem);
-  ASSERT_TRUE(cl.ok() && cr.ok());
-  int calls = 0;
-  MergeClusterPairs<DirectMemory, IdentityHash>(
-      *cl, *cr, mem, [&](size_t llo, size_t lhi, size_t rlo, size_t rhi) {
-        ++calls;
-        EXPECT_EQ(lhi - llo, 50u);
-        EXPECT_EQ(rhi - rlo, 60u);
-      });
-  EXPECT_EQ(calls, 1);
-}
-
 // Property sweep: permutation + ordering + bounds hold across a grid of
 // (cardinality, bits, passes).
 class RadixClusterSweep

@@ -6,9 +6,8 @@
 #include <algorithm>
 #include <map>
 
-#include "algo/partitioned_hash_join.h"
+#include "algo/join.h"
 #include "algo/radix_aggregate.h"
-#include "algo/simple_hash_join.h"
 #include "bat/dsm.h"
 #include "exec/table.h"
 #include "mem/access.h"
@@ -228,7 +227,15 @@ TEST(LargeClusterStressTest, SixteenBitsThreePasses) {
     ASSERT_LE(out->tuples[i - 1].tail & mask, out->tuples[i].tail & mask);
   }
   // Join the 16-bit clustered relation against itself: perfect self-match.
-  auto idx = PartitionedHashJoinClustered(*out, *out, mem, kN);
+  JoinBuild<DirectMemory> build;
+  ASSERT_TRUE(build
+                  .Prepare(*out,
+                           {.kernel = JoinKernel::kHash, .bits = 16,
+                            .passes = 3},
+                           mem)
+                  .ok());
+  std::vector<Bun> idx;
+  build.RunAll(out->tuples, out->bounds, mem, idx);
   EXPECT_GE(idx.size(), kN);  // >= because random values may collide
 }
 
@@ -247,8 +254,11 @@ TEST(ZipfJoinStressTest, SkewedProbeAgainstUniqueBuild) {
                 static_cast<uint32_t>(r * 2654435761u)};
   }
   DirectMemory mem;
-  auto out = PartitionedHashJoin(std::span<const Bun>(probe),
-                                 std::span<const Bun>(build), 6, 1, mem);
+  auto out = JoinRelations(std::span<const Bun>(probe),
+                           std::span<const Bun>(build),
+                           {.kernel = JoinKernel::kHash, .bits = 6,
+                            .passes = 1},
+                           mem);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), kProbe);
 }

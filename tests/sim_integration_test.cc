@@ -4,10 +4,8 @@
 // §3.4 — the software stand-in for the paper's R10000 hardware counters.
 #include <gtest/gtest.h>
 
-#include "algo/partitioned_hash_join.h"
+#include "algo/join.h"
 #include "algo/radix_cluster.h"
-#include "algo/radix_join.h"
-#include "algo/simple_hash_join.h"
 #include "algo/stride_scan.h"
 #include "mem/access.h"
 #include "model/strategy.h"
@@ -171,9 +169,10 @@ TEST_F(SimTest, SimpleHashJoinTrashesCachesAtScale) {
 
   MemoryHierarchy h(profile_);
   SimulatedMemory mem(&h);
-  auto out = SimpleHashJoin(std::span<const Bun>(l), std::span<const Bun>(r),
-                            mem);
-  EXPECT_EQ(out.size(), kC);
+  auto out = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                           JoinShape{}, mem);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->size(), kC);
   MemEvents ev = h.events();
   // At least one L1 miss per probe on average (chain walks + tuple loads).
   EXPECT_GT(ev.l1_misses, kC);
@@ -196,9 +195,10 @@ TEST_F(SimTest, PartitionedHashJoinRemovesTheTrashing) {
   // Simple hash join misses.
   MemoryHierarchy h_simple(profile_);
   SimulatedMemory mem_simple(&h_simple);
-  auto out1 = SimpleHashJoin(std::span<const Bun>(l), std::span<const Bun>(r),
-                             mem_simple);
-  EXPECT_EQ(out1.size(), kC);
+  auto out1 = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                            JoinShape{}, mem_simple);
+  ASSERT_TRUE(out1.ok());
+  EXPECT_EQ(out1->size(), kC);
 
   // Cluster both (uncounted: DirectMemory), then measure the join phase.
   int bits = StrategyBits(JoinStrategy::kPhashL1, kC, profile_);
@@ -210,7 +210,15 @@ TEST_F(SimTest, PartitionedHashJoinRemovesTheTrashing) {
   ASSERT_TRUE(cl.ok() && cr.ok());
   MemoryHierarchy h_phash(profile_);
   SimulatedMemory mem_phash(&h_phash);
-  auto out2 = PartitionedHashJoinClustered(*cl, *cr, mem_phash);
+  JoinBuild<SimulatedMemory> build;
+  ASSERT_TRUE(build
+                  .Prepare(*std::move(cr),
+                           {.kernel = JoinKernel::kHash, .bits = bits,
+                            .passes = 2},
+                           mem_phash)
+                  .ok());
+  std::vector<Bun> out2;
+  build.RunAll(cl->tuples, cl->bounds, mem_phash, out2);
   EXPECT_EQ(out2.size(), kC);
 
   MemEvents simple = h_simple.events();
@@ -242,13 +250,58 @@ TEST_F(SimTest, RadixJoinPhaseMissesDropWithMoreBits) {
     CCDB_CHECK(cl.ok() && cr.ok());
     MemoryHierarchy h(profile_);
     SimulatedMemory mem(&h);
-    auto out = RadixJoinClustered(*cl, *cr, mem);
+    JoinBuild<SimulatedMemory> build;
+    CCDB_CHECK(build
+                   .Prepare(*std::move(cr),
+                            {.kernel = JoinKernel::kNestedLoop, .bits = bits,
+                             .passes = 1},
+                            mem)
+                   .ok());
+    std::vector<Bun> out;
+    build.RunAll(cl->tuples, cl->bounds, mem, out);
     CCDB_CHECK(out.size() == kC);
     return h.events();
   };
   MemEvents coarse = misses_at(1);   // 8192 tuples/cluster: 64 KB clusters
   MemEvents fine = misses_at(11);    // 8 tuples/cluster
   EXPECT_LT(fine.l1_misses, coarse.l1_misses);
+}
+
+TEST_F(SimTest, JoinRelationsUnderSimulatorMatchesDirect) {
+  // The memory policy changes what is counted, never what is joined: for
+  // every strategy the driver emits the same pairs, in the same order,
+  // under SimulatedMemory as under DirectMemory, and the simulator sees
+  // the join's loads and stores.
+  constexpr size_t kC = 1 << 13;
+  Rng rng(12);
+  std::vector<Bun> l(kC), r(kC);
+  for (size_t i = 0; i < kC; ++i) {
+    l[i] = {static_cast<oid_t>(i),
+            static_cast<uint32_t>(rng.NextBelow(kC / 2))};
+    r[i] = {static_cast<oid_t>(kC + i),
+            static_cast<uint32_t>(rng.NextBelow(kC / 2))};
+  }
+  for (JoinStrategy s : {JoinStrategy::kSortMerge, JoinStrategy::kSimpleHash,
+                         JoinStrategy::kPhashL2, JoinStrategy::kPhashTLB,
+                         JoinStrategy::kPhashL1, JoinStrategy::kPhash256,
+                         JoinStrategy::kPhashMin, JoinStrategy::kRadix8,
+                         JoinStrategy::kRadixMin, JoinStrategy::kBest}) {
+    JoinShape shape = ShapeOf(PlanJoin(s, kC, profile_));
+    DirectMemory direct;
+    auto expect = JoinRelations(std::span<const Bun>(l),
+                                std::span<const Bun>(r), shape, direct);
+    MemoryHierarchy h(profile_);
+    SimulatedMemory sim(&h);
+    auto got = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                             shape, sim);
+    ASSERT_TRUE(expect.ok() && got.ok()) << JoinStrategyName(s);
+    EXPECT_GT(expect->size(), kC) << JoinStrategyName(s);
+    EXPECT_EQ(*got, *expect) << JoinStrategyName(s);
+    MemEvents ev = h.events();
+    EXPECT_GT(ev.l1_misses, 0u) << JoinStrategyName(s);
+    EXPECT_GT(ev.l2_misses, 0u) << JoinStrategyName(s);
+    EXPECT_GT(ev.tlb_misses, 0u) << JoinStrategyName(s);
+  }
 }
 
 TEST_F(SimTest, EventsScaleLinearlyWithCardinality) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 
+#include "algo/join.h"
 #include "algo/nested_loop_join.h"
 #include "algo/simple_hash_join.h"
 #include "util/zipf.h"
@@ -80,8 +81,10 @@ TEST(PrefetchJoinTest, MatchesPlainSimpleHashJoin) {
     });
     return v;
   };
-  auto expect = canon(SimpleHashJoin(std::span<const Bun>(l),
-                                     std::span<const Bun>(r), mem));
+  auto simple = JoinRelations(std::span<const Bun>(l),
+                              std::span<const Bun>(r), JoinShape{}, mem);
+  ASSERT_TRUE(simple.ok());
+  auto expect = canon(*simple);
   for (size_t distance : {0u, 1u, 4u, 16u, 5000u}) {
     auto got = SimpleHashJoinPrefetch(std::span<const Bun>(l),
                                       std::span<const Bun>(r), distance);
