@@ -4,18 +4,21 @@
 //  - sort-merge: a sorted copy;
 //  - radix-join: the clustered tuples plus their cluster bounds;
 //  - hash joins: one bucket-sorted table per non-empty cluster, and at
-//    B = 0 one table over the build itself, uncopied.
+//    B = 0 one table over the build itself, uncopied;
+//  - positional: an array of build heads indexed by key - key_min (§3.1),
+//    for unique build keys over a known domain.
 // A probe relation is then reorganized the same way into caller-owned
 // buffers. Its cluster bounds list the probe tasks, one per pair of
 // non-empty clusters with equal radix value. Each task runs its kernel's
-// loop (MergeSortedByTail, NestedLoopJoinInto or ProbeHashTable) into any
-// sink. JoinOp runs the tasks of each probe chunk on its pool;
-// JoinRelations runs them serially over two whole relations, for the
-// paper's figures and the tests.
+// loop (MergeSortedByTail, NestedLoopJoinInto, ProbeHashTable or
+// ProbeSlots) into any sink. JoinOp runs the tasks of each probe chunk on
+// its pool; JoinRelations runs them serially over two whole relations, for
+// the paper's figures and the tests.
 #ifndef CCDB_ALGO_JOIN_H_
 #define CCDB_ALGO_JOIN_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -59,6 +62,28 @@ void MergeSortedByTail(std::span<const Bun> ls, std::span<const Bun> rs,
   }
 }
 
+/// The positional join's empty slot. A build head equal to it cannot be
+/// stored, so Prepare rejects it.
+inline constexpr uint32_t kNoSlot = UINT32_MAX;
+
+/// The positional probe loop (§3.1's positional lookup): appends
+/// [probe head, build head] to `out` for every probe tuple whose key has a
+/// build tuple, reading slots[key - key_min] of the `key_range`-entry head
+/// array. A key outside the domain reads slot 0 instead and keeps nothing,
+/// so no probe takes a data-dependent branch.
+template <class Mem, class Out>
+void ProbeSlots(const uint32_t* slots, KeyDomain domain,
+                std::span<const Bun> probe, Mem& mem, Out& out) {
+  for (size_t i = 0; i < probe.size(); ++i) {
+    Bun t = mem.Load(&probe[i]);
+    // Keys below key_min wrap to at least 2^32 - key_min >= key_range.
+    uint32_t off = t.tail - domain.key_min;
+    bool in = off < domain.key_range;
+    uint32_t head = mem.Load(&slots[off & (0u - static_cast<uint32_t>(in))]);
+    EmitResultIf(out, Bun{t.head, head}, in & (head != kNoSlot), mem);
+  }
+}
+
 /// One probe task: the probe range [lo, hi) of a reorganized probe relation
 /// and the build cluster `part` it joins.
 struct JoinTask {
@@ -99,18 +124,24 @@ class JoinBuild {
     bounds_.assign({0, r.size()});
     tables_.clear();
     tuples_.clear();
-    if (shape.kernel == JoinKernel::kHash) {
-      BuildTables(r, mem);
-    } else {
-      SortedCopy(r, mem, &tuples_);
+    slots_.reset();
+    switch (shape.kernel) {
+      case JoinKernel::kHash:
+        BuildTables(r, mem);
+        return Status::Ok();
+      case JoinKernel::kPositional:
+        return BuildSlots(r, mem);
+      default:
+        SortedCopy(r, mem, &tuples_);
+        return Status::Ok();
     }
-    return Status::Ok();
   }
 
   /// Prepares a build relation that is already clustered on `shape.bits`
   /// (a hash or nested-loop shape).
   Status Prepare(ClusteredRelation r, const JoinShape& shape, Mem& mem) {
-    if (shape.kernel == JoinKernel::kSortMerge || r.bits != shape.bits) {
+    if (shape.kernel == JoinKernel::kSortMerge ||
+        shape.kernel == JoinKernel::kPositional || r.bits != shape.bits) {
       return Status::InvalidArgument(
           "a clustered build needs a hash or nested-loop shape on its bits");
     }
@@ -118,6 +149,7 @@ class JoinBuild {
     bounds_ = std::move(r.bounds);
     tables_.clear();
     tuples_.clear();
+    slots_.reset();
     if (shape.kernel == JoinKernel::kHash) {
       BuildTables(r.tuples, mem);
     } else {
@@ -127,7 +159,8 @@ class JoinBuild {
   }
 
   /// Reorganizes probe relation `l` as the build is: a sorted or clustered
-  /// copy into `probe`'s buffers, or `l` as is for the B = 0 hash join.
+  /// copy into `probe`'s buffers, or `l` as is for the B = 0 hash join and
+  /// the positional join.
   Status Reorganize(std::span<const Bun> l, Mem& mem, JoinProbe* probe) const {
     ClusteredRelation& c = probe->clustered;
     if (shape_.clusters()) {
@@ -149,8 +182,8 @@ class JoinBuild {
   /// Lists the tasks over a probe relation with cluster bounds
   /// `probe_bounds`: one per pair of non-empty clusters with equal radix
   /// value, in radix order. Sort-merge has one task. The B = 0 hash join
-  /// splits the probe into `shards` ranges, and has none over an empty
-  /// build.
+  /// and the positional join split the probe into `shards` ranges, and
+  /// have none over an empty build.
   void Tasks(std::span<const uint64_t> probe_bounds, size_t shards,
              std::vector<JoinTask>* tasks) const {
     tasks->clear();
@@ -191,6 +224,9 @@ class JoinBuild {
       }
       case JoinKernel::kHash:
         ProbeHashTable(*tables_[task.part], l, mem, out);
+        return;
+      case JoinKernel::kPositional:
+        ProbeSlots(slots_.get(), shape_.domain, l, mem, out);
         return;
     }
   }
@@ -234,11 +270,38 @@ class JoinBuild {
     }
   }
 
+  /// Fills the head array with kNoSlot, then stores each build head at
+  /// slot key - key_min. Every probe row then has at most one match.
+  Status BuildSlots(std::span<const Bun> r, Mem& mem) {
+    const KeyDomain d = shape_.domain;
+    if (d.key_range > (uint64_t{1} << 32) - d.key_min) {
+      return Status::InvalidArgument("positional domain past the uint32 keys");
+    }
+    slots_ = std::make_unique_for_overwrite<uint32_t[]>(d.key_range);
+    for (uint64_t i = 0; i < d.key_range; ++i) mem.Store(&slots_[i], kNoSlot);
+    for (size_t i = 0; i < r.size(); ++i) {
+      Bun t = mem.Load(&r[i]);
+      uint32_t off = t.tail - d.key_min;
+      if (off >= d.key_range) {
+        return Status::InvalidArgument("build key outside the domain");
+      }
+      if (t.head == kNoSlot) {
+        return Status::InvalidArgument("build head equals the empty slot");
+      }
+      if (mem.Load(&slots_[off]) != kNoSlot) {
+        return Status::FailedPrecondition("repeated build key");
+      }
+      mem.Store(&slots_[off], t.head);
+    }
+    return Status::Ok();
+  }
+
   JoinShape shape_;
   // Build cluster c is [bounds_[c], bounds_[c + 1]); {0, n} unclustered.
   std::vector<uint64_t> bounds_{0, 0};
   BunVec tuples_;  // sort-merge: the sorted copy; radix-join: the clusters
   std::vector<std::unique_ptr<Table>> tables_;  // hash: one per cluster
+  std::unique_ptr<uint32_t[]> slots_;  // positional: a head per domain key
 };
 
 /// Joins two whole relations: prepares `r` as the build, reorganizes `l`,

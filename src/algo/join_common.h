@@ -5,6 +5,7 @@
 #ifndef CCDB_ALGO_JOIN_COMMON_H_
 #define CCDB_ALGO_JOIN_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -42,19 +43,42 @@ enum class JoinKernel {
   kSortMerge,   ///< merge against the sorted build; nothing is clustered
   kHash,        ///< probe the build cluster's bucket-sorted hash table
   kNestedLoop,  ///< nested loop over the cluster pair: the radix-join
+  kPositional,  ///< direct address: slot key - key_min of an array of build
+                ///< heads (§3.1's positional lookup); unique build keys
 };
+
+/// The build keys' domain [key_min, key_min + key_range) a positional join
+/// indexes. key_range is 64-bit so the whole uint32 domain (2^32 keys) has
+/// a range; it is 0 only for an empty relation.
+struct KeyDomain {
+  uint32_t key_min = 0;
+  uint64_t key_range = 0;
+};
+
+/// The smallest domain holding every tail of `r`.
+inline KeyDomain KeyDomainOf(std::span<const Bun> r) {
+  if (r.empty()) return {};
+  uint32_t lo = r[0].tail, hi = r[0].tail;
+  for (const Bun& b : r) {
+    lo = std::min(lo, b.tail);
+    hi = std::max(hi, b.tail);
+  }
+  return {.key_min = lo, .key_range = uint64_t{hi} - lo + 1};
+}
 
 /// The physical shape of an equi-join (§3.3): its kernel, and the radix
 /// bits B and passes P both relations are clustered on. Sort-merge ignores
 /// B and P. The hash join at B = 0 is the non-partitioned (simple) hash
-/// join: one table over the build, probed as is.
+/// join: one table over the build, probed as is. The positional join
+/// clusters nothing either; it indexes its build by key over `domain`.
 struct JoinShape {
   JoinKernel kernel = JoinKernel::kHash;
   int bits = 0;
   int passes = 1;
+  KeyDomain domain = {};  // positional only
 
   /// Whether both relations are radix-clustered: every shape but
-  /// sort-merge and the B = 0 hash join.
+  /// sort-merge, positional and the B = 0 hash join.
   bool clusters() const {
     return kernel == JoinKernel::kNestedLoop ||
            (kernel == JoinKernel::kHash && bits != 0);

@@ -6,6 +6,10 @@
 // BAT whose tail holds OIDs into a base table, joining it with any
 // decomposition BAT [void OID, value] is pure arithmetic — the matching
 // tuple of OID o *is* position o - base.
+//
+// These kernels serve BatJoin on void-headed BATs. The planned path is the
+// join driver's JoinKernel::kPositional (algo/join.h): JoinOp runs it when
+// the cost model picks it for unique build keys over an eligible domain.
 #ifndef CCDB_ALGO_POSITIONAL_JOIN_H_
 #define CCDB_ALGO_POSITIONAL_JOIN_H_
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <string_view>
 
 #include "algo/bat_algebra.h"
@@ -1162,26 +1163,41 @@ Status JoinOp::Open() {
     inner_buns[i] = {head, keys[i]};
     return true;
   });
+  // Keys over an eligible domain may join positionally (§3.1): its head
+  // array takes no more memory than the stored key column, which is the
+  // base column for a base-table inner and the inner's rows otherwise.
+  const uint64_t n = inner_buns.size();
+  const uint64_t c_probe = est_probe_rows_ > 0 ? est_probe_rows_ : n;
+  const KeyDomain domain = KeyDomainOf(inner_buns);
+  const uint64_t column_rows =
+      build_oids_ ? inner_.cols[rk].base->num_rows() : inner_.rows;
+  std::optional<KeyDomain> positional;
+  if (PositionalEligible(domain, column_rows)) positional = domain;
   // An empty inner needs no clustering; the model's argmin is undefined at
   // C = 0.
-  plan_ = inner_buns.empty()
-              ? PlanJoin(JoinStrategy::kSimpleHash, 0, profile_)
-              : PlanJoin(strategy_, inner_buns.size(), profile_);
-  // Report the cost of the join that runs: PlanJoin priced the paper's
-  // symmetric C = inner join; the asymmetric composition prices the actual
-  // inner against the estimated probe side.
-  CostModel model(profile_);
-  plan_.predicted_ms = model.Millis(JoinModelPrediction(
-      model, plan_, inner_buns.size(),
-      est_probe_rows_ > 0 ? est_probe_rows_ : inner_buns.size()));
+  plan_ = n == 0 ? PlanJoin(JoinStrategy::kSimpleHash, 0, profile_)
+                 : PlanJoin(strategy_, n, c_probe, positional, profile_);
 
   // Prepare the inner side exactly once for the chosen plan; probe chunks
   // reuse it. The build cost is reported as the cluster_right phase,
-  // including the per-partition hash tables.
+  // including the per-partition hash tables. A repeated key stops the
+  // positional build, and the join runs the hash plan instead.
   WallTimer t_prepare;
   InnerBuild::Memory mem;
-  CCDB_RETURN_IF_ERROR(build_.Prepare(inner_buns, ShapeOf(plan_), mem));
+  Status prepared = build_.Prepare(inner_buns, ShapeOf(plan_), mem);
+  if (prepared.code() == StatusCode::kFailedPrecondition &&
+      plan_.positional.has_value()) {
+    plan_ = PlanJoin(strategy_, n, profile_);
+    prepared = build_.Prepare(inner_buns, ShapeOf(plan_), mem);
+  }
+  CCDB_RETURN_IF_ERROR(prepared);
   const double prepare_ms = t_prepare.ElapsedMillis();
+  // Report the cost of the join that runs: PlanJoin priced a hash plan at
+  // the paper's symmetric C = inner; the asymmetric composition prices the
+  // actual inner against the estimated probe side.
+  CostModel model(profile_);
+  plan_.predicted_ms =
+      model.Millis(JoinModelPrediction(model, plan_, n, c_probe));
 
   if (info_ != nullptr) {
     info_->left_key = left_key_;

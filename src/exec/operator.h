@@ -129,6 +129,9 @@ struct JoinNodeInfo {
   uint64_t estimated_inner_cardinality = 0;
   uint64_t estimated_probe_cardinality = 0;
   uint64_t estimated_result_rows = 0;
+  /// Whether the estimates priced a positional join; `plan` above is the
+  /// one that ran. ExplainJoins shows both.
+  bool estimated_positional = false;
   /// True when join-chain reordering moved this join away from the position
   /// the query was written in.
   bool reordered = false;

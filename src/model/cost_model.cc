@@ -222,6 +222,40 @@ ModelPrediction CostModel::PhashJoinPhaseAsym(int bits, uint64_t c_inner,
   return p;
 }
 
+ModelPrediction CostModel::PositionalJoin(uint64_t range, uint64_t c_inner,
+                                          uint64_t c_probe) const {
+  ModelPrediction p;
+  double array_bytes = static_cast<double>(range) * sizeof(uint32_t);
+  double accesses = static_cast<double>(c_inner) + static_cast<double>(c_probe);
+  // The phash forms with factor 1: an array that fits the level misses in
+  // proportion to its share of it, a larger one once per access beyond it.
+  auto random_misses = [&](double level_bytes) {
+    return array_bytes <= level_bytes
+               ? accesses * array_bytes / level_bytes
+               : accesses * (1.0 - level_bytes / array_bytes);
+  };
+
+  p.cpu_ns = accesses * m_.cost.wc_ns;
+  for (int level = 1; level <= 2; ++level) {
+    const CacheGeometry& g = level == 1 ? m_.l1 : m_.l2;
+    double sequential = array_bytes / static_cast<double>(g.line_bytes) +
+                        RelLines(c_inner, level) +
+                        2.0 * RelLines(c_probe, level);
+    double misses =
+        sequential + random_misses(static_cast<double>(g.capacity_bytes));
+    if (level == 1) {
+      p.l1_misses = misses;
+    } else {
+      p.l2_misses = misses;
+      p.l2_seq_misses = sequential;
+    }
+  }
+  p.tlb_misses = array_bytes / static_cast<double>(m_.tlb.page_bytes) +
+                 RelPages(c_inner) + 2.0 * RelPages(c_probe) +
+                 random_misses(static_cast<double>(m_.tlb.span_bytes()));
+  return p;
+}
+
 int CostModel::OptimalPasses(int bits) const {
   if (bits <= 0) return 1;
   int per_pass = Log2Floor(m_.tlb.entries);

@@ -108,6 +108,18 @@ class CostModel {
   ModelPrediction PhashJoinPhaseAsym(int bits, uint64_t c_inner,
                                      uint64_t c_probe) const;
 
+  // -- §3.1: positional join ------------------------------------------------
+
+  /// A positional join of a `c_inner`-tuple build over a key domain of
+  /// `range` values against `c_probe` probe tuples: one sentinel sweep of
+  /// the 4*range-byte head array, the sequential reads of both inputs and
+  /// the result write, and one random access into the array per build and
+  /// per probe tuple. The random accesses take the phash phase's in-cache
+  /// and out-of-cache miss forms with factor 1 (one access per tuple, not
+  /// the bucket chain's 10), and CPU work is wc per access.
+  ModelPrediction PositionalJoin(uint64_t range, uint64_t c_inner,
+                                 uint64_t c_probe) const;
+
   // -- §3.4.4: combined cluster + join --------------------------------------
 
   /// Number of clustering passes the paper's analysis prescribes for B bits:

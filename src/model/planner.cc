@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 
 #include "exec/shared_scan.h"
 #include "mem/hw_counters.h"
@@ -327,6 +329,25 @@ ExchangeNodeInfo* NewExchangeInfo(ExchangeStrategy strategy, size_t nparts,
   return xinfo;
 }
 
+/// The positional domain the stats of an inner key column promise: its
+/// min-max range, when the column's keys can be unique over it and the
+/// range is eligible. Unique keys span at least row_count values and an
+/// eligible range at most that many, so the two must be equal; an exact
+/// distinct count below the rows proves a repeated key.
+std::optional<KeyDomain> StatsKeyDomain(const std::optional<ColumnStats>& s) {
+  if (!s.has_value() || !s->has_range || s->encoded || s->min < 0 ||
+      s->max > UINT32_MAX) {
+    return std::nullopt;
+  }
+  KeyDomain d{.key_min = static_cast<uint32_t>(s->min),
+              .key_range = static_cast<uint64_t>(s->max - s->min) + 1};
+  if (d.key_range != s->row_count ||
+      (s->distinct_exact && s->distinct < s->row_count)) {
+    return std::nullopt;
+  }
+  return d;
+}
+
 /// Lowers one join of a chain (or a lone join): lowers the inner subtree,
 /// allocates the JoinNodeInfo, records estimates, and wraps everything in
 /// a timed JoinOp.
@@ -347,9 +368,10 @@ StatusOr<Lowered> LowerOneJoin(Lowered left, uint64_t est_probe,
 
   uint64_t est_inner = right.est_rows;
   ColumnSourceMap inner_src = CollectColumnSources(*e.inner);
-  uint64_t est_out = EstimateJoinRows(
-      est_probe, ResolveStats(probe_src, e.left_key), est_inner,
-      ResolveStats(inner_src, e.right_key), join_node.join_type);
+  std::optional<ColumnStats> inner_key = ResolveStats(inner_src, e.right_key);
+  uint64_t est_out =
+      EstimateJoinRows(est_probe, ResolveStats(probe_src, e.left_key),
+                       est_inner, inner_key, join_node.join_type);
 
   JoinNodeInfo* info = &(*c.joins)[c.next_join++];
   info->left_key = e.left_key;
@@ -363,10 +385,14 @@ StatusOr<Lowered> LowerOneJoin(Lowered left, uint64_t est_probe,
   // Predict the join at its *estimated* inner cardinality with the same
   // model that will re-plan it at the actual cardinality at Open() time —
   // ExplainCosts() then shows how far the estimate-driven prediction was
-  // from reality.
-  JoinPlan est_plan = est_inner == 0
-                          ? PlanJoin(JoinStrategy::kSimpleHash, 0, profile)
-                          : PlanJoin(e.strategy, est_inner, profile);
+  // from reality. The inner key's stats stand in for the keys Open()
+  // gathers when it decides on a positional join.
+  const std::optional<KeyDomain> inner_domain = StatsKeyDomain(inner_key);
+  JoinPlan est_plan =
+      est_inner == 0 ? PlanJoin(JoinStrategy::kSimpleHash, 0, profile)
+                     : PlanJoin(e.strategy, est_inner, est_probe,
+                                inner_domain, profile);
+  info->estimated_positional = est_plan.positional.has_value();
   ModelPrediction pred =
       JoinModelPrediction(*c.model, est_plan, est_inner, est_probe);
   pred += ScanRowsPrediction(profile, static_cast<double>(est_probe),
@@ -401,9 +427,13 @@ StatusOr<Lowered> LowerOneJoin(Lowered left, uint64_t est_probe,
 
     uint64_t part_probe = std::max<uint64_t>(est_probe / nparts, 1);
     uint64_t part_inner = broadcast ? est_inner : est_inner / nparts;
+    // Each partition's inner keys lie in the domain the stats promise: a
+    // broadcast partition holds all of them, a repartitioned one a subset
+    // whose rows still resolve through the base column's OIDs.
     JoinPlan part_plan =
         part_inner == 0 ? PlanJoin(JoinStrategy::kSimpleHash, 0, profile)
-                        : PlanJoin(e.strategy, part_inner, profile);
+                        : PlanJoin(e.strategy, part_inner, part_probe,
+                                   inner_domain, profile);
     ModelPrediction exch_pred =
         JoinModelPrediction(*c.model, part_plan, part_inner, part_probe);
     exch_pred += ScanRowsPrediction(profile, static_cast<double>(part_probe),
@@ -1075,16 +1105,18 @@ std::string PhysicalPlan::ExplainJoins() const {
   for (const JoinNodeInfo& j : *joins_) {
     std::snprintf(
         line, sizeof(line),
-        "join [%s] %s = %s: est C=%llu, inner C=%llu -> %s%s, B=%d "
+        "join [%s] %s = %s: est C=%llu%s, inner C=%llu -> %s%s, B=%d "
         "(%d passes), model %.2f ms, est result %llu, result %llu, "
         "%llu partition tasks on %zu workers, inner clustered %dx%s\n",
         JoinTypeName(j.join_type), j.left_key.c_str(), j.right_key.c_str(),
         (unsigned long long)j.estimated_inner_cardinality,
+        j.estimated_positional ? " (positional)" : "",
         (unsigned long long)j.inner_cardinality,
         JoinStrategyName(j.plan.strategy),
-        j.plan.strategy == JoinStrategy::kBest
-            ? (j.plan.use_radix_join ? " (radix)" : " (phash)")
-            : "",
+        j.plan.positional.has_value() ? " (positional)"
+        : j.plan.strategy != JoinStrategy::kBest ? ""
+        : j.plan.use_radix_join                  ? " (radix)"
+                                                 : " (phash)",
         j.plan.bits, j.plan.passes, j.plan.predicted_ms,
         (unsigned long long)j.estimated_result_rows,
         (unsigned long long)j.stats.result_count,

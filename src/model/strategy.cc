@@ -111,8 +111,27 @@ JoinPlan PlanJoin(JoinStrategy s, uint64_t c, const MachineProfile& profile) {
   }
 }
 
+JoinPlan PlanJoin(JoinStrategy s, uint64_t c_inner, uint64_t c_probe,
+                  const std::optional<KeyDomain>& domain,
+                  const MachineProfile& profile) {
+  JoinPlan hash = PlanJoin(s, c_inner, profile);
+  if (!domain.has_value() || s != JoinStrategy::kBest) return hash;
+  CostModel model(profile);
+  JoinPlan positional;
+  positional.positional = domain;
+  positional.predicted_ms = model.Millis(
+      model.PositionalJoin(domain->key_range, c_inner, c_probe));
+  return positional.predicted_ms <
+                 model.Millis(JoinModelPrediction(model, hash, c_inner, c_probe))
+             ? positional
+             : hash;
+}
+
 ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
                                     uint64_t c_inner, uint64_t c_probe) {
+  if (plan.positional.has_value()) {
+    return cm.PositionalJoin(plan.positional->key_range, c_inner, c_probe);
+  }
   if (plan.strategy == JoinStrategy::kSortMerge) {
     ModelPrediction p;
     for (double n :

@@ -172,6 +172,35 @@ TEST(ExchangeTest, JoinByteIdentityUnderBothStrategies) {
   }
 }
 
+TEST(ExchangeTest, PartitionsRunThePositionalJoinTheyArePricedAt) {
+  // The dim's keys are unique over 0..n-1, so the exchange decision prices
+  // each partition's join positionally, as the local plan is priced, and
+  // every partition's JoinOp runs it: a broadcast inner holds every key, a
+  // repartitioned one a subset that still resolves through base OIDs.
+  Table fact = MakeFact(40000, 20000);
+  Table dim = MakeDim(20000);
+  auto plan = JoinAggPlan(fact, dim);
+  ASSERT_TRUE(plan.ok());
+  QueryResult want = Reference(*plan);
+  for (ExchangeStrategy strategy :
+       {ExchangeStrategy::kRepartition, ExchangeStrategy::kBroadcast}) {
+    SCOPED_TRACE(strategy == ExchangeStrategy::kBroadcast ? "broadcast"
+                                                          : "repartition");
+    PlannerOptions po =
+        ExchangeOptionsFor(2, 2, ExchangePolicy::kForce, strategy);
+    po.profile = MachineProfile::GenericX86();
+    auto physical = Planner(po).Lower(*plan);
+    ASSERT_TRUE(physical.ok()) << physical.status().message();
+    auto got = physical->Execute();
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    ExpectSameResult(*got, want);
+    EXPECT_FALSE(physical->exchanges().empty());
+    const JoinNodeInfo& j = physical->joins()[0];
+    EXPECT_TRUE(j.estimated_positional);
+    EXPECT_TRUE(j.plan.positional.has_value());
+  }
+}
+
 TEST(ExchangeTest, PartitionsOneAndDisabledStayExchangeFree) {
   Table fact = MakeFact(600, 20);
   Table dim = MakeDim(20);

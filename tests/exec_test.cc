@@ -236,8 +236,10 @@ TEST(JoinOpTest, MatchesJoinRelationsRowForRow) {
   // the same [left OID, right OID] sequence, unsorted: same cluster-pair
   // order, same probe order within a pair, and duplicate keys in reverse
   // build order. Each table carries its row id, so projecting both ids
-  // from the join plan yields the join index. A nested-loop join is the
-  // independent reference for the multiset of pairs.
+  // from the join plan yields the join index. The multiset of pairs is
+  // checked against a key -> build heads map, which runs no engine kernel.
+  // The keys repeat, so kBest's positional choice falls back at Open() to
+  // the plan PlanJoin gives without a domain.
   constexpr size_t kN = 100000;  // every radix/phash plan gets bits > 0
   Rng rng(5);
   auto make = [&](size_t n, const char* id) {
@@ -263,8 +265,13 @@ TEST(JoinOpTest, MatchesJoinRelationsRowForRow) {
     });
     return v;
   };
-  const std::vector<Bun> reference = canon(NestedLoopJoin(
-      std::span<const Bun>(l), std::span<const Bun>(r), mem));
+  std::vector<std::vector<oid_t>> heads_of(kN / 4);
+  for (const Bun& b : r) heads_of[b.tail].push_back(b.head);
+  std::vector<Bun> reference;
+  for (const Bun& p : l) {
+    for (oid_t h : heads_of[p.tail]) reference.push_back({p.head, h});
+  }
+  reference = canon(std::move(reference));
   MachineProfile m = MachineProfile::GenericX86();
   PlannerOptions opts;
   opts.profile = m;
@@ -344,7 +351,7 @@ TEST(JoinOpTest, ProjectsBothSides) {
 TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
   // The JoinOp probe path keeps its match buffers, cluster scratch and
   // position lists from chunk to chunk and fills them from pool workers.
-  // The MatchesExecuteJoinRowForRow tables (~4 inner rows per key) make
+  // The MatchesJoinRelationsRowForRow tables (~4 inner rows per key) make
   // tasks outgrow their one-slot-per-probe-row regions, so the spill path
   // runs too. Every build shape x chunk size x join type must give the same
   // bytes at any parallelism, and the right rows: checked against a key ->
@@ -456,6 +463,123 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
               EXPECT_EQ(lid, ref_lid) << label << " parallelism " << par;
               EXPECT_EQ(rid, ref_rid) << label << " parallelism " << par;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(JoinOpTest, PositionalIsByteIdenticalAcrossParallelism) {
+  // Dense unique build keys (a permutation of 0..kN-1) plan the positional
+  // join under GenericX86's kBest, and run it under every build shape
+  // JoinOp names build rows by: an unfiltered base table, a filtered base
+  // table with base-OID heads, and a join result taken through positions. Probe keys run past the domain, so anti and
+  // left-outer joins see misses. Output must be the same bytes at any
+  // parallelism, and the right rows: checked against a key -> rid map.
+  constexpr uint32_t kN = 100000;
+  Rng rng(23);
+  std::vector<uint32_t> keys(kN);
+  for (uint32_t i = 0; i < kN; ++i) keys[i] = i;
+  Shuffle(keys, rng);
+  auto rs = RowStore::Make({{"k", FieldType::kU32}, {"rid", FieldType::kU32}},
+                           kN);
+  ASSERT_TRUE(rs.ok());
+  for (uint32_t i = 0; i < kN; ++i) {
+    size_t r = *rs->AppendRow();
+    rs->SetU32(r, 0, keys[i]);
+    rs->SetU32(r, 1, i);
+  }
+  Table right = *Table::FromRowStore(*rs);
+  Table left = MakeKeyedTable(kN / 2, kN + kN / 8, "lid", rng);
+  auto ids = RowStore::Make({{"right_id", FieldType::kU32}}, kN);
+  ASSERT_TRUE(ids.ok());
+  for (uint32_t i = 0; i < kN; ++i) ids->SetU32(*ids->AppendRow(), 0, i);
+  Table right_ids = *Table::FromRowStore(*ids);
+  std::vector<Bun> probe = *left.column_bat(0).ToBuns();
+  auto kept = [](uint32_t rid) {
+    return rid >= 1000u && (rid < 40000u || rid > 59999u);
+  };
+
+  enum class BuildShape { kBaseTable, kFilteredBaseTable, kJoinResult };
+  using Row = std::tuple<uint32_t, uint32_t>;  // (lid, rid)
+  for (BuildShape shape : {BuildShape::kBaseTable,
+                           BuildShape::kFilteredBaseTable,
+                           BuildShape::kJoinResult}) {
+    const char* shape_name = shape == BuildShape::kBaseTable ? "base table"
+                             : shape == BuildShape::kFilteredBaseTable
+                                 ? "filtered base table"
+                                 : "join result";
+    constexpr uint32_t kNone = UINT32_MAX;
+    std::vector<uint32_t> rid_of(kN + kN / 8, kNone);
+    for (uint32_t rid = 0; rid < kN; ++rid) {
+      if (shape != BuildShape::kFilteredBaseTable || kept(rid)) {
+        rid_of[keys[rid]] = rid;
+      }
+    }
+    for (JoinType jt : {JoinType::kInner, JoinType::kSemi, JoinType::kAnti,
+                        JoinType::kLeftOuter}) {
+      const bool right_cols = jt == JoinType::kInner ||
+                              jt == JoinType::kLeftOuter;
+      std::vector<Row> want;
+      for (const Bun& p : probe) {
+        const bool hit = rid_of[p.tail] != kNone;
+        if (jt == JoinType::kSemi && hit) want.emplace_back(p.head, 0);
+        if (jt == JoinType::kAnti && !hit) want.emplace_back(p.head, 0);
+        if (right_cols && (hit || jt == JoinType::kLeftOuter)) {
+          want.emplace_back(p.head, hit ? rid_of[p.tail] : 0);
+        }
+      }
+      std::sort(want.begin(), want.end());
+      for (size_t chunk_rows : {SIZE_MAX, size_t{4096}}) {
+        std::string label = std::string(shape_name) + " " +
+                            JoinTypeName(jt) + " chunk " +
+                            std::to_string(chunk_rows);
+        std::vector<std::string> cols = {"lid"};
+        if (right_cols) cols.push_back("rid");
+        QueryBuilder query(left);
+        if (shape == BuildShape::kBaseTable) {
+          query.Join(right, "k", "k", jt);
+        } else {
+          QueryBuilder inner(right);
+          if (shape == BuildShape::kFilteredBaseTable) {
+            inner.Filter(Col("rid") >= 1000u &&
+                         !Between(Col("rid"), 40000u, 59999u));
+          } else {
+            inner.Join(right_ids, "rid", "right_id");
+          }
+          query.Join(std::move(inner), "k", "k", jt);
+        }
+        auto plan = query.Project(cols).Build();
+        ASSERT_TRUE(plan.ok()) << label << ": " << plan.status().ToString();
+        std::vector<uint32_t> ref_lid, ref_rid;
+        for (size_t par : {1, 2, 8}) {
+          PlannerOptions opts;
+          opts.profile = MachineProfile::GenericX86();
+          opts.exec.parallelism = par;
+          opts.exec.scan_chunk_rows = chunk_rows;
+          auto physical = Planner(opts).Lower(*plan);
+          ASSERT_TRUE(physical.ok()) << label;
+          auto got = physical->Execute();
+          ASSERT_TRUE(got.ok()) << label;
+          EXPECT_TRUE(physical->joins().back().plan.positional.has_value())
+              << label;
+          const std::vector<uint32_t>& lid = got->columns[0].u32_values;
+          std::vector<uint32_t> rid =
+              right_cols ? got->columns[1].u32_values
+                         : std::vector<uint32_t>(lid.size(), 0);
+          if (par == 1) {
+            ref_lid = lid;
+            ref_rid = rid;
+            std::vector<Row> rows;
+            for (size_t i = 0; i < lid.size(); ++i) {
+              rows.emplace_back(lid[i], rid[i]);
+            }
+            std::sort(rows.begin(), rows.end());
+            EXPECT_EQ(rows, want) << label;
+          } else {
+            EXPECT_EQ(lid, ref_lid) << label << " parallelism " << par;
+            EXPECT_EQ(rid, ref_rid) << label << " parallelism " << par;
           }
         }
       }

@@ -484,6 +484,122 @@ TEST(JoinTasksTest, ZeroBitsGiveOneTask) {
   EXPECT_TRUE(tasks.empty());
 }
 
+JoinShape Positional(KeyDomain domain) {
+  return {.kernel = JoinKernel::kPositional, .domain = domain};
+}
+
+// The positional join of `l` against `r` over r's own key domain, checked
+// against the nested-loop multiset.
+void ExpectPositionalMatchesNestedLoop(std::span<const Bun> l,
+                                       std::span<const Bun> r) {
+  DirectMemory mem;
+  auto got = JoinRelations(l, r, Positional(KeyDomainOf(r)), mem);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Canon(*got), Canon(NestedLoopJoin(l, r, mem)));
+}
+
+TEST(PositionalJoinTest, MatchesNestedLoopOnDenseUniqueKeys) {
+  // Build keys: a permutation of [1000, 1000 + kC). Probe keys run from
+  // below key_min to above the domain, with both ends of it.
+  constexpr uint32_t kC = 5000, kMin = 1000;
+  Rng rng(17);
+  std::vector<uint32_t> keys(kC);
+  for (uint32_t i = 0; i < kC; ++i) keys[i] = kMin + i;
+  Shuffle(keys, rng);
+  std::vector<Bun> r(kC);
+  for (uint32_t i = 0; i < kC; ++i) r[i] = {50000 + i, keys[i]};
+  EXPECT_EQ(KeyDomainOf(r).key_min, kMin);
+  EXPECT_EQ(KeyDomainOf(r).key_range, kC);
+  std::vector<Bun> l = MakeRelation(20000, 18, kMin + kC + 500);
+  l.push_back({20000, 0});
+  l.push_back({20001, kMin - 1});
+  l.push_back({20002, kMin});
+  l.push_back({20003, kMin + kC - 1});
+  l.push_back({20004, kMin + kC});
+  l.push_back({20005, UINT32_MAX});
+  ExpectPositionalMatchesNestedLoop(l, r);
+
+  DirectMemory mem;
+  auto ends = JoinRelations(std::span<const Bun>(l).last(6),
+                            std::span<const Bun>(r),
+                            Positional(KeyDomainOf(r)), mem);
+  ASSERT_TRUE(ends.ok());
+  ASSERT_EQ(ends->size(), 2u);  // key_min and key_min + kC - 1 only
+  EXPECT_EQ(Canon(*ends)[0].head, 20002u);
+  EXPECT_EQ(Canon(*ends)[1].head, 20003u);
+}
+
+TEST(PositionalJoinTest, EmptyAndOneRowInputs) {
+  std::vector<Bun> empty, one = {{7, 42}};
+  std::vector<Bun> l = {{0, 41}, {1, 42}, {2, 43}, {3, 42}};
+  ExpectPositionalMatchesNestedLoop(l, one);
+  ExpectPositionalMatchesNestedLoop(empty, one);
+  ExpectPositionalMatchesNestedLoop(l, empty);
+  // An empty build over a non-empty domain has no tasks.
+  DirectMemory mem;
+  JoinBuild<DirectMemory> build;
+  ASSERT_TRUE(build.Prepare(empty, Positional({.key_min = 40, .key_range = 8}),
+                            mem)
+                  .ok());
+  JoinProbe probe;
+  ASSERT_TRUE(build.Reorganize(l, mem, &probe).ok());
+  EXPECT_EQ(probe.tuples.data(), l.data());  // probed as is
+  std::vector<JoinTask> tasks;
+  build.Tasks(probe.clustered.bounds, /*shards=*/3, &tasks);
+  EXPECT_TRUE(tasks.empty());
+  // A one-row build splits the probe into `shards` tasks, as B = 0 does.
+  ASSERT_TRUE(build.Prepare(one, Positional(KeyDomainOf(one)), mem).ok());
+  build.Tasks(probe.clustered.bounds, /*shards=*/3, &tasks);
+  ASSERT_EQ(tasks.size(), 3u);
+  EXPECT_EQ(tasks[2].hi, l.size());
+}
+
+TEST(PositionalJoinTest, DomainSpansTheWholeKeyRangeWithoutWrapping) {
+  std::vector<Bun> r = {{0, UINT32_MAX}, {1, 0}, {2, 7}};
+  KeyDomain d = KeyDomainOf(r);
+  EXPECT_EQ(d.key_min, 0u);
+  EXPECT_EQ(d.key_range, uint64_t{1} << 32);
+  // At the top of the key space: the domain ends at UINT32_MAX, and keys
+  // below key_min stay outside it.
+  std::vector<Bun> top = {{0, UINT32_MAX}, {1, UINT32_MAX - 3}};
+  KeyDomain t = KeyDomainOf(top);
+  EXPECT_EQ(t.key_min, UINT32_MAX - 3);
+  EXPECT_EQ(t.key_range, 4u);
+  std::vector<Bun> l = {{0, UINT32_MAX}, {1, UINT32_MAX - 4}, {2, 0},
+                        {3, UINT32_MAX - 3}, {4, UINT32_MAX - 1}};
+  ExpectPositionalMatchesNestedLoop(l, top);
+  // A domain past UINT32_MAX is rejected.
+  DirectMemory mem;
+  JoinBuild<DirectMemory> build;
+  EXPECT_EQ(build.Prepare(top, Positional({.key_min = t.key_min,
+                                           .key_range = 5}),
+                          mem)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(PositionalJoinTest, RejectsRepeatedAndOutOfDomainBuildKeys) {
+  DirectMemory mem;
+  JoinBuild<DirectMemory> build;
+  std::vector<Bun> repeated = {{0, 3}, {1, 5}, {2, 3}};
+  EXPECT_EQ(build.Prepare(repeated, Positional(KeyDomainOf(repeated)), mem)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  std::vector<Bun> r = {{0, 3}, {1, 5}, {2, 9}};
+  for (KeyDomain d : {KeyDomain{.key_min = 4, .key_range = 6},
+                      KeyDomain{.key_min = 3, .key_range = 6},
+                      KeyDomain{.key_min = 3, .key_range = 0}}) {
+    EXPECT_EQ(build.Prepare(r, Positional(d), mem).code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Positional builds are never clustered.
+  auto clustered = RadixCluster(std::span<const Bun>(r),
+                                RadixClusterOptions{1, 1, {}}, mem);
+  ASSERT_TRUE(clustered.ok());
+  EXPECT_EQ(build.Prepare(*clustered, Positional(KeyDomainOf(r)), mem).code(),
+            StatusCode::kInvalidArgument);
+}
+
 // Randomized sweep over (cardinality, value range, bits, passes): all
 // algorithms agree with the reference.
 class JoinEquivalenceSweep

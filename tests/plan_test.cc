@@ -11,6 +11,7 @@
 #include "algo/bat_algebra.h"
 #include "exec/plan.h"
 #include "model/planner.h"
+#include "model/strategy.h"
 #include "util/rng.h"
 
 namespace ccdb {
@@ -345,9 +346,18 @@ TEST(PlannerTest, StrategySwitchesWithInnerCardinality) {
   const JoinNodeInfo& j_big = physical->joins()[1];
   EXPECT_EQ(j_small.inner_cardinality, kSmall);
   EXPECT_EQ(j_big.inner_cardinality, kBig);
-  // The cost model prescribes more radix bits as the inner relation grows
-  // past the cache sizes; at 2000 vs 1M tuples the plans must differ.
-  EXPECT_LT(j_small.plan.bits, j_big.plan.bits);
+  // Both dims have dense unique keys (id = i), and the model prices their
+  // positional join below the hash argmin, so kBest indexes each inner by
+  // key over its own domain.
+  ASSERT_TRUE(j_small.plan.positional.has_value());
+  EXPECT_EQ(j_small.plan.positional->key_range, kSmall);
+  ASSERT_TRUE(j_big.plan.positional.has_value());
+  EXPECT_EQ(j_big.plan.positional->key_range, kBig);
+  // Without a key domain the cost model prescribes more radix bits as the
+  // inner relation grows past the cache sizes; at 2000 vs 1M tuples the
+  // plans must differ.
+  EXPECT_LT(PlanJoin(JoinStrategy::kBest, kSmall, opts.profile).bits,
+            PlanJoin(JoinStrategy::kBest, kBig, opts.profile).bits);
   EXPECT_EQ(j_small.stats.result_count + j_big.stats.result_count,
             2 * kFact);
 }
@@ -385,8 +395,109 @@ TEST(PlannerTest, InnerSelectionChangesJoinPlan) {
   ASSERT_TRUE(p2->Execute().ok());
   EXPECT_EQ(p1->joins()[0].inner_cardinality, kN);
   EXPECT_EQ(p2->joins()[0].inner_cardinality, 1000u);
-  EXPECT_LT(p2->joins()[0].plan.bits, p1->joins()[0].plan.bits);
+  // The keys are dense and unique (id = i), so kBest joins positionally,
+  // over the domain of the keys that survive the selection.
+  ASSERT_TRUE(p1->joins()[0].plan.positional.has_value());
+  EXPECT_EQ(p1->joins()[0].plan.positional->key_range, kN);
+  ASSERT_TRUE(p2->joins()[0].plan.positional.has_value());
+  EXPECT_EQ(p2->joins()[0].plan.positional->key_range, 1000u);
+  // Without a key domain the hash argmin takes fewer bits at the filtered
+  // cardinality.
+  EXPECT_LT(PlanJoin(JoinStrategy::kBest, 1000, opts.profile).bits,
+            PlanJoin(JoinStrategy::kBest, kN, opts.profile).bits);
   EXPECT_FALSE(p1->ExplainJoins().empty());
+}
+
+TEST(PlannerTest, DenseUniqueDimPlansPositionalElseTheHashArgmin) {
+  // fact JOIN sigma(dim): 30 % of a dim whose keys are a permutation of
+  // 0..kDim-1 survive the filter. kBest plans the positional join in the
+  // estimate (from the key column's stats) and at Open() (from the keys).
+  // The same dim with one repeated key among the survivors, and with its
+  // keys spread x16 (range > rows: not eligible), runs the hash argmin of
+  // the actual inner cardinality instead, with the same rows.
+  constexpr uint32_t kDim = 100000, kFact = 200000;
+  constexpr uint32_t kLo = 20000, kHi = kLo + kDim * 3 / 10 - 1;
+  Rng rng(31);
+  std::vector<uint32_t> perm(kDim);
+  for (uint32_t i = 0; i < kDim; ++i) perm[i] = i;
+  Shuffle(perm, rng);
+  auto fact_rs = RowStore::Make({{"fk", FieldType::kU32}}, kFact);
+  ASSERT_TRUE(fact_rs.ok());
+  std::vector<uint32_t> fk(kFact);
+  for (uint32_t i = 0; i < kFact; ++i) {
+    fk[i] = static_cast<uint32_t>(rng.NextBelow(kDim));
+    fact_rs->SetU32(*fact_rs->AppendRow(), 0, fk[i]);
+  }
+  Table fact = *Table::FromRowStore(*fact_rs);
+
+  enum class Keys { kDense, kOneRepeated, kSpread };
+  for (Keys variant : {Keys::kDense, Keys::kOneRepeated, Keys::kSpread}) {
+    const uint32_t spread = variant == Keys::kSpread ? 16 : 1;
+    std::vector<uint32_t> id(kDim);
+    for (uint32_t i = 0; i < kDim; ++i) id[i] = perm[i] * spread;
+    // Rows kLo and kLo + 1 both survive the filter.
+    if (variant == Keys::kOneRepeated) id[kLo + 1] = id[kLo];
+    auto rs = RowStore::Make(
+        {{"id", FieldType::kU32}, {"attr", FieldType::kU32}}, kDim);
+    ASSERT_TRUE(rs.ok());
+    for (uint32_t i = 0; i < kDim; ++i) {
+      size_t r = *rs->AppendRow();
+      rs->SetU32(r, 0, id[i]);
+      rs->SetU32(r, 1, i);
+    }
+    Table dim = *Table::FromRowStore(*rs);
+    QueryBuilder inner(dim);
+    inner.Filter(Between(Col("attr"), kLo, kHi));
+    auto plan = QueryBuilder(fact)
+                    .Join(std::move(inner), "fk", "id")
+                    .Project({"fk", "attr"})
+                    .Build();
+    ASSERT_TRUE(plan.ok());
+    PlannerOptions opts;
+    opts.profile = MachineProfile::GenericX86();
+    auto physical = Planner(opts).Lower(*plan);
+    ASSERT_TRUE(physical.ok());
+    auto result = physical->Execute();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const JoinNodeInfo& j = physical->joins()[0];
+    ASSERT_EQ(j.inner_cardinality, kHi - kLo + 1);
+    const JoinPlan hash =
+        PlanJoin(JoinStrategy::kBest, j.inner_cardinality, opts.profile);
+    // The stats see a spread range, but not one repeated key.
+    EXPECT_EQ(j.estimated_positional, variant != Keys::kSpread);
+    const std::string explain = physical->ExplainJoins();
+    EXPECT_EQ(explain.find(" (positional), inner C=") != std::string::npos,
+              variant != Keys::kSpread)
+        << explain;
+    EXPECT_EQ(explain.find("-> best (positional)") != std::string::npos,
+              variant == Keys::kDense)
+        << explain;
+    if (variant == Keys::kDense) {
+      ASSERT_TRUE(j.plan.positional.has_value());
+      EXPECT_LE(j.plan.positional->key_range, kDim);
+    } else {
+      EXPECT_FALSE(j.plan.positional.has_value());
+      EXPECT_EQ(j.plan.strategy, hash.strategy);
+      EXPECT_EQ(j.plan.bits, hash.bits);
+      EXPECT_EQ(j.plan.passes, hash.passes);
+      EXPECT_EQ(j.plan.use_radix_join, hash.use_radix_join);
+    }
+    // (fk, attr) pairs against the fact keys and the surviving dim rows.
+    std::multimap<uint32_t, uint32_t> attrs_of;
+    for (uint32_t i = kLo; i <= kHi; ++i) attrs_of.emplace(id[i], i);
+    std::vector<std::pair<uint32_t, uint32_t>> want, got;
+    for (uint32_t k : fk) {
+      auto [lo, hi] = attrs_of.equal_range(k);
+      for (auto it = lo; it != hi; ++it) want.emplace_back(k, it->second);
+    }
+    for (size_t i = 0; i < result->num_rows(); ++i) {
+      got.emplace_back(result->columns[0].u32_values[i],
+                       result->columns[1].u32_values[i]);
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << static_cast<int>(variant);
+  }
 }
 
 // --- candidate-list kernels --------------------------------------------------
@@ -593,7 +704,10 @@ TEST(ParallelExecTest, EmptyAndSingleRowInputs) {
 TEST(ParallelExecTest, InnerIsClusteredOncePerJoin) {
   // Many probe chunks over a radix-planned join: the inner build must
   // happen exactly once at Open(), not per probe chunk (the old defect),
-  // and every chunk dispatches partition tasks.
+  // and every chunk dispatches partition tasks. The dim's keys are dense
+  // and unique, so kBest may plan the positional join on some host
+  // profiles; a named phash strategy keeps the join radix-clustered on
+  // any of them.
   constexpr size_t kN = 1 << 17;
   Rng rng(9);
   auto rs = RowStore::Make({{"k", FieldType::kU32}}, kN);
@@ -611,7 +725,9 @@ TEST(ParallelExecTest, InnerIsClusteredOncePerJoin) {
   }
   Table dim = *Table::FromRowStore(*dim_rs);
 
-  auto plan = QueryBuilder(fact).Join(dim, "k", "id").Build();
+  auto plan = QueryBuilder(fact)
+                  .Join(dim, "k", "id", JoinStrategy::kPhashMin)
+                  .Build();
   ASSERT_TRUE(plan.ok());
   PlannerOptions opts;
   opts.exec.scan_chunk_rows = 4096;  // 32 probe chunks

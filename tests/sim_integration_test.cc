@@ -8,6 +8,7 @@
 #include "algo/radix_cluster.h"
 #include "algo/stride_scan.h"
 #include "mem/access.h"
+#include "model/cost_model.h"
 #include "model/strategy.h"
 #include "util/aligned.h"
 #include "util/rng.h"
@@ -271,37 +272,95 @@ TEST_F(SimTest, JoinRelationsUnderSimulatorMatchesDirect) {
   // The memory policy changes what is counted, never what is joined: for
   // every strategy the driver emits the same pairs, in the same order,
   // under SimulatedMemory as under DirectMemory, and the simulator sees
-  // the join's loads and stores.
+  // the join's loads and stores. The positional shape runs over a build
+  // whose keys are a permutation of 0..kC-1.
   constexpr size_t kC = 1 << 13;
   Rng rng(12);
-  std::vector<Bun> l(kC), r(kC);
+  std::vector<Bun> l(kC), r(kC), r_unique(kC);
+  std::vector<uint32_t> perm(kC);
   for (size_t i = 0; i < kC; ++i) {
     l[i] = {static_cast<oid_t>(i),
             static_cast<uint32_t>(rng.NextBelow(kC / 2))};
     r[i] = {static_cast<oid_t>(kC + i),
             static_cast<uint32_t>(rng.NextBelow(kC / 2))};
+    perm[i] = static_cast<uint32_t>(i);
   }
+  Shuffle(perm, rng);
+  for (size_t i = 0; i < kC; ++i) {
+    r_unique[i] = {static_cast<oid_t>(kC + i), perm[i]};
+  }
+  auto expect_same_under_simulator = [&](std::span<const Bun> build,
+                                         const JoinShape& shape,
+                                         size_t min_rows,
+                                         const std::string& label) {
+    DirectMemory direct;
+    auto expect =
+        JoinRelations(std::span<const Bun>(l), build, shape, direct);
+    MemoryHierarchy h(profile_);
+    SimulatedMemory sim(&h);
+    auto got = JoinRelations(std::span<const Bun>(l), build, shape, sim);
+    ASSERT_TRUE(expect.ok() && got.ok()) << label;
+    EXPECT_GE(expect->size(), min_rows) << label;
+    EXPECT_EQ(*got, *expect) << label;
+    MemEvents ev = h.events();
+    EXPECT_GT(ev.l1_misses, 0u) << label;
+    EXPECT_GT(ev.l2_misses, 0u) << label;
+    EXPECT_GT(ev.tlb_misses, 0u) << label;
+  };
   for (JoinStrategy s : {JoinStrategy::kSortMerge, JoinStrategy::kSimpleHash,
                          JoinStrategy::kPhashL2, JoinStrategy::kPhashTLB,
                          JoinStrategy::kPhashL1, JoinStrategy::kPhash256,
                          JoinStrategy::kPhashMin, JoinStrategy::kRadix8,
                          JoinStrategy::kRadixMin, JoinStrategy::kBest}) {
-    JoinShape shape = ShapeOf(PlanJoin(s, kC, profile_));
-    DirectMemory direct;
-    auto expect = JoinRelations(std::span<const Bun>(l),
-                                std::span<const Bun>(r), shape, direct);
-    MemoryHierarchy h(profile_);
-    SimulatedMemory sim(&h);
-    auto got = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
-                             shape, sim);
-    ASSERT_TRUE(expect.ok() && got.ok()) << JoinStrategyName(s);
-    EXPECT_GT(expect->size(), kC) << JoinStrategyName(s);
-    EXPECT_EQ(*got, *expect) << JoinStrategyName(s);
-    MemEvents ev = h.events();
-    EXPECT_GT(ev.l1_misses, 0u) << JoinStrategyName(s);
-    EXPECT_GT(ev.l2_misses, 0u) << JoinStrategyName(s);
-    EXPECT_GT(ev.tlb_misses, 0u) << JoinStrategyName(s);
+    expect_same_under_simulator(r, ShapeOf(PlanJoin(s, kC, profile_)), kC + 1,
+                                JoinStrategyName(s));
   }
+  // Every probe key is below kC / 2, so each finds exactly one build tuple.
+  expect_same_under_simulator(
+      r_unique,
+      {.kernel = JoinKernel::kPositional, .domain = KeyDomainOf(r_unique)},
+      kC, "positional shape");
+}
+
+TEST_F(SimTest, PositionalJoinMissTermsTrackTheSimulator) {
+  // CostModel::PositionalJoin's L2 and TLB terms against the counted
+  // misses of the driver's positional join, on GenericX86 (1 MB L2, 64 x
+  // 4 KB TLB) with a 2 MB head array: every random access can miss both.
+  // The model charges the in-cache share of the array as hits, the rest as
+  // one miss per access; the simulator's set-associative L2 and LRU TLB
+  // must land within 2x of it.
+  const MachineProfile profile = MachineProfile::GenericX86();
+  constexpr uint32_t kRange = 1 << 19;  // 2 MB of heads
+  constexpr size_t kInner = 1 << 17, kProbe = 1 << 19;
+  Rng rng(29);
+  std::vector<uint32_t> keys(kRange);
+  for (uint32_t i = 0; i < kRange; ++i) keys[i] = i;
+  Shuffle(keys, rng);
+  std::vector<Bun> r(kInner), l(kProbe);
+  for (size_t i = 0; i < kInner; ++i) {
+    r[i] = {static_cast<oid_t>(i), keys[i]};
+  }
+  for (size_t i = 0; i < kProbe; ++i) {
+    l[i] = {static_cast<oid_t>(i),
+            static_cast<uint32_t>(rng.NextBelow(kRange))};
+  }
+  MemoryHierarchy h(profile);
+  SimulatedMemory mem(&h);
+  JoinShape shape{.kernel = JoinKernel::kPositional,
+                  .domain = {.key_min = 0, .key_range = kRange}};
+  auto out = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                           shape, mem);
+  ASSERT_TRUE(out.ok());
+  EXPECT_GT(out->size(), kProbe / 8);  // a quarter of the keys have a build
+  MemEvents sim = h.events();
+  ModelPrediction model =
+      CostModel(profile).PositionalJoin(kRange, kInner, kProbe);
+  const double sim_l2 = static_cast<double>(sim.l2_misses);
+  const double sim_tlb = static_cast<double>(sim.tlb_misses);
+  EXPECT_GT(sim_l2, model.l2_misses / 2);
+  EXPECT_LT(sim_l2, model.l2_misses * 2);
+  EXPECT_GT(sim_tlb, model.tlb_misses / 2);
+  EXPECT_LT(sim_tlb, model.tlb_misses * 2);
 }
 
 TEST_F(SimTest, EventsScaleLinearlyWithCardinality) {
