@@ -2,7 +2,8 @@
 //   * scanning one attribute: NSM record stride vs DSM value stride vs
 //     1-byte encoded stride,
 //   * predicate remap on encoded columns (through SelectOp, the operator a
-//     query's Filter runs),
+//     query's Filter runs), and the filter walk's narrowing conjunct and
+//     OR through a sparse candidate list,
 //   * tuple reconstruction via positional lookup, and the chunk-level
 //     positional take (Chunk::Take) that filters and joins emit through,
 //   * dictionary encode/decode throughput.
@@ -12,6 +13,7 @@
 #include "bat/dsm.h"
 #include "bat/encoding.h"
 #include "exec/operator.h"
+#include "exec/shared_scan.h"
 #include "util/rng.h"
 
 namespace ccdb {
@@ -220,6 +222,56 @@ void BM_RangeSelectU32(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_RangeSelectU32);
+
+// A two-conjunct filter: the first leaf scans the chunk, the second (date,
+// about half of qty's ~50% survivors) narrows the survivor list.
+void BM_SelectTwoConjuncts(benchmark::State& state) {
+  const Table& t = DecomposedWideTable();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DrainSelect(
+        t, Between(Col("qty"), 10u, 59u) && Col("date") < 19990182u));
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_rows());
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(t.num_rows()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SelectTwoConjuncts);
+
+// An OR evaluated through a sparse candidate list: a chunk whose columns
+// are lazy behind the ascending OIDs of a random half of the table, the
+// shape a previous filter leaves.
+void BM_SelectOrSparseList(benchmark::State& state) {
+  const Table& t = DecomposedWideTable();
+  Rng rng(17);
+  std::vector<oid_t> oids;
+  for (size_t i = 0; i < kRows; ++i) {
+    if (rng.NextBelow(2) == 0) oids.push_back(static_cast<oid_t>(i));
+  }
+  Chunk chunk;
+  chunk.rows = oids.size();
+  chunk.cands = {Candidates::FromOids(std::move(oids))};
+  for (const char* name : {"qty", "shipmode"}) {
+    ChunkColumn col;
+    col.name = name;
+    col.base = &t;
+    col.base_col = *t.schema().FieldIndex(name);
+    chunk.cols.push_back(std::move(col));
+  }
+  Expr e = NormalizeExpr(Col("qty") < 10u || Col("shipmode") == "AIR");
+  for (auto _ : state) {
+    auto positions = EvalFilterPositions(chunk, e, nullptr);
+    CCDB_CHECK(positions.ok());
+    benchmark::DoNotOptimize(positions->data());
+  }
+  state.SetItemsProcessed(state.iterations() * chunk.rows);
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(chunk.rows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SelectOrSparseList);
 
 }  // namespace
 }  // namespace ccdb

@@ -171,6 +171,16 @@ echo "== bench smoke =="
 # ablation_prefetch CCDB_CHECKs the output size of SimpleHashJoinPrefetch,
 # the one kernel that probes through the table's callback Probe.
 "$BUILD_DIR/ablation_prefetch"
+# micro_storage's Select benchmarks run the filter walk (SelectOp and
+# EvalFilterPositions) over dense and sparse candidate lists. The binary
+# links Google Benchmark and is not built without it.
+if [ -x "$BUILD_DIR/micro_storage" ]; then
+  "$BUILD_DIR/micro_storage" --benchmark_filter='Select' \
+    --benchmark_min_time=0.01
+else
+  echo "NOTICE: micro_storage not built (no Google Benchmark);" \
+       "skipping its Select benchmarks"
+fi
 
 echo "== bench artifact (BENCH_ci.json) =="
 # Parallel-join/group-by micro numbers + radix-cluster smoke, written as

@@ -199,38 +199,37 @@ StatusOr<Bat> BatAppend(const Bat& a, const Bat& b) {
   return Bat::Make(Column::U32(std::move(heads)), Column::U32(std::move(tails)));
 }
 
-namespace {
-
-/// Runs `fn(pos, value)` for every candidate, with the tail access
-/// devirtualized per physical type and the bounds check folded into the
-/// same pass (candidate gathers are the hot loop of a pipelined plan).
-template <class Fn>
-Status ForEachCandidate(const Bat& b, std::span<const oid_t> cands, Fn&& fn) {
+StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
+                                             std::span<const oid_t> cands) {
+  // The tail access is devirtualized per physical type and the bounds check
+  // folded into the same pass (candidate gathers are the hot loop of a
+  // pipelined plan).
   const Column& tail = b.tail();
   const size_t n = b.size();
-  auto scan = [&](auto get) -> Status {
+  std::vector<uint32_t> tails(cands.size());
+  auto gather = [&](auto get) -> StatusOr<std::vector<uint32_t>> {
     for (size_t i = 0; i < cands.size(); ++i) {
       oid_t o = cands[i];
       if (o >= n) return Status::OutOfRange("candidate oid beyond BAT");
-      fn(i, get(o));
+      tails[i] = get(o);
     }
-    return Status::Ok();
+    return std::move(tails);
   };
   switch (tail.type()) {
     case PhysType::kU8: {
       auto v = tail.Span<uint8_t>();
-      return scan([v](oid_t o) { return uint32_t{v[o]}; });
+      return gather([v](oid_t o) { return uint32_t{v[o]}; });
     }
     case PhysType::kU16: {
       auto v = tail.Span<uint16_t>();
-      return scan([v](oid_t o) { return uint32_t{v[o]}; });
+      return gather([v](oid_t o) { return uint32_t{v[o]}; });
     }
     case PhysType::kU32: {
       auto v = tail.Span<uint32_t>();
-      return scan([v](oid_t o) { return v[o]; });
+      return gather([v](oid_t o) { return v[o]; });
     }
     case PhysType::kVoid:
-      return scan([&tail](oid_t o) {
+      return gather([&tail](oid_t o) {
         return static_cast<uint32_t>(tail.GetIntegral(o));
       });
     default:
@@ -238,139 +237,6 @@ Status ForEachCandidate(const Bat& b, std::span<const oid_t> cands, Fn&& fn) {
           std::string("candidate kernel requires an integral tail, got ") +
           PhysTypeName(tail.type()));
   }
-}
-
-}  // namespace
-
-StatusOr<std::vector<uint32_t>> BatSelectPositions(
-    const Bat& b, uint32_t lo, uint32_t hi, std::span<const oid_t> cands) {
-  std::vector<uint32_t> out;
-  CCDB_RETURN_IF_ERROR(ForEachCandidate(b, cands, [&](size_t i, uint32_t v) {
-    if (lo <= v && v <= hi) out.push_back(static_cast<uint32_t>(i));
-  }));
-  return out;
-}
-
-StatusOr<std::vector<uint32_t>> BatSelectPositionsDense(const Bat& b,
-                                                        uint32_t lo,
-                                                        uint32_t hi, oid_t base,
-                                                        size_t count) {
-  CCDB_RETURN_IF_ERROR(RequireIntegralTail(b, "select"));
-  if (base + count > b.size()) {
-    return Status::OutOfRange("dense candidate range beyond BAT");
-  }
-  std::vector<uint32_t> out;
-  const Column& tail = b.tail();
-  auto scan = [&](auto values) {
-    for (size_t i = 0; i < count; ++i) {
-      uint32_t x = values[base + i];
-      if (lo <= x && x <= hi) out.push_back(static_cast<uint32_t>(i));
-    }
-  };
-  switch (tail.type()) {
-    case PhysType::kU8:
-      scan(tail.Span<uint8_t>());
-      break;
-    case PhysType::kU16:
-      scan(tail.Span<uint16_t>());
-      break;
-    case PhysType::kU32:
-      scan(tail.Span<uint32_t>());
-      break;
-    default:
-      for (size_t i = 0; i < count; ++i) {
-        uint32_t x = static_cast<uint32_t>(tail.GetIntegral(base + i));
-        if (lo <= x && x <= hi) out.push_back(static_cast<uint32_t>(i));
-      }
-      break;
-  }
-  return out;
-}
-
-StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
-                                             std::span<const oid_t> cands) {
-  std::vector<uint32_t> tails(cands.size());
-  CCDB_RETURN_IF_ERROR(ForEachCandidate(
-      b, cands, [&](size_t i, uint32_t v) { tails[i] = v; }));
-  return tails;
-}
-
-namespace {
-
-/// Membership in a disjoint, ascending range set. Small sets scan linearly;
-/// larger ones (IN-lists) binary-search on lo.
-inline bool InRanges(std::span<const U32Range> ranges, uint32_t v) {
-  if (ranges.size() <= 4) {
-    for (const U32Range& r : ranges) {
-      if (v < r.lo) return false;  // ascending: no later range can match
-      if (v <= r.hi) return true;
-    }
-    return false;
-  }
-  // Last range with lo <= v, if any.
-  size_t lo = 0, hi = ranges.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (ranges[mid].lo <= v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo > 0 && v <= ranges[lo - 1].hi;
-}
-
-}  // namespace
-
-StatusOr<std::vector<uint32_t>> BatSelectPositionsUnion(
-    const Bat& b, std::span<const U32Range> ranges,
-    std::span<const oid_t> cands) {
-  if (ranges.size() == 1) {
-    return BatSelectPositions(b, ranges[0].lo, ranges[0].hi, cands);
-  }
-  std::vector<uint32_t> out;
-  CCDB_RETURN_IF_ERROR(ForEachCandidate(b, cands, [&](size_t i, uint32_t v) {
-    if (InRanges(ranges, v)) out.push_back(static_cast<uint32_t>(i));
-  }));
-  return out;
-}
-
-StatusOr<std::vector<uint32_t>> BatSelectPositionsUnionDense(
-    const Bat& b, std::span<const U32Range> ranges, oid_t base, size_t count) {
-  if (ranges.size() == 1) {
-    return BatSelectPositionsDense(b, ranges[0].lo, ranges[0].hi, base, count);
-  }
-  CCDB_RETURN_IF_ERROR(RequireIntegralTail(b, "select"));
-  if (base + count > b.size()) {
-    return Status::OutOfRange("dense candidate range beyond BAT");
-  }
-  std::vector<uint32_t> out;
-  const Column& tail = b.tail();
-  auto scan = [&](auto values) {
-    for (size_t i = 0; i < count; ++i) {
-      if (InRanges(ranges, values[base + i])) {
-        out.push_back(static_cast<uint32_t>(i));
-      }
-    }
-  };
-  switch (tail.type()) {
-    case PhysType::kU8:
-      scan(tail.Span<uint8_t>());
-      break;
-    case PhysType::kU16:
-      scan(tail.Span<uint16_t>());
-      break;
-    case PhysType::kU32:
-      scan(tail.Span<uint32_t>());
-      break;
-    default:
-      for (size_t i = 0; i < count; ++i) {
-        uint32_t x = static_cast<uint32_t>(tail.GetIntegral(base + i));
-        if (InRanges(ranges, x)) out.push_back(static_cast<uint32_t>(i));
-      }
-      break;
-  }
-  return out;
 }
 
 std::vector<U32Range> ComplementRanges(std::span<const U32Range> ranges) {

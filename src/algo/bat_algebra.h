@@ -62,23 +62,9 @@ StatusOr<Bat> BatAppend(const Bat& a, const Bat& b);
 
 // --- candidate-list kernels (§3.1 pipelining) --------------------------------
 // A candidate list is a selection vector of OIDs produced by an upstream
-// selection. These kernels let further selections and projections run
-// *through* the list — only qualifying BUNs are touched and no intermediate
-// BAT is materialized between operators.
-
-/// select(b, lo, hi | cands): positions i into `cands` whose value
-/// b.tail[cands[i]] is in [lo, hi]. Requires integral tail; OIDs beyond the
-/// BAT are kOutOfRange.
-StatusOr<std::vector<uint32_t>> BatSelectPositions(const Bat& b, uint32_t lo,
-                                                   uint32_t hi,
-                                                   std::span<const oid_t> cands);
-
-/// Dense-candidate variant: the candidate list is the virtual sequence
-/// [base, base+count) and is never materialized (a void candidate column).
-StatusOr<std::vector<uint32_t>> BatSelectPositionsDense(const Bat& b,
-                                                        uint32_t lo,
-                                                        uint32_t hi, oid_t base,
-                                                        size_t count);
+// selection. Projections run *through* the list — only qualifying BUNs are
+// touched and no intermediate BAT is materialized between operators.
+// (Selections through a list are the filter walk in exec/operator.cc.)
 
 /// project(b, cands): b.tail[cands[i]] widened to u32 — tuple
 /// reconstruction through a candidate list, the positional fetch the paper
@@ -87,31 +73,19 @@ StatusOr<std::vector<uint32_t>> BatSelectPositionsDense(const Bat& b,
 StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
                                              std::span<const oid_t> cands);
 
-// --- disjunction kernels (expression lowering) -------------------------------
+// --- expression lowering ------------------------------------------------------
 // An Expr leaf (exec/expr.h) lowers to a *set* of disjoint value ranges on
 // the (possibly code-mapped) u32 domain: `x != 7` is [0,6] u [8,max], a
-// NOT IN {2,5} is three ranges, a negated Between is two. These kernels
-// evaluate such a range set through a candidate list in one pass, and merge
-// the sorted position lists that OR branches produce — still never
-// materializing an intermediate BAT.
+// NOT IN {2,5} is three ranges, a negated Between is two. The filter walk
+// (exec/operator.cc) tests each value through the candidate list against
+// such a set, and merges the sorted position lists that OR branches
+// produce — still never materializing an intermediate BAT.
 
 /// One inclusive value range on the u32 domain.
 struct U32Range {
   uint32_t lo = 0;
   uint32_t hi = 0;
 };
-
-/// select(b, ranges | cands): positions i into `cands` whose value
-/// b.tail[cands[i]] falls in any of `ranges` (disjoint, ascending by lo).
-/// Requires integral tail; OIDs beyond the BAT are kOutOfRange. An empty
-/// range set selects nothing.
-StatusOr<std::vector<uint32_t>> BatSelectPositionsUnion(
-    const Bat& b, std::span<const U32Range> ranges,
-    std::span<const oid_t> cands);
-
-/// Dense-candidate variant over the virtual sequence [base, base+count).
-StatusOr<std::vector<uint32_t>> BatSelectPositionsUnionDense(
-    const Bat& b, std::span<const U32Range> ranges, oid_t base, size_t count);
 
 /// The complement of a disjoint, ascending range set over the full u32
 /// domain — how NormalizeExpr's negated leaves become range sets.

@@ -7,7 +7,7 @@
 // decomposition BAT [void OID, value] is pure arithmetic — the matching
 // tuple of OID o *is* position o - base.
 //
-// These kernels serve BatJoin on void-headed BATs. The planned path is the
+// PositionalJoin serves BatJoin on void-headed BATs. The planned path is the
 // join driver's JoinKernel::kPositional (algo/join.h): JoinOp runs it when
 // the cost model picks it for unique build keys over an eligible domain.
 #ifndef CCDB_ALGO_POSITIONAL_JOIN_H_
@@ -35,24 +35,6 @@ std::vector<Bun> PositionalJoin(std::span<const Bun> l, oid_t base,
     if (offset < count) {
       EmitResult(out, Bun{t.head, offset}, mem);
     }
-  }
-  return out;
-}
-
-/// Tuple-reconstruction gather: fetches values[oids[i] - base] for each
-/// reference — the projection path a positional join enables. Returns the
-/// gathered values; out-of-range references are CCDB_DCHECKed (callers have
-/// validated OIDs at plan time).
-template <class Mem, typename T>
-std::vector<T> PositionalGather(std::span<const Bun> refs,
-                                std::span<const T> values, oid_t base,
-                                Mem& mem) {
-  std::vector<T> out(refs.size());
-  for (size_t i = 0; i < refs.size(); ++i) {
-    Bun t = mem.Load(&refs[i]);
-    uint32_t offset = t.tail - base;
-    CCDB_DCHECK(offset < values.size());
-    out[i] = mem.Load(&values[offset]);
   }
   return out;
 }

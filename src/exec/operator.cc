@@ -102,8 +102,9 @@ template <typename RowFn, typename Fn>
 CCDB_ALWAYS_INLINE bool WalkOids(const Candidates& cd, size_t n, RowFn row,
                                  Fn fn) {
   if (cd.dense()) {
+    const oid_t base = cd.base;  // a local: fn's stores cannot alias it
     for (size_t i = 0; i < n; ++i) {
-      if (!fn(i, static_cast<oid_t>(cd.base + row(i)))) return false;
+      if (!fn(i, static_cast<oid_t>(base + row(i)))) return false;
     }
   } else {
     const oid_t* oids = cd.oids->data();
@@ -493,45 +494,15 @@ void SelectOp::Close() { child_->Close(); }
 
 namespace {
 
-// --- leaf matchers (span / gather fallback paths) ---------------------------
-// Direct evaluation of one normalized expression leaf against a typed
-// value. f64 comparisons are IEEE: NaN fails every ordering and range test
+// --- filter evaluation -------------------------------------------------------
+// One walk evaluates a normalized expression over a chunk's rows, or over
+// the positions that survive an enclosing conjunct, and one leaf function
+// evaluates every leaf. Every result is an ascending, duplicate-free list
+// of chunk positions, so And narrows pass by pass and Or merge-unions its
+// branches: candidate lists all the way down, never an intermediate BAT.
+// f64 comparisons are IEEE: NaN fails every ordering and range test
 // (including "not in [lo, hi]", which is v < lo || v > hi) while != is
 // true for NaN.
-
-bool MatchI64(const Expr& leaf, int64_t v);
-
-bool MatchU32(const Expr& leaf, uint32_t v) {
-  // Wide (i64) literals on a u32 column evaluate widened: `v < 2^40` must
-  // be true for every u32 value, not wrap.
-  if ((leaf.kind == Expr::Kind::kCmp &&
-       leaf.value.type == Literal::Type::kI64) ||
-      (leaf.kind == Expr::Kind::kBetween &&
-       leaf.lo.type == Literal::Type::kI64)) {
-    return MatchI64(leaf, static_cast<int64_t>(v));
-  }
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp: {
-      uint32_t x = leaf.value.u32;
-      switch (leaf.cmp) {
-        case CmpOp::kEq: return v == x;
-        case CmpOp::kNe: return v != x;
-        case CmpOp::kLt: return v < x;
-        case CmpOp::kLe: return v <= x;
-        case CmpOp::kGt: return v > x;
-        case CmpOp::kGe: return v >= x;
-      }
-      return false;
-    }
-    case Expr::Kind::kBetween:
-      return (leaf.lo.u32 <= v && v <= leaf.hi.u32) != leaf.negated;
-    case Expr::Kind::kIn:
-      return std::binary_search(leaf.in_u32.begin(), leaf.in_u32.end(), v) !=
-             leaf.negated;
-    default:
-      return false;
-  }
-}
 
 bool MatchI64(const Expr& leaf, int64_t v) {
   switch (leaf.kind) {
@@ -604,7 +575,7 @@ bool MatchStr(const Expr& leaf, std::string_view v) {
   }
 }
 
-// --- leaf lowering to u32 range sets (kernel path) --------------------------
+// --- leaf lowering to u32 range sets ----------------------------------------
 
 /// Literal domain a leaf compares on: kU32 (including dictionary codes for
 /// string literals on encoded columns), kF64, or kStr.
@@ -698,135 +669,10 @@ StatusOr<std::vector<U32Range>> LeafU32Ranges(const ChunkColumn& col,
   }
 }
 
-/// True when `leaf` on column `ci` can be evaluated over an arbitrary
-/// candidate sub-range without first gathering the whole chunk — the lazy
-/// base-column paths that morsel-parallel evaluation splits up.
-bool LeafRangedEvalSupported(const Chunk& in, size_t ci, const Expr& leaf) {
-  const ChunkColumn& col = in.cols[ci];
-  if (!col.lazy()) return false;
-  switch (LeafLiteralType(leaf)) {
-    case Literal::Type::kI64:
-      // Wide literals cannot lower to u32 range sets; gather fallback.
-      return false;
-    case Literal::Type::kU32:
-      switch (col.base->column_bat(col.base_col).tail().type()) {
-        case PhysType::kVoid:
-        case PhysType::kU8:
-        case PhysType::kU16:
-        case PhysType::kU32:
-          return true;
-        default:
-          return false;  // e.g. an i64 base column: gather fallback
-      }
-    case Literal::Type::kF64:
-      return col.base->column_bat(col.base_col).tail().type() ==
-             PhysType::kF64;
-    case Literal::Type::kStr:
-      return col.base->is_encoded(col.base_col);
-  }
-  return false;
-}
-
-/// Evaluates `leaf` over candidate rows [row_lo, row_hi) of lazy column
-/// `ci`, returning qualifying chunk-relative positions (ascending). Only
-/// valid when LeafRangedEvalSupported; morsel results concatenated in range
-/// order equal a full-range evaluation.
-StatusOr<std::vector<uint32_t>> EvalLeafLazyRange(const Chunk& in,
-                                                  const Expr& leaf, size_t ci,
-                                                  size_t row_lo,
-                                                  size_t row_hi) {
-  const ChunkColumn& col = in.cols[ci];
-  const Bat& bat = col.base->column_bat(col.base_col);
-  const Candidates& cd = in.cands[col.cand_slot];
-  size_t n = row_hi - row_lo;
-  if (LeafLiteralType(leaf) == Literal::Type::kF64) {
-    auto v = bat.tail().Span<double>();
-    std::vector<uint32_t> out;
-    for (size_t i = row_lo; i < row_hi; ++i) {
-      oid_t o = cd.Get(i);
-      if (o >= v.size()) return Status::OutOfRange("candidate beyond column");
-      if (MatchF64(leaf, v[o])) out.push_back(static_cast<uint32_t>(i));
-    }
-    return out;
-  }
-  // Integral shapes (and string literals remapped onto codes) lower to a
-  // disjoint range set evaluated by the candidate-list union kernels.
-  CCDB_ASSIGN_OR_RETURN(std::vector<U32Range> ranges,
-                        LeafU32Ranges(col, leaf));
-  if (ranges.empty()) return std::vector<uint32_t>{};
-  std::vector<uint32_t> pos;
-  if (cd.dense()) {
-    CCDB_ASSIGN_OR_RETURN(
-        pos, BatSelectPositionsUnionDense(bat, ranges,
-                                          static_cast<oid_t>(cd.base + row_lo),
-                                          n));
-  } else {
-    CCDB_ASSIGN_OR_RETURN(
-        pos,
-        BatSelectPositionsUnion(bat, ranges, OidSpan(cd).subspan(row_lo, n)));
-  }
-  if (row_lo != 0) {
-    for (uint32_t& p : pos) p += static_cast<uint32_t>(row_lo);
-  }
-  return pos;
-}
-
-/// Evaluates `leaf` over an owned column in place (no gather): rows
-/// row_at(0..n), emitting the matching row_at values in order.
-template <class RowAt>
-StatusOr<std::vector<uint32_t>> EvalLeafOwnedRows(const Column& col,
-                                                  const Expr& leaf, size_t n,
-                                                  RowAt row_at) {
-  std::vector<uint32_t> out;
-  switch (col.type()) {
-    case PhysType::kU32: {
-      auto s = col.Span<uint32_t>();
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchU32(leaf, s[r])) out.push_back(r);
-      }
-      return out;
-    }
-    case PhysType::kI64: {
-      auto s = col.Span<int64_t>();
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchI64(leaf, s[r])) out.push_back(r);
-      }
-      return out;
-    }
-    case PhysType::kF64: {
-      auto s = col.Span<double>();
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchF64(leaf, s[r])) out.push_back(r);
-      }
-      return out;
-    }
-    case PhysType::kStr: {
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchStr(leaf, col.GetStr(r))) out.push_back(r);
-      }
-      return out;
-    }
-    default: {
-      // Narrow integral representations: go through GetIntegral.
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchU32(leaf, static_cast<uint32_t>(col.GetIntegral(r)))) {
-          out.push_back(r);
-        }
-      }
-      return out;
-    }
-  }
-}
-
-/// Directly-composed SelectOps bypass Build() validation, so the fallback
-/// paths re-check that the leaf's literal domain matches the column before
-/// dispatching a matcher — a mismatch must stay a loud error, never a
-/// comparison against the wrong Literal member.
+/// Directly-composed SelectOps bypass Build() validation, so every leaf
+/// re-checks that its literal domain matches the column — a mismatch must
+/// stay a loud error, never a comparison against the wrong Literal member
+/// or against an encoded column's dictionary codes.
 Status CheckLeafDomain(PhysType col_type, const Expr& leaf) {
   Literal::Type lt = LeafLiteralType(leaf);
   bool ok = false;
@@ -852,70 +698,168 @@ Status CheckLeafDomain(PhysType col_type, const Expr& leaf) {
   return Status::Ok();
 }
 
-/// Whole-chunk fallback for shapes without a ranged kernel path: owned
-/// columns (aggregate output) evaluate on their spans in place; lazy
-/// columns gather once and match per row.
-StatusOr<std::vector<uint32_t>> EvalLeafFallback(const Chunk& in,
-                                                 const Expr& leaf, size_t ci) {
-  CCDB_RETURN_IF_ERROR(CheckLeafDomain(in.TypeOf(ci), leaf));
-  const ChunkColumn& col = in.cols[ci];
-  if (!col.lazy()) {
-    return EvalLeafOwnedRows(*col.owned, leaf, in.rows,
-                             [](size_t i) { return static_cast<uint32_t>(i); });
+/// Membership in a disjoint, ascending range set. Small sets scan linearly;
+/// larger ones (IN-lists) binary-search on lo.
+inline bool InRanges(std::span<const U32Range> ranges, uint32_t v) {
+  if (ranges.size() <= 4) {
+    for (const U32Range& r : ranges) {
+      if (v < r.lo) return false;  // ascending: no later range can match
+      if (v <= r.hi) return true;
+    }
+    return false;
   }
-  std::vector<uint32_t> out;
-  switch (in.TypeOf(ci)) {
-    case PhysType::kU32: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> v, in.GatherU32(ci));
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (MatchU32(leaf, v[i])) out.push_back(static_cast<uint32_t>(i));
+  // Last range with lo <= v, if any.
+  size_t lo = 0, hi = ranges.size();
+  while (lo < hi) {
+    size_t mid = (lo + hi) / 2;
+    if (ranges[mid].lo <= v) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo > 0 && v <= ranges[lo - 1].hi;
+}
+
+/// The one filter loop: emits row(i), for i in [lo, hi), when
+/// keep(get(oid)) holds, oid being row(i)'s OID in `cd` and `size` the
+/// column length the OIDs must stay below. Rows ascend, so a dense walk
+/// checks its last OID once and runs unchecked; a list walk checks every
+/// OID. Every row is written and only a match advances the output, so the
+/// loop has no data-dependent branch.
+template <class Row, class Get, class Keep>
+StatusOr<std::vector<uint32_t>> SelectRows(const Candidates& cd, size_t size,
+                                           Row row, size_t lo, size_t hi,
+                                           Get get, Keep keep) {
+  auto at = [&](size_t i) { return row(lo + i); };
+  std::vector<uint32_t> out(hi - lo);
+  uint32_t* dst = out.data();
+  size_t kept = 0;
+  auto walk = [&](auto checked) {
+    return WalkOids(cd, hi - lo, at, [&](size_t i, oid_t o) {
+      if constexpr (decltype(checked)::value) {
+        if (o >= size) return false;
       }
-      return out;
+      dst[kept] = static_cast<uint32_t>(at(i));
+      kept += keep(get(o)) ? 1 : 0;
+      return true;
+    });
+  };
+  if (cd.dense()) {
+    if (hi > lo && size_t{cd.base} + at(hi - lo - 1) >= size) {
+      return Status::OutOfRange("candidate beyond column");
+    }
+    walk(std::false_type{});
+  } else if (!walk(std::true_type{})) {
+    return Status::OutOfRange("candidate beyond column");
+  }
+  out.resize(kept);
+  return out;
+}
+
+/// Selects rows [lo, hi) of `row` by `leaf` on `vals`, read through `cd`.
+/// Integral values of at most 32 bits test the leaf's u32 range set
+/// `ranges` (`by_ranges`) or, under a wide literal, compare widened; the
+/// other types match their own literal.
+template <class Row>
+StatusOr<std::vector<uint32_t>> SelectLeafRows(
+    const Expr& leaf, const Column& vals, const Candidates& cd,
+    std::span<const U32Range> ranges, bool by_ranges, Row row, size_t lo,
+    size_t hi) {
+  auto select = [&](auto get, auto keep) {
+    return SelectRows(cd, vals.size(), row, lo, hi, get, keep);
+  };
+  auto match_i64 = [&leaf](int64_t v) { return MatchI64(leaf, v); };
+  auto integral = [&](auto get) {
+    if (!by_ranges) {
+      return select([get](oid_t o) { return static_cast<int64_t>(get(o)); },
+                    match_i64);
+    }
+    if (ranges.size() == 1) {
+      U32Range r = ranges[0];
+      return select(get, [r](uint32_t v) { return r.lo <= v && v <= r.hi; });
+    }
+    return select(get, [ranges](uint32_t v) { return InRanges(ranges, v); });
+  };
+  switch (vals.type()) {
+    case PhysType::kU8: {
+      const uint8_t* v = vals.Span<uint8_t>().data();
+      return integral([v](oid_t o) { return uint32_t{v[o]}; });
+    }
+    case PhysType::kU16: {
+      const uint16_t* v = vals.Span<uint16_t>().data();
+      return integral([v](oid_t o) { return uint32_t{v[o]}; });
+    }
+    case PhysType::kU32: {
+      const uint32_t* v = vals.Span<uint32_t>().data();
+      return integral([v](oid_t o) { return v[o]; });
     }
     case PhysType::kI64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<int64_t> v, in.GatherI64(ci));
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (MatchI64(leaf, v[i])) out.push_back(static_cast<uint32_t>(i));
-      }
-      return out;
+      const int64_t* v = vals.Span<int64_t>().data();
+      return select([v](oid_t o) { return v[o]; }, match_i64);
     }
     case PhysType::kF64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<double> v, in.GatherF64(ci));
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (MatchF64(leaf, v[i])) out.push_back(static_cast<uint32_t>(i));
-      }
-      return out;
+      const double* v = vals.Span<double>().data();
+      return select([v](oid_t o) { return v[o]; },
+                    [&leaf](double x) { return MatchF64(leaf, x); });
     }
-    case PhysType::kStr: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<std::string> v, in.GatherStr(ci));
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (MatchStr(leaf, v[i])) out.push_back(static_cast<uint32_t>(i));
-      }
-      return out;
-    }
+    case PhysType::kStr:
+      return select([&vals](oid_t o) { return vals.GetStr(o); },
+                    [&leaf](std::string_view s) { return MatchStr(leaf, s); });
     default:
-      return Status::Internal("unexpected chunk column type");
+      return integral([&vals](oid_t o) {
+        return static_cast<uint32_t>(vals.GetIntegral(o));
+      });
   }
 }
 
-/// First pass of a leaf: evaluates it over the whole chunk, morsel-parallel
-/// when the column supports ranged evaluation.
-StatusOr<std::vector<uint32_t>> EvalLeafFull(const Chunk& in, const Expr& leaf,
-                                             const ExecContext* ctx) {
+/// Evaluates one leaf over every chunk row (`survivors` null) or over the
+/// survivors of an enclosing conjunct, returning the matching positions.
+/// An owned column (aggregate output) is read in place at chunk positions;
+/// a lazy one at base OIDs through its candidate list.
+StatusOr<std::vector<uint32_t>> EvalLeaf(const Chunk& in, const Expr& leaf,
+                                         const std::vector<uint32_t>* survivors,
+                                         const ExecContext* ctx) {
   CCDB_ASSIGN_OR_RETURN(size_t ci, in.Find(leaf.column));
-  bool ranged = LeafRangedEvalSupported(in, ci, leaf);
-  size_t shards = ranged ? CtxShards(ctx, in.rows) : 1;
-  if (shards <= 1) {
-    if (ranged) return EvalLeafLazyRange(in, leaf, ci, 0, in.rows);
-    return EvalLeafFallback(in, leaf, ci);
+  CCDB_RETURN_IF_ERROR(CheckLeafDomain(in.TypeOf(ci), leaf));
+  const ChunkColumn& col = in.cols[ci];
+  const Candidates chunk_rows = Candidates::Dense(0, in.rows);
+  const Candidates& cd = col.lazy() ? in.cands[col.cand_slot] : chunk_rows;
+  const Column& vals =
+      col.lazy() ? col.base->column_bat(col.base_col).tail() : *col.owned;
+  // u32 literals, and string literals remapped onto an encoded column's
+  // codes, lower to a range set over integral values.
+  Literal::Type lt = LeafLiteralType(leaf);
+  bool by_ranges =
+      (lt == Literal::Type::kU32 || lt == Literal::Type::kStr) &&
+      vals.type() != PhysType::kI64 && vals.type() != PhysType::kF64 &&
+      vals.type() != PhysType::kStr;
+  std::vector<U32Range> ranges;
+  if (by_ranges) {
+    CCDB_ASSIGN_OR_RETURN(ranges, LeafU32Ranges(col, leaf));
+    if (ranges.empty()) return std::vector<uint32_t>{};
   }
-  // Morsel-parallel candidate evaluation: shard s fills slot s, and the
-  // ordered concatenation equals the serial result exactly.
+  size_t n = survivors == nullptr ? in.rows : survivors->size();
+  auto slice = [&](size_t lo, size_t hi) {
+    if (survivors == nullptr) {
+      return SelectLeafRows(leaf, vals, cd, ranges, by_ranges,
+                            [](size_t i) { return i; }, lo, hi);
+    }
+    const uint32_t* s = survivors->data();
+    return SelectLeafRows(leaf, vals, cd, ranges, by_ranges,
+                          [s](size_t i) { return size_t{s[i]}; }, lo, hi);
+  };
+  // Lazy columns tested against a range set or an f64 literal split into
+  // morsels: shard s fills slot s, and the ordered concatenation equals
+  // the serial result exactly.
+  bool shardable =
+      col.lazy() && (by_ranges || vals.type() == PhysType::kF64);
+  size_t shards = shardable ? CtxShards(ctx, n) : 1;
+  if (shards <= 1) return slice(0, n);
   std::vector<std::vector<uint32_t>> parts(shards);
   CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx, shards, [&](size_t s) -> Status {
-    size_t lo = in.rows * s / shards;
-    size_t hi = in.rows * (s + 1) / shards;
-    CCDB_ASSIGN_OR_RETURN(parts[s], EvalLeafLazyRange(in, leaf, ci, lo, hi));
+    CCDB_ASSIGN_OR_RETURN(parts[s],
+                          slice(n * s / shards, n * (s + 1) / shards));
     return Status::Ok();
   }));
   size_t total = 0;
@@ -928,174 +872,58 @@ StatusOr<std::vector<uint32_t>> EvalLeafFull(const Chunk& in, const Expr& leaf,
   return positions;
 }
 
-/// Evaluates `leaf` over the surviving chunk positions [lo, hi) of
-/// `positions`, touching only those candidates (never the full chunk).
-/// Returns the qualifying subset, in order. Requires
-/// LeafRangedEvalSupported.
-StatusOr<std::vector<uint32_t>> NarrowLeafSlice(
-    const Chunk& in, const Expr& leaf, size_t ci,
-    std::span<const uint32_t> positions, size_t lo, size_t hi) {
-  const ChunkColumn& col = in.cols[ci];
-  const Bat& bat = col.base->column_bat(col.base_col);
-  const Candidates& cd = in.cands[col.cand_slot];
-  if (LeafLiteralType(leaf) == Literal::Type::kF64) {
-    auto v = bat.tail().Span<double>();
-    std::vector<uint32_t> out;
-    for (size_t i = lo; i < hi; ++i) {
-      oid_t o = cd.Get(positions[i]);
-      if (o >= v.size()) return Status::OutOfRange("candidate beyond column");
-      if (MatchF64(leaf, v[o])) out.push_back(positions[i]);
-    }
-    return out;
+/// Evaluates a normalized expression over every chunk row (`survivors`
+/// null) or over `survivors`, returning the matching positions.
+StatusOr<std::vector<uint32_t>> EvalExpr(const Chunk& in, const Expr& e,
+                                         const std::vector<uint32_t>* survivors,
+                                         const ExecContext* ctx) {
+  if (survivors != nullptr && survivors->empty()) {
+    return std::vector<uint32_t>{};
   }
-  CCDB_ASSIGN_OR_RETURN(std::vector<U32Range> ranges,
-                        LeafU32Ranges(col, leaf));
-  if (ranges.empty()) return std::vector<uint32_t>{};
-  std::vector<oid_t> oids(hi - lo);
-  for (size_t i = lo; i < hi; ++i) oids[i - lo] = cd.Get(positions[i]);
-  CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> idx,
-                        BatSelectPositionsUnion(bat, ranges, oids));
-  std::vector<uint32_t> out(idx.size());
-  for (size_t i = 0; i < idx.size(); ++i) out[i] = positions[lo + idx[i]];
-  return out;
-}
-
-/// Narrows the surviving positions by `leaf` without re-scanning the chunk.
-/// Lazy columns go through the candidate-list kernels; owned columns
-/// evaluate in place on their spans; other shapes fall back to a
-/// candidate-bounded take + gather.
-StatusOr<std::vector<uint32_t>> NarrowLeaf(const Chunk& in, const Expr& leaf,
-                                           std::vector<uint32_t> positions,
-                                           const ExecContext* ctx) {
-  CCDB_ASSIGN_OR_RETURN(size_t ci, in.Find(leaf.column));
-  if (!LeafRangedEvalSupported(in, ci, leaf)) {
-    const ChunkColumn& col = in.cols[ci];
-    if (!col.lazy()) {
-      // Aggregate output and other owned columns: match through the
-      // survivor list in place — no take, no gather.
-      CCDB_RETURN_IF_ERROR(CheckLeafDomain(in.TypeOf(ci), leaf));
-      return EvalLeafOwnedRows(*col.owned, leaf, positions.size(),
-                               [&](size_t i) { return positions[i]; });
-    }
-    CCDB_ASSIGN_OR_RETURN(Chunk sub, in.Take(positions));
-    CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> subpos,
-                          EvalLeafFallback(sub, leaf, ci));
-    std::vector<uint32_t> out(subpos.size());
-    for (size_t i = 0; i < subpos.size(); ++i) out[i] = positions[subpos[i]];
-    return out;
-  }
-  size_t shards = CtxShards(ctx, positions.size());
-  if (shards <= 1) {
-    return NarrowLeafSlice(in, leaf, ci, positions, 0, positions.size());
-  }
-  std::vector<std::vector<uint32_t>> parts(shards);
-  CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx, shards, [&](size_t s) -> Status {
-    size_t lo = positions.size() * s / shards;
-    size_t hi = positions.size() * (s + 1) / shards;
-    CCDB_ASSIGN_OR_RETURN(
-        parts[s], NarrowLeafSlice(in, leaf, ci, positions, lo, hi));
-    return Status::Ok();
-  }));
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<uint32_t> out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  return out;
-}
-
-// --- recursive expression evaluation ----------------------------------------
-// Both walks produce ascending, duplicate-free chunk positions, so And can
-// narrow pass by pass and Or can merge-union branch results — candidate
-// lists all the way down, never an intermediate BAT.
-
-StatusOr<std::vector<uint32_t>> EvalExprNarrow(const Chunk& in, const Expr& e,
-                                               std::vector<uint32_t> positions,
-                                               const ExecContext* ctx);
-
-/// Evaluates a normalized expression over the whole chunk.
-StatusOr<std::vector<uint32_t>> EvalExprFull(const Chunk& in, const Expr& e,
-                                             const ExecContext* ctx) {
   switch (e.kind) {
     case Expr::Kind::kAnd: {
-      // Fused conjunction pass: the first conjunct scans the chunk's
-      // candidate range; each later conjunct narrows the survivors only.
-      std::vector<uint32_t> positions;
+      // Each conjunct narrows the survivors of the one before it.
+      std::vector<uint32_t> rows;
       for (size_t i = 0; i < e.children.size(); ++i) {
-        if (i == 0) {
-          CCDB_ASSIGN_OR_RETURN(positions,
-                                EvalExprFull(in, e.children[i], ctx));
-        } else {
-          if (positions.empty()) break;
-          CCDB_ASSIGN_OR_RETURN(
-              positions,
-              EvalExprNarrow(in, e.children[i], std::move(positions), ctx));
-        }
+        CCDB_ASSIGN_OR_RETURN(
+            rows, EvalExpr(in, e.children[i], i == 0 ? survivors : &rows, ctx));
       }
-      return positions;
+      return rows;
     }
     case Expr::Kind::kOr: {
-      std::vector<std::vector<uint32_t>> parts(e.children.size());
-      for (size_t i = 0; i < e.children.size(); ++i) {
-        CCDB_ASSIGN_OR_RETURN(parts[i], EvalExprFull(in, e.children[i], ctx));
-      }
-      return UnionSortedPositions(std::move(parts));
-    }
-    case Expr::Kind::kNot:
-      return Status::Internal("filter expression not normalized (NOT node)");
-    default:
-      return EvalLeafFull(in, e, ctx);
-  }
-}
-
-/// Narrows surviving positions by a normalized expression.
-StatusOr<std::vector<uint32_t>> EvalExprNarrow(const Chunk& in, const Expr& e,
-                                               std::vector<uint32_t> positions,
-                                               const ExecContext* ctx) {
-  if (positions.empty()) return positions;
-  switch (e.kind) {
-    case Expr::Kind::kAnd: {
-      for (const Expr& c : e.children) {
-        CCDB_ASSIGN_OR_RETURN(positions,
-                              EvalExprNarrow(in, c, std::move(positions),
-                                             ctx));
-        if (positions.empty()) break;
-      }
-      return positions;
-    }
-    case Expr::Kind::kOr: {
-      // Every branch narrows the same survivor list; the union keeps each
-      // surviving position exactly once, in order.
+      // Every branch reads the same rows; the union keeps each matching
+      // position exactly once, in order.
       std::vector<std::vector<uint32_t>> parts(e.children.size());
       for (size_t i = 0; i < e.children.size(); ++i) {
         CCDB_ASSIGN_OR_RETURN(parts[i],
-                              EvalExprNarrow(in, e.children[i], positions,
-                                             ctx));
+                              EvalExpr(in, e.children[i], survivors, ctx));
       }
       return UnionSortedPositions(std::move(parts));
     }
     case Expr::Kind::kNot:
       return Status::Internal("filter expression not normalized (NOT node)");
     default:
-      return NarrowLeaf(in, e, std::move(positions), ctx);
+      return EvalLeaf(in, e, survivors, ctx);
   }
 }
 
 }  // namespace
 
-// Public faces of the evaluation walks above (declared in
-// exec/shared_scan.h): shared-scan providers filter fanned-out chunks with
-// the exact kernels SelectOp runs, so sharing cannot change results.
+// Public faces of the walk above (declared in exec/shared_scan.h):
+// shared-scan providers filter fanned-out chunks with the exact code
+// SelectOp runs, so sharing cannot change results.
 StatusOr<std::vector<uint32_t>> EvalFilterPositions(const Chunk& chunk,
                                                     const Expr& normalized,
                                                     const ExecContext* ctx) {
-  return EvalExprFull(chunk, normalized, ctx);
+  return EvalExpr(chunk, normalized, nullptr, ctx);
 }
 
 StatusOr<std::vector<uint32_t>> NarrowFilterPositions(
     const Chunk& chunk, const Expr& normalized,
     std::vector<uint32_t> positions, const ExecContext* ctx) {
-  return EvalExprNarrow(chunk, normalized, std::move(positions), ctx);
+  // A dense walk bounds its OIDs by the last survivor.
+  CCDB_DCHECK(std::is_sorted(positions.begin(), positions.end()));
+  return EvalExpr(chunk, normalized, &positions, ctx);
 }
 
 StatusOr<bool> SelectOp::Next(Chunk* out) {
@@ -1107,7 +935,7 @@ StatusOr<bool> SelectOp::Next(Chunk* out) {
     return true;
   }
   CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> positions,
-                        EvalExprFull(in, *expr_, ctx_));
+                        EvalExpr(in, *expr_, nullptr, ctx_));
   CCDB_ASSIGN_OR_RETURN(*out, in.Take(positions));
   return true;
 }

@@ -174,19 +174,19 @@ class ScanOp : public Operator {
 /// surviving position list without re-scanning the chunk. Disjunctions
 /// evaluate every branch over the same input candidates and merge-union the
 /// sorted position lists (UnionSortedPositions), so a position matching
-/// several branches survives exactly once. Leaves lower to disjoint u32
-/// range sets on the value (or dictionary-code) domain where possible —
-/// `x != 7` is two ranges, a negated Between or an IN-list a few more —
-/// evaluated by the candidate-list union kernels; owned columns (aggregate
-/// output) evaluate on their spans in place, and other shapes fall back to
-/// a candidate-bounded gather. With a parallel ExecContext each leaf pass
-/// splits into cache-sized morsels evaluated on the pool; morsel results
+/// several branches survives exactly once. Every leaf reads its rows' values
+/// in place — a lazy column at the OIDs its candidate list names, an owned
+/// column (aggregate output) at chunk positions — and tests them against
+/// a disjoint u32 range set on the value (or dictionary-code) domain where
+/// the literal allows — `x != 7` is two ranges, a negated Between or an
+/// IN-list a few more — or against its own literal otherwise. With a
+/// parallel ExecContext a leaf over a lazy range-set or f64 column splits
+/// into cache-sized morsels evaluated on the pool; morsel results
 /// concatenate in morsel order, so output is byte-identical at any
 /// parallelism.
 ///
 /// The expression is normalized (NNF) and its conjuncts
-/// selectivity-ordered on construction; SelectOp also serves Having nodes,
-/// whose owned aggregate columns take the in-place span path.
+/// selectivity-ordered on construction; SelectOp also serves Having nodes.
 class SelectOp : public Operator {
  public:
   SelectOp(std::unique_ptr<Operator> child, Expr expr,

@@ -23,9 +23,9 @@
 //    plans can share candidate lists.
 //
 //  * MakeTableScanChunk / EvalFilterPositions / NarrowFilterPositions —
-//    the chunk-building and filter-evaluation primitives (implemented in
-//    operator.cc next to ScanOp/SelectOp, whose behavior they must mirror
-//    exactly) that a provider uses to drive a scan itself.
+//    the chunk-building and filter-evaluation primitives a provider uses
+//    to drive a scan itself (implemented in operator.cc: the chunk is
+//    ScanOp's, and both filter calls enter the walk SelectOp runs).
 #ifndef CCDB_EXEC_SHARED_SCAN_H_
 #define CCDB_EXEC_SHARED_SCAN_H_
 
@@ -111,19 +111,20 @@ class SharedScanOp : public Operator {
 /// structurally identical.
 Chunk MakeTableScanChunk(const Table& table, oid_t start, size_t rows);
 
-/// Evaluates a normalized filter over a whole chunk, returning ascending,
-/// duplicate-free chunk positions — exactly SelectOp's evaluation (same
-/// kernels, same morsel-parallel splitting under `ctx`, same NaN and
-/// encoded-string semantics). Implemented in operator.cc.
+/// Evaluates a normalized filter over every row of a chunk, returning
+/// ascending, duplicate-free chunk positions. This is SelectOp's own filter
+/// walk, so sharing cannot change results: same morsel-parallel splitting
+/// under `ctx`, same NaN and encoded-string semantics, same errors.
 StatusOr<std::vector<uint32_t>> EvalFilterPositions(const Chunk& chunk,
                                                     const Expr& normalized,
                                                     const ExecContext* ctx);
 
-/// Narrows an ascending position list by a normalized filter: returns the
-/// positions that also satisfy it, preserving order. When ExprSubsumes(a,
-/// b) holds, NarrowFilterPositions(chunk, a, EvalFilterPositions(chunk, b))
-/// equals EvalFilterPositions(chunk, a) — the identity candidate-list
-/// sharing is built on. Implemented in operator.cc.
+/// Narrows an ascending position list by a normalized filter: the same
+/// walk, reading only the listed positions, returns those that also
+/// satisfy it, preserving order. When ExprSubsumes(a, b) holds,
+/// NarrowFilterPositions(chunk, a, EvalFilterPositions(chunk, b)) equals
+/// EvalFilterPositions(chunk, a) — the identity candidate-list sharing is
+/// built on.
 StatusOr<std::vector<uint32_t>> NarrowFilterPositions(
     const Chunk& chunk, const Expr& normalized,
     std::vector<uint32_t> positions, const ExecContext* ctx);

@@ -20,6 +20,8 @@
 #include "exec/operator.h"
 #include "exec/plan.h"
 #include "model/planner.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ccdb {
 namespace {
@@ -438,14 +440,374 @@ TEST(ExprExecTest, DirectSelectOpTypeMismatchIsLoud) {
   // domain doesn't match the column must surface InvalidArgument, never
   // silently compare against the wrong Literal member.
   Table items = *Table::FromRowStore(MakeItems(100));
-  SelectOp op(std::make_unique<ScanOp>(&items, /*chunk_rows=*/64),
-              Between(Col("price"), 10u, 20u));  // price is f64
-  ASSERT_TRUE(op.Open().ok());
-  Chunk out;
-  auto more = op.Next(&out);
-  ASSERT_FALSE(more.ok());
-  EXPECT_EQ(more.status().code(), StatusCode::kInvalidArgument);
+  // price is f64; shipmode is an encoded string column, whose u32 codes a
+  // u32 literal must not be compared against — neither as a sole leaf nor
+  // as a conjunct that narrows survivors (`qty == 1u` ranks with the
+  // shipmode Eq and stays first; `qty >= 0u` ranks after it).
+  std::vector<Expr> mismatched;
+  mismatched.push_back(Between(Col("price"), 10u, 20u));
+  mismatched.push_back(Col("shipmode") == 2u);
+  mismatched.push_back(Col("qty") >= 0u && Col("shipmode") == 2u);
+  mismatched.push_back(Col("qty") == 1u && Col("shipmode") == 2u);
+  for (Expr& e : mismatched) {
+    std::string what = e.ToString();
+    SelectOp op(std::make_unique<ScanOp>(&items, /*chunk_rows=*/64),
+                std::move(e));
+    ASSERT_TRUE(op.Open().ok());
+    Chunk out;
+    auto more = op.Next(&out);
+    ASSERT_FALSE(more.ok()) << what;
+    EXPECT_EQ(more.status().code(), StatusCode::kInvalidArgument) << what;
+    op.Close();
+  }
+}
+
+// --- every leaf path against a row-at-a-time oracle --------------------------
+
+// leafy(id, sel, g u32; a8 u8; a16 u16; a32 u32; big i64; x f64; s char10):
+// integral values are small (so every literal below both matches and
+// misses) plus, on every 50th row, the type's maximum or a wide i64; x is
+// NaN on every 7th row; sel is 1 on about three rows in four.
+struct LeafyRow {
+  uint32_t sel = 0, g = 0, a8 = 0, a16 = 0, a32 = 0;
+  int64_t big = 0;
+  double x = 0;
+  std::string s;
+};
+
+std::vector<LeafyRow> MakeLeafyRows(size_t n) {
+  const char* modes[] = {"MAIL", "AIR", "TRUCK", "SHIP", "RAIL"};
+  Rng rng(23);
+  std::vector<LeafyRow> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    LeafyRow& r = rows[i];
+    bool edge = i % 50 == 0;
+    r.sel = rng.NextBelow(4) == 0 ? 0u : 1u;
+    r.g = static_cast<uint32_t>(i / 3);
+    r.a8 = edge ? 255 : static_cast<uint32_t>(rng.NextBelow(100));
+    r.a16 = edge ? 65535 : static_cast<uint32_t>(rng.NextBelow(100));
+    r.a32 = edge ? UINT32_MAX : static_cast<uint32_t>(rng.NextBelow(100));
+    r.big = edge ? (i % 100 == 0 ? int64_t{1} << 40 : -(int64_t{1} << 40))
+                 : static_cast<int64_t>(rng.NextBelow(200)) - 50;
+    r.x = i % 7 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                     : static_cast<double>(rng.NextBelow(100)) + 0.5;
+    r.s = modes[rng.NextBelow(5)];
+  }
+  return rows;
+}
+
+RowStore LeafyRowStore(const std::vector<LeafyRow>& rows) {
+  auto rs = RowStore::Make(
+      {
+          {"id", FieldType::kU32},
+          {"sel", FieldType::kU32},
+          {"g", FieldType::kU32},
+          {"a8", FieldType::kU8},
+          {"a16", FieldType::kU16},
+          {"a32", FieldType::kU32},
+          {"big", FieldType::kI64},
+          {"x", FieldType::kF64},
+          {"s", FieldType::kChar10},
+      },
+      rows.size());
+  CCDB_CHECK(rs.ok());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const LeafyRow& row = rows[i];
+    size_t r = *rs->AppendRow();
+    rs->SetU32(r, 0, static_cast<uint32_t>(i));
+    rs->SetU32(r, 1, row.sel);
+    rs->SetU32(r, 2, row.g);
+    rs->SetU8(r, 3, static_cast<uint8_t>(row.a8));
+    uint16_t a16 = static_cast<uint16_t>(row.a16);
+    rs->SetBytes(r, 4, &a16, sizeof(a16));
+    rs->SetU32(r, 5, row.a32);
+    rs->SetI64(r, 6, row.big);
+    rs->SetF64(r, 7, row.x);
+    rs->SetBytes(r, 8, row.s.data(), row.s.size());
+  }
+  return *std::move(rs);
+}
+
+/// One leaf and the row-at-a-time predicate it must agree with.
+template <class Row>
+struct OracleLeaf {
+  std::string name;
+  Expr expr;
+  std::function<bool(const Row&)> keep;
+};
+
+template <class Row>
+std::vector<OracleLeaf<Row>> IntegralLeaves(
+    const std::string& c, std::function<int64_t(const Row&)> v) {
+  auto on = [v](std::function<bool(int64_t)> p) {
+    return [v, p](const Row& r) { return p(v(r)); };
+  };
+  return {
+      {c + " == 37", Col(c) == 37u, on([](int64_t x) { return x == 37; })},
+      {c + " != 37", Col(c) != 37u, on([](int64_t x) { return x != 37; })},
+      {c + " < 37", Col(c) < 37u, on([](int64_t x) { return x < 37; })},
+      {c + " <= 37", Col(c) <= 37u, on([](int64_t x) { return x <= 37; })},
+      {c + " > 37", Col(c) > 37u, on([](int64_t x) { return x > 37; })},
+      {c + " >= 37", Col(c) >= 37u, on([](int64_t x) { return x >= 37; })},
+      {c + " in [20, 60]", Between(Col(c), 20u, 60u),
+       on([](int64_t x) { return 20 <= x && x <= 60; })},
+      {c + " not in [20, 60]", !Between(Col(c), 20u, 60u),
+       on([](int64_t x) { return x < 20 || x > 60; })},
+      {c + " in {..}", InU32(Col(c), {99, 5, 37, 38, 255}),
+       on([](int64_t x) {
+         return x == 5 || x == 37 || x == 38 || x == 99 || x == 255;
+       })},
+      {c + " not in {..}", !InU32(Col(c), {99, 5, 37, 38, 255}),
+       on([](int64_t x) {
+         return !(x == 5 || x == 37 || x == 38 || x == 99 || x == 255);
+       })},
+      {c + " < 5e9", Col(c) < 5'000'000'000LL,
+       on([](int64_t x) { return x < 5'000'000'000; })},
+      {c + " in [-10, 5e9]", Between(Col(c), -10LL, 5'000'000'000LL),
+       on([](int64_t x) { return -10 <= x && x <= 5'000'000'000; })},
+  };
+}
+
+template <class Row>
+std::vector<OracleLeaf<Row>> F64Leaves(const std::string& c,
+                                       std::function<double(const Row&)> v) {
+  auto on = [v](std::function<bool(double)> p) {
+    return [v, p](const Row& r) { return p(v(r)); };
+  };
+  // IEEE: NaN fails every ordering and range test, its negation included,
+  // and passes !=.
+  return {
+      {c + " == 50.5", Col(c) == 50.5, on([](double x) { return x == 50.5; })},
+      {c + " != 50.5", Col(c) != 50.5, on([](double x) { return x != 50.5; })},
+      {c + " < 50.5", Col(c) < 50.5, on([](double x) { return x < 50.5; })},
+      {c + " <= 50.5", Col(c) <= 50.5, on([](double x) { return x <= 50.5; })},
+      {c + " > 50.5", Col(c) > 50.5, on([](double x) { return x > 50.5; })},
+      {c + " >= 50.5", Col(c) >= 50.5, on([](double x) { return x >= 50.5; })},
+      {c + " in [20, 60]", Between(Col(c), 20.0, 60.0),
+       on([](double x) { return 20.0 <= x && x <= 60.0; })},
+      {c + " not in [20, 60]", !Between(Col(c), 20.0, 60.0),
+       on([](double x) { return x < 20.0 || x > 60.0; })},
+  };
+}
+
+template <class Row>
+std::vector<OracleLeaf<Row>> StrLeaves(
+    const std::string& c, std::function<const std::string&(const Row&)> v) {
+  auto on = [v](std::function<bool(const std::string&)> p) {
+    return [v, p](const Row& r) { return p(v(r)); };
+  };
+  auto in = [](const std::string& x) {
+    return x == "AIR" || x == "SHIP";
+  };
+  return {
+      {c + " == MAIL", Col(c) == "MAIL",
+       on([](const std::string& x) { return x == "MAIL"; })},
+      {c + " != MAIL", Col(c) != "MAIL",
+       on([](const std::string& x) { return x != "MAIL"; })},
+      {c + " == PIGEON", Col(c) == "PIGEON",
+       on([](const std::string&) { return false; })},
+      {c + " != PIGEON", Col(c) != "PIGEON",
+       on([](const std::string&) { return true; })},
+      {c + " in {..}", InStr(Col(c), {"SHIP", "AIR", "XXX"}), on(in)},
+      {c + " not in {..}", !InStr(Col(c), {"SHIP", "AIR", "XXX"}),
+       on([in](const std::string& x) { return !in(x); })},
+  };
+}
+
+/// The four places a leaf sits in a filter: alone, as a conjunct narrowing
+/// `pre`'s survivors (`pre` is an Eq, so selectivity ordering keeps it
+/// first), as an OR branch over every row, and as an OR branch over `pre`'s
+/// survivors.
+template <class Row>
+std::vector<OracleLeaf<Row>> LeafPositions(const OracleLeaf<Row>& leaf,
+                                           const OracleLeaf<Row>& pre,
+                                           const OracleLeaf<Row>& other) {
+  auto l = leaf.keep, p = pre.keep, o = other.keep;
+  return {
+      {leaf.name, leaf.expr, l},
+      {pre.name + " AND " + leaf.name, pre.expr && leaf.expr,
+       [=](const Row& r) { return p(r) && l(r); }},
+      {leaf.name + " OR " + other.name, leaf.expr || other.expr,
+       [=](const Row& r) { return l(r) || o(r); }},
+      {pre.name + " AND (" + leaf.name + " OR " + other.name + ")",
+       pre.expr && (leaf.expr || other.expr),
+       [=](const Row& r) { return p(r) && (l(r) || o(r)); }},
+  };
+}
+
+/// Drains SelectOp(`child`, e) and returns the "id" values it emits.
+std::vector<uint32_t> DrainIds(std::unique_ptr<Operator> child, Expr e,
+                               const ExecContext* ctx) {
+  SelectOp op(std::move(child), std::move(e), ctx);
+  CCDB_CHECK(op.Open().ok());
+  std::vector<uint32_t> ids;
+  for (;;) {
+    Chunk out;
+    auto more = op.Next(&out);
+    CCDB_CHECK(more.ok());
+    if (!*more) break;
+    auto v = out.GatherU32(*out.Find("id"));
+    CCDB_CHECK(v.ok());
+    ids.insert(ids.end(), v->begin(), v->end());
+  }
   op.Close();
+  return ids;
+}
+
+TEST(ExprExecTest, EveryLeafPathMatchesRowOracle) {
+  // Chunks of 12k rows: a chunk splits into up to 3 morsels and pre's
+  // ~9k survivors into 2, so parallelism 2 and 8 shard both walks.
+  constexpr size_t kN = 24000, kChunk = 12288;
+  const std::vector<LeafyRow> rows = MakeLeafyRows(kN);
+  RowStore store = LeafyRowStore(rows);
+  Table encoded = *Table::FromRowStore(store);
+  Table raw = *Table::FromRowStore(store, /*auto_encode=*/false);
+  ASSERT_TRUE(encoded.is_encoded(*encoded.schema().FieldIndex("s")));
+  ASSERT_FALSE(raw.is_encoded(*raw.schema().FieldIndex("s")));
+
+  using Leaf = OracleLeaf<LeafyRow>;
+  std::vector<Leaf> base_leaves;
+  auto add = [](std::vector<Leaf>* to, std::vector<Leaf> from) {
+    to->insert(to->end(), from.begin(), from.end());
+  };
+  add(&base_leaves, IntegralLeaves<LeafyRow>(
+                        "a8", [](const LeafyRow& r) { return int64_t{r.a8}; }));
+  add(&base_leaves,
+      IntegralLeaves<LeafyRow>(
+          "a16", [](const LeafyRow& r) { return int64_t{r.a16}; }));
+  add(&base_leaves,
+      IntegralLeaves<LeafyRow>(
+          "a32", [](const LeafyRow& r) { return int64_t{r.a32}; }));
+  add(&base_leaves, IntegralLeaves<LeafyRow>(
+                        "big", [](const LeafyRow& r) { return r.big; }));
+  add(&base_leaves,
+      F64Leaves<LeafyRow>("x", [](const LeafyRow& r) { return r.x; }));
+  std::vector<Leaf> str_leaves = StrLeaves<LeafyRow>(
+      "s", [](const LeafyRow& r) -> const std::string& { return r.s; });
+  const Leaf pre{"sel == 1", Col("sel") == 1u,
+                 [](const LeafyRow& r) { return r.sel == 1; }};
+  const Leaf other{"a32 == 3", Col("a32") == 3u,
+                   [](const LeafyRow& r) { return r.a32 == 3; }};
+
+  // Every table-column shape: lazy over the scan's dense candidates, lazy
+  // behind the sparse candidate list a previous select leaves, and strings
+  // both dictionary-encoded and raw.
+  struct Shape {
+    const char* name;
+    const Table* table;
+    bool sparse;
+    const std::vector<Leaf>* leaves;
+  };
+  const Shape shapes[] = {
+      {"dense", &encoded, false, &base_leaves},
+      {"sparse", &encoded, true, &base_leaves},
+      {"encoded str", &encoded, false, &str_leaves},
+      {"encoded str sparse", &encoded, true, &str_leaves},
+      {"raw str", &raw, false, &str_leaves},
+      {"raw str sparse", &raw, true, &str_leaves},
+  };
+  for (size_t par : {1u, 2u, 8u}) {
+    ExecContext ctx;
+    ctx.pool = &ThreadPool::Shared();
+    ctx.parallelism = par;
+    for (const Shape& shape : shapes) {
+      for (const Leaf& leaf : *shape.leaves) {
+        for (const Leaf& at : LeafPositions(leaf, pre, other)) {
+          std::unique_ptr<Operator> child =
+              std::make_unique<ScanOp>(shape.table, kChunk);
+          auto keep = at.keep;
+          if (shape.sparse) {
+            // Dropping ~1% of the rows leaves the chunk behind an OID list.
+            child = std::make_unique<SelectOp>(std::move(child),
+                                               Col("a16") != 7u, &ctx);
+            keep = [keep](const LeafyRow& r) {
+              return r.a16 != 7 && keep(r);
+            };
+          }
+          std::vector<uint32_t> want;
+          for (size_t i = 0; i < kN; ++i) {
+            if (keep(rows[i])) want.push_back(static_cast<uint32_t>(i));
+          }
+          EXPECT_EQ(DrainIds(std::move(child), at.expr, &ctx), want)
+              << shape.name << ": " << at.name << " at parallelism " << par;
+        }
+      }
+    }
+  }
+
+  // Owned columns: Having over GroupByAgg output (u32 group key and min,
+  // i64 sum, f64 avg, decoded string key), on the first 3000 rows.
+  struct GroupRow {
+    uint32_t g = 0, mn = UINT32_MAX, msel = 1, count = 0;
+    int64_t sum = 0, sum8 = 0;
+    double avg = 0;
+    std::string s;
+  };
+  constexpr size_t kHavingRows = 3000;
+  std::map<std::pair<uint32_t, std::string>, GroupRow> by_key;
+  for (size_t i = 0; i < kHavingRows; ++i) {
+    const LeafyRow& r = rows[i];
+    GroupRow& gr = by_key[{r.g, r.s}];
+    gr.g = r.g;
+    gr.s = r.s;
+    gr.sum += r.a32;
+    gr.sum8 += r.a8;
+    gr.mn = std::min(gr.mn, r.a16);
+    gr.msel = std::min(gr.msel, r.sel);
+    ++gr.count;
+  }
+  std::vector<GroupRow> groups;
+  for (auto& [key, gr] : by_key) {
+    gr.avg = static_cast<double>(gr.sum8) / static_cast<double>(gr.count);
+    groups.push_back(gr);
+  }
+  Table few = *Table::FromRowStore(LeafyRowStore(std::vector<LeafyRow>(
+      rows.begin(), rows.begin() + kHavingRows)));
+  using GroupLeaf = OracleLeaf<GroupRow>;
+  std::vector<GroupLeaf> owned_leaves;
+  auto add_owned = [&](std::vector<GroupLeaf> from) {
+    owned_leaves.insert(owned_leaves.end(), from.begin(), from.end());
+  };
+  add_owned(IntegralLeaves<GroupRow>(
+      "mn", [](const GroupRow& r) { return int64_t{r.mn}; }));
+  add_owned(IntegralLeaves<GroupRow>(
+      "sum", [](const GroupRow& r) { return r.sum; }));
+  add_owned(F64Leaves<GroupRow>("avg",
+                                [](const GroupRow& r) { return r.avg; }));
+  add_owned(StrLeaves<GroupRow>(
+      "s", [](const GroupRow& r) -> const std::string& { return r.s; }));
+  const GroupLeaf group_pre{"msel == 1", Col("msel") == 1u,
+                            [](const GroupRow& r) { return r.msel == 1; }};
+  const GroupLeaf group_other{"g < 100", Col("g") < 100u,
+                              [](const GroupRow& r) { return r.g < 100; }};
+  for (size_t par : {1u, 2u, 8u}) {
+    for (const GroupLeaf& leaf : owned_leaves) {
+      for (const GroupLeaf& at : LeafPositions(leaf, group_pre, group_other)) {
+        auto plan = QueryBuilder(few)
+                        .GroupByAgg({"g", "s"},
+                                    {Agg::Sum("a32").As("sum"),
+                                     Agg::Min("a16").As("mn"),
+                                     Agg::Avg("a8").As("avg"),
+                                     Agg::Min("sel").As("msel")})
+                        .Having(at.expr)
+                        .Build();
+        ASSERT_TRUE(plan.ok()) << at.name << ": " << plan.status().ToString();
+        QueryResult result = RunPlan(*plan, par);
+        std::vector<std::pair<uint32_t, std::string>> got, want;
+        size_t gc = *result.ColumnIndex("g"), sc = *result.ColumnIndex("s");
+        for (size_t i = 0; i < result.num_rows(); ++i) {
+          got.emplace_back(result.columns[gc].u32_values[i],
+                           result.columns[sc].str_values[i]);
+        }
+        for (const GroupRow& gr : groups) {
+          if (at.keep(gr)) want.emplace_back(gr.g, gr.s);
+        }
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << "having " << at.name << " at parallelism "
+                             << par;
+      }
+    }
+  }
 }
 
 TEST(ExprExecTest, EmptyConjunctionPassesThrough) {

@@ -275,15 +275,6 @@ TEST(PositionalJoinTest, EmptyAndNoMatches) {
   EXPECT_TRUE(PositionalJoin(std::span<const Bun>(refs), 100, 10, mem).empty());
 }
 
-TEST(PositionalGatherTest, FetchesValuesByPosition) {
-  DirectMemory mem;
-  std::vector<Bun> refs = {{0, 12}, {1, 10}, {2, 11}};
-  std::vector<uint32_t> values = {100, 200, 300};
-  auto out = PositionalGather(std::span<const Bun>(refs),
-                              std::span<const uint32_t>(values), 10, mem);
-  EXPECT_EQ(out, (std::vector<uint32_t>{300, 100, 200}));
-}
-
 TEST(PositionalJoinTest, MatchesHashJoinOnVoidColumn) {
   // §3.1: positional join must produce the same join index as a hash join
   // against the materialized void column.

@@ -10,6 +10,7 @@
 
 #include "algo/bat_algebra.h"
 #include "exec/plan.h"
+#include "exec/shared_scan.h"
 #include "model/planner.h"
 #include "model/strategy.h"
 #include "util/rng.h"
@@ -502,21 +503,42 @@ TEST(PlannerTest, DenseUniqueDimPlansPositionalElseTheHashArgmin) {
 
 // --- candidate-list kernels --------------------------------------------------
 
-TEST(CandidateKernelTest, SelectPositions) {
-  Bat b = Bat::DenseTail(Column::U32({5, 10, 15, 20, 25, 30}));
-  std::vector<oid_t> cands = {1, 3, 5};
-  auto pos = BatSelectPositions(b, 10, 25, cands);
+TEST(CandidateKernelTest, FilterPositionsThroughCandidates) {
+  // One lazy u32 column v = {5, 10, 15, 20, 25, 30}, read through a
+  // hand-built candidate list.
+  auto rs = RowStore::Make({{"v", FieldType::kU32}}, 6);
+  ASSERT_TRUE(rs.ok());
+  for (uint32_t v : {5u, 10u, 15u, 20u, 25u, 30u}) {
+    rs->SetU32(*rs->AppendRow(), 0, v);
+  }
+  Table t = *Table::FromRowStore(*rs);
+  auto filter = [&](Candidates cands, Expr e) {
+    Chunk chunk;
+    chunk.rows = cands.count;
+    chunk.cands = {std::move(cands)};
+    ChunkColumn col;
+    col.name = "v";
+    col.base = &t;
+    chunk.cols.push_back(std::move(col));
+    return EvalFilterPositions(chunk, NormalizeExpr(std::move(e)), nullptr);
+  };
+  // Positions into the OID list {1, 3, 5}: OIDs 1 (10) and 3 (20).
+  auto pos = filter(Candidates::FromOids({1, 3, 5}), Between(Col("v"), 10u, 25u));
   ASSERT_TRUE(pos.ok());
-  EXPECT_EQ(*pos, (std::vector<uint32_t>{0, 1}));  // oids 1 (10) and 3 (20)
-  // Dense variant over [2, 5): values 15, 20, 25.
-  auto dense = BatSelectPositionsDense(b, 20, 99, /*base=*/2, /*count=*/3);
+  EXPECT_EQ(*pos, (std::vector<uint32_t>{0, 1}));
+  // Dense candidates [2, 5): values 15, 20, 25.
+  auto dense = filter(Candidates::Dense(2, 3), Between(Col("v"), 20u, 99u));
   ASSERT_TRUE(dense.ok());
   EXPECT_EQ(*dense, (std::vector<uint32_t>{1, 2}));
-  // Out-of-range candidates are errors, not skips.
-  std::vector<oid_t> bad = {99};
-  EXPECT_EQ(BatSelectPositions(b, 0, 99, bad).status().code(),
+  // An OID past the column is an error, not a skip, through a list and
+  // through a dense range.
+  EXPECT_EQ(filter(Candidates::FromOids({0, 99}), Between(Col("v"), 0u, 99u))
+                .status()
+                .code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(BatSelectPositionsDense(b, 0, 99, 4, 3).status().code(),
+  EXPECT_EQ(filter(Candidates::Dense(4, 3), Between(Col("v"), 0u, 99u))
+                .status()
+                .code(),
             StatusCode::kOutOfRange);
 }
 
