@@ -169,7 +169,7 @@ void BM_QuickSort(benchmark::State& state) {
 }
 BENCHMARK(BM_QuickSort);
 
-void BM_HashGroupSum(benchmark::State& state) {
+void BM_GroupAggTable(benchmark::State& state) {
   const size_t n = 1 << 20;
   const uint32_t groups = static_cast<uint32_t>(state.range(0));
   Rng rng(15);
@@ -178,16 +178,18 @@ void BM_HashGroupSum(benchmark::State& state) {
     keys[i] = static_cast<uint32_t>(rng.NextBelow(groups));
     vals[i] = static_cast<uint32_t>(rng.NextBelow(1000));
   }
+  const uint32_t* key_col = keys.data();
+  const uint32_t* val_col = vals.data();
   DirectMemory mem;
   for (auto _ : state) {
-    auto agg = HashGroupSum<DirectMemory, MurmurHash>(
-        std::span<const uint32_t>(keys), std::span<const uint32_t>(vals), mem,
-        groups);
-    benchmark::DoNotOptimize(agg.keys.data());
+    GroupAggTable<DirectMemory> agg(/*key_width=*/1, /*num_values=*/1,
+                                    groups);
+    agg.AddColumns({&key_col, 1}, {&val_col, 1}, 0, n, mem);
+    benchmark::DoNotOptimize(agg.num_groups());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_HashGroupSum)->Arg(16)->Arg(1 << 10)->Arg(1 << 16);
+BENCHMARK(BM_GroupAggTable)->Arg(16)->Arg(1 << 10)->Arg(1 << 16);
 
 void BM_SortGroupSum(benchmark::State& state) {
   const size_t n = 1 << 20;

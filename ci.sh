@@ -164,9 +164,10 @@ echo "== bench smoke =="
 # prepared clusters; each CCDB_CHECKs the join's output size.
 "$BUILD_DIR/fig10_radix_join" --profile=x86
 "$BUILD_DIR/fig11_phash_join" --profile=x86
-# ablation_aggregation times GroupAggTable::AddColumns (the table
-# GroupByAggOp runs) beside hash/sort/radix grouping and CCDB_CHECKs that
-# its group count and total sum equal HashGroupSum's.
+# ablation_aggregation times GroupAggTable::AddColumns (the one hash
+# grouping table: GroupByAggOp's, and per cluster RadixGroupSum's) beside
+# sort and radix grouping, and CCDB_CHECKs that its group count and total
+# sum equal SortGroupSum's.
 "$BUILD_DIR/ablation_aggregation"
 # ablation_prefetch CCDB_CHECKs the output size of SimpleHashJoinPrefetch,
 # the one kernel that probes through the table's callback Probe.
@@ -180,6 +181,15 @@ if [ -x "$BUILD_DIR/micro_storage" ]; then
 else
   echo "NOTICE: micro_storage not built (no Google Benchmark);" \
        "skipping its Select benchmarks"
+fi
+# micro_join's Group benchmarks run GroupAggTable::AddColumns and
+# SortGroupSum at 16 to 64k groups.
+if [ -x "$BUILD_DIR/micro_join" ]; then
+  "$BUILD_DIR/micro_join" --benchmark_filter='Group' \
+    --benchmark_min_time=0.01
+else
+  echo "NOTICE: micro_join not built (no Google Benchmark);" \
+       "skipping its Group benchmarks"
 fi
 
 echo "== bench artifact (BENCH_ci.json) =="

@@ -66,9 +66,8 @@ int main() {
   DirectMemory mem;
   auto keys = cand_supp->tail().Span<uint32_t>();
   auto vals = cand_qty->tail().Span<uint32_t>();
-  auto agg = RadixGroupSum<DirectMemory, MurmurHash>(keys, vals,
-                                                     /*bits=*/0, /*passes=*/1,
-                                                     mem);
+  auto agg = RadixGroupSum<DirectMemory>(keys, vals, /*bits=*/0,
+                                         /*passes=*/1, mem);
   CCDB_CHECK(agg.ok());
   double manual_ms = t.ElapsedMillis();
   std::printf("group-sum over supp                 -> %8zu groups\n",

@@ -1,7 +1,8 @@
 // Grouping and aggregation (§3.2): hash-grouping keeps a hash table of
 // groups that usually fits the caches, beating sort/merge grouping whose
 // sort randomly accesses the entire relation. Both are provided so the
-// claim can be measured.
+// claim can be measured: GroupAggTable is the one hash-grouping table (the
+// engine's, and per cluster RadixGroupSum's), SortGroupSum the baseline.
 #ifndef CCDB_ALGO_AGGREGATE_H_
 #define CCDB_ALGO_AGGREGATE_H_
 
@@ -16,8 +17,8 @@
 
 namespace ccdb {
 
-/// Aggregates per distinct key: keys[] in first-appearance order for
-/// hash-grouping, ascending for sort-grouping.
+/// Aggregates per distinct key: keys[] in per-cluster first-appearance
+/// order for radix grouping, ascending for sort-grouping.
 struct GroupAggregates {
   std::vector<uint32_t> keys;
   std::vector<uint64_t> sums;
@@ -25,40 +26,6 @@ struct GroupAggregates {
 
   size_t size() const { return keys.size(); }
 };
-
-/// Hash-grouping: one scan; bucket-chained hash table over the groups.
-template <class Mem, class HashFn = IdentityHash>
-GroupAggregates HashGroupSum(std::span<const uint32_t> keys,
-                             std::span<const uint32_t> values, Mem& mem,
-                             size_t expected_groups = 1024) {
-  CCDB_CHECK(keys.size() == values.size());
-  GroupAggregates out;
-  size_t nbuckets = NextPowerOfTwo(std::max<size_t>(expected_groups, 16));
-  uint32_t mask = static_cast<uint32_t>(nbuckets - 1);
-  constexpr uint32_t kEmpty = UINT32_MAX;
-  std::vector<uint32_t> heads(nbuckets, kEmpty);
-  std::vector<uint32_t> next;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    uint32_t k = mem.Load(&keys[i]);
-    uint32_t v = mem.Load(&values[i]);
-    uint32_t b = HashFn::Hash(k) & mask;
-    uint32_t g = mem.Load(&heads[b]);
-    while (g != kEmpty && mem.Load(&out.keys[g]) != k) {
-      g = mem.Load(&next[g]);
-    }
-    if (g == kEmpty) {
-      g = static_cast<uint32_t>(out.keys.size());
-      out.keys.push_back(k);
-      out.sums.push_back(0);
-      out.counts.push_back(0);
-      next.push_back(mem.Load(&heads[b]));
-      mem.Store(&heads[b], g);
-    }
-    mem.Update(&out.sums[g], static_cast<uint64_t>(v));
-    mem.Update(&out.counts[g], uint64_t{1});
-  }
-  return out;
-}
 
 /// Per-(group, value-column) accumulator carrying everything any aggregate
 /// function needs: SUM and AVG read `sum` (plus the group's row count kept
@@ -84,12 +51,21 @@ inline StatusOr<int64_t> CheckedI64(uint64_t v) {
 /// GroupAggState per value column — the per-shard partial table of the
 /// generalized group-by operator (§3.2: the group table usually stays
 /// cache-resident while chunks stream through). Linear-probing slots hold
-/// {hash, group id} at load <= 1/2; keys are stored flat with stride
-/// key_width. Groups keep first-appearance order, so a single table fed in
-/// stream order reproduces a serial reference exactly, and MergeFrom appends
-/// unseen groups in the other table's order (deterministic shard-order
-/// merging). AddColumns is the columnar bulk path; Add, AccumulateGroup and
-/// MergeFrom are the one-row case of the same lookup.
+/// {hash, group id} at load <= 1/2 and are indexed by the hash's high bits,
+/// so the keys of one radix cluster (equal low hash bits) still spread over
+/// every slot. Keys are stored flat with stride key_width. Groups keep
+/// first-appearance order, so a single table fed in stream order reproduces
+/// a serial reference exactly, and MergeFrom appends unseen groups in the
+/// other table's order (deterministic shard-order merging). AddColumns is
+/// the columnar bulk path; Add, AccumulateGroup and MergeFrom are the
+/// one-row case of the same lookup.
+///
+/// Written against a memory policy (mem/access.h) like every core
+/// algorithm: each call takes the `Mem&` through which it reads the input
+/// and reads and writes the slots, keys, row counts and states. The empty
+/// slot array the constructor allocates is not counted. Instantiated for
+/// DirectMemory and SimulatedMemory.
+template <class Mem>
 class GroupAggTable {
  public:
   /// `key_width` group-key words per row, `num_values` aggregated columns
@@ -102,7 +78,7 @@ class GroupAggTable {
                 size_t expected_groups = 0);
 
   /// Folds one input row: key[0..key_width), values[0..num_values).
-  void Add(const uint32_t* key, const uint32_t* values);
+  void Add(const uint32_t* key, const uint32_t* values, Mem& mem);
 
   /// Folds input rows [lo, hi) given column-wise: key word c of row i is
   /// keys[c][i], value v is values[v][i] (keys.size() == key_width,
@@ -112,17 +88,17 @@ class GroupAggTable {
   /// then folds the row counts and each value column by group id.
   void AddColumns(std::span<const uint32_t* const> keys,
                   std::span<const uint32_t* const> values, size_t lo,
-                  size_t hi);
+                  size_t hi, Mem& mem);
 
   /// Folds one pre-aggregated group — `rows` input rows whose per-value
   /// accumulators are states[0..num_values). This is the per-group step of
   /// MergeFrom; public so overflow handling in downstream i64 narrowing can
   /// be regression-tested without accumulating 2^31 actual rows.
   void AccumulateGroup(const uint32_t* key, uint64_t rows,
-                       const GroupAggState* states);
+                       const GroupAggState* states, Mem& mem);
 
   /// Merges another shard's partial table into this one.
-  void MergeFrom(const GroupAggTable& other);
+  void MergeFrom(const GroupAggTable& other, Mem& mem);
 
   size_t num_groups() const { return rows_.size(); }
   size_t key_width() const { return key_width_; }
@@ -151,9 +127,11 @@ class GroupAggTable {
   /// Group index for the key whose hash is `hash` and whose word c is
   /// key_at(c), inserting a zeroed group when unseen.
   template <class KeyAt>
-  uint32_t FindOrInsert(uint32_t hash, KeyAt key_at);
+  uint32_t FindOrInsert(uint32_t hash, KeyAt key_at, Mem& mem);
   /// Doubles the slot array and reinserts every group by its stored hash.
-  void Grow();
+  void Grow(Mem& mem);
+  /// Slot of `hash` in a table of 2^(32 - shift_) slots: its high bits.
+  size_t Home(uint32_t hash) const { return hash >> shift_; }
 
   static constexpr uint32_t kEmpty = UINT32_MAX;
   size_t key_width_, num_values_;
@@ -162,6 +140,7 @@ class GroupAggTable {
   std::vector<GroupAggState> states_;  // flat, stride num_values_
   std::vector<Slot> slots_;            // linear probing, load <= 1/2
   uint32_t mask_;
+  int shift_;  // 32 - log2(slots)
   size_t rehashes_ = 0;
 };
 

@@ -16,11 +16,12 @@
 namespace ccdb {
 
 /// Groups `keys`/`values` by key, summing values, after radix-clustering
-/// on `bits` of the key hash in `passes` passes. Per-cluster grouping uses
-/// one reusable open-addressing table (epoch-stamped, so it is never
-/// cleared between clusters). Result keys appear in per-cluster
+/// on `bits` of the group table's key hash (MurmurHash for one key word) in
+/// `passes` passes. Each non-empty cluster folds into its own GroupAggTable,
+/// which takes its slot index from the hash bits above the cluster's, and
+/// appends that table's groups: result keys appear in per-cluster
 /// first-appearance order.
-template <class Mem, class HashFn = IdentityHash>
+template <class Mem>
 StatusOr<GroupAggregates> RadixGroupSum(std::span<const uint32_t> keys,
                                         std::span<const uint32_t> values,
                                         int bits, int passes, Mem& mem) {
@@ -39,49 +40,23 @@ StatusOr<GroupAggregates> RadixGroupSum(std::span<const uint32_t> keys,
   RadixClusterOptions opt{bits, passes, {}};
   CCDB_ASSIGN_OR_RETURN(
       ClusteredRelation clustered,
-      (RadixCluster<Mem, HashFn>(std::span<const Bun>(pairs), opt, mem)));
+      (RadixCluster<Mem, MurmurHash>(std::span<const Bun>(pairs), opt, mem)));
   pairs.clear();
   pairs.shrink_to_fit();
 
-  // Reusable scratch table sized for the largest cluster.
-  const std::vector<uint64_t>& bounds = clustered.bounds;
-  uint64_t max_cluster = 0;
-  for (size_t c = 0; c + 1 < bounds.size(); ++c) {
-    max_cluster = std::max(max_cluster, bounds[c + 1] - bounds[c]);
-  }
-  size_t table_size = NextPowerOfTwo(std::max<uint64_t>(max_cluster * 2, 16));
-  uint32_t table_mask = static_cast<uint32_t>(table_size - 1);
-  std::vector<uint32_t> slot_epoch(table_size, 0);
-  std::vector<uint32_t> slot_group(table_size, 0);
-  uint32_t epoch = 0;
-
   GroupAggregates out;
+  const std::vector<uint64_t>& bounds = clustered.bounds;
   for (size_t c = 0; c + 1 < bounds.size(); ++c) {
-    uint64_t lo = bounds[c], hi = bounds[c + 1];
-    if (lo == hi) continue;
-    ++epoch;
-    for (uint64_t i = lo; i < hi; ++i) {
-      Bun t = mem.Load(&clustered.tuples[i]);
-      // Probe above the radix bits so clusters spread within the table.
-      uint32_t h = (HashFn::Hash(t.tail) >> bits) & table_mask;
-      for (;;) {
-        if (mem.Load(&slot_epoch[h]) != epoch) {
-          // Fresh slot: new group.
-          mem.Store(&slot_epoch[h], epoch);
-          mem.Store(&slot_group[h], static_cast<uint32_t>(out.keys.size()));
-          out.keys.push_back(t.tail);
-          out.sums.push_back(t.head);
-          out.counts.push_back(1);
-          break;
-        }
-        uint32_t g = mem.Load(&slot_group[h]);
-        if (mem.Load(&out.keys[g]) == t.tail) {
-          mem.Update(&out.sums[g], static_cast<uint64_t>(t.head));
-          mem.Update(&out.counts[g], uint64_t{1});
-          break;
-        }
-        h = (h + 1) & table_mask;
-      }
+    if (bounds[c] == bounds[c + 1]) continue;
+    GroupAggTable<Mem> table(/*key_width=*/1, /*num_values=*/1);
+    for (uint64_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+      const Bun& t = clustered.tuples[i];
+      table.Add(&t.tail, &t.head, mem);
+    }
+    for (size_t g = 0; g < table.num_groups(); ++g) {
+      out.keys.push_back(table.key(g, 0));
+      out.sums.push_back(table.state(g, 0).sum);
+      out.counts.push_back(table.group_rows(g));
     }
   }
   return out;

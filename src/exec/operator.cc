@@ -1403,11 +1403,12 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
   // would drop its reservations.
   constexpr size_t kMaxGroupHint = size_t{1} << 17;
   const size_t hint = std::min(expected_groups_, kMaxGroupHint);
-  std::vector<GroupAggTable> partials;
+  std::vector<GroupAggTable<DirectMemory>> partials;
   partials.reserve(nshards);
   for (size_t s = 0; s < nshards; ++s) {
     partials.emplace_back(kw, nv, hint);
   }
+  DirectMemory mem;
 
   // Dictionaries for decoding encoded group columns on emission.
   std::vector<const Table*> dict_tables(kw, nullptr);
@@ -1443,19 +1444,22 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
     for (size_t v = 0; v < nv; ++v) val_cols[v] = vals[v].data();
     size_t shards = nshards == 1 ? 1 : CtxShards(ctx_, n);
     if (shards <= 1) {
-      partials[0].AddColumns(key_cols, val_cols, 0, n);
+      partials[0].AddColumns(key_cols, val_cols, 0, n, mem);
     } else {
       CCDB_RETURN_IF_ERROR(
           ExecParallelFor(ctx_, shards, [&](size_t s) -> Status {
+            DirectMemory shard_mem;
             partials[s].AddColumns(key_cols, val_cols, n * s / shards,
-                                   n * (s + 1) / shards);
+                                   n * (s + 1) / shards, shard_mem);
             return Status::Ok();
           }));
     }
   }
 
-  for (size_t s = 1; s < nshards; ++s) partials[0].MergeFrom(partials[s]);
-  const GroupAggTable& agg = partials[0];
+  for (size_t s = 1; s < nshards; ++s) {
+    partials[0].MergeFrom(partials[s], mem);
+  }
+  const GroupAggTable<DirectMemory>& agg = partials[0];
   const size_t ngroups = agg.num_groups();
 
   out->rows = ngroups;

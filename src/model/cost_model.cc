@@ -84,69 +84,11 @@ ModelPrediction CostModel::Cluster(int passes, int bits, uint64_t c) const {
 }
 
 ModelPrediction CostModel::RadixJoinPhase(int bits, uint64_t c) const {
-  ModelPrediction p;
-  double h = std::exp2(bits);
-  double tuples_per_cluster = static_cast<double>(c) / h;
-  double cluster_bytes = tuples_per_cluster * kTupleBytes;
-
-  // Tr = C * (C/H) * wr + C * w'r + misses.
-  p.cpu_ns = static_cast<double>(c) * tuples_per_cluster * m_.cost.wr_ns +
-             static_cast<double>(c) * m_.cost.wrp_ns;
-
-  for (int level = 1; level <= 2; ++level) {
-    const CacheGeometry& g = level == 1 ? m_.l1 : m_.l2;
-    double cl_lines = cluster_bytes / static_cast<double>(g.line_bytes);
-    double li_lines = static_cast<double>(g.lines());
-    double extra = cl_lines <= li_lines
-                       ? static_cast<double>(c) * (cl_lines / li_lines)
-                       : static_cast<double>(c) * cl_lines;
-    double misses = 3.0 * RelLines(c, level) + extra;
-    if (level == 1) {
-      p.l1_misses = misses;
-    } else {
-      p.l2_misses = misses;
-    }
-  }
-  p.tlb_misses = 3.0 * RelPages(c) +
-                 static_cast<double>(c) * cluster_bytes /
-                     static_cast<double>(m_.tlb.span_bytes());
-  p.l2_seq_misses = 3.0 * RelLines(c, 2);  // read L, read R, write result
-  return p;
+  return RadixJoinPhaseAsym(bits, c, c);
 }
 
 ModelPrediction CostModel::PhashJoinPhase(int bits, uint64_t c) const {
-  ModelPrediction p;
-  double h = std::exp2(bits);
-  double cluster_bytes = static_cast<double>(c) / h * kPhashTupleBytes;
-
-  // Th = C * wh + H * w'h + misses.
-  p.cpu_ns = static_cast<double>(c) * m_.cost.wh_ns + h * m_.cost.whp_ns;
-
-  for (int level = 1; level <= 2; ++level) {
-    const CacheGeometry& g = level == 1 ? m_.l1 : m_.l2;
-    double cache_bytes = static_cast<double>(g.capacity_bytes);
-    double extra =
-        cluster_bytes <= cache_bytes
-            ? static_cast<double>(c) * cluster_bytes / cache_bytes
-            // Cache trashing: with a bucket-chain length of 4, up to 8
-            // memory accesses per tuple during build + lookup, plus two for
-            // the tuple itself — the paper's factor 10.
-            : static_cast<double>(c) * 10.0 * (1.0 - cache_bytes / cluster_bytes);
-    double misses = 3.0 * RelLines(c, level) + extra;
-    if (level == 1) {
-      p.l1_misses = misses;
-    } else {
-      p.l2_misses = misses;
-    }
-  }
-  double tlb_bytes = static_cast<double>(m_.tlb.span_bytes());
-  double tlb_extra =
-      cluster_bytes <= tlb_bytes
-          ? static_cast<double>(c) * cluster_bytes / tlb_bytes
-          : static_cast<double>(c) * 10.0 * (1.0 - tlb_bytes / cluster_bytes);
-  p.tlb_misses = 3.0 * RelPages(c) + tlb_extra;
-  p.l2_seq_misses = 3.0 * RelLines(c, 2);  // read L, read R, write result
-  return p;
+  return PhashJoinPhaseAsym(bits, c, c);
 }
 
 ModelPrediction CostModel::RadixJoinPhaseAsym(int bits, uint64_t c_inner,
@@ -160,6 +102,7 @@ ModelPrediction CostModel::RadixJoinPhaseAsym(int bits, uint64_t c_inner,
   double tuples_per_cluster = ci / h;
   double cluster_bytes = tuples_per_cluster * kTupleBytes;
 
+  // Tr = C * (C/H) * wr + C * w'r + misses.
   p.cpu_ns = cp * tuples_per_cluster * m_.cost.wr_ns + cp * m_.cost.wrp_ns;
 
   for (int level = 1; level <= 2; ++level) {
@@ -196,6 +139,7 @@ ModelPrediction CostModel::PhashJoinPhaseAsym(int bits, uint64_t c_inner,
   double pairs = std::max(ci, cp);
   double cluster_bytes = ci / h * kPhashTupleBytes;
 
+  // Th = C * wh + H * w'h + misses.
   p.cpu_ns = pairs * m_.cost.wh_ns + h * m_.cost.whp_ns;
 
   for (int level = 1; level <= 2; ++level) {
@@ -204,6 +148,9 @@ ModelPrediction CostModel::PhashJoinPhaseAsym(int bits, uint64_t c_inner,
     double extra =
         cluster_bytes <= cache_bytes
             ? pairs * cluster_bytes / cache_bytes
+            // Cache trashing: with a bucket-chain length of 4, up to 8
+            // memory accesses per tuple during build + lookup, plus two for
+            // the tuple itself — the paper's factor 10.
             : pairs * 10.0 * (1.0 - cache_bytes / cluster_bytes);
     double misses = RelLines(c_inner, level) + 2.0 * RelLines(c_probe, level) +
                     extra;

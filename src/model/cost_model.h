@@ -86,10 +86,11 @@ class CostModel {
 
   // -- §3.4.3: isolated join phases -----------------------------------------
 
-  /// Radix-join phase Tr(B,C) (nested loop per cluster pair).
+  /// Radix-join phase Tr(B,C) (nested loop per cluster pair):
+  /// RadixJoinPhaseAsym(B, C, C).
   ModelPrediction RadixJoinPhase(int bits, uint64_t c) const;
 
-  /// Partitioned hash-join phase Th(B,C).
+  /// Partitioned hash-join phase Th(B,C): PhashJoinPhaseAsym(B, C, C).
   ModelPrediction PhashJoinPhase(int bits, uint64_t c) const;
 
   // -- asymmetric-cardinality extension ---------------------------------------
@@ -100,8 +101,8 @@ class CostModel {
   // cluster/hash-table *geometry* comes from the inner relation (its
   // clusters are what must fit a cache level), per-pair work and random
   // re-access counts scale with max(|L|, |R|), and the sequential terms
-  // read each relation at its own size. Both degrade exactly to
-  // RadixJoinPhase / PhashJoinPhase when c_inner == c_probe.
+  // read each relation at its own size. At c_inner == c_probe they are the
+  // paper's RadixJoinPhase / PhashJoinPhase.
 
   ModelPrediction RadixJoinPhaseAsym(int bits, uint64_t c_inner,
                                      uint64_t c_probe) const;

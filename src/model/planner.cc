@@ -160,7 +160,7 @@ ModelPrediction PredictExprCost(const Expr& e, double rows,
 ModelPrediction GroupProbePrediction(const MachineProfile& m, double rows,
                                      double table_bytes) {
   ModelPrediction p;
-  p.cpu_ns = rows * 4.0 * m.cost.wscan_ns;  // hash + chain walk + fold
+  p.cpu_ns = rows * 4.0 * m.cost.wscan_ns;  // hash + slot probe + fold
   if (table_bytes <= static_cast<double>(m.l1.capacity_bytes)) {
     return p;
   }

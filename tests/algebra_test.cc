@@ -221,12 +221,12 @@ TEST(BatAlgebraTest, AppendConcatenates) {
   EXPECT_EQ(out->tail().GetIntegral(3), 4u);
 }
 
-// RadixGroupSum == HashGroupSum across a parameter sweep.
+// RadixGroupSum == a map reference across a parameter sweep.
 class RadixGroupSweep
     : public ::testing::TestWithParam<std::tuple<size_t, uint32_t, int, int>> {
 };
 
-TEST_P(RadixGroupSweep, MatchesPlainHashGrouping) {
+TEST_P(RadixGroupSweep, MatchesMapReference) {
   auto [n, groups, bits, passes] = GetParam();
   if (passes > std::max(bits, 1)) GTEST_SKIP();
   Rng rng(500 + n + groups + bits);
@@ -236,18 +236,16 @@ TEST_P(RadixGroupSweep, MatchesPlainHashGrouping) {
     vals[i] = static_cast<uint32_t>(rng.NextBelow(100));
   }
   DirectMemory mem;
-  auto plain = HashGroupSum<DirectMemory, MurmurHash>(
-      std::span<const uint32_t>(keys), std::span<const uint32_t>(vals), mem,
-      groups);
-  auto radix = RadixGroupSum<DirectMemory, MurmurHash>(
-      std::span<const uint32_t>(keys), std::span<const uint32_t>(vals), bits,
-      passes, mem);
+  auto radix = RadixGroupSum(std::span<const uint32_t>(keys),
+                             std::span<const uint32_t>(vals), bits, passes,
+                             mem);
   ASSERT_TRUE(radix.ok());
-  ASSERT_EQ(radix->size(), plain.size());
   std::map<uint32_t, std::pair<uint64_t, uint64_t>> expect;
-  for (size_t g = 0; g < plain.size(); ++g) {
-    expect[plain.keys[g]] = {plain.sums[g], plain.counts[g]};
+  for (size_t i = 0; i < n; ++i) {
+    expect[keys[i]].first += vals[i];
+    expect[keys[i]].second += 1;
   }
+  ASSERT_EQ(radix->size(), expect.size());
   for (size_t g = 0; g < radix->size(); ++g) {
     auto it = expect.find(radix->keys[g]);
     ASSERT_NE(it, expect.end()) << radix->keys[g];
@@ -262,6 +260,61 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<uint32_t>(1, 37, 5000),
                        ::testing::Values(0, 3, 8),
                        ::testing::Values(1, 2)));
+
+// Row-at-a-time reference for RadixGroupSum's output order: clusters in
+// ascending order of the low `bits` of MurmurHash::Hash(key), and within a
+// cluster the groups in first-appearance order.
+GroupAggregates ClusterOrderReference(const std::vector<uint32_t>& keys,
+                                      const std::vector<uint32_t>& vals,
+                                      int bits) {
+  std::vector<std::vector<size_t>> rows(size_t{1} << bits);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    rows[MurmurHash::Hash(keys[i]) & LowMask32(bits)].push_back(i);
+  }
+  GroupAggregates out;
+  for (const std::vector<size_t>& cluster : rows) {
+    std::map<uint32_t, size_t> group;
+    for (size_t i : cluster) {
+      auto [it, fresh] = group.try_emplace(keys[i], out.size());
+      if (fresh) {
+        out.keys.push_back(keys[i]);
+        out.sums.push_back(0);
+        out.counts.push_back(0);
+      }
+      out.sums[it->second] += vals[i];
+      out.counts[it->second] += 1;
+    }
+  }
+  return out;
+}
+
+TEST(RadixGroupSumTest, PerClusterFirstAppearanceOrder) {
+  for (uint32_t groups : {1u, 37u, 5000u}) {
+    Rng rng(900 + groups);
+    std::vector<uint32_t> keys(20000), vals(20000);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = static_cast<uint32_t>(rng.NextBelow(groups) * 2654435761u);
+      vals[i] = static_cast<uint32_t>(rng.NextBelow(100));
+    }
+    for (int bits : {0, 3, 8}) {
+      GroupAggregates expect = ClusterOrderReference(keys, vals, bits);
+      for (int passes : {1, 2}) {
+        if (passes > std::max(bits, 1)) continue;
+        SCOPED_TRACE(testing::Message() << "groups=" << groups
+                                        << " bits=" << bits
+                                        << " passes=" << passes);
+        DirectMemory mem;
+        auto got = RadixGroupSum<DirectMemory>(
+            std::span<const uint32_t>(keys), std::span<const uint32_t>(vals),
+            bits, passes, mem);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->keys, expect.keys);
+        EXPECT_EQ(got->sums, expect.sums);
+        EXPECT_EQ(got->counts, expect.counts);
+      }
+    }
+  }
+}
 
 TEST(RadixGroupSumTest, AllSameKey) {
   DirectMemory mem;

@@ -339,14 +339,16 @@ TEST(GroupAggTableTest, CapacityHintMakesGrowthRehashFree) {
   // the bucket array; the hint-less table (1024 buckets, 4x-load rehash)
   // must rehash on the same input — and both must agree on the result.
   constexpr size_t kGroups = 20000;
-  GroupAggTable hinted(/*key_width=*/1, /*num_values=*/1, kGroups);
-  GroupAggTable unhinted(/*key_width=*/1, /*num_values=*/1);
+  DirectMemory mem;
+  GroupAggTable<DirectMemory> hinted(/*key_width=*/1, /*num_values=*/1,
+                                     kGroups);
+  GroupAggTable<DirectMemory> unhinted(/*key_width=*/1, /*num_values=*/1);
   for (uint32_t rep = 0; rep < 2; ++rep) {
     for (uint32_t g = 0; g < kGroups; ++g) {
       uint32_t key = g;
       uint32_t value = g % 97;
-      hinted.Add(&key, &value);
-      unhinted.Add(&key, &value);
+      hinted.Add(&key, &value, mem);
+      unhinted.Add(&key, &value, mem);
     }
   }
   EXPECT_EQ(hinted.num_groups(), kGroups);
@@ -360,10 +362,10 @@ TEST(GroupAggTableTest, CapacityHintMakesGrowthRehashFree) {
   }
   // An 8x-low hint still overflows into a rehash — the hint is a sizing
   // contract, not a cap.
-  GroupAggTable low_hint(1, 1, kGroups / 64);
+  GroupAggTable<DirectMemory> low_hint(1, 1, kGroups / 64);
   for (uint32_t g = 0; g < kGroups; ++g) {
     uint32_t key = g, value = 1;
-    low_hint.Add(&key, &value);
+    low_hint.Add(&key, &value, mem);
   }
   EXPECT_EQ(low_hint.num_groups(), kGroups);
   EXPECT_GT(low_hint.rehash_count(), 0u);
@@ -376,6 +378,7 @@ TEST(GroupAggTableTest, AddColumnsEqualsPerRowAdd) {
   // 1024-row block, hints of 0 / exact / 8x low, keys equal to UINT32_MAX,
   // and a single group.
   Rng rng(1717);
+  DirectMemory mem;
   bool saw_rehash = false;
   for (size_t kw = 1; kw <= 3; ++kw) {
     for (size_t nv = 0; nv <= 2; ++nv) {
@@ -403,25 +406,25 @@ TEST(GroupAggTableTest, AddColumnsEqualsPerRowAdd) {
           for (const auto& v : vals) val_cols.push_back(v.data());
 
           // Count the groups once to derive the exact and 8x-low hints.
-          GroupAggTable probe(kw, nv);
-          probe.AddColumns(key_cols, val_cols, 0, n);
+          GroupAggTable<DirectMemory> probe(kw, nv);
+          probe.AddColumns(key_cols, val_cols, 0, n, mem);
           const size_t groups = probe.num_groups();
           for (size_t hint : {size_t{0}, groups, groups / 8}) {
             SCOPED_TRACE(testing::Message()
                          << "kw=" << kw << " nv=" << nv << " n=" << n
                          << " single=" << single_group << " hint=" << hint);
-            GroupAggTable rowwise(kw, nv, hint);
+            GroupAggTable<DirectMemory> rowwise(kw, nv, hint);
             std::vector<uint32_t> kbuf(kw), vbuf(nv);
             for (size_t i = 0; i < n; ++i) {
               for (size_t c = 0; c < kw; ++c) kbuf[c] = keys[c][i];
               for (size_t v = 0; v < nv; ++v) vbuf[v] = vals[v][i];
-              rowwise.Add(kbuf.data(), vbuf.data());
+              rowwise.Add(kbuf.data(), vbuf.data(), mem);
             }
             // Two calls split off the block grid, as a shard boundary does.
-            GroupAggTable columnar(kw, nv, hint);
+            GroupAggTable<DirectMemory> columnar(kw, nv, hint);
             const size_t mid = n / 3;
-            columnar.AddColumns(key_cols, val_cols, 0, mid);
-            columnar.AddColumns(key_cols, val_cols, mid, n);
+            columnar.AddColumns(key_cols, val_cols, 0, mid, mem);
+            columnar.AddColumns(key_cols, val_cols, mid, n, mem);
 
             ASSERT_EQ(columnar.num_groups(), rowwise.num_groups());
             EXPECT_EQ(columnar.rehash_count(), rowwise.rehash_count());
@@ -466,14 +469,15 @@ TEST(AggregateOverflowTest, MergedPartialsPastInt64MaxAreDetected) {
   // wrapped this into a negative sum.
   constexpr uint64_t kMax = static_cast<uint64_t>(
       std::numeric_limits<int64_t>::max());
-  GroupAggTable a(/*key_width=*/2, /*num_values=*/1);
-  GroupAggTable b(/*key_width=*/2, /*num_values=*/1);
+  DirectMemory mem;
+  GroupAggTable<DirectMemory> a(/*key_width=*/2, /*num_values=*/1);
+  GroupAggTable<DirectMemory> b(/*key_width=*/2, /*num_values=*/1);
   const uint32_t key[2] = {7, 9};
   GroupAggState sa{/*sum=*/kMax - 10, /*min=*/3, /*max=*/80};
   GroupAggState sb{/*sum=*/100, /*min=*/1, /*max=*/40};
-  a.AccumulateGroup(key, /*rows=*/1000, &sa);
-  b.AccumulateGroup(key, /*rows=*/5, &sb);
-  a.MergeFrom(b);
+  a.AccumulateGroup(key, /*rows=*/1000, &sa, mem);
+  b.AccumulateGroup(key, /*rows=*/5, &sb, mem);
+  a.MergeFrom(b, mem);
   ASSERT_EQ(a.num_groups(), 1u);
   EXPECT_EQ(a.group_rows(0), 1005u);
   EXPECT_EQ(a.state(0, 0).min, 1u);

@@ -193,17 +193,19 @@ TEST(AggregationLocalityTest, RadixGroupingCutsMissesAtHighGroupCounts) {
 
   MemoryHierarchy h_plain(profile);
   SimulatedMemory sim_plain(&h_plain);
-  auto plain = HashGroupSum<SimulatedMemory, MurmurHash>(
-      std::span<const uint32_t>(keys), std::span<const uint32_t>(vals),
-      sim_plain, kGroups);
+  GroupAggTable<SimulatedMemory> plain(/*key_width=*/1, /*num_values=*/1,
+                                       kGroups);
+  const uint32_t* key_col = keys.data();
+  const uint32_t* val_col = vals.data();
+  plain.AddColumns({&key_col, 1}, {&val_col, 1}, 0, kN, sim_plain);
 
   MemoryHierarchy h_radix(profile);
   SimulatedMemory sim_radix(&h_radix);
-  auto radix = RadixGroupSum<SimulatedMemory, MurmurHash>(
-      std::span<const uint32_t>(keys), std::span<const uint32_t>(vals),
-      /*bits=*/5, /*passes=*/1, sim_radix);
+  auto radix = RadixGroupSum(std::span<const uint32_t>(keys),
+                             std::span<const uint32_t>(vals), /*bits=*/5,
+                             /*passes=*/1, sim_radix);
   ASSERT_TRUE(radix.ok());
-  ASSERT_EQ(radix->size(), plain.size());
+  ASSERT_EQ(radix->size(), plain.num_groups());
 
   EXPECT_LT(h_radix.events().tlb_misses, h_plain.events().tlb_misses);
   EXPECT_LT(h_radix.events().l2_misses + h_radix.events().tlb_misses,

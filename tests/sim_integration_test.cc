@@ -4,6 +4,7 @@
 // §3.4 — the software stand-in for the paper's R10000 hardware counters.
 #include <gtest/gtest.h>
 
+#include "algo/aggregate.h"
 #include "algo/join.h"
 #include "algo/radix_cluster.h"
 #include "algo/stride_scan.h"
@@ -361,6 +362,46 @@ TEST_F(SimTest, PositionalJoinMissTermsTrackTheSimulator) {
   EXPECT_LT(sim_l2, model.l2_misses * 2);
   EXPECT_GT(sim_tlb, model.tlb_misses / 2);
   EXPECT_LT(sim_tlb, model.tlb_misses * 2);
+}
+
+TEST_F(SimTest, GroupAggTableUnderSimulatorMatchesDirect) {
+  // The engine's group table under both policies: the same groups, row
+  // counts and states, and on GenericX86 (1 MB L2, 64 x 4 KB TLB) a
+  // 256k-group table (~10 MB) misses the L2 and the TLB on most rows while
+  // a 64-group one stays resident.
+  const MachineProfile profile = MachineProfile::GenericX86();
+  constexpr size_t kRows = 1 << 19;
+  auto misses_at = [&](uint32_t groups) {
+    Rng rng(groups);
+    std::vector<uint32_t> keys(kRows), vals(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      keys[i] = static_cast<uint32_t>(rng.NextBelow(groups) * 2654435761u);
+      vals[i] = static_cast<uint32_t>(rng.NextU32());
+    }
+    const uint32_t* key_col = keys.data();
+    const uint32_t* val_col = vals.data();
+    DirectMemory direct;
+    GroupAggTable<DirectMemory> expect(/*key_width=*/1, /*num_values=*/1);
+    expect.AddColumns({&key_col, 1}, {&val_col, 1}, 0, kRows, direct);
+    MemoryHierarchy h(profile);
+    SimulatedMemory sim(&h);
+    GroupAggTable<SimulatedMemory> got(/*key_width=*/1, /*num_values=*/1);
+    got.AddColumns({&key_col, 1}, {&val_col, 1}, 0, kRows, sim);
+    EXPECT_EQ(got.num_groups(), expect.num_groups()) << groups;
+    EXPECT_EQ(got.rehash_count(), expect.rehash_count()) << groups;
+    for (size_t g = 0; g < expect.num_groups(); ++g) {
+      EXPECT_EQ(got.key(g, 0), expect.key(g, 0)) << groups;
+      EXPECT_EQ(got.group_rows(g), expect.group_rows(g)) << groups;
+      EXPECT_EQ(got.state(g, 0).sum, expect.state(g, 0).sum) << groups;
+      EXPECT_EQ(got.state(g, 0).min, expect.state(g, 0).min) << groups;
+      EXPECT_EQ(got.state(g, 0).max, expect.state(g, 0).max) << groups;
+    }
+    return h.events();
+  };
+  MemEvents small = misses_at(64);
+  MemEvents large = misses_at(1 << 18);
+  EXPECT_GT(large.l2_misses, small.l2_misses);
+  EXPECT_GT(large.tlb_misses, small.tlb_misses);
 }
 
 TEST_F(SimTest, EventsScaleLinearlyWithCardinality) {

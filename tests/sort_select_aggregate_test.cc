@@ -136,7 +136,7 @@ std::map<uint32_t, std::pair<uint64_t, uint64_t>> ReferenceGroups(
   return m;
 }
 
-TEST(HashGroupSumTest, MatchesReference) {
+TEST(GroupAggTableTest, MatchesReference) {
   DirectMemory mem;
   Rng rng(5);
   std::vector<uint32_t> keys(5000), vals(5000);
@@ -144,26 +144,33 @@ TEST(HashGroupSumTest, MatchesReference) {
     keys[i] = static_cast<uint32_t>(rng.NextBelow(37));
     vals[i] = static_cast<uint32_t>(rng.NextBelow(1000));
   }
-  auto got = HashGroupSum<DirectMemory, MurmurHash>(
-      std::span<const uint32_t>(keys), std::span<const uint32_t>(vals), mem);
+  GroupAggTable<DirectMemory> got(/*key_width=*/1, /*num_values=*/1);
+  const uint32_t* key_col = keys.data();
+  const uint32_t* val_col = vals.data();
+  got.AddColumns({&key_col, 1}, {&val_col, 1}, 0, keys.size(), mem);
   auto expect = ReferenceGroups(keys, vals);
-  ASSERT_EQ(got.size(), expect.size());
-  for (size_t g = 0; g < got.size(); ++g) {
-    auto it = expect.find(got.keys[g]);
+  ASSERT_EQ(got.num_groups(), expect.size());
+  for (size_t g = 0; g < got.num_groups(); ++g) {
+    auto it = expect.find(got.key(g, 0));
     ASSERT_NE(it, expect.end());
-    EXPECT_EQ(got.sums[g], it->second.first);
-    EXPECT_EQ(got.counts[g], it->second.second);
+    EXPECT_EQ(got.state(g, 0).sum, it->second.first);
+    EXPECT_EQ(got.group_rows(g), it->second.second);
   }
 }
 
-TEST(HashGroupSumTest, FirstAppearanceOrder) {
+TEST(GroupAggTableTest, FirstAppearanceOrder) {
   DirectMemory mem;
   std::vector<uint32_t> keys = {9, 3, 9, 7, 3};
   std::vector<uint32_t> vals = {1, 1, 1, 1, 1};
-  auto got = HashGroupSum(std::span<const uint32_t>(keys),
-                          std::span<const uint32_t>(vals), mem);
-  EXPECT_EQ(got.keys, (std::vector<uint32_t>{9, 3, 7}));
-  EXPECT_EQ(got.counts, (std::vector<uint64_t>{2, 2, 1}));
+  GroupAggTable<DirectMemory> got(/*key_width=*/1, /*num_values=*/1);
+  for (size_t i = 0; i < keys.size(); ++i) got.Add(&keys[i], &vals[i], mem);
+  ASSERT_EQ(got.num_groups(), 3u);
+  const uint32_t order[] = {9, 3, 7};
+  const uint64_t counts[] = {2, 2, 1};
+  for (size_t g = 0; g < 3; ++g) {
+    EXPECT_EQ(got.key(g, 0), order[g]);
+    EXPECT_EQ(got.group_rows(g), counts[g]);
+  }
 }
 
 TEST(SortGroupSumTest, MatchesHashGrouping) {
@@ -189,9 +196,10 @@ TEST(SortGroupSumTest, MatchesHashGrouping) {
 TEST(GroupSumTest, EmptyInput) {
   DirectMemory mem;
   std::vector<uint32_t> none;
-  auto h = HashGroupSum(std::span<const uint32_t>(none),
-                        std::span<const uint32_t>(none), mem);
-  EXPECT_EQ(h.size(), 0u);
+  GroupAggTable<DirectMemory> h(/*key_width=*/1, /*num_values=*/1);
+  const uint32_t* col = none.data();
+  h.AddColumns({&col, 1}, {&col, 1}, 0, 0, mem);
+  EXPECT_EQ(h.num_groups(), 0u);
   auto s = SortGroupSum(std::span<const uint32_t>(none),
                         std::span<const uint32_t>(none), mem);
   EXPECT_EQ(s.size(), 0u);
