@@ -8,6 +8,8 @@
 // table.
 #include "bench_common.h"
 
+#include <algorithm>
+
 #include "algo/radix_aggregate.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -16,6 +18,29 @@ namespace ccdb {
 namespace {
 
 using bench::BenchEnv;
+
+/// Median, minimum and maximum elapsed milliseconds over `reps` runs.
+struct Spread {
+  double median, min, max;
+};
+
+template <typename Fn>
+Spread TimeSpread(int reps, Fn&& fn) {
+  std::vector<double> ms;
+  for (int i = 0; i < reps; ++i) ms.push_back(TimeMillis(fn));
+  std::sort(ms.begin(), ms.end());
+  return {ms[ms.size() / 2], ms.front(), ms.back()};
+}
+
+/// "median [min-max]".
+std::string Fmt(const Spread& s) {
+  return TablePrinter::Fmt(s.median, 1) + " [" + TablePrinter::Fmt(s.min, 1) +
+         "-" + TablePrinter::Fmt(s.max, 1) + "]";
+}
+
+// On a shared host one binary's cells spread by tens of percent from run to
+// run, so each cell is the median of kReps runs with their range beside it.
+constexpr int kReps = 5;
 
 int Run(int argc, char** argv) {
   BenchEnv env = BenchEnv::FromArgs(argc, argv);
@@ -37,7 +62,7 @@ int Run(int argc, char** argv) {
     // The hash table must agree with sort grouping on the group count and
     // the total sum, so hash_ms times the same answer.
     GroupAggregates reference;
-    double sort_ms = MinTimeMillis(2, [&] {
+    Spread sort_ms = TimeSpread(kReps, [&] {
       reference = SortGroupSum(std::span<const uint32_t>(keys),
                                std::span<const uint32_t>(values), mem);
       CCDB_CHECK(reference.size() <= groups);
@@ -46,7 +71,7 @@ int Run(int argc, char** argv) {
     for (uint64_t s : reference.sums) reference_total += s;
     const uint32_t* key_col = keys.data();
     const uint32_t* value_col = values.data();
-    double hash_ms = MinTimeMillis(2, [&] {
+    Spread hash_ms = TimeSpread(kReps, [&] {
       GroupAggTable<DirectMemory> agg(/*key_width=*/1, /*num_values=*/1,
                                       groups);
       agg.AddColumns({&key_col, 1}, {&value_col, 1}, 0, kN, mem);
@@ -60,16 +85,15 @@ int Run(int argc, char** argv) {
     // Partition so each cluster holds ~2k groups (table ~ L1/L2 resident).
     int bits = std::max(Log2Ceil(groups / 2048 + 1), 0);
     int passes = std::max((bits + 5) / 6, 1);
-    double radix_ms = MinTimeMillis(2, [&] {
+    Spread radix_ms = TimeSpread(kReps, [&] {
       auto agg = RadixGroupSum(std::span<const uint32_t>(keys),
                                std::span<const uint32_t>(values), bits,
                                passes, mem);
       CCDB_CHECK(agg.ok() && agg->size() <= groups);
     });
     table.AddRow({TablePrinter::Fmt(static_cast<uint64_t>(groups)),
-                  TablePrinter::Fmt(hash_ms, 1),
-                  TablePrinter::Fmt(sort_ms, 1),
-                  TablePrinter::Fmt(radix_ms, 1), TablePrinter::Fmt(bits)});
+                  Fmt(hash_ms), Fmt(sort_ms), Fmt(radix_ms),
+                  TablePrinter::Fmt(bits)});
   }
   table.Print(stdout);
   std::printf(
@@ -80,7 +104,8 @@ int Run(int argc, char** argv) {
       "and overtakes it (the crossover depends on the host's cache sizes);\n"
       "sort-grouping stays the baseline throughout. Both hash columns run\n"
       "the engine's columnar table (which also keeps row counts and\n"
-      "min/max).\n");
+      "min/max). Each cell is the median of %d runs, [min-max] beside it.\n",
+      kReps);
   return 0;
 }
 

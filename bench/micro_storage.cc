@@ -2,8 +2,9 @@
 //   * scanning one attribute: NSM record stride vs DSM value stride vs
 //     1-byte encoded stride,
 //   * predicate remap on encoded columns (through SelectOp, the operator a
-//     query's Filter runs), and the filter walk's narrowing conjunct and
-//     OR through a sparse candidate list,
+//     query's Filter runs), the filter walk's narrowing conjunct and OR
+//     through a sparse candidate list, and its i64, f64 and raw-string
+//     leaves,
 //   * tuple reconstruction via positional lookup, and the chunk-level
 //     positional take (Chunk::Take) that filters and joins emit through,
 //   * dictionary encode/decode throughput.
@@ -272,6 +273,60 @@ void BM_SelectOrSparseList(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SelectOrSparseList);
+
+// Leaf types the wide table does not hold: an i64 column and a raw
+// (unencoded) string column, each filtered through SelectOp.
+const Table& NarrowRawTable() {
+  static Table t = [] {
+    auto rs = RowStore::Make(
+        {{"amount", FieldType::kI64}, {"shipmode", FieldType::kChar10}},
+        kRows);
+    CCDB_CHECK(rs.ok());
+    const char* modes[] = {"MAIL", "AIR", "TRUCK", "SHIP", "RAIL", "FOB"};
+    Rng rng(11);
+    for (size_t i = 0; i < kRows; ++i) {
+      size_t r = *rs->AppendRow();
+      rs->SetI64(r, 0, static_cast<int64_t>(rng.NextBelow(1000)) - 500);
+      const char* m = modes[rng.NextBelow(6)];
+      rs->SetBytes(r, 1, m, strlen(m));
+    }
+    return *Table::FromRowStore(*rs, /*auto_encode=*/false);
+  }();
+  return t;
+}
+
+// Drains `e` over `t` per iteration and reports items and ns per row.
+void RunSelect(benchmark::State& state, const Table& t, const Expr& e) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DrainSelect(t, e));
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_rows());
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(t.num_rows()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+void BM_SelectI64Ne(benchmark::State& state) {
+  RunSelect(state, NarrowRawTable(), Col("amount") != -7LL);
+}
+BENCHMARK(BM_SelectI64Ne);
+
+void BM_SelectF64Lt(benchmark::State& state) {
+  RunSelect(state, DecomposedWideTable(), Col("price") < 50.0);
+}
+BENCHMARK(BM_SelectF64Lt);
+
+void BM_SelectF64Ne(benchmark::State& state) {
+  RunSelect(state, DecomposedWideTable(), Col("price") != 50.0);
+}
+BENCHMARK(BM_SelectF64Ne);
+
+void BM_SelectRawStrIn(benchmark::State& state) {
+  RunSelect(state, NarrowRawTable(),
+            InStr(Col("shipmode"), {"AIR", "MAIL", "RAIL"}));
+}
+BENCHMARK(BM_SelectRawStrIn);
 
 }  // namespace
 }  // namespace ccdb

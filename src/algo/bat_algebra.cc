@@ -239,22 +239,6 @@ StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
   }
 }
 
-std::vector<U32Range> ComplementRanges(std::span<const U32Range> ranges) {
-  std::vector<U32Range> out;
-  uint32_t cur = 0;
-  bool open = true;  // [cur, ...] still uncovered
-  for (const U32Range& r : ranges) {
-    if (r.lo > cur) out.push_back({cur, r.lo - 1});
-    if (r.hi == UINT32_MAX) {
-      open = false;
-      break;
-    }
-    cur = r.hi + 1;
-  }
-  if (open) out.push_back({cur, UINT32_MAX});
-  return out;
-}
-
 std::vector<uint32_t> UnionSortedPositions(
     std::vector<std::vector<uint32_t>> lists) {
   // Fold pairwise set_union: each input is ascending and duplicate-free, so

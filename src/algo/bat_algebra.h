@@ -73,23 +73,10 @@ StatusOr<Bat> BatAppend(const Bat& a, const Bat& b);
 StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
                                              std::span<const oid_t> cands);
 
-// --- expression lowering ------------------------------------------------------
-// An Expr leaf (exec/expr.h) lowers to a *set* of disjoint value ranges on
-// the (possibly code-mapped) u32 domain: `x != 7` is [0,6] u [8,max], a
-// NOT IN {2,5} is three ranges, a negated Between is two. The filter walk
-// (exec/operator.cc) tests each value through the candidate list against
-// such a set, and merges the sorted position lists that OR branches
-// produce — still never materializing an intermediate BAT.
-
-/// One inclusive value range on the u32 domain.
-struct U32Range {
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-};
-
-/// The complement of a disjoint, ascending range set over the full u32
-/// domain — how NormalizeExpr's negated leaves become range sets.
-std::vector<U32Range> ComplementRanges(std::span<const U32Range> ranges);
+// --- filter combiners --------------------------------------------------------
+// The filter walk (exec/operator.cc) turns each expression leaf into a
+// sorted position list through the candidate list, and merges the lists
+// that OR branches produce — still never materializing an intermediate BAT.
 
 /// Merge-union of ascending, duplicate-free position lists: the OR
 /// combiner. Positions appearing in several branches are emitted exactly

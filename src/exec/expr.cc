@@ -249,17 +249,9 @@ Expr Normalize(Expr e, bool negate) {
 Expr NormalizeExpr(Expr e) { return Normalize(std::move(e), false); }
 
 int ConjunctRank(const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kCmp:
-      if (e.value.type == Literal::Type::kStr) return 2;
-      return e.cmp == CmpOp::kEq ? 0 : 1;
-    case Expr::Kind::kBetween:
-      return 1;
-    case Expr::Kind::kIn:
-      return e.in_str.empty() ? 1 : 2;
-    default:
-      return 3;
-  }
+  if (!e.leaf()) return 3;
+  if (LeafLiteralType(e) == Literal::Type::kStr) return 2;
+  return e.kind == Expr::Kind::kCmp && e.cmp == CmpOp::kEq ? 0 : 1;
 }
 
 const char* ConjunctRankName(int rank) {
@@ -282,46 +274,40 @@ Expr OrderConjunctsBySelectivity(Expr e) {
   return e;
 }
 
-// --- subsumption -------------------------------------------------------------
+std::optional<Expr> LowerFilter(Expr e) {
+  Expr lowered = OrderConjunctsBySelectivity(NormalizeExpr(std::move(e)));
+  if (lowered.kind == Expr::Kind::kAnd && lowered.children.empty()) {
+    return std::nullopt;
+  }
+  return lowered;
+}
+
+Literal::Type LeafLiteralType(const Expr& leaf) {
+  switch (leaf.kind) {
+    case Expr::Kind::kCmp: return leaf.value.type;
+    case Expr::Kind::kBetween: return leaf.lo.type;
+    case Expr::Kind::kIn:
+      return leaf.in_str.empty() ? Literal::Type::kU32 : Literal::Type::kStr;
+    default: return Literal::Type::kU32;
+  }
+}
+
+// --- leaf value sets ---------------------------------------------------------
 //
-// A leaf constrains one column to a *value set*; implication between leaves
-// on the same column is set containment. Three domains, matching what
-// Build() admits (integer literals never apply to f64 columns and vice
-// versa, so integer tightening like `x > 5 ⊆ x >= 6` is exact):
-//
-//  * kInt — sorted, disjoint, non-adjacent closed i64 intervals. Exact:
-//    containment of canonical interval lists decides implication.
-//  * kF64 — sorted, disjoint interval lists with open/closed endpoints
-//    (±inf for half-lines) plus a does-NaN-match bit: NaN column values
-//    fail every ordering and range and match only `!=`, so they are
-//    tracked outside the real line. NaN *literals* make a leaf
-//    unconvertible (no proof) rather than risking a wrong model.
-//  * kStr — a positive or complemented sorted set (equality and In-lists
-//    are the only string predicates).
+// A leaf constrains one column to a *value set*, in one of three domains
+// matching what Build() admits (integer literals never apply to f64
+// columns and vice versa, so integer tightening like `x > 5 ⊆ x >= 6` is
+// exact). Every set is canonical — sorted, disjoint and merged — so
+// containment of interval lists decides implication, and the filter walk
+// can test a value against a set with ordered comparisons alone.
 
 namespace {
 
+using IntInterval = LeafSet::IntInterval;
+using F64Interval = LeafSet::F64Interval;
+
 constexpr int64_t kIntMin = std::numeric_limits<int64_t>::min();
 constexpr int64_t kIntMax = std::numeric_limits<int64_t>::max();
-
-struct IntInterval {
-  int64_t lo, hi;  // closed [lo, hi]
-};
-
-struct F64Interval {
-  double lo, hi;
-  bool lo_open, hi_open;
-};
-
-struct LeafSet {
-  enum class Domain { kInt, kF64, kStr };
-  Domain domain = Domain::kInt;
-  std::vector<IntInterval> ints;
-  std::vector<F64Interval> f64s;
-  bool nan = false;  // f64: do NaN column values match?
-  bool str_negated = false;
-  std::vector<std::string> strs;  // sorted, unique
-};
 
 void CanonicalizeInts(std::vector<IntInterval>* iv) {
   iv->erase(std::remove_if(iv->begin(), iv->end(),
@@ -378,7 +364,7 @@ int64_t IntValue(const Literal& l) {
   return l.type == Literal::Type::kU32 ? static_cast<int64_t>(l.u32) : l.i64;
 }
 
-bool IntLeafSet(const Expr& e, std::vector<IntInterval>* out) {
+void IntLeafSet(const Expr& e, std::vector<IntInterval>* out) {
   switch (e.kind) {
     case Expr::Kind::kCmp: {
       int64_t v = IntValue(e.value);
@@ -403,7 +389,7 @@ bool IntLeafSet(const Expr& e, std::vector<IntInterval>* out) {
           out->push_back({v, kIntMax});
           break;
       }
-      return true;
+      return;
     }
     case Expr::Kind::kBetween: {
       int64_t lo = IntValue(e.lo), hi = IntValue(e.hi);
@@ -413,9 +399,9 @@ bool IntLeafSet(const Expr& e, std::vector<IntInterval>* out) {
         if (lo > kIntMin) out->push_back({kIntMin, lo - 1});
         if (hi < kIntMax) out->push_back({hi + 1, kIntMax});
       }
-      return true;
+      return;
     }
-    case Expr::Kind::kIn: {
+    default: {  // kIn
       std::vector<uint32_t> vs(e.in_u32);
       std::sort(vs.begin(), vs.end());
       vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
@@ -433,118 +419,111 @@ bool IntLeafSet(const Expr& e, std::vector<IntInterval>* out) {
         }
         out->push_back({lo, kIntMax});
       }
-      return true;
+      return;
     }
-    default:
-      return false;
   }
 }
 
-bool F64LeafSet(const Expr& e, std::vector<F64Interval>* out, bool* nan) {
+/// f64 leaves are Cmp or Between (Build() rejects f64 In-lists, and an
+/// In-list's literal type is never kF64).
+void F64LeafSet(const Expr& e, std::vector<F64Interval>* out, bool* nan) {
   const double inf = std::numeric_limits<double>::infinity();
-  *nan = false;
-  switch (e.kind) {
-    case Expr::Kind::kCmp: {
-      double v = e.value.f64;
-      if (std::isnan(v)) return false;  // no proof over NaN literals
-      switch (e.cmp) {
-        case CmpOp::kEq:
-          out->push_back({v, v, false, false});
-          break;
-        case CmpOp::kNe:
-          out->push_back({-inf, v, false, true});
-          out->push_back({v, inf, true, false});
-          *nan = true;  // NaN != v is true
-          break;
-        case CmpOp::kLt:
-          out->push_back({-inf, v, false, true});
-          break;
-        case CmpOp::kLe:
-          out->push_back({-inf, v, false, false});
-          break;
-        case CmpOp::kGt:
-          out->push_back({v, inf, true, false});
-          break;
-        case CmpOp::kGe:
-          out->push_back({v, inf, false, false});
-          break;
-      }
-      return true;
-    }
-    case Expr::Kind::kBetween: {
-      double lo = e.lo.f64, hi = e.hi.f64;
-      if (std::isnan(lo) || std::isnan(hi)) return false;
-      if (!e.negated) {
+  if (e.kind == Expr::Kind::kBetween) {
+    double lo = e.lo.f64, hi = e.hi.f64;
+    if (!e.negated) {
+      if (!std::isnan(lo) && !std::isnan(hi)) {
         out->push_back({lo, hi, false, false});
-      } else {
-        out->push_back({-inf, lo, false, true});
-        out->push_back({hi, inf, true, false});
       }
-      return true;
+    } else {
+      // v < lo || v > hi: a NaN bound drops its half.
+      if (!std::isnan(lo)) out->push_back({-inf, lo, false, true});
+      if (!std::isnan(hi)) out->push_back({hi, inf, true, false});
     }
-    default:
-      return false;  // no f64 In-lists exist
+    return;
+  }
+  double v = e.value.f64;
+  if (std::isnan(v)) {
+    // Every comparison with NaN is false but !=, which is always true.
+    if (e.cmp == CmpOp::kNe) {
+      out->push_back({-inf, inf, false, false});
+      *nan = true;
+    }
+    return;
+  }
+  switch (e.cmp) {
+    case CmpOp::kEq:
+      out->push_back({v, v, false, false});
+      break;
+    case CmpOp::kNe:
+      out->push_back({-inf, v, false, true});
+      out->push_back({v, inf, true, false});
+      *nan = true;  // NaN != v is true
+      break;
+    case CmpOp::kLt:
+      out->push_back({-inf, v, false, true});
+      break;
+    case CmpOp::kLe:
+      out->push_back({-inf, v, false, false});
+      break;
+    case CmpOp::kGt:
+      out->push_back({v, inf, true, false});
+      break;
+    case CmpOp::kGe:
+      out->push_back({v, inf, false, false});
+      break;
   }
 }
 
-bool StrLeafSet(const Expr& e, bool* negated, std::vector<std::string>* out) {
-  switch (e.kind) {
-    case Expr::Kind::kCmp:
-      if (e.cmp == CmpOp::kEq) {
-        *negated = false;
-      } else if (e.cmp == CmpOp::kNe) {
-        *negated = true;
-      } else {
-        return false;  // string ordering comparisons are not admitted
-      }
-      out->push_back(e.value.str);
-      return true;
-    case Expr::Kind::kIn: {
-      *negated = e.negated;
-      *out = e.in_str;
-      std::sort(out->begin(), out->end());
-      out->erase(std::unique(out->begin(), out->end()), out->end());
-      return true;
-    }
-    default:
-      return false;
-  }
-}
+}  // namespace
 
-std::optional<LeafSet> MakeLeafSet(const Expr& e) {
+std::optional<LeafSet> LeafValues(const Expr& leaf) {
+  if (!leaf.leaf()) return std::nullopt;
   LeafSet s;
-  Literal::Type lt;
-  switch (e.kind) {
-    case Expr::Kind::kCmp:
-      lt = e.value.type;
-      break;
-    case Expr::Kind::kBetween:
-      lt = e.lo.type;
-      break;
-    case Expr::Kind::kIn:
-      lt = e.in_str.empty() ? Literal::Type::kU32 : Literal::Type::kStr;
-      break;
-    default:
-      return std::nullopt;
-  }
-  switch (lt) {
+  switch (LeafLiteralType(leaf)) {
     case Literal::Type::kU32:
     case Literal::Type::kI64:
       s.domain = LeafSet::Domain::kInt;
-      if (!IntLeafSet(e, &s.ints)) return std::nullopt;
+      IntLeafSet(leaf, &s.ints);
       CanonicalizeInts(&s.ints);
       return s;
     case Literal::Type::kF64:
       s.domain = LeafSet::Domain::kF64;
-      if (!F64LeafSet(e, &s.f64s, &s.nan)) return std::nullopt;
+      F64LeafSet(leaf, &s.f64s, &s.nan);
       CanonicalizeF64s(&s.f64s);
       return s;
     case Literal::Type::kStr:
       s.domain = LeafSet::Domain::kStr;
-      if (!StrLeafSet(e, &s.str_negated, &s.strs)) return std::nullopt;
+      if (leaf.kind == Expr::Kind::kIn) {
+        s.str_negated = leaf.negated;
+        s.strs = leaf.in_str;
+        std::sort(s.strs.begin(), s.strs.end());
+        s.strs.erase(std::unique(s.strs.begin(), s.strs.end()), s.strs.end());
+      } else if (leaf.kind == Expr::Kind::kCmp &&
+                 (leaf.cmp == CmpOp::kEq || leaf.cmp == CmpOp::kNe)) {
+        s.str_negated = leaf.cmp == CmpOp::kNe;
+        s.strs.push_back(leaf.value.str);
+      } else {
+        return std::nullopt;  // strings admit = and != only
+      }
       return s;
   }
   return std::nullopt;
+}
+
+// --- subsumption -------------------------------------------------------------
+
+namespace {
+
+/// The set a proof may use: a leaf's LeafValues, except that NaN literals
+/// give no proof — ExprSubsumes refuses them rather than reason over IEEE
+/// corner cases.
+std::optional<LeafSet> ProofSet(const Expr& leaf) {
+  if (LeafLiteralType(leaf) == Literal::Type::kF64 &&
+      (std::isnan(leaf.value.f64) || std::isnan(leaf.lo.f64) ||
+       std::isnan(leaf.hi.f64))) {
+    return std::nullopt;
+  }
+  return LeafValues(leaf);
 }
 
 bool IntContains(const std::vector<IntInterval>& big,
@@ -747,12 +726,12 @@ bool SubsumesImpl(const Expr& a, const Expr& b) {
       // column. That intersection is a superset of a's true projection
       // (other conjuncts only narrow), so containment in b still proves
       // the implication — this is what shows x > 5 && x < 10 ⇒ x in [6,9].
-      std::optional<LeafSet> bs = MakeLeafSet(b);
+      std::optional<LeafSet> bs = ProofSet(b);
       if (!bs.has_value()) return false;
       std::optional<LeafSet> acc;
       for (const Expr& c : a.children) {
         if (!c.leaf() || c.column != b.column) continue;
-        std::optional<LeafSet> cs = MakeLeafSet(c);
+        std::optional<LeafSet> cs = ProofSet(c);
         if (!cs.has_value() || cs->domain != bs->domain) continue;
         acc = acc.has_value() ? IntersectSets(*acc, *cs) : cs;
         if (!acc.has_value()) return false;
@@ -773,12 +752,12 @@ bool SubsumesImpl(const Expr& a, const Expr& b) {
     // ...otherwise union b's same-column disjuncts: that union is a subset
     // of b's true match set (a partial cover), so containing a is a proof —
     // this is what shows x = 3 ⇒ x < 2 || x > 2.
-    std::optional<LeafSet> as = MakeLeafSet(a);
+    std::optional<LeafSet> as = ProofSet(a);
     if (!as.has_value()) return false;
     std::optional<LeafSet> acc;
     for (const Expr& d : b.children) {
       if (!d.leaf() || d.column != a.column) continue;
-      std::optional<LeafSet> ds = MakeLeafSet(d);
+      std::optional<LeafSet> ds = ProofSet(d);
       if (!ds.has_value() || ds->domain != as->domain) continue;
       acc = acc.has_value() ? UnionSets(*acc, *ds) : ds;
       if (!acc.has_value()) return false;
@@ -787,8 +766,8 @@ bool SubsumesImpl(const Expr& a, const Expr& b) {
   }
   // Leaf vs leaf: same column, value-set containment.
   if (a.column != b.column) return false;
-  std::optional<LeafSet> as = MakeLeafSet(a);
-  std::optional<LeafSet> bs = MakeLeafSet(b);
+  std::optional<LeafSet> as = ProofSet(a);
+  std::optional<LeafSet> bs = ProofSet(b);
   if (!as.has_value() || !bs.has_value()) return false;
   return Contains(*bs, *as);
 }

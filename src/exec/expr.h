@@ -24,6 +24,7 @@
 #define CCDB_EXEC_EXPR_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -277,6 +278,48 @@ const char* ConjunctRankName(int rank);
 /// evaluation cost, never results.
 Expr OrderConjunctsBySelectivity(Expr e);
 
+/// The form a filter executes in: NormalizeExpr, then
+/// OrderConjunctsBySelectivity. nullopt for the empty conjunction (a
+/// childless And, e.g. a default-constructed Expr), which is always true:
+/// no filter. SelectOp and SharedScanOp both lower through this.
+std::optional<Expr> LowerFilter(Expr e);
+
+/// Literal domain a leaf compares on: the Cmp literal's or Between's lower
+/// bound's type, kStr for a string In-list and kU32 for an integer one (or
+/// for a non-leaf).
+Literal::Type LeafLiteralType(const Expr& leaf);
+
+/// The exact set of column values one leaf matches, in the domain of its
+/// literal. Integer literals (u32 or i64) give sorted, disjoint,
+/// non-adjacent closed i64 intervals. f64 literals give sorted, disjoint
+/// intervals with open or closed ends (±inf for half-lines) plus a bit that
+/// says whether NaN values match: IEEE, so NaN fails every ordering and
+/// range (a negated Between is v < lo || v > hi) and passes only `!=`, and
+/// a NaN literal matches nothing (`!= NaN`: everything). String literals
+/// give a positive or complemented sorted, unique set.
+struct LeafSet {
+  enum class Domain { kInt, kF64, kStr };
+  struct IntInterval {
+    int64_t lo, hi;  // closed [lo, hi]
+  };
+  struct F64Interval {
+    double lo, hi;
+    bool lo_open, hi_open;
+  };
+  Domain domain = Domain::kInt;
+  std::vector<IntInterval> ints;
+  std::vector<F64Interval> f64s;
+  bool nan = false;  // f64: do NaN column values match?
+  bool str_negated = false;
+  std::vector<std::string> strs;  // sorted, unique
+};
+
+/// The one definition of what a leaf matches: the filter walk
+/// (exec/operator.cc) tests rows against this set and ExprSubsumes
+/// compares these sets. nullopt for a non-leaf and for an ordering
+/// comparison on a string literal (Build() admits neither).
+std::optional<LeafSet> LeafValues(const Expr& leaf);
+
 /// Does `a` imply `b` — is every row satisfying `a` guaranteed to satisfy
 /// `b`? Conservative: a `true` answer is a proof, a `false` answer means
 /// "could not prove it" (never "disproved"). Callers use this to share
@@ -285,11 +328,9 @@ Expr OrderConjunctsBySelectivity(Expr e);
 /// re-scanning the column, with byte-identical results.
 ///
 /// Both arguments must be normalized (NormalizeExpr output): any kNot node
-/// returns false. Leaves are compared per column as value sets — integral
-/// comparisons/Between/In become i64 interval lists (exact containment),
-/// f64 leaves become open/closed interval lists with NaN tracked
-/// separately (NaN fails every ordering and range, matches only !=), and
-/// string leaves become positive or negated sorted sets. And/Or recurse
+/// returns false. Leaves are compared per column as the LeafValues sets
+/// the filter walk evaluates, so a proof holds for exactly the rows the
+/// walk keeps; a leaf with a NaN literal gives no proof. And/Or recurse
 /// structurally, plus a per-column leaf-intersection refinement so e.g.
 /// `x > 5 && x < 10` provably implies `Between(x, 6, 9)`. Columns are
 /// matched by name; cross-type (numeric vs string) never subsumes.

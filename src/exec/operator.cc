@@ -478,16 +478,12 @@ StatusOr<bool> ScanOp::Next(Chunk* out) {
 
 SelectOp::SelectOp(std::unique_ptr<Operator> child, Expr expr,
                    const ExecContext* ctx)
-    : child_(std::move(child)), ctx_(ctx) {
-  // An empty conjunction (a childless And, e.g. a default-constructed
-  // Expr) is logically true: leave expr_ empty so Next() passes chunks
-  // through (plan validation rejects it, but SelectOp is also composed
-  // directly).
-  Expr lowered = OrderConjunctsBySelectivity(NormalizeExpr(std::move(expr)));
-  if (lowered.kind != Expr::Kind::kAnd || !lowered.children.empty()) {
-    expr_ = std::move(lowered);
-  }
-}
+    : child_(std::move(child)),
+      // An empty conjunction is logically true: expr_ stays empty and
+      // Next() passes chunks through (plan validation rejects it, but
+      // SelectOp is also composed directly).
+      expr_(LowerFilter(std::move(expr))),
+      ctx_(ctx) {}
 
 Status SelectOp::Open() { return child_->Open(); }
 void SelectOp::Close() { child_->Close(); }
@@ -497,176 +493,47 @@ namespace {
 // --- filter evaluation -------------------------------------------------------
 // One walk evaluates a normalized expression over a chunk's rows, or over
 // the positions that survive an enclosing conjunct, and one leaf function
-// evaluates every leaf. Every result is an ascending, duplicate-free list
-// of chunk positions, so And narrows pass by pass and Or merge-unions its
-// branches: candidate lists all the way down, never an intermediate BAT.
-// f64 comparisons are IEEE: NaN fails every ordering and range test
-// (including "not in [lo, hi]", which is v < lo || v > hi) while != is
-// true for NaN.
+// tests every leaf's rows against its LeafValues set (exec/expr.h) — the
+// set ExprSubsumes reasons over, so shared scans and the filter cache
+// narrow and copy exactly what the walk computes. Every result is an
+// ascending, duplicate-free list of chunk positions, so And narrows pass
+// by pass and Or merge-unions its branches: candidate lists all the way
+// down, never an intermediate BAT.
 
-bool MatchI64(const Expr& leaf, int64_t v) {
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp: {
-      int64_t x = leaf.value.type == Literal::Type::kI64
-                      ? leaf.value.i64
-                      : static_cast<int64_t>(leaf.value.u32);
-      switch (leaf.cmp) {
-        case CmpOp::kEq: return v == x;
-        case CmpOp::kNe: return v != x;
-        case CmpOp::kLt: return v < x;
-        case CmpOp::kLe: return v <= x;
-        case CmpOp::kGt: return v > x;
-        case CmpOp::kGe: return v >= x;
-      }
-      return false;
-    }
-    case Expr::Kind::kBetween: {
-      int64_t lo = leaf.lo.type == Literal::Type::kI64
-                       ? leaf.lo.i64
-                       : static_cast<int64_t>(leaf.lo.u32);
-      int64_t hi = leaf.hi.type == Literal::Type::kI64
-                       ? leaf.hi.i64
-                       : static_cast<int64_t>(leaf.hi.u32);
-      return (lo <= v && v <= hi) != leaf.negated;
-    }
-    case Expr::Kind::kIn: {
-      bool found = v >= 0 && v <= static_cast<int64_t>(UINT32_MAX) &&
-                   std::binary_search(leaf.in_u32.begin(), leaf.in_u32.end(),
-                                      static_cast<uint32_t>(v));
-      return found != leaf.negated;
-    }
-    default:
-      return false;
-  }
-}
+/// One inclusive value range on the u32 (value or dictionary-code) domain.
+struct U32Range {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+};
 
-bool MatchF64(const Expr& leaf, double v) {
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp: {
-      double x = leaf.value.f64;
-      switch (leaf.cmp) {
-        case CmpOp::kEq: return v == x;
-        case CmpOp::kNe: return v != x;
-        case CmpOp::kLt: return v < x;
-        case CmpOp::kLe: return v <= x;
-        case CmpOp::kGt: return v > x;
-        case CmpOp::kGe: return v >= x;
-      }
-      return false;
-    }
-    case Expr::Kind::kBetween:
-      if (!leaf.negated) return leaf.lo.f64 <= v && v <= leaf.hi.f64;
-      return v < leaf.lo.f64 || v > leaf.hi.f64;
-    default:
-      return false;  // f64 In-lists are rejected at Build() time
-  }
-}
-
-bool MatchStr(const Expr& leaf, std::string_view v) {
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp:
-      return leaf.cmp == CmpOp::kEq ? v == leaf.value.str
-                                    : v != leaf.value.str;
-    case Expr::Kind::kIn:
-      return std::binary_search(leaf.in_str.begin(), leaf.in_str.end(), v,
-                                std::less<>{}) != leaf.negated;
-    default:
-      return false;
-  }
-}
-
-// --- leaf lowering to u32 range sets ----------------------------------------
-
-/// Literal domain a leaf compares on: kU32 (including dictionary codes for
-/// string literals on encoded columns), kF64, or kStr.
-Literal::Type LeafLiteralType(const Expr& leaf) {
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp: return leaf.value.type;
-    case Expr::Kind::kBetween: return leaf.lo.type;
-    case Expr::Kind::kIn:
-      return leaf.in_str.empty() ? Literal::Type::kU32 : Literal::Type::kStr;
-    default: return Literal::Type::kU32;
-  }
-}
-
-std::vector<U32Range> RangesForCmpU32(CmpOp op, uint32_t x) {
-  switch (op) {
-    case CmpOp::kEq:
-      return {{x, x}};
-    case CmpOp::kNe:
-      return ComplementRanges(std::vector<U32Range>{{x, x}});
-    case CmpOp::kLt:
-      if (x == 0) return {};
-      return {{0, x - 1}};
-    case CmpOp::kLe:
-      return {{0, x}};
-    case CmpOp::kGt:
-      if (x == UINT32_MAX) return {};
-      return {{x + 1, UINT32_MAX}};
-    case CmpOp::kGe:
-      return {{x, UINT32_MAX}};
-  }
-  return {};
-}
-
-/// Coalesces sorted, duplicate-free values into maximal contiguous ranges.
-std::vector<U32Range> CoalesceSortedValues(std::span<const uint32_t> vals) {
+/// An integer value set restricted to the u32 domain of u8/u16/u32 columns
+/// and dictionary codes: `x != 7` is [0,6] u [8,max], a wide literal's
+/// half-line or range is clamped, and what lies outside is dropped.
+std::vector<U32Range> ClampToU32(std::span<const LeafSet::IntInterval> ints) {
   std::vector<U32Range> out;
-  for (uint32_t v : vals) {
-    if (!out.empty() && out.back().hi != UINT32_MAX &&
-        v == out.back().hi + 1) {
-      out.back().hi = v;
-    } else {
-      out.push_back({v, v});
+  for (const LeafSet::IntInterval& i : ints) {
+    int64_t lo = std::max<int64_t>(i.lo, 0);
+    int64_t hi = std::min<int64_t>(i.hi, UINT32_MAX);
+    if (lo <= hi) {
+      out.push_back({static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)});
     }
   }
   return out;
 }
 
-/// The disjoint, ascending range set `leaf` selects on the u32 value (or
-/// dictionary-code) domain. String literals are remapped onto the encoded
-/// column's codes (§3.1 predicate remap): an unknown string selects
-/// nothing — or, negated, everything.
-StatusOr<std::vector<U32Range>> LeafU32Ranges(const ChunkColumn& col,
-                                              const Expr& leaf) {
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp: {
-      if (leaf.value.type == Literal::Type::kStr) {
-        auto code = col.base->dict(col.base_col).Lookup(leaf.value.str);
-        if (leaf.cmp == CmpOp::kEq) {
-          if (!code.ok()) return std::vector<U32Range>{};
-          return std::vector<U32Range>{{*code, *code}};
-        }
-        // kNe (validation admits = and != only on strings).
-        if (!code.ok()) return std::vector<U32Range>{{0, UINT32_MAX}};
-        return ComplementRanges(std::vector<U32Range>{{*code, *code}});
-      }
-      return RangesForCmpU32(leaf.cmp, leaf.value.u32);
-    }
-    case Expr::Kind::kBetween: {
-      std::vector<U32Range> base{{leaf.lo.u32, leaf.hi.u32}};
-      return leaf.negated ? ComplementRanges(base) : base;
-    }
-    case Expr::Kind::kIn: {
-      std::vector<U32Range> base;
-      if (!leaf.in_str.empty()) {
-        std::vector<uint32_t> codes;
-        for (const std::string& s : leaf.in_str) {
-          auto code = col.base->dict(col.base_col).Lookup(s);
-          if (code.ok()) codes.push_back(*code);
-        }
-        std::sort(codes.begin(), codes.end());
-        codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-        base = CoalesceSortedValues(codes);
-      } else {
-        // NormalizeExpr sorted and deduplicated the list.
-        base = CoalesceSortedValues(leaf.in_u32);
-      }
-      return leaf.negated ? ComplementRanges(base) : base;
-    }
-    default:
-      return Status::Internal("LeafU32Ranges on a non-leaf expression");
+/// A string set on an encoded column's dictionary codes (§3.1 predicate
+/// remap): the strings the dictionary knows become code points, an In-list
+/// over codes that LeafValues canonicalizes and, for a complemented set,
+/// complements — so an unknown string selects nothing or, negated,
+/// everything.
+std::vector<U32Range> CodeRanges(const ChunkColumn& col, const LeafSet& set) {
+  Expr codes = InU32(Col(col.name), {});
+  codes.negated = set.str_negated;
+  for (const std::string& s : set.strs) {
+    auto code = col.base->dict(col.base_col).Lookup(s);
+    if (code.ok()) codes.in_u32.push_back(*code);
   }
+  return ClampToU32(LeafValues(codes)->ints);
 }
 
 /// Directly-composed SelectOps bypass Build() validation, so every leaf
@@ -698,15 +565,16 @@ Status CheckLeafDomain(PhysType col_type, const Expr& leaf) {
   return Status::Ok();
 }
 
-/// Membership in a disjoint, ascending range set. Small sets scan linearly;
-/// larger ones (IN-lists) binary-search on lo.
-inline bool InRanges(std::span<const U32Range> ranges, uint32_t v) {
+/// Membership in a disjoint, ascending interval set (U32Range or
+/// LeafSet::IntInterval). Small sets test every range without branching on
+/// the value, so a random column costs no mispredictions; larger ones
+/// (IN-lists) binary-search on lo.
+template <class Ranges, class T>
+inline bool InRanges(const Ranges& ranges, T v) {
   if (ranges.size() <= 4) {
-    for (const U32Range& r : ranges) {
-      if (v < r.lo) return false;  // ascending: no later range can match
-      if (v <= r.hi) return true;
-    }
-    return false;
+    bool in = false;
+    for (const auto& r : ranges) in |= (r.lo <= v) & (v <= r.hi);
+    return in;
   }
   // Last range with lo <= v, if any.
   size_t lo = 0, hi = ranges.size();
@@ -719,6 +587,18 @@ inline bool InRanges(std::span<const U32Range> ranges, uint32_t v) {
     }
   }
   return lo > 0 && v <= ranges[lo - 1].hi;
+}
+
+/// Membership in an f64 set by ordered comparisons only, so -0.0 and 0.0
+/// are one value; NaN lies in no interval and matches through the NaN bit.
+/// Like InRanges, it does not branch on the value.
+inline bool InF64Set(const LeafSet& set, double v) {
+  bool in = set.nan & (v != v);
+  for (const LeafSet::F64Interval& i : set.f64s) {
+    in |= (i.lo_open ? i.lo < v : i.lo <= v) &
+          (i.hi_open ? v < i.hi : v <= i.hi);
+  }
+  return in;
 }
 
 /// The one filter loop: emits row(i), for i in [lo, hi), when
@@ -757,24 +637,17 @@ StatusOr<std::vector<uint32_t>> SelectRows(const Candidates& cd, size_t size,
   return out;
 }
 
-/// Selects rows [lo, hi) of `row` by `leaf` on `vals`, read through `cd`.
-/// Integral values of at most 32 bits test the leaf's u32 range set
-/// `ranges` (`by_ranges`) or, under a wide literal, compare widened; the
-/// other types match their own literal.
+/// Selects rows [lo, hi) of `row` whose value in `vals`, read through
+/// `cd`, lies in `set`. u8/u16/u32 values and dictionary codes test
+/// `ranges`, the set on the u32 domain.
 template <class Row>
 StatusOr<std::vector<uint32_t>> SelectLeafRows(
-    const Expr& leaf, const Column& vals, const Candidates& cd,
-    std::span<const U32Range> ranges, bool by_ranges, Row row, size_t lo,
-    size_t hi) {
+    const LeafSet& set, std::span<const U32Range> ranges, const Column& vals,
+    const Candidates& cd, Row row, size_t lo, size_t hi) {
   auto select = [&](auto get, auto keep) {
     return SelectRows(cd, vals.size(), row, lo, hi, get, keep);
   };
-  auto match_i64 = [&leaf](int64_t v) { return MatchI64(leaf, v); };
   auto integral = [&](auto get) {
-    if (!by_ranges) {
-      return select([get](oid_t o) { return static_cast<int64_t>(get(o)); },
-                    match_i64);
-    }
     if (ranges.size() == 1) {
       U32Range r = ranges[0];
       return select(get, [r](uint32_t v) { return r.lo <= v && v <= r.hi; });
@@ -796,16 +669,22 @@ StatusOr<std::vector<uint32_t>> SelectLeafRows(
     }
     case PhysType::kI64: {
       const int64_t* v = vals.Span<int64_t>().data();
-      return select([v](oid_t o) { return v[o]; }, match_i64);
+      return select([v](oid_t o) { return v[o]; },
+                    [&set](int64_t x) { return InRanges(set.ints, x); });
     }
     case PhysType::kF64: {
       const double* v = vals.Span<double>().data();
       return select([v](oid_t o) { return v[o]; },
-                    [&leaf](double x) { return MatchF64(leaf, x); });
+                    [&set](double x) { return InF64Set(set, x); });
     }
     case PhysType::kStr:
       return select([&vals](oid_t o) { return vals.GetStr(o); },
-                    [&leaf](std::string_view s) { return MatchStr(leaf, s); });
+                    [&set](std::string_view s) {
+                      return std::binary_search(set.strs.begin(),
+                                                set.strs.end(), s,
+                                                std::less<>{}) !=
+                             set.str_negated;
+                    });
     default:
       return integral([&vals](oid_t o) {
         return static_cast<uint32_t>(vals.GetIntegral(o));
@@ -822,39 +701,40 @@ StatusOr<std::vector<uint32_t>> EvalLeaf(const Chunk& in, const Expr& leaf,
                                          const ExecContext* ctx) {
   CCDB_ASSIGN_OR_RETURN(size_t ci, in.Find(leaf.column));
   CCDB_RETURN_IF_ERROR(CheckLeafDomain(in.TypeOf(ci), leaf));
+  std::optional<LeafSet> set = LeafValues(leaf);
+  if (!set.has_value()) {
+    return Status::InvalidArgument(
+        "filter: string columns support = and != only ('" + leaf.column +
+        "')");
+  }
   const ChunkColumn& col = in.cols[ci];
   const Candidates chunk_rows = Candidates::Dense(0, in.rows);
   const Candidates& cd = col.lazy() ? in.cands[col.cand_slot] : chunk_rows;
   const Column& vals =
       col.lazy() ? col.base->column_bat(col.base_col).tail() : *col.owned;
-  // u32 literals, and string literals remapped onto an encoded column's
-  // codes, lower to a range set over integral values.
-  Literal::Type lt = LeafLiteralType(leaf);
-  bool by_ranges =
-      (lt == Literal::Type::kU32 || lt == Literal::Type::kStr) &&
-      vals.type() != PhysType::kI64 && vals.type() != PhysType::kF64 &&
-      vals.type() != PhysType::kStr;
+  // Integral values of at most 32 bits — an encoded column's codes among
+  // them (CheckLeafDomain admits strings there only on those) — test the
+  // set on the u32 domain.
   std::vector<U32Range> ranges;
-  if (by_ranges) {
-    CCDB_ASSIGN_OR_RETURN(ranges, LeafU32Ranges(col, leaf));
+  PhysType t = vals.type();
+  if (t != PhysType::kI64 && t != PhysType::kF64 && t != PhysType::kStr) {
+    ranges = set->domain == LeafSet::Domain::kStr ? CodeRanges(col, *set)
+                                                  : ClampToU32(set->ints);
     if (ranges.empty()) return std::vector<uint32_t>{};
   }
   size_t n = survivors == nullptr ? in.rows : survivors->size();
   auto slice = [&](size_t lo, size_t hi) {
     if (survivors == nullptr) {
-      return SelectLeafRows(leaf, vals, cd, ranges, by_ranges,
+      return SelectLeafRows(*set, ranges, vals, cd,
                             [](size_t i) { return i; }, lo, hi);
     }
     const uint32_t* s = survivors->data();
-    return SelectLeafRows(leaf, vals, cd, ranges, by_ranges,
+    return SelectLeafRows(*set, ranges, vals, cd,
                           [s](size_t i) { return size_t{s[i]}; }, lo, hi);
   };
-  // Lazy columns tested against a range set or an f64 literal split into
-  // morsels: shard s fills slot s, and the ordered concatenation equals
-  // the serial result exactly.
-  bool shardable =
-      col.lazy() && (by_ranges || vals.type() == PhysType::kF64);
-  size_t shards = shardable ? CtxShards(ctx, n) : 1;
+  // Lazy columns split into morsels: shard s fills slot s, and the ordered
+  // concatenation equals the serial result exactly.
+  size_t shards = col.lazy() ? CtxShards(ctx, n) : 1;
   if (shards <= 1) return slice(0, n);
   std::vector<std::vector<uint32_t>> parts(shards);
   CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx, shards, [&](size_t s) -> Status {

@@ -177,16 +177,16 @@ class ScanOp : public Operator {
 /// several branches survives exactly once. Every leaf reads its rows' values
 /// in place — a lazy column at the OIDs its candidate list names, an owned
 /// column (aggregate output) at chunk positions — and tests them against
-/// a disjoint u32 range set on the value (or dictionary-code) domain where
-/// the literal allows — `x != 7` is two ranges, a negated Between or an
-/// IN-list a few more — or against its own literal otherwise. With a
-/// parallel ExecContext a leaf over a lazy range-set or f64 column splits
-/// into cache-sized morsels evaluated on the pool; morsel results
-/// concatenate in morsel order, so output is byte-identical at any
-/// parallelism.
+/// the leaf's LeafValues set (exec/expr.h), the set ExprSubsumes reasons
+/// over: i64 intervals (clamped to u32 ranges on u8/u16/u32 columns, so
+/// `x != 7` is two ranges), f64 intervals plus a NaN bit, or a string set
+/// (mapped to dictionary codes once per leaf on an encoded column). With a
+/// parallel ExecContext a leaf over a lazy column splits into cache-sized
+/// morsels evaluated on the pool; morsel results concatenate in morsel
+/// order, so output is byte-identical at any parallelism.
 ///
-/// The expression is normalized (NNF) and its conjuncts
-/// selectivity-ordered on construction; SelectOp also serves Having nodes.
+/// The expression is lowered (LowerFilter: NNF, selectivity-ordered
+/// conjuncts) on construction; SelectOp also serves Having nodes.
 class SelectOp : public Operator {
  public:
   SelectOp(std::unique_ptr<Operator> child, Expr expr,

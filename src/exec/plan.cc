@@ -108,30 +108,19 @@ StatusOr<const LogicalNode*> ChildOf(const LogicalNode& n, size_t i) {
 /// string column and support equality only.
 Status ValidateLeaf(const Schema& in, const Expr& e, const char* op) {
   CCDB_ASSIGN_OR_RETURN(const PlanColumn* c, FindColumn(in, e.column, op));
-  Literal::Type lt = Literal::Type::kU32;
-  switch (e.kind) {
-    case Expr::Kind::kCmp:
-      lt = e.value.type;
-      break;
-    case Expr::Kind::kBetween:
-      if (e.lo.type != e.hi.type) {
-        return Status::InvalidArgument(std::string(op) +
-                                       ": Between bounds of mixed types on '" +
-                                       e.column + "'");
-      }
-      lt = e.lo.type;
-      break;
-    case Expr::Kind::kIn:
-      if (e.in_u32.empty() && e.in_str.empty()) {
-        return Status::InvalidArgument(std::string(op) +
-                                       ": empty In-list on '" + e.column +
-                                       "'");
-      }
-      lt = e.in_str.empty() ? Literal::Type::kU32 : Literal::Type::kStr;
-      break;
-    default:
-      return Status::Internal("ValidateLeaf on a non-leaf expression");
+  if (!e.leaf()) {
+    return Status::Internal("ValidateLeaf on a non-leaf expression");
   }
+  if (e.kind == Expr::Kind::kBetween && e.lo.type != e.hi.type) {
+    return Status::InvalidArgument(std::string(op) +
+                                   ": Between bounds of mixed types on '" +
+                                   e.column + "'");
+  }
+  if (e.kind == Expr::Kind::kIn && e.in_u32.empty() && e.in_str.empty()) {
+    return Status::InvalidArgument(std::string(op) + ": empty In-list on '" +
+                                   e.column + "'");
+  }
+  Literal::Type lt = LeafLiteralType(e);
   switch (lt) {
     case Literal::Type::kU32:
     case Literal::Type::kI64:

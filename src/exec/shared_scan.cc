@@ -11,15 +11,8 @@ SharedScanOp::SharedScanOp(const Table* table, std::optional<Expr> filter,
       chunk_rows_(chunk_rows == 0 ? SIZE_MAX : chunk_rows),
       provider_(provider),
       ctx_(ctx) {
-  if (filter.has_value()) {
-    // Same lowering as SelectOp: NNF + selectivity-ordered conjuncts, with
-    // the empty conjunction (always true) degenerating to "no filter".
-    Expr lowered =
-        OrderConjunctsBySelectivity(NormalizeExpr(std::move(*filter)));
-    if (lowered.kind != Expr::Kind::kAnd || !lowered.children.empty()) {
-      expr_ = std::move(lowered);
-    }
-  }
+  // Same lowering as SelectOp, so both run the same expression.
+  if (filter.has_value()) expr_ = LowerFilter(std::move(*filter));
 }
 
 Status SharedScanOp::Open() {

@@ -65,8 +65,7 @@ class SharedScanProvider {
   virtual ~SharedScanProvider() = default;
 
   /// Attaches a scan of `table` with an optional *normalized* filter
-  /// (NormalizeExpr + OrderConjunctsBySelectivity form, as SelectOp
-  /// lowers; null = unfiltered). The provider copies the filter. `ctx`
+  /// (LowerFilter form, as SelectOp lowers; null = unfiltered). The provider copies the filter. `ctx`
   /// supplies the participant's scheduling state and parallel-eval budget
   /// and must outlive the participant; `chunk_rows` is the scan chunk
   /// size the plan was lowered with.
@@ -81,9 +80,9 @@ class SharedScanProvider {
 /// byte-identical to ScanOp followed by SelectOp with the same expression.
 class SharedScanOp : public Operator {
  public:
-  /// `filter`: nullopt scans unfiltered. The expression is normalized and
-  /// selectivity-ordered here (same lowering as SelectOp), so the provider
-  /// always sees canonical trees — subsumption checks rely on NNF.
+  /// `filter`: nullopt scans unfiltered. The expression is lowered here
+  /// by LowerFilter (as in SelectOp), so the provider always sees
+  /// canonical trees — subsumption checks rely on NNF.
   SharedScanOp(const Table* table, std::optional<Expr> filter,
                size_t chunk_rows, SharedScanProvider* provider,
                const ExecContext* ctx);

@@ -565,6 +565,14 @@ std::vector<OracleLeaf<Row>> IntegralLeaves(
        on([](int64_t x) { return x < 5'000'000'000; })},
       {c + " in [-10, 5e9]", Between(Col(c), -10LL, 5'000'000'000LL),
        on([](int64_t x) { return -10 <= x && x <= 5'000'000'000; })},
+      {c + " > -5", Col(c) > -5LL, on([](int64_t x) { return x > -5; })},
+      {c + " < -5", Col(c) < -5LL, on([](int64_t x) { return x < -5; })},
+      {c + " not in [-10, 5e9]", !Between(Col(c), -10LL, 5'000'000'000LL),
+       on([](int64_t x) { return x < -10 || x > 5'000'000'000; })},
+      {c + " <= UINT32_MAX", Col(c) <= uint32_t{UINT32_MAX},
+       on([](int64_t x) { return x <= int64_t{UINT32_MAX}; })},
+      {c + " > UINT32_MAX", Col(c) > uint32_t{UINT32_MAX},
+       on([](int64_t x) { return x > int64_t{UINT32_MAX}; })},
   };
 }
 
@@ -575,7 +583,9 @@ std::vector<OracleLeaf<Row>> F64Leaves(const std::string& c,
     return [v, p](const Row& r) { return p(v(r)); };
   };
   // IEEE: NaN fails every ordering and range test, its negation included,
-  // and passes !=.
+  // and passes !=; a NaN literal does the same from the other side.
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
   return {
       {c + " == 50.5", Col(c) == 50.5, on([](double x) { return x == 50.5; })},
       {c + " != 50.5", Col(c) != 50.5, on([](double x) { return x != 50.5; })},
@@ -587,6 +597,16 @@ std::vector<OracleLeaf<Row>> F64Leaves(const std::string& c,
        on([](double x) { return 20.0 <= x && x <= 60.0; })},
       {c + " not in [20, 60]", !Between(Col(c), 20.0, 60.0),
        on([](double x) { return x < 20.0 || x > 60.0; })},
+      {c + " == NaN", Col(c) == nan, on([](double) { return false; })},
+      {c + " != NaN", Col(c) != nan, on([](double) { return true; })},
+      {c + " < NaN", Col(c) < nan, on([](double) { return false; })},
+      {c + " in [NaN, 60]", Between(Col(c), nan, 60.0),
+       on([](double) { return false; })},
+      {c + " not in [20, NaN]", !Between(Col(c), 20.0, nan),
+       on([](double x) { return x < 20.0; })},
+      {c + " < +inf", Col(c) < inf, on([](double x) { return x < inf; })},
+      {c + " > -inf", Col(c) > -inf, on([](double x) { return x > -inf; })},
+      {c + " == -0.0", Col(c) == -0.0, on([](double x) { return x == 0.0; })},
   };
 }
 
