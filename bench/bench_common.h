@@ -86,9 +86,9 @@ inline std::pair<std::vector<Bun>, std::vector<Bun>> JoinPair(size_t n,
 }
 
 /// The join phase of the join driver (algo/join.h) over two relations
-/// clustered on `shape.bits`: prepares the build from its clusters (one
-/// hash table per cluster for a hash shape, as JoinOp does) and runs every
-/// probe task. What figs. 10 and 11 time and simulate.
+/// clustered on `shape.bits`: prepares the build from its clusters and runs
+/// every probe task; for a hash shape each task first builds its cluster's
+/// table slice, as in JoinOp. What figs. 10 and 11 time and simulate.
 template <class Mem>
 std::vector<Bun> JoinPhase(const ClusteredRelation& probe,
                            ClusteredRelation build_side,

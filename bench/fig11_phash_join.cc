@@ -1,8 +1,8 @@
 // Figure 11 — "Performance and Model of Partitioned Hash-Join" (join phase
 // only). Same sweep as Figure 10 but hash-joining each cluster pair through
-// the join driver JoinOp runs: the join phase builds one table per inner
-// cluster up front, then probes each with its outer cluster. At 0 bits
-// that is one table over the whole inner.
+// the join driver JoinOp runs: each task of the join phase builds its
+// inner cluster's table slice, then probes it with the outer cluster while
+// it is cached. At 0 bits that is one table over the whole inner.
 //
 // Expected shape: large gains until the inner cluster (plus hash table)
 // spans fewer pages than there are TLB entries / fits L2; minimum near

@@ -244,8 +244,8 @@ int Run(int argc, char** argv) {
 
   std::printf(
       "\nRatios near 1 validate the formulas; systematic offsets (e.g. the\n"
-      "extra histogram read per cluster pass) are documented in\n"
-      "EXPERIMENTS.md 'Known deviations'.\n");
+      "extra histogram read per cluster pass) are recorded with the changes\n"
+      "that measured them in CHANGES.md.\n");
   return 0;
 }
 

@@ -101,7 +101,10 @@ if [ "$MODE" = "tsan" ]; then
   # match buffers from pool workers chunk after chunk at parallelism
   # {1,2,8}, over three build shapes (an unfiltered base table, a filtered
   # base table whose build heads are base OIDs, and a two-list join result
-  # taken through positions); stats_test runs the
+  # taken through positions); join_test's
+  # JoinTasksTest.ChunkedParallelProbesBuildEachClusterOnce builds hash
+  # table slices inside pool tasks, chunk after chunk, at {1,2,8} workers;
+  # stats_test runs the
   # reordered join chains at parallelism {1,2,8} and the shared lazy stats
   # cache; thread_pool_test hammers the pool itself; serve_test and
   # concurrent_exec_test drive the serving front end, the stats-vs-append
@@ -111,7 +114,7 @@ if [ "$MODE" = "tsan" ]; then
   # concurrent_exec_test (running it twice) and any future *_exec_test into
   # this filter silently.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '^(plan_test|rich_algebra_test|expr_test|exec_test|thread_pool_test|stats_test|serve_test|concurrent_exec_test|shared_scan_test|exchange_test|mem_arena_test)$'
+    -R '^(plan_test|rich_algebra_test|expr_test|exec_test|join_test|thread_pool_test|stats_test|serve_test|concurrent_exec_test|shared_scan_test|exchange_test|mem_arena_test)$'
   echo "== concurrent serving smoke under TSan =="
   "$BUILD_DIR/concurrent_serving" --smoke
   echo "== shared scan smoke under TSan =="

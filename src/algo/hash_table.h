@@ -7,9 +7,14 @@
 // plus about 4 bytes of offsets per tuple — the paper's "12 bytes per tuple
 // including hash table" used by the phash strategies.
 //
+// A clustered build (§3.3) is one table with a slice per cluster: its own
+// offsets and padding tuple, sharing no word with another slice. The join
+// driver builds each slice in the task that first probes it, so builds
+// count in join_ms, not cluster_right_ms. One relation is one slice.
+//
 // Once partitioning keeps the table cache-resident, a probe's cost is CPU
 // work, and most of that is mispredicted branches on the run length and the
-// key compare. So the run array carries one padding tuple after the last
+// key compare. So each slice carries one padding tuple after its last
 // run, which makes tuples[off[b]] readable for every bucket, empty ones
 // included. A probe reads that first tuple unconditionally and hands it on
 // with a keep flag, (off[b] < off[b+1]) & (key equal), which a match sink
@@ -23,6 +28,7 @@
 #ifndef CCDB_ALGO_HASH_TABLE_H_
 #define CCDB_ALGO_HASH_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,37 +45,64 @@ inline constexpr size_t kDefaultChainLength = 1;
 template <class Mem, class HashFn = IdentityHash>
 class BucketChainedHashTable {
  public:
-  /// Builds over a copy of `build` (the span need not outlive the table).
+  BucketChainedHashTable() = default;
+
+  /// Allocates one empty slice per cluster of a clustered build, cluster c
+  /// holding bounds[c + 1] - bounds[c] tuples; Build(c, ...) fills slice c.
   /// `shift` discards hash bits already used for radix clustering (within a
   /// cluster all B low bits are equal, so buckets must be chosen from the
   /// bits above them).
+  BucketChainedHashTable(std::span<const uint64_t> bounds, int shift,
+                         size_t avg_chain)
+      : shift_(shift), bounds_(bounds.begin(), bounds.end()),
+        off_begin_(bounds.size()) {
+    for (size_t c = 0; c + 1 < bounds.size(); ++c) {
+      uint64_t want = (bounds[c + 1] - bounds[c] + avg_chain - 1) / avg_chain;
+      uint64_t nbuckets = NextPowerOfTwo(std::max<uint64_t>(want, 1));
+      off_begin_[c + 1] = off_begin_[c] + nbuckets + 1;
+    }
+    off_.assign(off_begin_.back(), 0);
+    // One padding tuple past each slice's last run: an empty last bucket's
+    // first tuple is still in bounds.
+    tuples_.resize(bounds_.back() + bounds_.size() - 1);
+  }
+
+  /// One table over a copy of `build` (the span need not outlive the
+  /// table): the one-cluster case, built at once.
   BucketChainedHashTable(std::span<const Bun> build, int shift,
                          size_t avg_chain, Mem& mem)
-      : shift_(shift) {
-    size_t want = build.empty() ? 1 : (build.size() + avg_chain - 1) / avg_chain;
-    size_t nbuckets = NextPowerOfTwo(want);
-    mask_ = static_cast<uint32_t>(nbuckets - 1);
-    off_.assign(nbuckets + 1, 0);
-    // One padding tuple past the last run: an empty last bucket's first
-    // tuple is still in bounds.
-    tuples_.resize(build.size() + 1);
-    // Histogram, then an inclusive prefix sum: off_[b] = end of bucket b.
-    for (size_t i = 0; i < build.size(); ++i) {
-      mem.Update(&off_[view().Bucket(mem.Load(&build[i]).tail)], 1u);
+      : BucketChainedHashTable(std::vector<uint64_t>{0, build.size()}, shift,
+                               avg_chain) {
+    Build(0, build, mem);
+  }
+
+  /// Fills slice c with cluster c of `clustered`, in bucket order, unless
+  /// it holds it already: a slice's last offset is 0 until it is built, and
+  /// then its tuple count.
+  void Build(size_t c, std::span<const Bun> clustered, Mem& mem) {
+    const uint64_t n = bounds_[c + 1] - bounds_[c];
+    if (off_[off_begin_[c + 1] - 1] == n) return;
+    std::span<const Bun> cluster = clustered.subspan(bounds_[c], n);
+    const View v = view(c);
+    uint32_t* off = &off_[off_begin_[c]];
+    Bun* tuples = &tuples_[bounds_[c] + c];
+    // Histogram, then an inclusive prefix sum: off[b] = end of bucket b.
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      mem.Update(&off[v.Bucket(mem.Load(&cluster[i]).tail)], 1u);
     }
     uint32_t sum = 0;
-    for (size_t b = 0; b < nbuckets; ++b) {
-      sum += mem.Load(&off_[b]);
-      mem.Store(&off_[b], sum);
+    for (size_t b = 0; b <= v.mask; ++b) {
+      sum += mem.Load(&off[b]);
+      mem.Store(&off[b], sum);
     }
-    mem.Store(&off_[nbuckets], sum);
-    // Scatter back to front: off_[b] walks down to the start of bucket b.
-    for (size_t i = 0; i < build.size(); ++i) {
-      Bun t = mem.Load(&build[i]);
-      uint32_t* end = &off_[view().Bucket(t.tail)];
+    mem.Store(&off[v.mask + 1], sum);
+    // Scatter back to front: off[b] walks down to the start of bucket b.
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      Bun t = mem.Load(&cluster[i]);
+      uint32_t* end = &off[v.Bucket(t.tail)];
       uint32_t pos = mem.Load(end) - 1;
       mem.Store(end, pos);
-      mem.Store(&tuples_[pos], t);
+      mem.Store(&tuples[pos], t);
     }
   }
 
@@ -108,7 +141,11 @@ class BucketChainedHashTable {
     }
   };
 
-  View view() const { return {shift_, mask_, off_.data(), tuples_.data()}; }
+  /// Slice c's view; slice 0 is the whole one-cluster table.
+  View view(size_t c = 0) const {
+    auto mask = static_cast<uint32_t>(off_begin_[c + 1] - off_begin_[c] - 2);
+    return {shift_, mask, &off_[off_begin_[c]], &tuples_[bounds_[c] + c]};
+  }
 
   /// Calls `emit(build_tuple)` for every build tuple whose tail equals
   /// `probe.tail`.
@@ -119,7 +156,7 @@ class BucketChainedHashTable {
     });
   }
 
-  size_t bucket_count() const { return off_.size() - 1; }
+  size_t bucket_count() const { return view().mask + 1; }
 
   /// Issues a software prefetch for the bucket offsets that a future probe
   /// of `tail` will touch ([Mow94]-style latency hiding; see
@@ -130,23 +167,25 @@ class BucketChainedHashTable {
 #endif
   }
 
-  /// Number of tuples in bucket `b` (test/diagnostic use).
+  /// Number of tuples in bucket `b` of slice 0 (test/diagnostic use).
   size_t ChainLength(uint32_t b) const { return off_[b + 1] - off_[b]; }
 
  private:
-  int shift_;
-  uint32_t mask_;
+  int shift_ = 0;
+  // Slice c: offsets from off_begin_[c], tuples from bounds_[c] + c.
+  std::vector<uint64_t> bounds_, off_begin_;
   std::vector<uint32_t> off_;
   std::vector<Bun> tuples_;
 };
 
-/// The hash-join probe loop: probes `table` with every BUN of `probe` in
-/// order and appends [probe.head, build.head] per match to `out`: the loop
-/// of every hash-join task of the join driver (algo/join.h).
+/// The hash-join probe loop: probes slice `slice` of `table` with every BUN
+/// of `probe` in order and appends [probe.head, build.head] per match to
+/// `out`: the loop of every hash-join task of the join driver (algo/join.h).
 template <class Mem, class HashFn, class Out>
 void ProbeHashTable(const BucketChainedHashTable<Mem, HashFn>& table,
-                    std::span<const Bun> probe, Mem& mem, Out& out) {
-  const auto view = table.view();
+                    std::span<const Bun> probe, Mem& mem, Out& out,
+                    size_t slice = 0) {
+  const auto view = table.view(slice);
   for (size_t i = 0; i < probe.size(); ++i) {
     Bun lt = mem.Load(&probe[i]);
     view.Probe(lt.tail, mem, [&](Bun rt, bool keep) {

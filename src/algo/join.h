@@ -2,9 +2,10 @@
 // the way JoinOp runs it. A JoinBuild prepares the build (inner) relation
 // once for a JoinShape:
 //  - sort-merge: a sorted copy;
-//  - radix-join: the clustered tuples plus their cluster bounds;
-//  - hash joins: one bucket-sorted table per non-empty cluster, and at
-//    B = 0 one table over the build itself, uncopied;
+//  - radix-join and clustered hash joins: the clustered tuples plus their
+//    cluster bounds, and for hash one bucket-sorted table with a slice per
+//    cluster, built by the task that first probes it (§3.3's order);
+//  - the B = 0 hash join: one table over the whole build;
 //  - positional: an array of build heads indexed by key - key_min (§3.1),
 //    for unique build keys over a known domain.
 // A probe relation is then reorganized the same way into caller-owned
@@ -120,14 +121,13 @@ class JoinBuild {
           r, ClusterOptions(shape), mem, &clustered, &scratch)));
       return Prepare(std::move(clustered), shape, mem);
     }
+    *this = JoinBuild{};
     shape_ = shape;
     bounds_.assign({0, r.size()});
-    tables_.clear();
-    tuples_.clear();
-    slots_.reset();
     switch (shape.kernel) {
       case JoinKernel::kHash:
-        BuildTables(r, mem);
+        // All shard tasks share the one table, so it is built here.
+        table_ = Table(r, 0, kDefaultChainLength, mem);
         return Status::Ok();
       case JoinKernel::kPositional:
         return BuildSlots(r, mem);
@@ -145,15 +145,15 @@ class JoinBuild {
       return Status::InvalidArgument(
           "a clustered build needs a hash or nested-loop shape on its bits");
     }
+    if (!shape.clusters()) {  // the B = 0 hash join
+      return Prepare(std::span<const Bun>(r.tuples), shape, mem);
+    }
+    *this = JoinBuild{};
     shape_ = shape;
     bounds_ = std::move(r.bounds);
-    tables_.clear();
-    tuples_.clear();
-    slots_.reset();
+    tuples_ = std::move(r.tuples);
     if (shape.kernel == JoinKernel::kHash) {
-      BuildTables(r.tuples, mem);
-    } else {
-      tuples_ = std::move(r.tuples);
+      table_ = Table(bounds_, shape.bits, kDefaultChainLength);
     }
     return Status::Ok();
   }
@@ -207,10 +207,13 @@ class JoinBuild {
   }
 
   /// Runs `task` over `probe` (the tuples its bounds were listed from),
-  /// appending [probe head, build head] per match to `out`.
+  /// appending [probe head, build head] per match to `out`. A hash task
+  /// first builds its cluster's slice unless an earlier task did. The tasks
+  /// of one list may run concurrently: clustered ones name distinct
+  /// clusters, and B = 0 shards share the slice Prepare built.
   template <class Out>
   void Run(const JoinTask& task, std::span<const Bun> probe, Mem& mem,
-           Out& out) const {
+           Out& out) {
     std::span<const Bun> l = probe.subspan(task.lo, task.hi - task.lo);
     switch (shape_.kernel) {
       case JoinKernel::kSortMerge:
@@ -223,7 +226,8 @@ class JoinBuild {
         return;
       }
       case JoinKernel::kHash:
-        ProbeHashTable(*tables_[task.part], l, mem, out);
+        table_.Build(task.part, tuples_, mem);
+        ProbeHashTable(table_, l, mem, out, task.part);
         return;
       case JoinKernel::kPositional:
         ProbeSlots(slots_.get(), shape_.domain, l, mem, out);
@@ -234,8 +238,7 @@ class JoinBuild {
   /// Runs every task over `probe`, serially and in task order.
   template <class Out>
   void RunAll(std::span<const Bun> probe,
-              std::span<const uint64_t> probe_bounds, Mem& mem,
-              Out& out) const {
+              std::span<const uint64_t> probe_bounds, Mem& mem, Out& out) {
     std::vector<JoinTask> tasks;
     Tasks(probe_bounds, 1, &tasks);
     for (const JoinTask& t : tasks) Run(t, probe, mem, out);
@@ -254,20 +257,6 @@ class JoinBuild {
       mem.Store(&(*out)[i], mem.Load(&in[i]));
     }
     QuickSortByTail(std::span<Bun>(*out), mem);
-  }
-
-  /// One table per non-empty cluster of `clustered`. Bucket bits come from
-  /// above the radix bits, which are equal within a cluster.
-  void BuildTables(std::span<const Bun> clustered, Mem& mem) {
-    tables_.resize(bounds_.size() - 1);
-    for (size_t c = 0; c < tables_.size(); ++c) {
-      uint64_t lo = bounds_[c], hi = bounds_[c + 1];
-      if (hi > lo) {
-        tables_[c] = std::make_unique<Table>(clustered.subspan(lo, hi - lo),
-                                             shape_.bits, kDefaultChainLength,
-                                             mem);
-      }
-    }
   }
 
   /// Fills the head array with kNoSlot, then stores each build head at
@@ -299,15 +288,16 @@ class JoinBuild {
   JoinShape shape_;
   // Build cluster c is [bounds_[c], bounds_[c + 1]); {0, n} unclustered.
   std::vector<uint64_t> bounds_{0, 0};
-  BunVec tuples_;  // sort-merge: the sorted copy; radix-join: the clusters
-  std::vector<std::unique_ptr<Table>> tables_;  // hash: one per cluster
+  BunVec tuples_;  // sort-merge: the sorted copy; clustered: the clusters
+  Table table_;    // hash: a slice per cluster, built on first probe
   std::unique_ptr<uint32_t[]> slots_;  // positional: a head per domain key
 };
 
 /// Joins two whole relations: prepares `r` as the build, reorganizes `l`,
 /// and runs every task serially into one vector. `stats` (optional)
 /// receives the phase split JoinOp reports: the build's preparation as
-/// cluster_right, the probe's reorganization as cluster_left.
+/// cluster_right, the probe's reorganization as cluster_left, and the
+/// tasks as join, which includes a clustered hash join's table builds.
 template <class Mem, class HashFn = IdentityHash>
 StatusOr<std::vector<Bun>> JoinRelations(std::span<const Bun> l,
                                          std::span<const Bun> r,

@@ -85,7 +85,8 @@ struct JoinShape {
   }
 };
 
-/// Timings of a two-phase (cluster + join) algorithm, milliseconds.
+/// Timings of a two-phase (cluster + join) algorithm, milliseconds. A
+/// clustered hash join's table builds count in join_ms, not cluster_right_ms.
 struct JoinStats {
   double cluster_left_ms = 0;
   double cluster_right_ms = 0;

@@ -17,10 +17,11 @@ namespace ccdb {
 
 /// Groups `keys`/`values` by key, summing values, after radix-clustering
 /// on `bits` of the group table's key hash (MurmurHash for one key word) in
-/// `passes` passes. Each non-empty cluster folds into its own GroupAggTable,
-/// which takes its slot index from the hash bits above the cluster's, and
-/// appends that table's groups: result keys appear in per-cluster
-/// first-appearance order.
+/// `passes` passes. Each non-empty cluster is split into a key and a value
+/// column while cached and folds column-wise (AddColumns) into its own
+/// GroupAggTable, which takes its slot index from the hash bits above the
+/// cluster's, and appends that table's groups: result keys appear in
+/// per-cluster first-appearance order.
 template <class Mem>
 StatusOr<GroupAggregates> RadixGroupSum(std::span<const uint32_t> keys,
                                         std::span<const uint32_t> values,
@@ -46,13 +47,19 @@ StatusOr<GroupAggregates> RadixGroupSum(std::span<const uint32_t> keys,
 
   GroupAggregates out;
   const std::vector<uint64_t>& bounds = clustered.bounds;
+  std::vector<uint32_t> split;  // a cluster's keys, then its values
   for (size_t c = 0; c + 1 < bounds.size(); ++c) {
-    if (bounds[c] == bounds[c + 1]) continue;
-    GroupAggTable<Mem> table(/*key_width=*/1, /*num_values=*/1);
-    for (uint64_t i = bounds[c]; i < bounds[c + 1]; ++i) {
-      const Bun& t = clustered.tuples[i];
-      table.Add(&t.tail, &t.head, mem);
+    const size_t n = bounds[c + 1] - bounds[c];
+    if (n == 0) continue;
+    split.resize(2 * n);
+    for (size_t i = 0; i < n; ++i) {
+      Bun t = mem.Load(&clustered.tuples[bounds[c] + i]);
+      mem.Store(&split[i], t.tail);
+      mem.Store(&split[n + i], t.head);
     }
+    const uint32_t* cols[] = {split.data(), split.data() + n};
+    GroupAggTable<Mem> table(/*key_width=*/1, /*num_values=*/1);
+    table.AddColumns({cols, 1}, {cols + 1, 1}, 0, n, mem);
     for (size_t g = 0; g < table.num_groups(); ++g) {
       out.keys.push_back(table.key(g, 0));
       out.sums.push_back(table.state(g, 0).sum);

@@ -886,10 +886,10 @@ Status JoinOp::Open() {
   plan_ = n == 0 ? PlanJoin(JoinStrategy::kSimpleHash, 0, profile_)
                  : PlanJoin(strategy_, n, c_probe, positional, profile_);
 
-  // Prepare the inner side exactly once for the chosen plan; probe chunks
-  // reuse it. The build cost is reported as the cluster_right phase,
-  // including the per-partition hash tables. A repeated key stops the
-  // positional build, and the join runs the hash plan instead.
+  // Prepare the inner side exactly once for the chosen plan, timed as the
+  // cluster_right phase; probe chunks reuse it (a clustered hash join's table
+  // slices are built by its probe tasks, in join_ms). A repeated key stops
+  // the positional build, and the join runs the hash plan instead.
   WallTimer t_prepare;
   InnerBuild::Memory mem;
   Status prepared = build_.Prepare(inner_buns, ShapeOf(plan_), mem);
@@ -971,7 +971,7 @@ Status JoinOp::JoinPartitions() {
 
   // Every task runs the driver's join loop — a merge against the sorted
   // inner, a nested loop over the radix cluster pair, or a probe of the
-  // partition's prebuilt hash table — into its region of the match buffer.
+  // partition's hash table slice — into its region of the match buffer.
   probe_.matches.resize(n);
   probe_.filled.resize(tasks.size());
   if (probe_.spill.size() < tasks.size()) probe_.spill.resize(tasks.size());

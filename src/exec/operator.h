@@ -137,8 +137,8 @@ struct JoinNodeInfo {
   bool reordered = false;
 
   /// Times the inner (build) side was reorganized — clustered, sorted, or
-  /// hash-table-built. Always 1 after Open(): the inner is prepared once
-  /// and reused across every probe chunk.
+  /// hash-table-built at B = 0. Always 1 after Open(): the inner is
+  /// prepared once and reused across every probe chunk.
   int inner_cluster_runs = 0;
   /// Radix-partition probe tasks dispatched across all probe chunks — the
   /// independent parallel units of the partitioned join.
@@ -210,9 +210,10 @@ class SelectOp : public Operator {
 /// Equi-join. Open() drains the inner (right) child, asks the cost model
 /// for a JoinPlan at the *actual* inner cardinality (recorded into `info`),
 /// and prepares the inner side exactly once for that plan through the join
-/// driver (algo/join.h) that the paper-figure benches run: radix-clustered
-/// (plus per-partition hash tables for the phash family), sorted, or
-/// hash-table-built — never redone per probe chunk. Next() reorganizes one
+/// driver (algo/join.h) that the paper-figure benches run: radix-clustered,
+/// sorted, or hash-table-built at B = 0 — never redone per probe chunk. A
+/// clustered hash join's table slices are built by its probe tasks, so they
+/// count in join_ms, not cluster_right_ms. Next() reorganizes one
 /// outer chunk at a time through the same driver; each of its tasks (a
 /// radix partition pair; simple hash: a probe morsel) runs on the
 /// ExecContext's pool, and task results concatenate in order so join

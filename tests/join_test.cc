@@ -13,6 +13,7 @@
 #include "algo/join.h"
 #include "algo/nested_loop_join.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ccdb {
 namespace {
@@ -482,6 +483,64 @@ TEST(JoinTasksTest, ZeroBitsGiveOneTask) {
   ASSERT_TRUE(build.Prepare(none, Hash(0, 1), mem).ok());
   build.Tasks(probe.clustered.bounds, /*shards=*/3, &tasks);
   EXPECT_TRUE(tasks.empty());
+}
+
+TEST(JoinTasksTest, ChunkedParallelProbesBuildEachClusterOnce) {
+  // A clustered hash build probed chunk by chunk, each chunk's tasks on a
+  // pool: the first chunk reaches clusters 0..6 only, clusters 6 and 10 are
+  // probed by two chunks each, and cluster 15 never. The probe is sorted by
+  // cluster, keeping row order within one, so the chunk outputs in order are
+  // the whole probe's join, byte for byte.
+  constexpr int kBits = 4;
+  auto r = MakeRelation(6000, 51, 3000, /*head_base=*/100000);
+  std::vector<Bun> l;
+  for (const Bun& b : MakeRelation(9000, 52, 4000)) {
+    if ((b.tail & 15u) != 15u) l.push_back(b);
+  }
+  std::stable_sort(l.begin(), l.end(), [](const Bun& a, const Bun& b) {
+    return (a.tail & 15u) < (b.tail & 15u);
+  });
+  auto first_of = [&](uint32_t c) {
+    return std::find_if(l.begin(), l.end(), [&](const Bun& b) {
+             return (b.tail & 15u) == c;
+           }) - l.begin();
+  };
+  const size_t cuts[] = {0, static_cast<size_t>(first_of(6) + 20),
+                         static_cast<size_t>(first_of(10) + 20), l.size()};
+  ASSERT_LT(cuts[1], static_cast<size_t>(first_of(7)));
+  ASSERT_LT(cuts[2], static_cast<size_t>(first_of(11)));
+  for (int passes : {1, 2}) {
+    DirectMemory mem;
+    auto whole = JoinRelations(std::span<const Bun>(l), std::span<const Bun>(r),
+                               Hash(kBits, passes), mem);
+    ASSERT_TRUE(whole.ok());
+    ASSERT_GT(whole->size(), 0u);
+    for (size_t workers : {1, 2, 8}) {
+      ThreadPool pool(workers);
+      JoinBuild<DirectMemory> build;
+      ASSERT_TRUE(build.Prepare(r, Hash(kBits, passes), mem).ok());
+      JoinProbe probe;
+      std::vector<Bun> got;
+      for (size_t k = 0; k + 1 < std::size(cuts); ++k) {
+        std::span<const Bun> chunk(l.data() + cuts[k], cuts[k + 1] - cuts[k]);
+        ASSERT_TRUE(build.Reorganize(chunk, mem, &probe).ok());
+        std::vector<JoinTask> tasks;
+        build.Tasks(probe.clustered.bounds, 1, &tasks);
+        if (k == 0) {
+          ASSERT_EQ(tasks.size(), 7u);
+          EXPECT_EQ(tasks.back().part, 6u);
+        }
+        std::vector<std::vector<Bun>> outs(tasks.size());
+        ASSERT_TRUE(ParallelFor(&pool, workers, tasks.size(), [&](size_t t) {
+                      DirectMemory task_mem;
+                      build.Run(tasks[t], probe.tuples, task_mem, outs[t]);
+                      return Status::Ok();
+                    }).ok());
+        for (const auto& o : outs) got.insert(got.end(), o.begin(), o.end());
+      }
+      EXPECT_EQ(got, *whole) << "passes " << passes << ", workers " << workers;
+    }
+  }
 }
 
 JoinShape Positional(KeyDomain domain) {
