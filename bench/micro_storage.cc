@@ -7,7 +7,8 @@
 //     leaves,
 //   * tuple reconstruction via positional lookup, and the chunk-level
 //     positional take (Chunk::Take) that filters and joins emit through,
-//   * dictionary encode/decode throughput.
+//   * dictionary encode/decode throughput,
+//   * the column-wise ingest append (Table::AppendRows).
 #include <benchmark/benchmark.h>
 
 #include "algo/select.h"
@@ -327,6 +328,55 @@ void BM_SelectRawStrIn(benchmark::State& state) {
             InStr(Col("shipmode"), {"AIR", "MAIL", "RAIL"}));
 }
 BENCHMARK(BM_SelectRawStrIn);
+
+// Ingest rows: u32 id, a 7-value kChar10 mode, u32 qty and price.
+RowStore MakeIngestRows(size_t n, Rng& rng) {
+  auto rs = RowStore::Make({{"id", FieldType::kU32},
+                            {"mode", FieldType::kChar10},
+                            {"qty", FieldType::kU32},
+                            {"price", FieldType::kU32}},
+                           n);
+  CCDB_CHECK(rs.ok());
+  const char* modes[] = {"AIR",     "FOB",  "MAIL", "RAIL",
+                         "REG AIR", "SHIP", "TRUCK"};
+  for (size_t i = 0; i < n; ++i) {
+    size_t r = *rs->AppendRow();
+    rs->SetU32(r, 0, static_cast<uint32_t>(i));
+    const char* m = modes[rng.NextBelow(7)];
+    rs->SetBytes(r, 1, m, strlen(m));
+    rs->SetU32(r, 2, static_cast<uint32_t>(1 + rng.NextBelow(50)));
+    rs->SetU32(r, 3, static_cast<uint32_t>(rng.NextBelow(10000)));
+  }
+  return *std::move(rs);
+}
+
+// Table::AppendRows of one 12.5k-row ingest batch onto a table of
+// range(0) rows. Each iteration appends to a fresh copy of the table, made
+// (and the previous one freed) outside the timed region; ns_per_row is per
+// appended row.
+void BM_AppendRows(benchmark::State& state) {
+  constexpr size_t kBatchRows = 12'500;
+  Rng rng(12);
+  const Table base = *Table::FromRowStore(
+      MakeIngestRows(static_cast<size_t>(state.range(0)), rng));
+  const RowStore batch = MakeIngestRows(kBatchRows, rng);
+  Table t;
+  for (auto _ : state) {
+    state.PauseTiming();
+    t = base;
+    state.ResumeTiming();
+    CCDB_CHECK(t.AppendRows(batch).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatchRows);
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(kBatchRows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AppendRows)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ccdb

@@ -176,14 +176,15 @@ echo "== bench smoke =="
 # the one kernel that probes through the table's callback Probe.
 "$BUILD_DIR/ablation_prefetch"
 # micro_storage's Select benchmarks run the filter walk (SelectOp and
-# EvalFilterPositions) over dense and sparse candidate lists. The binary
+# EvalFilterPositions) over dense and sparse candidate lists; its
+# AppendRows benchmark runs the column-wise ingest append. The binary
 # links Google Benchmark and is not built without it.
 if [ -x "$BUILD_DIR/micro_storage" ]; then
-  "$BUILD_DIR/micro_storage" --benchmark_filter='Select' \
+  "$BUILD_DIR/micro_storage" --benchmark_filter='Select|AppendRows' \
     --benchmark_min_time=0.01
 else
   echo "NOTICE: micro_storage not built (no Google Benchmark);" \
-       "skipping its Select benchmarks"
+       "skipping its Select and AppendRows benchmarks"
 fi
 # micro_join's Group benchmarks run GroupAggTable::AddColumns and
 # SortGroupSum at 16 to 64k groups.

@@ -10,18 +10,25 @@
 #ifndef CCDB_ALGO_RADIX_AGGREGATE_H_
 #define CCDB_ALGO_RADIX_AGGREGATE_H_
 
+#include <algorithm>
+
 #include "algo/aggregate.h"
 #include "algo/radix_cluster.h"
 
 namespace ccdb {
 
+/// Largest group count RadixGroupSum presizes a cluster's table for:
+/// 2^15 slots, 256 KiB of slot array.
+inline constexpr size_t kMaxPresizedGroups = size_t{1} << 14;
+
 /// Groups `keys`/`values` by key, summing values, after radix-clustering
 /// on `bits` of the group table's key hash (MurmurHash for one key word) in
 /// `passes` passes. Each non-empty cluster is split into a key and a value
 /// column while cached and folds column-wise (AddColumns) into its own
-/// GroupAggTable, which takes its slot index from the hash bits above the
-/// cluster's, and appends that table's groups: result keys appear in
-/// per-cluster first-appearance order.
+/// GroupAggTable, presized for the cluster's rows up to kMaxPresizedGroups,
+/// which takes its slot index from the hash bits above the cluster's, and
+/// appends that table's groups: result keys appear in per-cluster
+/// first-appearance order.
 template <class Mem>
 StatusOr<GroupAggregates> RadixGroupSum(std::span<const uint32_t> keys,
                                         std::span<const uint32_t> values,
@@ -58,7 +65,10 @@ StatusOr<GroupAggregates> RadixGroupSum(std::span<const uint32_t> keys,
       mem.Store(&split[n + i], t.head);
     }
     const uint32_t* cols[] = {split.data(), split.data() + n};
-    GroupAggTable<Mem> table(/*key_width=*/1, /*num_values=*/1);
+    // At most n groups: presizing spares the table its doublings, and the
+    // cap keeps a huge cluster (B = 0) from allocating for all its rows.
+    GroupAggTable<Mem> table(/*key_width=*/1, /*num_values=*/1,
+                             std::min<size_t>(n, kMaxPresizedGroups));
     table.AddColumns({cols, 1}, {cols + 1, 1}, 0, n, mem);
     for (size_t g = 0; g < table.num_groups(); ++g) {
       out.keys.push_back(table.key(g, 0));

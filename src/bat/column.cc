@@ -63,6 +63,36 @@ Column Column::Str(const std::vector<std::string>& v) {
   return Column(Rep(std::move(rep)));
 }
 
+Column Column::Concat(const Column& front, Column back) {
+  if (front.size() == 0) return back;
+  CCDB_CHECK(front.type() == back.type());
+  return std::visit(
+      [&back](const auto& f) -> Column {
+        using T = std::decay_t<decltype(f)>;
+        const T& b = std::get<T>(back.rep_);
+        if constexpr (std::is_same_v<T, VoidRep>) {
+          CCDB_CHECK(b.base == f.base + f.count);
+          return Void(f.base, f.count + b.count);
+        } else if constexpr (std::is_same_v<T, StrRep>) {
+          StrRep out{{}, f.arena + b.arena};
+          out.offsets.reserve(f.offsets.size() + b.offsets.size() - 1);
+          out.offsets.assign(f.offsets.begin(), f.offsets.end());
+          const uint32_t base = f.offsets.back();
+          for (size_t i = 1; i < b.offsets.size(); ++i) {
+            out.offsets.push_back(base + b.offsets[i]);
+          }
+          return Column(Rep(std::move(out)));
+        } else {
+          T out;
+          out.reserve(f.size() + b.size());
+          out.insert(out.end(), f.begin(), f.end());
+          out.insert(out.end(), b.begin(), b.end());
+          return Column(Rep(std::move(out)));
+        }
+      },
+      front.rep_);
+}
+
 PhysType Column::type() const {
   return std::visit(
       [](const auto& v) -> PhysType {

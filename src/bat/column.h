@@ -60,6 +60,12 @@ class Column {
 
   Column() : rep_(VoidRep{0, 0}) {}
 
+  /// The values of `front` followed by those of `back` — the column-wise
+  /// append. The types must match, except that an empty `front` adopts
+  /// `back` (of any type) without copying it. A void `back` must continue
+  /// `front`'s OID range.
+  static Column Concat(const Column& front, Column back);
+
   PhysType type() const;
   size_t size() const;
 

@@ -4,8 +4,6 @@
 
 namespace ccdb {
 
-namespace {
-
 Column DecomposeField(const RowStore& rows, size_t f) {
   size_t n = rows.size();
   switch (rows.fields()[f].type) {
@@ -57,8 +55,6 @@ Column DecomposeField(const RowStore& rows, size_t f) {
   CCDB_CHECK(false && "unreachable");
   return Column();
 }
-
-}  // namespace
 
 StatusOr<DecomposedTable> DecomposedTable::Decompose(const RowStore& rows) {
   DecomposedTable t;

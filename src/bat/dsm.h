@@ -15,6 +15,10 @@
 
 namespace ccdb {
 
+/// Field `f` of every row of `rows` as one column: kU8/kU16/kU32/kI64/kF64
+/// values, or kStr for the char fields (trailing NULs dropped).
+Column DecomposeField(const RowStore& rows, size_t f);
+
 /// A vertically decomposed table: one BAT per attribute, all with void heads
 /// over the same OID range.
 class DecomposedTable {

@@ -5,17 +5,17 @@
 namespace ccdb {
 
 uint32_t StrDictionary::Intern(std::string_view v) {
-  for (size_t i = 0; i < values_.size(); ++i) {
-    if (values_[i] == v) return static_cast<uint32_t>(i);
-  }
+  auto it = index_.find(v);
+  if (it != index_.end()) return it->second;
+  auto code = static_cast<uint32_t>(values_.size());
   values_.emplace_back(v);
-  return static_cast<uint32_t>(values_.size() - 1);
+  index_.emplace(values_.back(), code);
+  return code;
 }
 
 StatusOr<uint32_t> StrDictionary::Lookup(std::string_view v) const {
-  for (size_t i = 0; i < values_.size(); ++i) {
-    if (values_[i] == v) return static_cast<uint32_t>(i);
-  }
+  auto it = index_.find(v);
+  if (it != index_.end()) return it->second;
   return Status::NotFound("value not in dictionary: " + std::string(v));
 }
 
@@ -24,54 +24,62 @@ std::string_view StrDictionary::Get(uint32_t code) const {
   return values_[code];
 }
 
-StatusOr<EncodedStrColumn> DictEncode(const Column& str_column) {
-  if (str_column.type() != PhysType::kStr) {
-    return Status::InvalidArgument(
-        std::string("DictEncode requires a str column, got ") +
-        PhysTypeName(str_column.type()));
-  }
-  size_t n = str_column.size();
-  EncodedStrColumn out;
-  // Two passes: first build the dictionary with a hash map for speed, then
-  // emit codes at the final width. Intern() itself is linear-scan (dicts are
-  // small by definition), so bulk encoding uses the map. The map owns its
-  // keys: views into the dictionary dangle when its string vector grows
-  // (SSO buffers move on reallocation); heterogeneous lookup keeps probes
-  // allocation-free.
-  struct SvHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, uint32_t, SvHash, std::equal_to<>> index;
-  std::vector<uint32_t> wide_codes(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::string_view v = str_column.GetStr(i);
-    auto it = index.find(v);
-    if (it == index.end()) {
-      uint32_t code = out.dict.Intern(v);
-      index.emplace(std::string(v), code);
-      wide_codes[i] = code;
+namespace {
+
+// The codes of `old` (kU8, kU16, or empty of any type) followed by `more`,
+// at width Code. A kU16 `old` implies more than 256 values, so Code is u16
+// too (Span checks it).
+template <typename Code>
+ColVec<Code> AppendCodes(const Column& old, std::span<const uint32_t> more) {
+  ColVec<Code> out;
+  out.reserve(old.size() + more.size());
+  if (old.size() > 0) {
+    if (old.type() == PhysType::kU8) {
+      std::span<const uint8_t> s = old.Span<uint8_t>();
+      out.insert(out.end(), s.begin(), s.end());
     } else {
-      wide_codes[i] = it->second;
+      std::span<const Code> s = old.Span<Code>();
+      out.insert(out.end(), s.begin(), s.end());
     }
+  }
+  size_t at = out.size();
+  out.resize(at + more.size());
+  for (size_t i = 0; i < more.size(); ++i) {
+    out[at + i] = static_cast<Code>(more[i]);
+  }
+  return out;
+}
+
+}  // namespace
+
+StatusOr<EncodedStrColumn> DictAppend(const Column& codes,
+                                      const StrDictionary& dict,
+                                      const Column& more) {
+  if (more.type() != PhysType::kStr) {
+    return Status::InvalidArgument(
+        std::string("dictionary encoding requires a str column, got ") +
+        PhysTypeName(more.type()));
+  }
+  EncodedStrColumn out{Column(), dict};
+  // Intern first: the final dictionary size decides the code width.
+  std::vector<uint32_t> wide_codes(more.size());
+  for (size_t i = 0; i < more.size(); ++i) {
+    wide_codes[i] = out.dict.Intern(more.GetStr(i));
     if (out.dict.size() > 65536) {
       return Status::ResourceExhausted(
           "domain cardinality exceeds 65536; column not byte-encodable");
     }
   }
   if (out.dict.size() <= 256) {
-    std::vector<uint8_t> codes(n);
-    for (size_t i = 0; i < n; ++i) codes[i] = static_cast<uint8_t>(wide_codes[i]);
-    out.codes = Column::U8(std::move(codes));
+    out.codes = Column::U8(AppendCodes<uint8_t>(codes, wide_codes));
   } else {
-    std::vector<uint16_t> codes(n);
-    for (size_t i = 0; i < n; ++i)
-      codes[i] = static_cast<uint16_t>(wide_codes[i]);
-    out.codes = Column::U16(std::move(codes));
+    out.codes = Column::U16(AppendCodes<uint16_t>(codes, wide_codes));
   }
   return out;
+}
+
+StatusOr<EncodedStrColumn> DictEncode(const Column& str_column) {
+  return DictAppend(Column(), StrDictionary(), str_column);
 }
 
 StatusOr<Column> DictDecode(const EncodedStrColumn& enc) {

@@ -1,36 +1,63 @@
 #include "exec/table.h"
 
-#include <cstring>
-
 namespace ccdb {
 
+namespace {
+
+bool IsCharField(FieldType t) {
+  return t == FieldType::kChar1 || t == FieldType::kChar10 ||
+         t == FieldType::kChar27;
+}
+
+}  // namespace
+
 StatusOr<Table> Table::FromRowStore(const RowStore& rows, bool auto_encode) {
+  // An empty table, its char columns encoded when `auto_encode` is set,
+  // plus one append: the one ingest path.
   Table t;
   t.schema_ = TableSchema(rows.fields());
   CCDB_RETURN_IF_ERROR(t.schema_.Validate());
-  t.rows_ = rows.size();
-  CCDB_ASSIGN_OR_RETURN(DecomposedTable dsm, DecomposedTable::Decompose(rows));
-  for (size_t i = 0; i < dsm.num_columns(); ++i) {
-    const Bat& bat = dsm.column(i);
-    if (auto_encode && bat.tail().type() == PhysType::kStr) {
-      auto enc = DictEncode(bat.tail());
+  t.bats_.resize(rows.fields().size());
+  for (const FieldDef& f : rows.fields()) {
+    if (auto_encode && IsCharField(f.type)) {
+      t.dicts_.emplace_back(StrDictionary());
+    } else {
+      t.dicts_.emplace_back(std::nullopt);
+    }
+  }
+  CCDB_RETURN_IF_ERROR(t.AppendColumns(rows));
+  return t;
+}
+
+Status Table::AppendColumns(const RowStore& more) {
+  std::vector<Bat> bats;
+  std::vector<std::optional<StrDictionary>> dicts(num_columns());
+  bats.reserve(num_columns());
+  for (size_t f = 0; f < num_columns(); ++f) {
+    Column batch = DecomposeField(more, f);
+    const Column& old = bats_[f].tail();
+    Column tail;
+    if (is_encoded(f)) {
+      auto enc = DictAppend(old, *dicts_[f], batch);
       if (enc.ok()) {
-        CCDB_ASSIGN_OR_RETURN(
-            Bat code_bat,
-            Bat::Make(Column::Void(0, t.rows_), std::move(enc->codes)));
-        t.bats_.push_back(std::move(code_bat));
-        t.dicts_.emplace_back(std::move(enc->dict));
-        continue;
-      }
-      // kResourceExhausted (domain too large): fall through, store raw.
-      if (enc.status().code() != StatusCode::kResourceExhausted) {
+        tail = std::move(enc->codes);
+        dicts[f] = std::move(enc->dict);
+      } else if (enc.status().code() == StatusCode::kResourceExhausted) {
+        // The domain outgrew 2-byte codes: the column is stored raw.
+        CCDB_ASSIGN_OR_RETURN(Column values, DictDecode({old, *dicts_[f]}));
+        tail = Column::Concat(values, std::move(batch));
+      } else {
         return enc.status();
       }
+    } else {
+      tail = Column::Concat(old, std::move(batch));
     }
-    t.bats_.push_back(bat);
-    t.dicts_.emplace_back(std::nullopt);
+    bats.push_back(Bat::DenseTail(std::move(tail)));
   }
-  return t;
+  rows_ += more.size();
+  bats_ = std::move(bats);
+  dicts_ = std::move(dicts);
+  return Status::Ok();
 }
 
 size_t Table::column_value_bytes(size_t i) const {
@@ -63,9 +90,9 @@ StatusOr<ColumnStats> Table::StatsLocked(size_t i) const {
 }
 
 // Everything — the schema lookup, the bounds check, the fill — happens
-// under the cache mutex, which AppendRows holds across its whole
-// rebuild-and-swap. A stats call therefore always reads a consistent
-// (pre- or post-append) table, never a half-replaced one.
+// under the cache mutex, which AppendRows holds across its whole append
+// and swap. A stats call therefore always reads a consistent (pre- or
+// post-append) table, never a half-replaced one.
 StatusOr<ColumnStats> Table::stats(size_t i) const {
   MutexLock lock(&stats_->mu);
   return StatsLocked(i);
@@ -78,12 +105,11 @@ StatusOr<ColumnStats> Table::stats(const std::string& col) const {
 }
 
 Status Table::AppendRows(const RowStore& extra) {
-  // Hold the stats mutex for the whole read-rebuild-swap: concurrent lazy
-  // stats fills (which scan the old BATs under the same mutex) serialize
-  // against the rebuild instead of racing it, and the cache object itself
-  // is kept — cleared in place, not replaced (see the field-wise swap
-  // below, which deliberately leaves stats_ alone) — so a blocked stats()
-  // call resumes against the invalidated cache, never a dangling one.
+  // Hold the stats mutex for the whole append: concurrent lazy stats fills
+  // (which scan the old BATs under the same mutex) serialize against it
+  // instead of racing it, and the cache object itself is kept — cleared in
+  // place, not replaced — so a blocked stats() call resumes against the
+  // invalidated cache, never a dangling one.
   MutexLock lock(&stats_->mu);
   if (extra.fields().size() != schema_.num_fields()) {
     return Status::InvalidArgument("AppendRows: field count mismatch");
@@ -95,60 +121,9 @@ Status Table::AppendRows(const RowStore& extra) {
                                      extra.fields()[f].name + "'");
     }
   }
-  // Materialize old + new rows and re-decompose: string domains may need
-  // re-encoding (a new value can overflow a u8 code column), so rebuilding
-  // through the one ingest path keeps every encoding invariant.
-  CCDB_ASSIGN_OR_RETURN(RowStore combined,
-                        RowStore::Make(schema_.fields(),
-                                       rows_ + extra.size()));
-  for (size_t r = 0; r < rows_; ++r) {
-    CCDB_ASSIGN_OR_RETURN(size_t row, combined.AppendRow());
-    for (size_t f = 0; f < schema_.num_fields(); ++f) {
-      const Column& tail = bats_[f].tail();
-      switch (schema_.field(f).type) {
-        case FieldType::kU8:
-          combined.SetU8(row, f, static_cast<uint8_t>(tail.GetIntegral(r)));
-          break;
-        case FieldType::kU16: {
-          uint32_t v = static_cast<uint32_t>(tail.GetIntegral(r));
-          combined.SetBytes(row, f, &v, 2);
-          break;
-        }
-        case FieldType::kU32:
-          combined.SetU32(row, f, static_cast<uint32_t>(tail.GetIntegral(r)));
-          break;
-        case FieldType::kI64:
-          combined.SetI64(row, f, static_cast<int64_t>(tail.GetIntegral(r)));
-          break;
-        case FieldType::kF64:
-          combined.SetF64(row, f, tail.Span<double>()[r]);
-          break;
-        case FieldType::kChar1:
-        case FieldType::kChar10:
-        case FieldType::kChar27: {
-          std::string_view s = is_encoded(f)
-                                   ? dicts_[f]->Get(static_cast<uint32_t>(
-                                         tail.GetIntegral(r)))
-                                   : tail.GetStr(r);
-          combined.SetBytes(row, f, s.data(), s.size());
-          break;
-        }
-      }
-    }
-  }
-  for (size_t r = 0; r < extra.size(); ++r) {
-    CCDB_ASSIGN_OR_RETURN(size_t row, combined.AppendRow());
-    std::memcpy(combined.RowPtr(row), extra.RowPtr(r),
-                extra.record_width());
-  }
-  CCDB_ASSIGN_OR_RETURN(Table rebuilt, FromRowStore(combined));
-  // Field-wise swap instead of *this = move(rebuilt): that would replace
-  // stats_ and drop the mutex we are holding. Clearing `cols` in place is
-  // the invalidation; the version bump is the external signal (plan cache).
-  schema_ = std::move(rebuilt.schema_);
-  rows_ = rebuilt.rows_;
-  bats_ = std::move(rebuilt.bats_);
-  dicts_ = std::move(rebuilt.dicts_);
+  CCDB_RETURN_IF_ERROR(AppendColumns(extra));
+  // Clearing `cols` in place is the invalidation; the version bump is the
+  // external signal (plan cache).
   stats_->cols.assign(schema_.num_fields(), std::nullopt);
   stats_->data_version.fetch_add(1, std::memory_order_release);
   return Status::Ok();

@@ -27,7 +27,9 @@ namespace ccdb {
 class Table {
  public:
   /// Decomposes `rows` into BATs; when `auto_encode` is set, string columns
-  /// with domain cardinality <= 65536 are byte-encoded.
+  /// with domain cardinality <= 65536 are byte-encoded. This is AppendRows'
+  /// column-wise append onto an empty table, whose columns adopt the
+  /// decomposed ones without copying them.
   static StatusOr<Table> FromRowStore(const RowStore& rows,
                                       bool auto_encode = true);
 
@@ -57,15 +59,19 @@ class Table {
   StatusOr<ColumnStats> stats(const std::string& col) const;
 
   /// Appends `extra` rows (same schema, by name and type) and invalidates
-  /// the cached statistics. This is the correctness-oriented ingest hook the
-  /// stats cache invalidation contract is written against: it rebuilds the
-  /// decomposed columns (re-encoding string domains), so plans holding lazy
-  /// references into the old BATs must not be executing concurrently.
+  /// the cached statistics. Column by column: only `extra` is decomposed,
+  /// and each new column holds the old values followed by the batch's. An
+  /// encoded column interns the batch into a copy of its dictionary, so old
+  /// codes stay valid (widening and overflow: DictAppend); a raw string
+  /// column stays raw. The result equals FromRowStore over all rows (with
+  /// this table's `auto_encode`). All-or-nothing: on error the table is
+  /// unchanged. The new columns replace the old BATs, so plans holding lazy
+  /// references into them must not be executing concurrently.
   Status AppendRows(const RowStore& extra);
 
   /// Monotonic ingest counter, bumped by every AppendRows. It lives in the
   /// (address-stable) stats cache, so a reader holding the table pointer
-  /// observes the bump even across the rebuild — this is the invalidation
+  /// observes the bump even across the append — this is the invalidation
   /// signal the serving layer's plan cache keys on. Copies restart at 0
   /// (they also get a fresh stats cache).
   uint64_t data_version() const {
@@ -112,7 +118,7 @@ class Table {
   /// Lazily filled per-column stats, shared_ptr so the table stays movable;
   /// all access goes through the mutex. The object is address-stable for
   /// the table's lifetime: AppendRows clears `cols` in place (holding `mu`
-  /// for its whole rebuild, which also serializes it against concurrent
+  /// for its whole append, which also serializes it against concurrent
   /// lazy fills reading the old BATs) rather than swapping in a fresh
   /// cache, so a stats() call blocked on `mu` never dereferences a
   /// destroyed cache.
@@ -120,7 +126,7 @@ class Table {
     Mutex mu;
     std::vector<std::optional<ColumnStats>> cols CCDB_GUARDED_BY(mu);
     /// Atomic, not guarded: data_version() reads it lock-free while
-    /// AppendRows may be mid-rebuild under `mu`.
+    /// AppendRows may be mid-append under `mu`.
     std::atomic<uint64_t> data_version{0};
   };
 
@@ -133,6 +139,11 @@ class Table {
   StatusOr<size_t> Col(const std::string& name) const {
     return schema_.FieldIndex(name);
   }
+
+  /// The column-wise append behind FromRowStore and AppendRows: builds
+  /// every new column, then swaps them all in (or none, on error).
+  /// Pre: `more` has this table's fields.
+  Status AppendColumns(const RowStore& more);
 
   /// The lazy fill behind both stats() overloads.
   StatusOr<ColumnStats> StatsLocked(size_t i) const CCDB_REQUIRES(stats_->mu);

@@ -98,8 +98,8 @@ StatusOr<ColumnStats> ComputeColumnStats(const Table& table, size_t col) {
 
   if (table.is_encoded(col)) {
     // Dictionary codes: the distinct count is the dictionary size, exactly,
-    // and every code in [0, size) occurs (DictEncode builds the dictionary
-    // from this very column).
+    // and every code in [0, size) occurs (the dictionary only ever interns
+    // values of this column's rows, by FromRowStore or AppendRows).
     s.encoded = true;
     s.distinct = table.dict(col).size();
     s.distinct_exact = true;

@@ -67,6 +67,24 @@ TEST(ColumnTest, I32BitPatternThroughGetIntegral) {
   EXPECT_EQ(c.GetIntegral(1), 2u);
 }
 
+TEST(ColumnTest, ConcatAppendsAndAdoptsAnEmptyFront) {
+  Column u = Column::Concat(Column::U32({1, 2}), Column::U32({3}));
+  ASSERT_EQ(u.size(), 3u);
+  EXPECT_EQ(u.Span<uint32_t>()[2], 3u);
+  Column s = Column::Concat(Column::Str({"a"}), Column::Str({"bc", ""}));
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.GetStr(0), "a");
+  EXPECT_EQ(s.GetStr(1), "bc");
+  EXPECT_EQ(s.GetStr(2), "");
+  EXPECT_EQ(s.MemoryBytes(), Column::Str({"a", "bc", ""}).MemoryBytes());
+  Column v = Column::Concat(Column::Void(5, 2), Column::Void(7, 3));
+  EXPECT_TRUE(v.is_void());
+  EXPECT_EQ(v.void_base(), 5u);
+  EXPECT_EQ(v.size(), 5u);
+  // An empty front takes the back's type.
+  EXPECT_EQ(Column::Concat(Column(), Column::U8({7})).type(), PhysType::kU8);
+}
+
 TEST(BatTest, MakeChecksLengths) {
   auto ok = Bat::Make(Column::Void(0, 3), Column::U32({1, 2, 3}));
   ASSERT_TRUE(ok.ok());
@@ -179,6 +197,26 @@ TEST(DictEncodeTest, LookupFindsCodesAndMisses) {
   ASSERT_TRUE(enc.ok());
   EXPECT_EQ(*enc->dict.Lookup("y"), 1u);
   EXPECT_EQ(enc->dict.Lookup("z").status().code(), StatusCode::kNotFound);
+}
+
+TEST(DictAppendTest, KeepsOldCodesAndWidensPast256Values) {
+  auto enc = DictEncode(Column::Str({"x", "y", "x"}));
+  ASSERT_TRUE(enc.ok());
+  std::vector<std::string> more = {"y"};
+  for (int i = 0; i < 300; ++i) more.push_back("v" + std::to_string(i));
+  auto grown = DictAppend(enc->codes, enc->dict, Column::Str(more));
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ(enc->dict.size(), 2u);  // the input dictionary is not touched
+  ASSERT_EQ(grown->codes.type(), PhysType::kU16);
+  auto codes = grown->codes.Span<uint16_t>();
+  ASSERT_EQ(codes.size(), 304u);
+  EXPECT_EQ(codes[0], 0);
+  EXPECT_EQ(codes[1], 1);
+  EXPECT_EQ(codes[2], 0);
+  EXPECT_EQ(codes[3], 1);
+  EXPECT_EQ(codes[303], 301);
+  EXPECT_EQ(grown->dict.Get(301), "v299");
+  EXPECT_EQ(*grown->dict.Lookup("v0"), 2u);
 }
 
 TEST(DictEncodeIntsTest, RoundTripAndWidth) {

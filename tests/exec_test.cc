@@ -3,6 +3,8 @@
 // against a row-store oracle and the raw-BUN join driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <tuple>
 
@@ -90,6 +92,202 @@ TEST(TableTest, EncodingCanBeDisabled) {
   // Unencoded path still answers the same query.
   EXPECT_EQ(SelectOids(t, Col("shipmode") == "AIR"),
             (std::vector<oid_t>{1, 5, 9}));
+}
+
+// --- AppendRows: a column-wise append equals a rebuild ----------------------
+
+// Rows [0, rows) of `parts`, concatenated in order.
+RowStore Prefix(const std::vector<RowStore>& parts, size_t rows) {
+  RowStore out = *RowStore::Make(parts.front().fields(), rows);
+  for (const RowStore& p : parts) {
+    for (size_t r = 0; r < p.size() && out.size() < rows; ++r) {
+      std::memcpy(out.RowPtr(*out.AppendRow()), p.RowPtr(r),
+                  p.record_width());
+    }
+  }
+  return out;
+}
+
+void ExpectSameColumn(const Column& got, const Column& want) {
+  ASSERT_EQ(got.type(), want.type());
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+  for (size_t r = 0; r < got.size(); ++r) {
+    if (got.type() == PhysType::kStr) {
+      ASSERT_EQ(got.GetStr(r), want.GetStr(r)) << "row " << r;
+    } else if (got.type() == PhysType::kF64) {
+      ASSERT_EQ(std::memcmp(&got.Span<double>()[r], &want.Span<double>()[r],
+                            sizeof(double)),
+                0)
+          << "row " << r;
+    } else {
+      ASSERT_EQ(got.GetIntegral(r), want.GetIntegral(r)) << "row " << r;
+    }
+  }
+}
+
+// Physical types, values, encodings, dictionaries (and their order), the
+// footprint and the statistics of `got` equal those of `want`.
+void ExpectSameTable(const Table& got, const Table& want) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+  for (size_t i = 0; i < got.num_columns(); ++i) {
+    SCOPED_TRACE(got.schema().field(i).name);
+    EXPECT_TRUE(got.column_bat(i).head().is_void());
+    EXPECT_EQ(got.column_bat(i).head().size(), got.num_rows());
+    ExpectSameColumn(got.column_bat(i).tail(), want.column_bat(i).tail());
+    ASSERT_EQ(got.is_encoded(i), want.is_encoded(i));
+    if (got.is_encoded(i)) {
+      const StrDictionary& d = got.dict(i);
+      ASSERT_EQ(d.size(), want.dict(i).size());
+      for (uint32_t c = 0; c < d.size(); ++c) {
+        EXPECT_EQ(d.Get(c), want.dict(i).Get(c));
+      }
+      // ComputeColumnStats takes [0, dict size) as the codes' range.
+      std::vector<bool> seen(d.size(), false);
+      const Column& codes = got.column_bat(i).tail();
+      for (size_t r = 0; r < codes.size(); ++r) seen[codes.GetIntegral(r)] = true;
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), false), 0);
+    }
+    auto gs = got.stats(i);
+    auto ws = want.stats(i);
+    ASSERT_TRUE(gs.ok() && ws.ok());
+    EXPECT_EQ(gs->row_count, ws->row_count);
+    EXPECT_EQ(gs->distinct, ws->distinct);
+    EXPECT_EQ(gs->distinct_exact, ws->distinct_exact);
+    EXPECT_EQ(gs->has_range, ws->has_range);
+    EXPECT_EQ(gs->min, ws->min);
+    EXPECT_EQ(gs->max, ws->max);
+    EXPECT_EQ(gs->encoded, ws->encoded);
+  }
+}
+
+void SetStr(RowStore& rs, size_t row, size_t f, const std::string& v) {
+  rs.SetBytes(row, f, v.data(), v.size());
+}
+
+// Seeded batches over every FieldType. The char27 domain grows with the
+// batch index, so its codes cross 256 values (u8 -> u16) mid-sequence.
+std::vector<RowStore> MakeAllTypeBatches() {
+  const std::vector<FieldDef> fields = {
+      {"u8", FieldType::kU8},       {"u16", FieldType::kU16},
+      {"u32", FieldType::kU32},     {"i64", FieldType::kI64},
+      {"f64", FieldType::kF64},     {"c1", FieldType::kChar1},
+      {"c10", FieldType::kChar10},  {"c27", FieldType::kChar27}};
+  const char* modes[] = {"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP",
+                         "TRUCK"};
+  const size_t sizes[] = {0, 50, 0, 200, 300, 1, 500};
+  const uint64_t c27_domain[] = {1, 40, 40, 150, 400, 400, 1000};
+  Rng rng(27);
+  std::vector<RowStore> batches;
+  for (size_t b = 0; b < std::size(sizes); ++b) {
+    RowStore rs = *RowStore::Make(fields, sizes[b]);
+    for (size_t i = 0; i < sizes[b]; ++i) {
+      size_t r = *rs.AppendRow();
+      rs.SetU8(r, 0, static_cast<uint8_t>(rng.NextBelow(256)));
+      auto u16 = static_cast<uint16_t>(rng.NextBelow(65536));
+      rs.SetBytes(r, 1, &u16, sizeof(u16));
+      rs.SetU32(r, 2, static_cast<uint32_t>(rng.NextU64()));
+      rs.SetI64(r, 3, static_cast<int64_t>(rng.NextU64()));
+      rs.SetF64(r, 4, (rng.NextDouble() - 0.5) * 1e6);
+      SetStr(rs, r, 5, rng.NextBelow(2) == 0 ? "Y" : "N");
+      SetStr(rs, r, 6, modes[rng.NextBelow(std::size(modes))]);
+      uint64_t c = rng.NextBelow(c27_domain[b]);
+      // Code 0 is the empty string (an all-NUL field).
+      SetStr(rs, r, 7, c == 0 ? "" : "comment " + std::to_string(c));
+    }
+    batches.push_back(std::move(rs));
+  }
+  return batches;
+}
+
+TEST(TableTest, AppendRowsEqualsFromRowStoreOverAllRows) {
+  std::vector<RowStore> batches = MakeAllTypeBatches();
+  for (bool auto_encode : {true, false}) {
+    SCOPED_TRACE(auto_encode ? "encoded" : "raw");
+    // Batch 0 is empty: the table starts with 0 rows.
+    Table t = *Table::FromRowStore(batches[0], auto_encode);
+    size_t rows = 0;
+    bool widened = false;
+    for (size_t b = 1; b < batches.size(); ++b) {
+      SCOPED_TRACE("batch " + std::to_string(b));
+      PhysType c27_before = t.column_bat(7).tail().type();
+      ASSERT_TRUE(t.AppendRows(batches[b]).ok());
+      EXPECT_EQ(t.data_version(), b);
+      rows += batches[b].size();
+      Table want = *Table::FromRowStore(Prefix(batches, rows), auto_encode);
+      ExpectSameTable(t, want);
+      widened |= c27_before == PhysType::kU8 &&
+                 t.column_bat(7).tail().type() == PhysType::kU16;
+    }
+    EXPECT_EQ(widened, auto_encode);
+    for (size_t i : {5u, 6u, 7u}) EXPECT_EQ(t.is_encoded(i), auto_encode);
+  }
+}
+
+TEST(TableTest, AppendRowsPastTwoByteCodesStoresTheColumnRaw) {
+  auto make = [](size_t lo, size_t hi) {
+    RowStore rs = *RowStore::Make(
+        {{"id", FieldType::kU32}, {"s", FieldType::kChar10}}, hi - lo);
+    for (size_t v = lo; v < hi; ++v) {
+      size_t r = *rs.AppendRow();
+      rs.SetU32(r, 0, static_cast<uint32_t>(v));
+      SetStr(rs, r, 1, "k" + std::to_string(v));
+    }
+    return rs;
+  };
+  std::vector<RowStore> batches;
+  batches.push_back(make(0, 65000));
+  batches.push_back(make(65000, 65536));  // exactly 65536 values: u16
+  batches.push_back(make(65536, 65540));  // past 2-byte codes: raw
+  batches.push_back(make(65540, 65600));  // raw stays raw
+  Table t = *Table::FromRowStore(batches[0]);
+  size_t rows = batches[0].size();
+  for (size_t b = 1; b < batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    ASSERT_TRUE(t.AppendRows(batches[b]).ok());
+    rows += batches[b].size();
+    ExpectSameTable(t, *Table::FromRowStore(Prefix(batches, rows)));
+    EXPECT_EQ(t.is_encoded(1), b == 1);
+  }
+  EXPECT_EQ(t.column_bat(1).tail().type(), PhysType::kStr);
+  EXPECT_EQ(SelectOids(t, Col("s") == "k65000"), (std::vector<oid_t>{65000}));
+  EXPECT_EQ(SelectOids(t, Col("s") == "k65599"), (std::vector<oid_t>{65599}));
+  EXPECT_EQ(SelectOids(t, Col("s") == "k7"), (std::vector<oid_t>{7}));
+}
+
+TEST(TableTest, RejectedAppendLeavesTheTableUnchanged) {
+  Table t = *Table::FromRowStore(MakeItems(40));
+  ASSERT_TRUE(t.AppendRows(MakeItems(3)).ok());
+  const Table before = t;
+  auto wrong = RowStore::Make(
+      {
+          {"order", FieldType::kU32},
+          {"qty", FieldType::kU32},
+          {"price", FieldType::kF64},
+          {"shipmode", FieldType::kChar27},
+      },
+      1);
+  ASSERT_TRUE(wrong.ok());
+  ASSERT_TRUE(wrong->AppendRow().ok());
+  EXPECT_EQ(t.AppendRows(*wrong).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.data_version(), 1u);
+  ExpectSameTable(t, before);
+}
+
+TEST(TableTest, EncodingStaysDisabledAcrossAppend) {
+  auto rows = [](std::initializer_list<const char*> values) {
+    RowStore rs = *RowStore::Make({{"s", FieldType::kChar10}}, values.size());
+    for (const char* v : values) SetStr(rs, *rs.AppendRow(), 0, v);
+    return rs;
+  };
+  Table t = *Table::FromRowStore(rows({"AIR", "MAIL"}), /*auto_encode=*/false);
+  ASSERT_TRUE(t.AppendRows(rows({"AIR"})).ok());
+  EXPECT_FALSE(t.is_encoded(0));
+  ExpectSameTable(t, *Table::FromRowStore(rows({"AIR", "MAIL", "AIR"}),
+                                          /*auto_encode=*/false));
+  EXPECT_EQ(SelectOids(t, Col("s") == "AIR"), (std::vector<oid_t>{0, 2}));
 }
 
 TEST(TableTest, StringEqualityRemapsToCodes) {
