@@ -3,9 +3,10 @@
 // groups it degrades to random access. Radix-partitioning the input first
 // (RadixGroupSum) keeps every partition's table cache-resident — the same
 // trade the paper makes for join. Sort-grouping is the §3.2 baseline.
-// hash_ms times GroupAggTable::AddColumns, the columnar open-addressing
-// table GroupByAggOp runs; RadixGroupSum folds each cluster into the same
-// table.
+// hash_ms times GroupAggTable::AddColumns, the columnar table GroupByAggOp
+// runs, in its hashed form: the keys are multiplied by an odd constant, so
+// their bounding box spans the u32 range and never fits the slot array;
+// RadixGroupSum folds each cluster into the same table.
 #include "bench_common.h"
 
 #include <algorithm>

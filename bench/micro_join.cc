@@ -2,7 +2,9 @@
 // per pass count, hash table build/probe, sorting kernels, grouping.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <unordered_set>
+#include <vector>
 
 #include "algo/aggregate.h"
 #include "algo/hash_table.h"
@@ -169,27 +171,59 @@ void BM_QuickSort(benchmark::State& state) {
 }
 BENCHMARK(BM_QuickSort);
 
-void BM_GroupAggTable(benchmark::State& state) {
+// Times GroupAggTable::AddColumns over 1M rows with one key column per
+// entry of `domains` (column c draws from [0, domains[c])) and one value
+// column, the table presized for the group count. Each key word is
+// multiplied by `scale`: 1 keeps the keys dense, so their bounding box fits
+// the slot array and the table indexes groups by position (the direct
+// form); the odd constant 2654435761 maps the same groups across the u32
+// range, where the table hashes and probes (the hashed form).
+void GroupAggTableRun(benchmark::State& state,
+                      std::span<const uint32_t> domains, uint32_t scale) {
   const size_t n = 1 << 20;
-  const uint32_t groups = static_cast<uint32_t>(state.range(0));
+  const size_t width = domains.size();
   Rng rng(15);
-  std::vector<uint32_t> keys(n), vals(n);
+  std::vector<std::vector<uint32_t>> keys(width, std::vector<uint32_t>(n));
+  std::vector<uint32_t> vals(n);
+  size_t groups = 1;
+  for (size_t c = 0; c < width; ++c) groups *= domains[c];
   for (size_t i = 0; i < n; ++i) {
-    keys[i] = static_cast<uint32_t>(rng.NextBelow(groups));
+    for (size_t c = 0; c < width; ++c) {
+      keys[c][i] = static_cast<uint32_t>(rng.NextBelow(domains[c])) * scale;
+    }
     vals[i] = static_cast<uint32_t>(rng.NextBelow(1000));
   }
-  const uint32_t* key_col = keys.data();
+  std::vector<const uint32_t*> key_cols;
+  for (const auto& k : keys) key_cols.push_back(k.data());
   const uint32_t* val_col = vals.data();
   DirectMemory mem;
   for (auto _ : state) {
-    GroupAggTable<DirectMemory> agg(/*key_width=*/1, /*num_values=*/1,
-                                    groups);
-    agg.AddColumns({&key_col, 1}, {&val_col, 1}, 0, n, mem);
+    GroupAggTable<DirectMemory> agg(width, /*num_values=*/1, groups);
+    agg.AddColumns(key_cols, {&val_col, 1}, 0, n, mem);
+    CCDB_CHECK(agg.is_direct() == (scale == 1));
     benchmark::DoNotOptimize(agg.num_groups());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
+
+void BM_GroupAggTable(benchmark::State& state) {
+  const uint32_t domain[] = {static_cast<uint32_t>(state.range(0))};
+  GroupAggTableRun(state, domain, 1);
+}
 BENCHMARK(BM_GroupAggTable)->Arg(16)->Arg(1 << 10)->Arg(1 << 16);
+
+void BM_GroupAggTableSparse(benchmark::State& state) {
+  const uint32_t domain[] = {static_cast<uint32_t>(state.range(0))};
+  GroupAggTableRun(state, domain, 2654435761u);
+}
+BENCHMARK(BM_GroupAggTableSparse)->Arg(16)->Arg(1 << 10)->Arg(1 << 16);
+
+// Two dense keys, 50 x 10 groups: the shape of star_join's grouping.
+void BM_GroupAggTable2Key(benchmark::State& state) {
+  const uint32_t domains[] = {50, 10};
+  GroupAggTableRun(state, domains, 1);
+}
+BENCHMARK(BM_GroupAggTable2Key);
 
 void BM_SortGroupSum(benchmark::State& state) {
   const size_t n = 1 << 20;

@@ -186,8 +186,10 @@ else
   echo "NOTICE: micro_storage not built (no Google Benchmark);" \
        "skipping its Select and AppendRows benchmarks"
 fi
-# micro_join's Group benchmarks run GroupAggTable::AddColumns and
-# SortGroupSum at 16 to 64k groups.
+# micro_join's Group benchmarks run GroupAggTable::AddColumns in both
+# forms (dense keys: the direct form, indexed by the key's offset in the
+# keys' bounding box; keys times an odd constant: the hashed form) at 16 to
+# 64k groups and on two keys of 50 x 10 groups, and SortGroupSum.
 if [ -x "$BUILD_DIR/micro_join" ]; then
   "$BUILD_DIR/micro_join" --benchmark_filter='Group' \
     --benchmark_min_time=0.01

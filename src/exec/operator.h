@@ -319,13 +319,17 @@ class ProjectOp : public Operator {
   std::vector<std::string> columns_;
 };
 
-/// Pipeline breaker: hash-grouped aggregation over one or more group-key
+/// Pipeline breaker: grouped aggregation over one or more group-key
 /// columns, accumulated chunk by chunk (§3.2: the group table usually fits
-/// the caches). Each per-shard partial table (GroupAggTable, open
-/// addressing) carries (sum, count, min, max) per value column, so any
-/// subset of SUM/MIN/MAX/AVG/COUNT is answered from one pass and partials
-/// merge exactly. Each chunk's key and value columns are gathered once and
-/// folded column-wise (GroupAggTable::AddColumns: a hash vector, then a
+/// the caches). Each per-shard partial table (GroupAggTable) carries (sum,
+/// count, min, max) per value column, so any subset of
+/// SUM/MIN/MAX/AVG/COUNT is answered from one pass and partials merge
+/// exactly. The table indexes a group directly by its key's offset in the
+/// keys' bounding box while that box fits its slot array (small dense
+/// domains such as dictionary codes), else by hash with open addressing;
+/// the slot array's size, and so its memory, is the same in both forms.
+/// Each chunk's key and value columns are gathered once and folded
+/// column-wise (GroupAggTable::AddColumns: a position vector, then a
 /// group-id vector, then one pass per aggregate column), not row by row.
 /// With a parallel ExecContext each worker shard keeps its own table across
 /// chunks, folds its row slice of every chunk, and the partials merge in

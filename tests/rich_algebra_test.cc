@@ -15,6 +15,8 @@
 #include "algo/aggregate.h"
 #include "exec/operator.h"
 #include "exec/plan.h"
+#include "mem/access.h"
+#include "mem/machine.h"
 #include "model/planner.h"
 #include "util/rng.h"
 
@@ -454,6 +456,217 @@ TEST(GroupAggTableTest, AddColumnsEqualsPerRowAdd) {
   EXPECT_TRUE(saw_rehash);  // growth happened mid-stream somewhere
 }
 
+// Multiplying every key word by this odd constant is a bijection on u32, so
+// it keeps the groups but spreads dense keys over the u32 range, where the
+// table takes the hashed form.
+constexpr uint32_t kSpread = 2654435761u;
+
+// Rows [lo, hi) of column-wise keys/values.
+struct KeyRows {
+  std::vector<std::vector<uint32_t>> keys, vals;
+  size_t size() const { return keys[0].size(); }
+};
+
+// The hashed reference: row-wise Add over rows [lo, hi) with every key word
+// multiplied by kSpread.
+template <class Table>
+void AddSpreadRows(const KeyRows& rows, size_t lo, size_t hi, Table& t) {
+  DirectMemory mem;
+  std::vector<uint32_t> k(rows.keys.size()), v(rows.vals.size());
+  for (size_t i = lo; i < hi; ++i) {
+    for (size_t c = 0; c < k.size(); ++c) k[c] = rows.keys[c][i] * kSpread;
+    for (size_t x = 0; x < v.size(); ++x) v[x] = rows.vals[x][i];
+    t.Add(k.data(), v.data(), mem);
+  }
+}
+
+// Rows [lo, hi) through AddColumns, split in two calls off the block grid
+// unless `split` is false.
+template <class Mem>
+void AddRowColumns(const KeyRows& rows, size_t lo, size_t hi,
+                   GroupAggTable<Mem>& t, Mem& mem, bool split = true) {
+  std::vector<const uint32_t*> kc, vc;
+  for (const auto& k : rows.keys) kc.push_back(k.data());
+  for (const auto& v : rows.vals) vc.push_back(v.data());
+  const size_t mid = split ? lo + (hi - lo) / 3 : lo;
+  t.AddColumns(kc, vc, lo, mid, mem);
+  t.AddColumns(kc, vc, mid, hi, mem);
+}
+
+// Same group order, keys (times `scale`), rows, states and rehash_count().
+template <class A, class B>
+void ExpectSameGroups(const A& got, const B& want, uint32_t scale) {
+  ASSERT_EQ(got.num_groups(), want.num_groups());
+  EXPECT_EQ(got.rehash_count(), want.rehash_count());
+  for (size_t g = 0; g < want.num_groups(); ++g) {
+    for (size_t c = 0; c < want.key_width(); ++c) {
+      ASSERT_EQ(got.key(g, c) * scale, want.key(g, c)) << g;
+    }
+    ASSERT_EQ(got.group_rows(g), want.group_rows(g)) << g;
+    for (size_t v = 0; v < want.num_values(); ++v) {
+      ASSERT_EQ(got.state(g, v).sum, want.state(g, v).sum) << g;
+      ASSERT_EQ(got.state(g, v).min, want.state(g, v).min) << g;
+      ASSERT_EQ(got.state(g, v).max, want.state(g, v).max) << g;
+    }
+  }
+}
+
+TEST(GroupAggTableTest, DirectIndexEqualsHashedReference) {
+  // The direct form (a key's slot is its offset in the keys' bounding box)
+  // must be invisible: for key widths 1-3 and boxes that fit from the
+  // first block, widen across blocks and a mid-stream AddColumns split,
+  // outgrow the slot array, fit only after a Grow, or span 0..UINT32_MAX,
+  // the table equals a row-wise Add over the keys times kSpread (hashed),
+  // row-wise Add on the dense keys takes the same one-row path, and
+  // SimulatedMemory equals DirectMemory.
+  constexpr size_t kN = 5000;
+  enum Shape { kFits, kWidens, kOutgrows, kFitsAfterGrow, kFullRange };
+  for (size_t kw = 1; kw <= 3; ++kw) {
+    for (Shape shape : {kFits, kWidens, kOutgrows, kFitsAfterGrow,
+                        kFullRange}) {
+      SCOPED_TRACE(testing::Message() << "kw=" << kw << " shape=" << shape);
+      // Per-column domains of about 200 cells (fits 512 slots) and 1000
+      // cells (fits only 1024).
+      const std::vector<std::vector<uint32_t>> small = {
+          {200}, {15, 12}, {6, 5, 4}};
+      const std::vector<std::vector<uint32_t>> large = {
+          {1000}, {40, 25}, {10, 10, 10}};
+      const std::vector<uint32_t>& domain =
+          shape == kFitsAfterGrow ? large[kw - 1] : small[kw - 1];
+      Rng rng(100 * kw + shape);
+      KeyRows rows{std::vector<std::vector<uint32_t>>(
+                       kw, std::vector<uint32_t>(kN)),
+                   {std::vector<uint32_t>(kN)}};
+      for (size_t i = 0; i < kN; ++i) {
+        for (size_t c = 0; c < kw; ++c) {
+          uint32_t k = static_cast<uint32_t>(rng.NextBelow(domain[c]));
+          if (shape == kWidens) {
+            // Column 0 grows down from UINT32_MAX to 300 values, column 1
+            // up from 0 and column 2 up from 10^9 to 9 values each, over
+            // all of the rows: at most 301 x 9 x 9 cells.
+            const uint32_t w = static_cast<uint32_t>(
+                rng.NextBelow(1 + i * (c == 0 ? 300 : 8) / kN));
+            k = c == 0 ? UINT32_MAX - w : c == 1 ? w : 1000000000u + w;
+          } else if (shape == kOutgrows && c == 0 && i >= kN / 2 &&
+                     i % 7 == 0) {
+            k += 1u << 20;
+          } else if (shape == kFullRange && c == 0) {
+            const uint32_t ends[] = {0, 1, UINT32_MAX - 1, UINT32_MAX};
+            k = ends[rng.NextBelow(4)];
+          }
+          rows.keys[c][i] = k;
+        }
+        rows.vals[0][i] = rng.NextBelow(4) == 0
+                              ? UINT32_MAX
+                              : static_cast<uint32_t>(rng.NextU64());
+      }
+      const size_t hint = shape == kWidens ? size_t{1} << 14 : 0;
+
+      GroupAggTable<DirectMemory> ref(kw, 1, hint);
+      AddSpreadRows(rows, 0, kN, ref);
+      EXPECT_FALSE(ref.is_direct());
+
+      DirectMemory mem;
+      GroupAggTable<DirectMemory> columnar(kw, 1, hint);
+      if (shape == kFitsAfterGrow) {
+        // The first block's box (~1000 cells) outgrows 512 slots; the
+        // doubling inside it makes room, taken at the next block.
+        AddRowColumns(rows, 0, 1024, columnar, mem, /*split=*/false);
+        EXPECT_FALSE(columnar.is_direct());
+        EXPECT_GT(columnar.rehash_count(), 0u);
+        AddRowColumns(rows, 1024, kN, columnar, mem);
+      } else {
+        AddRowColumns(rows, 0, kN, columnar, mem);
+      }
+      const bool direct = shape != kOutgrows && shape != kFullRange;
+      EXPECT_EQ(columnar.is_direct(), direct);
+      ExpectSameGroups(columnar, ref, kSpread);
+
+      GroupAggTable<DirectMemory> rowwise(kw, 1, hint);
+      std::vector<uint32_t> k(kw);
+      for (size_t i = 0; i < kN; ++i) {
+        for (size_t c = 0; c < kw; ++c) k[c] = rows.keys[c][i];
+        rowwise.Add(k.data(), &rows.vals[0][i], mem);
+      }
+      EXPECT_EQ(rowwise.is_direct(), direct);
+      ExpectSameGroups(rowwise, ref, kSpread);
+
+      MemoryHierarchy h(MachineProfile::GenericX86());
+      SimulatedMemory sim(&h);
+      GroupAggTable<SimulatedMemory> simulated(kw, 1, hint);
+      AddRowColumns(rows, 0, kN, simulated, sim);
+      EXPECT_EQ(simulated.is_direct(), direct);
+      ExpectSameGroups(simulated, columnar, 1);
+    }
+  }
+}
+
+TEST(GroupAggTableTest, MergeBetweenDirectAndHashedForms) {
+  // MergeFrom is the one-row path over the other table's groups: a direct
+  // table merges into a hashed one, and hashed ones merge into a direct
+  // one that either stays direct (their keys fit its box) or switches to
+  // the hashed form mid-merge (they do not). Each result equals the same
+  // merge of hashed references.
+  constexpr size_t kN = 3000;
+  const std::vector<std::vector<uint32_t>> domains = {
+      {1000}, {40, 25}, {10, 10, 10}};
+  for (size_t kw = 1; kw <= 3; ++kw) {
+    SCOPED_TRACE(testing::Message() << "kw=" << kw);
+    Rng rng(kw);
+    KeyRows rows{std::vector<std::vector<uint32_t>>(
+                     kw, std::vector<uint32_t>(kN)),
+                 {std::vector<uint32_t>(kN)}};
+    for (size_t i = 0; i < kN; ++i) {
+      for (size_t c = 0; c < kw; ++c) {
+        rows.keys[c][i] = static_cast<uint32_t>(rng.NextBelow(domains[kw - 1][c]));
+      }
+      rows.vals[0][i] = static_cast<uint32_t>(rng.NextU64());
+    }
+    // Rows [2000, 3000) hold far keys in column 0: their box never fits.
+    KeyRows far = rows;
+    for (size_t i = 2000; i < kN; ++i) far.keys[0][i] += (i % 3) << 24;
+    DirectMemory mem;
+    // direct: rows [1024, 2000), 2048 slots. dense_hashed: rows [0, 1024),
+    // whose ~1000-cell box outgrew its first 512 slots. far_hashed: rows
+    // [2000, 3000) of `far`.
+    GroupAggTable<DirectMemory> direct(kw, 1, 1024), dense_hashed(kw, 1),
+        far_hashed(kw, 1);
+    GroupAggTable<DirectMemory> ref_direct(kw, 1, 1024), ref_dense(kw, 1),
+        ref_far(kw, 1);
+    AddRowColumns(rows, 1024, 2000, direct, mem);
+    AddRowColumns(rows, 0, 1024, dense_hashed, mem, /*split=*/false);
+    AddRowColumns(far, 2000, kN, far_hashed, mem);
+    AddSpreadRows(rows, 1024, 2000, ref_direct);
+    AddSpreadRows(rows, 0, 1024, ref_dense);
+    AddSpreadRows(far, 2000, kN, ref_far);
+    ASSERT_TRUE(direct.is_direct());
+    ASSERT_FALSE(dense_hashed.is_direct());
+    ASSERT_FALSE(far_hashed.is_direct());
+
+    // Direct into hashed.
+    GroupAggTable<DirectMemory> into_hashed = far_hashed;
+    GroupAggTable<DirectMemory> ref_into_hashed = ref_far;
+    into_hashed.MergeFrom(direct, mem);
+    ref_into_hashed.MergeFrom(ref_direct, mem);
+    EXPECT_FALSE(into_hashed.is_direct());
+    ExpectSameGroups(into_hashed, ref_into_hashed, kSpread);
+
+    // Hashed into direct: the dense keys fit the 2048 slots.
+    GroupAggTable<DirectMemory> stays = direct;
+    GroupAggTable<DirectMemory> ref_stays = ref_direct;
+    stays.MergeFrom(dense_hashed, mem);
+    ref_stays.MergeFrom(ref_dense, mem);
+    EXPECT_TRUE(stays.is_direct());
+    ExpectSameGroups(stays, ref_stays, kSpread);
+
+    // Then the far keys: the box outgrows the slots mid-merge.
+    stays.MergeFrom(far_hashed, mem);
+    ref_stays.MergeFrom(ref_far, mem);
+    EXPECT_FALSE(stays.is_direct());
+    ExpectSameGroups(stays, ref_stays, kSpread);
+  }
+}
+
 TEST(AggregateOverflowTest, CheckedNarrowingSurfacesOutOfRange) {
   constexpr uint64_t kMax = static_cast<uint64_t>(
       std::numeric_limits<int64_t>::max());
@@ -531,6 +744,79 @@ TEST(GroupByAggExecTest, MultiKeyMinMaxAvgMatchesOracle) {
                            static_cast<double>(o.count));
       EXPECT_EQ(static_cast<uint64_t>(r.columns[6].i64_values[g]), o.count);
     }
+  }
+}
+
+TEST(GroupByAggExecTest, EncodedAndSmallKeysMatchRowReferenceAtAnyParallelism) {
+  // Small dense key domains (dictionary codes, small attributes) are the
+  // direct form's case: one encoded-string key plus two small u32 keys.
+  // Parallelism 1 emits the row-at-a-time reference in first-appearance
+  // order; 2 and 8 emit the same groups and aggregates in some order.
+  constexpr size_t kN = 30000;
+  const char* modes[] = {"MAIL", "AIR", "TRUCK", "SHIP", "RAIL", "FOB"};
+  auto rs = RowStore::Make({{"mode", FieldType::kChar10},
+                            {"a", FieldType::kU32},
+                            {"b", FieldType::kU32},
+                            {"qty", FieldType::kU32}},
+                           kN);
+  ASSERT_TRUE(rs.ok());
+  Rng rng(28);
+  using Key = std::tuple<std::string, uint32_t, uint32_t>;
+  std::vector<Key> order;  // first appearance
+  std::map<Key, OracleAgg> oracle;
+  for (size_t i = 0; i < kN; ++i) {
+    const char* m = modes[rng.NextBelow(6)];
+    const uint32_t a = static_cast<uint32_t>(rng.NextBelow(12));
+    const uint32_t b = 100 + static_cast<uint32_t>(rng.NextBelow(7));
+    const uint32_t qty = static_cast<uint32_t>(rng.NextBelow(1000));
+    const size_t r = *rs->AppendRow();
+    rs->SetBytes(r, 0, m, strlen(m));
+    rs->SetU32(r, 1, a);
+    rs->SetU32(r, 2, b);
+    rs->SetU32(r, 3, qty);
+    const Key key{m, a, b};
+    if (!oracle.count(key)) order.push_back(key);
+    OracleAgg& o = oracle[key];
+    o.sum += qty;
+    o.count += 1;
+    o.min = std::min(o.min, qty);
+    o.max = std::max(o.max, qty);
+  }
+  Table t = *Table::FromRowStore(*rs);
+  ASSERT_TRUE(t.is_encoded(0));
+  auto plan = QueryBuilder(t)
+                  .GroupByAgg({"mode", "a", "b"},
+                              {Agg::Sum("qty"), Agg::Min("qty"),
+                               Agg::Max("qty"), Agg::Count()})
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  // Each result's rows as (key, aggregates), in emission order.
+  using Row = std::tuple<Key, int64_t, uint32_t, uint32_t, int64_t>;
+  auto rows_of = [](const QueryResult& r) {
+    std::vector<Row> out;
+    for (size_t g = 0; g < r.num_rows(); ++g) {
+      out.emplace_back(Key{r.columns[0].str_values[g],
+                           r.columns[1].u32_values[g],
+                           r.columns[2].u32_values[g]},
+                       r.columns[3].i64_values[g], r.columns[4].u32_values[g],
+                       r.columns[5].u32_values[g], r.columns[6].i64_values[g]);
+    }
+    return out;
+  };
+  std::vector<Row> reference;
+  for (const Key& key : order) {
+    const OracleAgg& o = oracle[key];
+    reference.emplace_back(key, static_cast<int64_t>(o.sum), o.min, o.max,
+                           static_cast<int64_t>(o.count));
+  }
+  const std::vector<Row> serial = rows_of(RunPlan(*plan, 1));
+  EXPECT_EQ(serial, reference);
+  std::sort(reference.begin(), reference.end());
+  for (size_t par : {2u, 8u}) {
+    std::vector<Row> got = rows_of(RunPlan(*plan, par));
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, reference) << par;
   }
 }
 
