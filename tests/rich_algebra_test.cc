@@ -461,10 +461,9 @@ TEST(GroupAggTableTest, AddColumnsEqualsPerRowAdd) {
 // table takes the hashed form.
 constexpr uint32_t kSpread = 2654435761u;
 
-// Rows [lo, hi) of column-wise keys/values.
+// Key and value columns, column-wise.
 struct KeyRows {
   std::vector<std::vector<uint32_t>> keys, vals;
-  size_t size() const { return keys[0].size(); }
 };
 
 // The hashed reference: row-wise Add over rows [lo, hi) with every key word
