@@ -1,5 +1,6 @@
 // Join-kernel micro-benchmarks (google-benchmark): clustering throughput
-// per pass count, hash table build/probe, sorting kernels, grouping.
+// per pass count, hash table build/probe, the positional probe, sorting
+// kernels, grouping.
 #include <benchmark/benchmark.h>
 
 #include <span>
@@ -113,6 +114,55 @@ void BM_ProbeHashTable(benchmark::State& state) {
   state.counters["matches"] = static_cast<double>(matches);
 }
 BENCHMARK(BM_ProbeHashTable)->Arg(0)->Arg(5)->Arg(30)->Arg(60)->Arg(100);
+
+// JoinOp's output for a probe read in place: match k is lpos[k] (probe
+// position) and rpos[k] (build head), one slot per probe row.
+struct PositionSink {
+  uint32_t* lpos;
+  uint32_t* rpos;
+  size_t filled = 0;
+
+  void push_back_if(Bun b, bool keep) {
+    lpos[filled] = b.head;
+    rpos[filled] = b.tail;
+    filled += keep;
+  }
+};
+
+// ProbeSlots, the positional join's probe loop, over 2^19 u32 probe keys
+// read in place (a KeyColumn) from a 2^19-key domain of which the given
+// percentage has a build head, so that share of the probes match. The
+// head array is 2 MiB. Reports ns_per_probe.
+void BM_ProbeSlots(benchmark::State& state) {
+  const uint64_t built_pct = static_cast<uint64_t>(state.range(0));
+  constexpr uint32_t kDomain = 1u << 19;
+  Rng rng(9);
+  std::vector<uint32_t> slots(kDomain, kNoSlot);
+  for (uint32_t key = 0; key < kDomain; ++key) {
+    if (rng.NextBelow(100) < built_pct) slots[key] = rng.NextU32() >> 1;
+  }
+  std::vector<uint32_t> keys(kDomain);
+  for (uint32_t& k : keys) k = static_cast<uint32_t>(rng.NextBelow(kDomain));
+  const KeyColumn<uint32_t, false> probe{keys.data(), nullptr, keys.size()};
+  const KeyDomain domain{.key_min = 0, .key_range = kDomain};
+  std::vector<uint32_t> lpos(keys.size()), rpos(keys.size());
+  DirectMemory mem;
+  size_t matches = 0;
+  for (auto _ : state) {
+    PositionSink out{lpos.data(), rpos.data()};
+    ProbeSlots(slots.data(), domain, probe, mem, out);
+    matches = out.filled;
+    benchmark::DoNotOptimize(lpos.data());
+    benchmark::DoNotOptimize(rpos.data());
+  }
+  state.SetItemsProcessed(state.iterations() * keys.size());
+  state.counters["ns_per_probe"] = benchmark::Counter(
+      static_cast<double>(keys.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["matches"] = static_cast<double>(matches);
+}
+BENCHMARK(BM_ProbeSlots)->Arg(2)->Arg(30)->Arg(100);
 
 void BM_SimpleHashJoin(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

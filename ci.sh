@@ -189,13 +189,15 @@ fi
 # micro_join's Group benchmarks run GroupAggTable::AddColumns in both
 # forms (dense keys: the direct form, indexed by the key's offset in the
 # keys' bounding box; keys times an odd constant: the hashed form) at 16 to
-# 64k groups and on two keys of 50 x 10 groups, and SortGroupSum.
+# 64k groups and on two keys of 50 x 10 groups, and SortGroupSum; its
+# ProbeSlots benchmark runs the positional probe loop over probe keys read
+# in place, writing the two position lists.
 if [ -x "$BUILD_DIR/micro_join" ]; then
-  "$BUILD_DIR/micro_join" --benchmark_filter='Group' \
+  "$BUILD_DIR/micro_join" --benchmark_filter='Group|ProbeSlots' \
     --benchmark_min_time=0.01
 else
   echo "NOTICE: micro_join not built (no Google Benchmark);" \
-       "skipping its Group benchmarks"
+       "skipping its Group and ProbeSlots benchmarks"
 fi
 
 echo "== bench artifact (BENCH_ci.json) =="

@@ -199,46 +199,6 @@ StatusOr<Bat> BatAppend(const Bat& a, const Bat& b) {
   return Bat::Make(Column::U32(std::move(heads)), Column::U32(std::move(tails)));
 }
 
-StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
-                                             std::span<const oid_t> cands) {
-  // The tail access is devirtualized per physical type and the bounds check
-  // folded into the same pass (candidate gathers are the hot loop of a
-  // pipelined plan).
-  const Column& tail = b.tail();
-  const size_t n = b.size();
-  std::vector<uint32_t> tails(cands.size());
-  auto gather = [&](auto get) -> StatusOr<std::vector<uint32_t>> {
-    for (size_t i = 0; i < cands.size(); ++i) {
-      oid_t o = cands[i];
-      if (o >= n) return Status::OutOfRange("candidate oid beyond BAT");
-      tails[i] = get(o);
-    }
-    return std::move(tails);
-  };
-  switch (tail.type()) {
-    case PhysType::kU8: {
-      auto v = tail.Span<uint8_t>();
-      return gather([v](oid_t o) { return uint32_t{v[o]}; });
-    }
-    case PhysType::kU16: {
-      auto v = tail.Span<uint16_t>();
-      return gather([v](oid_t o) { return uint32_t{v[o]}; });
-    }
-    case PhysType::kU32: {
-      auto v = tail.Span<uint32_t>();
-      return gather([v](oid_t o) { return v[o]; });
-    }
-    case PhysType::kVoid:
-      return gather([&tail](oid_t o) {
-        return static_cast<uint32_t>(tail.GetIntegral(o));
-      });
-    default:
-      return Status::InvalidArgument(
-          std::string("candidate kernel requires an integral tail, got ") +
-          PhysTypeName(tail.type()));
-  }
-}
-
 std::vector<uint32_t> UnionSortedPositions(
     std::vector<std::vector<uint32_t>> lists) {
   // Fold pairwise set_union: each input is ascending and duplicate-free, so

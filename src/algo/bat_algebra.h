@@ -60,19 +60,6 @@ StatusOr<Bat> BatHistogram(const Bat& b);
 /// append(a, b): concatenation; heads are materialized.
 StatusOr<Bat> BatAppend(const Bat& a, const Bat& b);
 
-// --- candidate-list kernels (§3.1 pipelining) --------------------------------
-// A candidate list is a selection vector of OIDs produced by an upstream
-// selection. Projections run *through* the list — only qualifying BUNs are
-// touched and no intermediate BAT is materialized between operators.
-// (Selections through a list are the filter walk in exec/operator.cc.)
-
-/// project(b, cands): b.tail[cands[i]] widened to u32 — tuple
-/// reconstruction through a candidate list, the positional fetch the paper
-/// calls free on void-headed BATs. Gathers straight into the result.
-/// Requires an integral tail; OIDs beyond the BAT are kOutOfRange.
-StatusOr<std::vector<uint32_t>> BatGatherU32(const Bat& b,
-                                             std::span<const oid_t> cands);
-
 // --- filter combiners --------------------------------------------------------
 // The filter walk (exec/operator.cc) turns each expression leaf into a
 // sorted position list through the candidate list, and merges the lists

@@ -178,16 +178,16 @@ class BucketChainedHashTable {
   std::vector<Bun> tuples_;
 };
 
-/// The hash-join probe loop: probes slice `slice` of `table` with every BUN
-/// of `probe` in order and appends [probe.head, build.head] per match to
-/// `out`: the loop of every hash-join task of the join driver (algo/join.h).
-template <class Mem, class HashFn, class Out>
+/// The hash-join probe loop: probes slice `slice` of `table` with every
+/// tuple of `probe` (a BUN span or a KeyColumn) in order and appends
+/// [probe.head, build.head] per match to `out`: the loop of every hash-join
+/// task of the join driver (algo/join.h).
+template <class Mem, class HashFn, class Probe, class Out>
 void ProbeHashTable(const BucketChainedHashTable<Mem, HashFn>& table,
-                    std::span<const Bun> probe, Mem& mem, Out& out,
-                    size_t slice = 0) {
+                    const Probe& probe, Mem& mem, Out& out, size_t slice = 0) {
   const auto view = table.view(slice);
   for (size_t i = 0; i < probe.size(); ++i) {
-    Bun lt = mem.Load(&probe[i]);
+    Bun lt = ProbeTuple(probe, i, mem);
     view.Probe(lt.tail, mem, [&](Bun rt, bool keep) {
       EmitResultIf(out, Bun{lt.head, rt.head}, keep, mem);
     });

@@ -9,12 +9,17 @@
 //  - positional: an array of build heads indexed by key - key_min (§3.1),
 //    for unique build keys over a known domain.
 // A probe relation is then reorganized the same way into caller-owned
-// buffers. Its cluster bounds list the probe tasks, one per pair of
-// non-empty clusters with equal radix value. Each task runs its kernel's
-// loop (MergeSortedByTail, NestedLoopJoinInto, ProbeHashTable or
+// buffers: clustered or sorted, or not at all for the positional and the
+// B = 0 hash join, whose loops read the probe in order. Those two also take
+// the probe as a KeyColumn (algo/join_common.h), keys read where they live
+// with positions as heads, which is how JoinOp probes them: nothing of the
+// chunk is copied. The probe's cluster bounds list the probe tasks, one per
+// pair of non-empty clusters with equal radix value. Each task runs its
+// kernel's loop (MergeSortedByTail, NestedLoopJoinInto, ProbeHashTable or
 // ProbeSlots) into any sink. JoinOp runs the tasks of each probe chunk on
-// its pool; JoinRelations runs them serially over two whole relations, for
-// the paper's figures and the tests.
+// its pool, writing the matches straight into its two position lists;
+// JoinRelations runs them serially over two whole relations, for the
+// paper's figures and the tests.
 #ifndef CCDB_ALGO_JOIN_H_
 #define CCDB_ALGO_JOIN_H_
 
@@ -68,15 +73,15 @@ void MergeSortedByTail(std::span<const Bun> ls, std::span<const Bun> rs,
 inline constexpr uint32_t kNoSlot = UINT32_MAX;
 
 /// The positional probe loop (§3.1's positional lookup): appends
-/// [probe head, build head] to `out` for every probe tuple whose key has a
-/// build tuple, reading slots[key - key_min] of the `key_range`-entry head
-/// array. A key outside the domain reads slot 0 instead and keeps nothing,
-/// so no probe takes a data-dependent branch.
-template <class Mem, class Out>
-void ProbeSlots(const uint32_t* slots, KeyDomain domain,
-                std::span<const Bun> probe, Mem& mem, Out& out) {
+/// [probe head, build head] to `out` for every tuple of `probe` (a BUN span
+/// or a KeyColumn) whose key has a build tuple, reading slots[key - key_min]
+/// of the `key_range`-entry head array. A key outside the domain reads slot
+/// 0 instead and keeps nothing, so no probe takes a data-dependent branch.
+template <class Mem, class Probe, class Out>
+void ProbeSlots(const uint32_t* slots, KeyDomain domain, const Probe& probe,
+                Mem& mem, Out& out) {
   for (size_t i = 0; i < probe.size(); ++i) {
-    Bun t = mem.Load(&probe[i]);
+    Bun t = ProbeTuple(probe, i, mem);
     // Keys below key_min wrap to at least 2^32 - key_min >= key_range.
     uint32_t off = t.tail - domain.key_min;
     bool in = off < domain.key_range;
@@ -96,7 +101,9 @@ struct JoinTask {
 /// outgrows the buffers.
 struct JoinProbe {
   /// What the tasks read: `clustered.tuples`, or the probe input itself
-  /// for the B = 0 hash join.
+  /// for the kernels that read it in order (the B = 0 hash join and the
+  /// positional join). Those need no JoinProbe at all when the probe is a
+  /// KeyColumn: its tasks are listed over bounds {0, n}.
   std::span<const Bun> tuples;
   /// The sorted or clustered copy. Its bounds are always set, to {0, n}
   /// when nothing is clustered.
@@ -225,14 +232,18 @@ class JoinBuild {
             l, std::span<const Bun>(tuples_).subspan(lo, hi - lo), mem, out);
         return;
       }
-      case JoinKernel::kHash:
-        table_.Build(task.part, tuples_, mem);
-        ProbeHashTable(table_, l, mem, out, task.part);
-        return;
-      case JoinKernel::kPositional:
-        ProbeSlots(slots_.get(), shape_.domain, l, mem, out);
-        return;
+      default:
+        RunInOrder(task, l, mem, out);
     }
+  }
+
+  /// Runs `task` over a probe read in place. Only the kernels that read the
+  /// probe in order take one (shape().reorganizes() is false).
+  template <class T, bool kThroughRows, class Out>
+  void Run(const JoinTask& task, const KeyColumn<T, kThroughRows>& probe,
+           Mem& mem, Out& out) {
+    CCDB_DCHECK(!shape_.reorganizes());
+    RunInOrder(task, probe.subspan(task.lo, task.hi - task.lo), mem, out);
   }
 
   /// Runs every task over `probe`, serially and in task order.
@@ -246,6 +257,18 @@ class JoinBuild {
 
  private:
   using Table = BucketChainedHashTable<Mem, HashFn>;
+
+  /// The hash and positional tasks: one loop over `l`, tuple by tuple.
+  template <class Probe, class Out>
+  void RunInOrder(const JoinTask& task, const Probe& l, Mem& mem, Out& out) {
+    if (shape_.kernel == JoinKernel::kPositional) {
+      ProbeSlots(slots_.get(), shape_.domain, l, mem, out);
+      return;
+    }
+    CCDB_DCHECK(shape_.kernel == JoinKernel::kHash);
+    table_.Build(task.part, tuples_, mem);
+    ProbeHashTable(table_, l, mem, out, task.part);
+  }
 
   static RadixClusterOptions ClusterOptions(const JoinShape& shape) {
     return {.bits = shape.bits, .passes = shape.passes, .bits_per_pass = {}};

@@ -2,6 +2,8 @@
 // per-phase statistics. All join algorithms consume spans of 8-byte BUNs
 // [OID, value] and produce [OID, OID] join-indexes, matching the paper's
 // experimental setup (§3.4.1): join hit-rate one, result = [OID,OID] BAT.
+// The loops that read the probe in order also take a KeyColumn, a key
+// column read in place whose heads are positions.
 #ifndef CCDB_ALGO_JOIN_COMMON_H_
 #define CCDB_ALGO_JOIN_COMMON_H_
 
@@ -83,10 +85,64 @@ struct JoinShape {
     return kernel == JoinKernel::kNestedLoop ||
            (kernel == JoinKernel::kHash && bits != 0);
   }
+
+  /// Whether the probe is reorganized (clustered or sorted) before it is
+  /// joined. The positional and the B = 0 hash join read it in order.
+  bool reorganizes() const {
+    return clusters() || kernel == JoinKernel::kSortMerge;
+  }
 };
+
+/// A probe relation whose keys are read where they live, as JoinOp reads a
+/// probe chunk's key column: tuple i is [first + i, key i], where key i is
+/// keys[i], or keys[rows[i]] through a candidate list when `kThroughRows`.
+/// T is the column's width (u8, u16 or u32). The loops that read the probe
+/// in order (ProbeSlots, ProbeHashTable) take it in place of a BUN span, so
+/// a probe that is not reorganized is never copied.
+template <class T, bool kThroughRows>
+struct KeyColumn {
+  const T* keys = nullptr;
+  const oid_t* rows = nullptr;  // kThroughRows: the column row of tuple i
+  size_t count = 0;
+  oid_t first = 0;  // the head of tuple 0
+
+  size_t size() const { return count; }
+
+  /// Tuples [lo, lo + n), their heads unchanged (as std::span::subspan).
+  KeyColumn subspan(size_t lo, size_t n) const {
+    KeyColumn s = *this;
+    if constexpr (kThroughRows) {
+      s.rows += lo;
+    } else {
+      s.keys += lo;
+    }
+    s.count = n;
+    s.first += static_cast<oid_t>(lo);
+    return s;
+  }
+};
+
+/// Tuple i of a probe relation held as BUNs.
+template <class Mem>
+CCDB_ALWAYS_INLINE Bun ProbeTuple(std::span<const Bun> probe, size_t i,
+                                  Mem& mem) {
+  return mem.Load(&probe[i]);
+}
+
+/// Tuple i of a KeyColumn: its position and its key.
+template <class T, bool kThroughRows, class Mem>
+CCDB_ALWAYS_INLINE Bun ProbeTuple(const KeyColumn<T, kThroughRows>& probe,
+                                  size_t i, Mem& mem) {
+  size_t row = i;
+  if constexpr (kThroughRows) row = mem.Load(&probe.rows[i]);
+  return {static_cast<oid_t>(probe.first + i),
+          static_cast<uint32_t>(mem.Load(&probe.keys[row]))};
+}
 
 /// Timings of a two-phase (cluster + join) algorithm, milliseconds. A
 /// clustered hash join's table builds count in join_ms, not cluster_right_ms.
+/// cluster_left_ms is 0 for the kernels that read the probe in order (the
+/// positional and the B = 0 hash join): they do not reorganize it.
 struct JoinStats {
   double cluster_left_ms = 0;
   double cluster_right_ms = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string_view>
@@ -133,56 +134,65 @@ StatusOr<std::vector<T>> GatherThrough(const Candidates& cd,
   return out;
 }
 
-Status RequireIntegral(const Column& tail, const char* what) {
-  switch (tail.type()) {
-    case PhysType::kVoid:
+/// Calls `fn(keys)` with column `c` of `chunk` as a KeyColumn
+/// (algo/join_common.h) over the chunk's rows, read where it lives: a slice
+/// of the base column for a dense candidate list, the base column through
+/// a sparse one, an owned column as it is. u8, u16 and u32 columns are read
+/// at their width, one type switch per call. OutOfRange, before `fn` runs,
+/// when a candidate is past the column's end.
+template <typename Fn>
+Status VisitKeyColumn(const Chunk& chunk, size_t c, Fn&& fn) {
+  const ChunkColumn& col = chunk.cols[c];
+  const Column& data =
+      col.lazy() ? col.base->column_bat(col.base_col).tail() : *col.owned;
+  const Candidates owned_rows = Candidates::Dense(0, data.size());
+  const Candidates& cd = col.lazy() ? chunk.cands[col.cand_slot] : owned_rows;
+  auto visit = [&]<typename T>(std::span<const T> keys) -> Status {
+    if (cd.dense()) {
+      if (cd.base + cd.count > keys.size()) {
+        return Status::OutOfRange("dense candidates beyond BAT");
+      }
+      return fn(KeyColumn<T, false>{keys.data() + cd.base, nullptr, cd.count});
+    }
+    oid_t max_oid = 0;
+    for (oid_t o : OidSpan(cd)) max_oid = std::max(max_oid, o);
+    if (cd.count > 0 && max_oid >= keys.size()) {
+      return Status::OutOfRange("candidate oid beyond BAT");
+    }
+    return fn(KeyColumn<T, true>{keys.data(), cd.oids->data(), cd.count});
+  };
+  switch (data.type()) {
     case PhysType::kU8:
+      return visit(data.Span<uint8_t>());
     case PhysType::kU16:
+      return visit(data.Span<uint16_t>());
     case PhysType::kU32:
-      return Status::Ok();
+      return visit(data.Span<uint32_t>());
     default:
-      return Status::InvalidArgument(std::string(what) +
-                                     " requires an integral column, got " +
-                                     PhysTypeName(tail.type()));
+      return Status::InvalidArgument(col.name +
+                                     " requires a u8, u16 or u32 column, got " +
+                                     PhysTypeName(data.type()));
   }
+}
+
+/// Chunk::GatherU32 into `out`, reusing its capacity: a caller that
+/// gathers chunk after chunk allocates only when a chunk outgrows it.
+Status GatherU32Into(const Chunk& chunk, size_t c, std::vector<uint32_t>* out) {
+  return VisitKeyColumn(chunk, c, [&](const auto& keys) {
+    out->resize(keys.size());
+    DirectMemory mem;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      (*out)[i] = ProbeTuple(keys, i, mem).tail;
+    }
+    return Status::Ok();
+  });
 }
 
 }  // namespace
 
 StatusOr<std::vector<uint32_t>> Chunk::GatherU32(size_t c) const {
-  const ChunkColumn& col = cols[c];
-  if (!col.lazy()) {
-    CCDB_RETURN_IF_ERROR(RequireIntegral(*col.owned, "GatherU32"));
-    if (col.owned->type() == PhysType::kU32) {
-      auto s = col.owned->Span<uint32_t>();
-      return std::vector<uint32_t>(s.begin(), s.end());
-    }
-    std::vector<uint32_t> out(col.owned->size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] = static_cast<uint32_t>(col.owned->GetIntegral(i));
-    }
-    return out;
-  }
-  const Bat& bat = col.base->column_bat(col.base_col);
-  const Candidates& cd = cands[col.cand_slot];
-  CCDB_RETURN_IF_ERROR(RequireIntegral(bat.tail(), "GatherU32"));
-  if (!cd.dense()) {
-    // Candidate projection kernel: touch only qualifying BUNs, written
-    // straight into the result.
-    return BatGatherU32(bat, OidSpan(cd));
-  }
-  if (cd.base + cd.count > bat.size()) {
-    return Status::OutOfRange("dense candidates beyond BAT");
-  }
-  std::vector<uint32_t> out(cd.count);
-  if (bat.tail().type() == PhysType::kU32) {
-    auto s = bat.tail().Span<uint32_t>();
-    std::copy_n(s.begin() + cd.base, cd.count, out.begin());
-  } else {
-    for (size_t i = 0; i < cd.count; ++i) {
-      out[i] = static_cast<uint32_t>(bat.tail().GetIntegral(cd.base + i));
-    }
-  }
+  std::vector<uint32_t> out;
+  CCDB_RETURN_IF_ERROR(GatherU32Into(*this, c, &out));
   return out;
 }
 
@@ -853,24 +863,29 @@ Status JoinOp::Open() {
   }
   CCDB_ASSIGN_OR_RETURN(inner_, ConcatChunks(std::move(inner_chunks)));
   CCDB_ASSIGN_OR_RETURN(size_t rk, inner_.Find(right_key_));
-  CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> keys, inner_.GatherU32(rk));
   // Scratch for the build only: every prepared form below owns its copy.
   // A build side that resolves through one candidate list (a base table,
   // filtered or not) carries its base OIDs as BUN heads; every join loop
   // passes heads through unchanged, so each match names its build row as
   // the output needs it and nothing re-gathers the build side. Other
   // shapes (join results, aggregates, serialized exchange outputs) carry
-  // chunk positions, which Next() takes the inner through.
+  // chunk positions, which Next() takes the inner through. The keys are
+  // read in place, as the probe's are.
   build_oids_ = inner_.cands.size() == 1 &&
                 std::all_of(inner_.cols.begin(), inner_.cols.end(),
                             [](const ChunkColumn& c) { return c.lazy(); });
-  const Candidates heads = build_oids_ ? inner_.cands[0]
-                                      : Candidates::Dense(0, keys.size());
-  BunVec inner_buns(keys.size());
-  WalkOids(heads, keys.size(), kEveryRow, [&](size_t i, oid_t head) {
-    inner_buns[i] = {head, keys[i]};
-    return true;
-  });
+  BunVec inner_buns;
+  CCDB_RETURN_IF_ERROR(VisitKeyColumn(inner_, rk, [&](const auto& keys) {
+    const Candidates heads = build_oids_ ? inner_.cands[0]
+                                        : Candidates::Dense(0, keys.size());
+    inner_buns.resize(keys.size());
+    DirectMemory mem;
+    WalkOids(heads, keys.size(), kEveryRow, [&](size_t i, oid_t head) {
+      inner_buns[i] = {head, ProbeTuple(keys, i, mem).tail};
+      return true;
+    });
+    return Status::Ok();
+  }));
   // Keys over an eligible domain may join positionally (§3.1): its head
   // array takes no more memory than the stored key column, which is the
   // base column for a base-table inner and the inner's rows otherwise.
@@ -934,20 +949,24 @@ void JoinOp::Close() {
 
 namespace {
 
-/// The output a probe task's join loop emits through: fills the task's
-/// region of the match buffer (one slot per probe row, so a PK-FK task
-/// never spills), then appends to the task's spill buffer.
+/// The output a probe task's join loop emits through: stores match k as
+/// lpos[k] (probe position) and rpos[k] (build head) in the task's region
+/// of the two lists, one slot per probe row, so a PK-FK task never spills;
+/// past the region it appends to the task's spill buffer.
 struct MatchSink {
-  Bun* pos;
-  Bun* end;
+  uint32_t* lpos;
+  uint32_t* rpos;
+  size_t slots;
+  size_t filled;
   BunVec* spill;
 
   /// The hash probe's append: stores into the next slot and advances by
   /// `keep`, so a miss costs a dead store instead of a branch.
   CCDB_ALWAYS_INLINE void push_back_if(Bun b, bool keep) {
-    if (pos != end) [[likely]] {
-      *pos = b;
-      pos += keep;
+    if (filled != slots) [[likely]] {
+      lpos[filled] = b.head;
+      rpos[filled] = b.tail;
+      filled += keep;
     } else if (keep) {
       spill->push_back(b);
     }
@@ -957,22 +976,28 @@ struct MatchSink {
 
 }  // namespace
 
-Status JoinOp::JoinPartitions() {
+template <class Probe>
+Status JoinOp::JoinPartitions(const Probe& probe,
+                              std::span<const uint64_t> bounds) {
   // Tasks, the independent units the pool executes: the whole chunk for
-  // sort-merge, morsel shards of the probe for simple hash, and otherwise
-  // one task per probe cluster whose radix value has inner tuples.
-  const JoinProbe& probe = probe_.reorganized;
+  // sort-merge, morsel shards of the probe for simple hash and positional,
+  // and otherwise one task per probe cluster whose radix value has inner
+  // tuples.
   std::vector<JoinTask>& tasks = probe_.tasks;
-  const size_t n = probe.tuples.size();
-  build_.Tasks(probe.clustered.bounds, CtxShards(ctx_, n), &tasks);
+  const size_t n = bounds.back();
+  build_.Tasks(bounds, CtxShards(ctx_, n), &tasks);
   if (info_ != nullptr && build_.shape().clusters()) {
     info_->partition_tasks += tasks.size();
   }
 
   // Every task runs the driver's join loop — a merge against the sorted
-  // inner, a nested loop over the radix cluster pair, or a probe of the
-  // partition's hash table slice — into its region of the match buffer.
-  probe_.matches.resize(n);
+  // inner, a nested loop over the radix cluster pair, a probe of the
+  // partition's hash table slice or of the positional head array — into
+  // its region [lo, hi) of the two position lists.
+  std::vector<uint32_t>& lpos = probe_.lpos;
+  std::vector<uint32_t>& rpos = probe_.rpos;
+  lpos.resize(n);
+  rpos.resize(n);
   probe_.filled.resize(tasks.size());
   if (probe_.spill.size() < tasks.size()) probe_.spill.resize(tasks.size());
   // ExecParallelFor polls cancellation/deadline before every task; this
@@ -981,35 +1006,54 @@ Status JoinOp::JoinPartitions() {
   CCDB_RETURN_IF_ERROR(
       ExecParallelFor(ctx_, tasks.size(), [&](size_t t) -> Status {
         const JoinTask& task = tasks[t];
-        Bun* region = probe_.matches.data() + task.lo;
         probe_.spill[t].clear();
-        MatchSink out{region, region + (task.hi - task.lo), &probe_.spill[t]};
+        MatchSink out{lpos.data() + task.lo, rpos.data() + task.lo,
+                      task.hi - task.lo, 0, &probe_.spill[t]};
         InnerBuild::Memory mem;
-        build_.Run(task, probe.tuples, mem, out);
-        probe_.filled[t] = static_cast<size_t>(out.pos - region);
+        build_.Run(task, probe, mem, out);
+        probe_.filled[t] = out.filled;
         return Status::Ok();
       }));
 
-  // The one copy of every match, in task order, so output is identical at
-  // any parallelism. With base-OID build heads, rpos is already the
-  // output's build-side candidate list.
-  size_t total = 0;
+  // Close the gaps, in task order so output is identical at any
+  // parallelism: task t's matches (its region's filled prefix, then its
+  // spill) go to at[t], the count of the matches before it. When every
+  // region is full (PK-FK) nothing moves. A region moves left unless
+  // spills before it push it right; a run of tasks whose matches reach
+  // into the next task's region is placed last to first, so no region is
+  // overwritten before it is read.
+  std::vector<size_t>& at = probe_.at;
+  at.assign(tasks.size() + 1, 0);
   for (size_t t = 0; t < tasks.size(); ++t) {
-    total += probe_.filled[t] + probe_.spill[t].size();
+    at[t + 1] = at[t] + probe_.filled[t] + probe_.spill[t].size();
   }
-  probe_.lpos.resize(total);
-  probe_.rpos.resize(total);
-  size_t k = 0;
-  auto put = [&](std::span<const Bun> buns) {
-    for (const Bun& b : buns) {
-      probe_.lpos[k] = b.head;
-      probe_.rpos[k++] = b.tail;
+  const size_t total = at.back();
+  if (total > n) {
+    lpos.resize(total);
+    rpos.resize(total);
+  }
+  auto place = [&](size_t t) {
+    const size_t lo = tasks[t].lo, filled = probe_.filled[t];
+    if (at[t] != lo) {
+      std::memmove(&lpos[at[t]], &lpos[lo], filled * sizeof(uint32_t));
+      std::memmove(&rpos[at[t]], &rpos[lo], filled * sizeof(uint32_t));
+    }
+    size_t k = at[t] + filled;
+    for (const Bun& b : probe_.spill[t]) {
+      lpos[k] = b.head;
+      rpos[k++] = b.tail;
     }
   };
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    put({probe_.matches.data() + tasks[t].lo, probe_.filled[t]});
-    put(probe_.spill[t]);
+  for (size_t t = 0; t < tasks.size();) {
+    size_t last = t;
+    while (last + 1 < tasks.size() && at[last + 1] > tasks[last + 1].lo) {
+      ++last;
+    }
+    for (size_t u = last + 1; u-- > t;) place(u);
+    t = last + 1;
   }
+  lpos.resize(total);
+  rpos.resize(total);
   return Status::Ok();
 }
 
@@ -1018,22 +1062,31 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
   CCDB_ASSIGN_OR_RETURN(bool more, left_->Next(&probe));
   if (!more) return false;
   CCDB_ASSIGN_OR_RETURN(size_t lk, probe.Find(left_key_));
-  CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> keys, probe.GatherU32(lk));
-  probe_.buns.resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    probe_.buns[i] = {static_cast<oid_t>(i), keys[i]};
-  }
   // Only the cache-sized probe chunk is reorganized per Next(); the inner
-  // stays prepared from Open(). A simple-hash plan probes as is.
+  // stays prepared from Open(). The positional and simple-hash plans read
+  // the key column in place, with chunk positions as probe heads; the
+  // others cluster or sort [chunk position, key] BUNs filled straight from
+  // it. join_ms is everything but that reorganization (cluster_left_ms).
   JoinStats stats;
-  WallTimer t_cluster;
-  InnerBuild::Memory mem;
-  CCDB_RETURN_IF_ERROR(
-      build_.Reorganize(probe_.buns, mem, &probe_.reorganized));
-  stats.cluster_left_ms = t_cluster.ElapsedMillis();
   WallTimer t_join;
-  CCDB_RETURN_IF_ERROR(JoinPartitions());
-  stats.join_ms = t_join.ElapsedMillis();
+  CCDB_RETURN_IF_ERROR(VisitKeyColumn(probe, lk, [&](const auto& keys) {
+    if (!build_.shape().reorganizes()) {
+      const uint64_t bounds[] = {0, keys.size()};
+      return JoinPartitions(keys, bounds);
+    }
+    InnerBuild::Memory mem;
+    probe_.buns.resize(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      probe_.buns[i] = ProbeTuple(keys, i, mem);
+    }
+    WallTimer t_cluster;
+    CCDB_RETURN_IF_ERROR(
+        build_.Reorganize(probe_.buns, mem, &probe_.reorganized));
+    stats.cluster_left_ms = t_cluster.ElapsedMillis();
+    return JoinPartitions(probe_.reorganized.tuples,
+                          probe_.reorganized.clustered.bounds);
+  }));
+  stats.join_ms = t_join.ElapsedMillis() - stats.cluster_left_ms;
   // The match list [probe position, inner position] becomes an output
   // chunk according to the join type; the prepared inner and probe phases
   // above are identical for all four types.
@@ -1294,6 +1347,8 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
   std::vector<const Table*> dict_tables(kw, nullptr);
   std::vector<size_t> dict_cols(kw, 0);
 
+  // The gathered key and value columns, reused chunk after chunk.
+  std::vector<std::vector<uint32_t>> keys(kw), vals(nv);
   for (;;) {
     // Blocking consume loop: the plan's per-chunk deadline/cancel poll in
     // PhysicalPlan::Execute never fires while we drain the child, so poll
@@ -1302,9 +1357,8 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
     Chunk in;
     CCDB_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
     if (!more) break;
-    // For encoded group columns GatherU32 reads the 1-2 byte codes — the
+    // For encoded group columns the gather reads the 1-2 byte codes — the
     // aggregate groups on codes and decodes only the final group keys.
-    std::vector<std::vector<uint32_t>> keys(kw), vals(nv);
     for (size_t c = 0; c < kw; ++c) {
       CCDB_ASSIGN_OR_RETURN(size_t gi, in.Find(group_cols_[c]));
       const ChunkColumn& gcol = in.cols[gi];
@@ -1312,11 +1366,11 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
         dict_tables[c] = gcol.base;
         dict_cols[c] = gcol.base_col;
       }
-      CCDB_ASSIGN_OR_RETURN(keys[c], in.GatherU32(gi));
+      CCDB_RETURN_IF_ERROR(GatherU32Into(in, gi, &keys[c]));
     }
     for (size_t v = 0; v < nv; ++v) {
       CCDB_ASSIGN_OR_RETURN(size_t vi, in.Find(value_cols[v]));
-      CCDB_ASSIGN_OR_RETURN(vals[v], in.GatherU32(vi));
+      CCDB_RETURN_IF_ERROR(GatherU32Into(in, vi, &vals[v]));
     }
     const size_t n = in.rows;
     std::vector<const uint32_t*> key_cols(kw), val_cols(nv);

@@ -81,7 +81,9 @@ struct Chunk {
   PhysType TypeOf(size_t c) const;
 
   // Gathers (tuple reconstruction): materialize column `c` through its
-  // candidate list. Encoded string columns decode via the dictionary.
+  // candidate list. GatherStr decodes encoded string columns via the
+  // dictionary; GatherU32 returns their codes, reading any u8, u16 or u32
+  // column at its width with one type switch per call.
   StatusOr<std::vector<uint32_t>> GatherU32(size_t c) const;
   StatusOr<std::vector<int64_t>> GatherI64(size_t c) const;
   StatusOr<std::vector<double>> GatherF64(size_t c) const;
@@ -213,15 +215,19 @@ class SelectOp : public Operator {
 /// driver (algo/join.h) that the paper-figure benches run: radix-clustered,
 /// sorted, or hash-table-built at B = 0 — never redone per probe chunk. A
 /// clustered hash join's table slices are built by its probe tasks, so they
-/// count in join_ms, not cluster_right_ms. Next() reorganizes one
-/// outer chunk at a time through the same driver; each of its tasks (a
-/// radix partition pair; simple hash: a probe morsel) runs on the
-/// ExecContext's pool, and task results concatenate in order so join
-/// output is byte-identical at any parallelism. Each task
-/// fills its own region (one slot per probe row) of a match buffer kept
-/// across chunks, spilling past it only on duplicate keys; the matches are
-/// copied once, in task order, into a probe position list and a build
-/// list.
+/// count in join_ms, not cluster_right_ms. Next() joins one outer chunk at
+/// a time through the same driver. The positional and simple-hash plans
+/// read the chunk's key column where it lives (a slice of the base column,
+/// the column through a sparse candidate list, or an owned column), with
+/// chunk positions as probe heads; the other plans cluster or sort
+/// [position, key] BUNs filled straight from that column. Each driver task
+/// (a radix partition pair; simple hash and positional: a probe morsel)
+/// runs on the ExecContext's pool and writes its matches directly into its
+/// own region (one slot per probe row) of the two output lists, a probe
+/// position list and a build list, spilling past it only on duplicate
+/// keys. The regions then close up in place, in task order, so join output
+/// is byte-identical at any parallelism; in a PK-FK join every region is
+/// full and nothing moves.
 ///
 /// The build list holds base OIDs, as Monet's join index does, whenever the
 /// inner resolves through one candidate list (a base table, filtered or
@@ -260,10 +266,12 @@ class JoinOp : public Operator {
   /// every phase of the join runs under.
   using InnerBuild = JoinBuild<DirectMemory, IdentityHash>;
 
-  /// Joins the reorganized probe chunk (probe_.reorganized) against the
-  /// prepared inner, one pool task per driver task, and collects the
-  /// matches into probe_.lpos/rpos.
-  Status JoinPartitions();
+  /// Joins `probe` — the reorganized chunk's tuples, or its key column
+  /// read in place (a KeyColumn) — with cluster bounds `bounds` against the
+  /// prepared inner, one pool task per driver task, writing the matches
+  /// into probe_.lpos/rpos in task order.
+  template <class Probe>
+  Status JoinPartitions(const Probe& probe, std::span<const uint64_t> bounds);
 
   /// The inner rows that build heads name, with the inner's layout. Base
   /// OIDs become the chunk's one candidate list, consuming `heads`; chunk
@@ -289,18 +297,21 @@ class JoinOp : public Operator {
   Chunk inner_;
   bool build_oids_ = false;  // build heads are base OIDs, not positions
   InnerBuild build_;         // the inner side, prepared once at Open()
-  // Probe-side buffers, reused by every Next() and freed by Close():
+  // Probe-side buffers, reused by every Next() and freed by Close(). The
+  // positional and simple-hash plans use neither `buns` nor `reorganized`:
+  // they read the chunk's key column in place.
   struct ProbeBuffers {
-    BunVec buns;              // [chunk position, key]
-    JoinProbe reorganized;    // the chunk as the driver's tasks read it
+    BunVec buns;              // [chunk position, key], to be reorganized
+    JoinProbe reorganized;    // the clustered or sorted chunk
     std::vector<JoinTask> tasks;
     /// Per task: how many of its matches fit its region [lo, hi) of
-    /// `matches`.
-    std::vector<size_t> filled;
-    BunVec matches;           // one slot per probe row
+    /// lpos/rpos, and where its matches start once the regions close up.
+    std::vector<size_t> filled, at;
     std::vector<BunVec> spill;  // per task: matches past its region
-    // All matches: probe positions and build heads. Base-OID heads move
-    // into the output chunk, so rpos is then refilled fresh every chunk.
+    // The matches: probe positions and build heads, one region slot per
+    // probe row while the tasks run, then closed up in task order.
+    // Base-OID heads move into the output chunk, so rpos is then allocated
+    // afresh every chunk.
     std::vector<uint32_t> lpos, rpos;
   } probe_;
 };
@@ -328,7 +339,8 @@ class ProjectOp : public Operator {
 /// keys' bounding box while that box fits its slot array (small dense
 /// domains such as dictionary codes), else by hash with open addressing;
 /// the slot array's size, and so its memory, is the same in both forms.
-/// Each chunk's key and value columns are gathered once and folded
+/// Each chunk's key and value columns are gathered once, into buffers
+/// reused chunk after chunk, and folded
 /// column-wise (GroupAggTable::AddColumns: a position vector, then a
 /// group-id vector, then one pass per aggregate column), not row by row.
 /// With a parallel ExecContext each worker shard keeps its own table across

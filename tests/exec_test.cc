@@ -371,6 +371,70 @@ TEST(TableTest, Gathers) {
   std::vector<oid_t> bad = {99};
   EXPECT_EQ(t.GatherStr(shipmode, bad).status().code(),
             StatusCode::kOutOfRange);
+
+  // 1- and 2-byte columns (a u8 field; the codes of a 300-string column)
+  // widen through a dense range, a list and as owned columns, equal to
+  // Column::GetIntegral row by row.
+  auto narrow_rows = RowStore::Make(
+      {{"small", FieldType::kU8}, {"word", FieldType::kChar10}}, 600);
+  ASSERT_TRUE(narrow_rows.ok());
+  for (size_t i = 0; i < 600; ++i) {
+    size_t r = *narrow_rows->AppendRow();
+    narrow_rows->SetU8(r, 0, static_cast<uint8_t>(i * 7));
+    std::string word = "w" + std::to_string(i * 11 % 300);
+    narrow_rows->SetBytes(r, 1, word.data(), word.size());
+  }
+  Table narrow = *Table::FromRowStore(*narrow_rows);
+  for (size_t c : {size_t{0}, size_t{1}}) {
+    const Column& tail = narrow.column_bat(c).tail();
+    EXPECT_EQ(tail.type(), c == 0 ? PhysType::kU8 : PhysType::kU16);
+    for (const Candidates& cd :
+         {Candidates::Dense(0, 600), Candidates::Dense(37, 500),
+          Candidates::FromOids({599, 0, 300, 5, 5})}) {
+      Chunk lazy;
+      lazy.rows = cd.count;
+      lazy.cands.push_back(cd);
+      ChunkColumn col;
+      col.name = "c";
+      col.base = &narrow;
+      col.base_col = c;
+      lazy.cols.push_back(col);
+      auto got = lazy.GatherU32(0);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), cd.count);
+      for (size_t i = 0; i < cd.count; ++i) {
+        EXPECT_EQ((*got)[i], tail.GetIntegral(cd.Get(i))) << c << " " << i;
+      }
+    }
+    Chunk owned;
+    owned.rows = tail.size();
+    ChunkColumn col;
+    col.name = "c";
+    col.owned = std::make_shared<const Column>(tail);
+    owned.cols.push_back(col);
+    auto got = owned.GatherU32(0);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), tail.size());
+    for (size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ((*got)[i], tail.GetIntegral(i)) << c << " " << i;
+    }
+    // A dense range or a list past the column is an error, not a short
+    // read.
+    for (const Candidates& cd :
+         {Candidates::Dense(590, 20), Candidates::FromOids({0, 600})}) {
+      Chunk past;
+      past.rows = cd.count;
+      past.cands.push_back(cd);
+      ChunkColumn lazy_col;
+      lazy_col.name = "c";
+      lazy_col.base = &narrow;
+      lazy_col.base_col = c;
+      past.cols.push_back(lazy_col);
+      EXPECT_EQ(past.GatherU32(0).status().code(), StatusCode::kOutOfRange);
+    }
+  }
+  // A non-integral column is rejected.
+  EXPECT_EQ(chunk.GatherU32(0).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TableTest, MemoryFootprintBeatsNsm) {
@@ -392,6 +456,52 @@ TEST(TableTest, ColumnBatToBuns) {
   EXPECT_EQ(t.column_bat(*t.schema().FieldIndex("price")).ToBuns()
                 .status().code(),
             StatusCode::kInvalidArgument);  // f64 tail not BUN-able
+}
+
+// The probe sides the JoinOp byte-identity tests join from. Beyond the base
+// table, each reads the probe key through a sparse candidate list: the
+// table filtered (ProbeKept), and a join result whose `left` rows arrive in
+// the shuffled order of `left_ids` (column left_id), as star_join's second
+// join reads the fact table through the first join's list.
+enum class ProbeShape { kBaseTable, kFilteredBaseTable, kJoinResult };
+
+const char* ProbeShapeName(ProbeShape shape) {
+  return shape == ProbeShape::kBaseTable           ? "base table probe"
+         : shape == ProbeShape::kFilteredBaseTable ? "filtered probe"
+                                                   : "join result probe";
+}
+
+// The probe rows a filtered probe side keeps: drops lid 0..499 and a block
+// from the middle.
+bool ProbeKept(ProbeShape shape, uint32_t lid) {
+  return shape != ProbeShape::kFilteredBaseTable ||
+         (lid >= 500u && (lid < 10000u || lid > 19999u));
+}
+
+QueryBuilder ProbeQuery(ProbeShape shape, const Table& left,
+                        const Table& left_ids) {
+  if (shape == ProbeShape::kJoinResult) {
+    QueryBuilder q(left_ids);
+    q.Join(left, "left_id", "lid");
+    return q;
+  }
+  QueryBuilder q(left);
+  if (shape == ProbeShape::kFilteredBaseTable) {
+    q.Filter(Col("lid") >= 500u && !Between(Col("lid"), 10000u, 19999u));
+  }
+  return q;
+}
+
+// A one-column table `name` holding 0..n-1 in a seeded shuffled order.
+Table ShuffledIds(uint32_t n, const char* name, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> ids(n);
+  for (uint32_t i = 0; i < n; ++i) ids[i] = i;
+  Shuffle(ids, rng);
+  auto rs = RowStore::Make({{name, FieldType::kU32}}, n);
+  CCDB_CHECK(rs.ok());
+  for (uint32_t id : ids) rs->SetU32(*rs->AppendRow(), 0, id);
+  return *Table::FromRowStore(*rs);
 }
 
 TEST(JoinRelationsTest, AllStrategiesProduceSameResult) {
@@ -557,7 +667,8 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
   // unfiltered base table (base OID == chunk position), the base table
   // filtered so its surviving OIDs are not their positions (base-OID build
   // heads), and a join result with two candidate lists (chunk positions,
-  // taken through).
+  // taken through). Against the base-table build, the filtered and
+  // join-result probe sides read the probe key through a sparse list.
   constexpr size_t kN = 100000;
   Rng rng(5);
   Table left = MakeKeyedTable(kN / 2, kN / 4, "lid", rng);
@@ -566,6 +677,7 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
   ASSERT_TRUE(ids.ok());
   for (uint32_t i = 0; i < kN; ++i) ids->SetU32(*ids->AppendRow(), 0, i);
   Table right_ids = *Table::FromRowStore(*ids);
+  Table left_ids = ShuffledIds(kN / 2, "left_id", 29);
   std::vector<Bun> build = *right.column_bat(0).ToBuns();
   std::vector<Bun> probe = *left.column_bat(0).ToBuns();
   // Drops rid 0 and a block from the middle: rid = base OID of `right`.
@@ -578,13 +690,21 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
 
   enum class BuildShape { kBaseTable, kFilteredBaseTable, kJoinResult };
   using Row = std::tuple<uint32_t, uint32_t>;  // (lid, rid)
-  for (BuildShape shape : {BuildShape::kBaseTable,
-                           BuildShape::kFilteredBaseTable,
-                           BuildShape::kJoinResult}) {
-    const char* shape_name = shape == BuildShape::kBaseTable ? "base table"
-                             : shape == BuildShape::kFilteredBaseTable
-                                 ? "filtered base table"
-                                 : "join result";
+  struct Shapes {
+    ProbeShape probe;
+    BuildShape build;
+  };
+  for (auto [probe_shape, shape] :
+       {Shapes{ProbeShape::kBaseTable, BuildShape::kBaseTable},
+        Shapes{ProbeShape::kBaseTable, BuildShape::kFilteredBaseTable},
+        Shapes{ProbeShape::kBaseTable, BuildShape::kJoinResult},
+        Shapes{ProbeShape::kFilteredBaseTable, BuildShape::kBaseTable},
+        Shapes{ProbeShape::kJoinResult, BuildShape::kBaseTable}}) {
+    const std::string shape_name =
+        std::string(ProbeShapeName(probe_shape)) + ", " +
+        (shape == BuildShape::kBaseTable           ? "base table"
+         : shape == BuildShape::kFilteredBaseTable ? "filtered base table"
+                                                   : "join result");
     std::vector<std::vector<uint32_t>> rids_of(kN / 4);
     for (const Bun& b : build) {
       if (shape != BuildShape::kFilteredBaseTable || kept(b.head)) {
@@ -597,6 +717,7 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
                               jt == JoinType::kLeftOuter;
       std::vector<Row> want;
       for (const Bun& p : probe) {
+        if (!ProbeKept(probe_shape, p.head)) continue;
         const std::vector<uint32_t>& rids = rids_of[p.tail];
         if (jt == JoinType::kSemi && !rids.empty()) want.emplace_back(p.head, 0);
         if (jt == JoinType::kAnti && rids.empty()) want.emplace_back(p.head, 0);
@@ -611,12 +732,12 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
       for (JoinStrategy s : {JoinStrategy::kBest, JoinStrategy::kSimpleHash,
                              JoinStrategy::kSortMerge, JoinStrategy::kRadix8}) {
         for (size_t chunk_rows : {SIZE_MAX, size_t{4096}, size_t{10007}}) {
-          std::string label = std::string(shape_name) + " " +
-                              JoinTypeName(jt) + " " + JoinStrategyName(s) +
-                              " chunk " + std::to_string(chunk_rows);
+          std::string label = shape_name + " " + JoinTypeName(jt) + " " +
+                              JoinStrategyName(s) + " chunk " +
+                              std::to_string(chunk_rows);
           std::vector<std::string> cols = {"lid"};
           if (right_cols) cols.push_back("rid");
-          QueryBuilder query(left);
+          QueryBuilder query = ProbeQuery(probe_shape, left, left_ids);
           if (shape == BuildShape::kBaseTable) {
             query.Join(right, "k", "k", jt, s);
           } else {
@@ -638,6 +759,8 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
             opts.profile = MachineProfile::GenericX86();
             opts.exec.parallelism = par;
             opts.exec.scan_chunk_rows = chunk_rows;
+            // Keep the join result the probe.
+            opts.reorder_joins = probe_shape != ProbeShape::kJoinResult;
             auto got = Execute(*plan, opts);
             ASSERT_TRUE(got.ok()) << label;
             const std::vector<uint32_t>& lid = got->columns[0].u32_values;
@@ -653,7 +776,8 @@ TEST(JoinOpTest, MultiChunkParallelJoinsAreByteIdentical) {
               }
               std::sort(rows.begin(), rows.end());
               EXPECT_EQ(rows, want) << label;
-              if (jt != JoinType::kInner) {
+              if (jt != JoinType::kInner &&
+                  probe_shape != ProbeShape::kJoinResult) {
                 // Probe order: the scan emits lids ascending.
                 EXPECT_TRUE(std::is_sorted(lid.begin(), lid.end())) << label;
               }
@@ -672,9 +796,12 @@ TEST(JoinOpTest, PositionalIsByteIdenticalAcrossParallelism) {
   // Dense unique build keys (a permutation of 0..kN-1) plan the positional
   // join under GenericX86's kBest, and run it under every build shape
   // JoinOp names build rows by: an unfiltered base table, a filtered base
-  // table with base-OID heads, and a join result taken through positions. Probe keys run past the domain, so anti and
-  // left-outer joins see misses. Output must be the same bytes at any
-  // parallelism, and the right rows: checked against a key -> rid map.
+  // table with base-OID heads, and a join result taken through positions.
+  // Against the base-table build, the filtered and join-result probe sides
+  // read the probe key through a sparse list. Probe keys run past the
+  // domain, so anti and left-outer joins see misses. Output must be the
+  // same bytes at any parallelism, and the right rows: checked against a
+  // key -> rid map.
   constexpr uint32_t kN = 100000;
   Rng rng(23);
   std::vector<uint32_t> keys(kN);
@@ -694,6 +821,7 @@ TEST(JoinOpTest, PositionalIsByteIdenticalAcrossParallelism) {
   ASSERT_TRUE(ids.ok());
   for (uint32_t i = 0; i < kN; ++i) ids->SetU32(*ids->AppendRow(), 0, i);
   Table right_ids = *Table::FromRowStore(*ids);
+  Table left_ids = ShuffledIds(kN / 2, "left_id", 31);
   std::vector<Bun> probe = *left.column_bat(0).ToBuns();
   auto kept = [](uint32_t rid) {
     return rid >= 1000u && (rid < 40000u || rid > 59999u);
@@ -701,13 +829,21 @@ TEST(JoinOpTest, PositionalIsByteIdenticalAcrossParallelism) {
 
   enum class BuildShape { kBaseTable, kFilteredBaseTable, kJoinResult };
   using Row = std::tuple<uint32_t, uint32_t>;  // (lid, rid)
-  for (BuildShape shape : {BuildShape::kBaseTable,
-                           BuildShape::kFilteredBaseTable,
-                           BuildShape::kJoinResult}) {
-    const char* shape_name = shape == BuildShape::kBaseTable ? "base table"
-                             : shape == BuildShape::kFilteredBaseTable
-                                 ? "filtered base table"
-                                 : "join result";
+  struct Shapes {
+    ProbeShape probe;
+    BuildShape build;
+  };
+  for (auto [probe_shape, shape] :
+       {Shapes{ProbeShape::kBaseTable, BuildShape::kBaseTable},
+        Shapes{ProbeShape::kBaseTable, BuildShape::kFilteredBaseTable},
+        Shapes{ProbeShape::kBaseTable, BuildShape::kJoinResult},
+        Shapes{ProbeShape::kFilteredBaseTable, BuildShape::kBaseTable},
+        Shapes{ProbeShape::kJoinResult, BuildShape::kBaseTable}}) {
+    const std::string shape_name =
+        std::string(ProbeShapeName(probe_shape)) + ", " +
+        (shape == BuildShape::kBaseTable           ? "base table"
+         : shape == BuildShape::kFilteredBaseTable ? "filtered base table"
+                                                   : "join result");
     constexpr uint32_t kNone = UINT32_MAX;
     std::vector<uint32_t> rid_of(kN + kN / 8, kNone);
     for (uint32_t rid = 0; rid < kN; ++rid) {
@@ -721,6 +857,7 @@ TEST(JoinOpTest, PositionalIsByteIdenticalAcrossParallelism) {
                               jt == JoinType::kLeftOuter;
       std::vector<Row> want;
       for (const Bun& p : probe) {
+        if (!ProbeKept(probe_shape, p.head)) continue;
         const bool hit = rid_of[p.tail] != kNone;
         if (jt == JoinType::kSemi && hit) want.emplace_back(p.head, 0);
         if (jt == JoinType::kAnti && !hit) want.emplace_back(p.head, 0);
@@ -729,13 +866,12 @@ TEST(JoinOpTest, PositionalIsByteIdenticalAcrossParallelism) {
         }
       }
       std::sort(want.begin(), want.end());
-      for (size_t chunk_rows : {SIZE_MAX, size_t{4096}}) {
-        std::string label = std::string(shape_name) + " " +
-                            JoinTypeName(jt) + " chunk " +
+      for (size_t chunk_rows : {SIZE_MAX, size_t{4096}, size_t{10007}}) {
+        std::string label = shape_name + " " + JoinTypeName(jt) + " chunk " +
                             std::to_string(chunk_rows);
         std::vector<std::string> cols = {"lid"};
         if (right_cols) cols.push_back("rid");
-        QueryBuilder query(left);
+        QueryBuilder query = ProbeQuery(probe_shape, left, left_ids);
         if (shape == BuildShape::kBaseTable) {
           query.Join(right, "k", "k", jt);
         } else {
@@ -756,6 +892,8 @@ TEST(JoinOpTest, PositionalIsByteIdenticalAcrossParallelism) {
           opts.profile = MachineProfile::GenericX86();
           opts.exec.parallelism = par;
           opts.exec.scan_chunk_rows = chunk_rows;
+          // Keep the join result the probe.
+          opts.reorder_joins = probe_shape != ProbeShape::kJoinResult;
           auto physical = Planner(opts).Lower(*plan);
           ASSERT_TRUE(physical.ok()) << label;
           auto got = physical->Execute();
@@ -848,37 +986,48 @@ TEST(JoinOpTest, ArenaAllocationsDoNotGrowWithChunkCount) {
   // A PK-FK join (every probe row matches one inner row) keeps its probe
   // buffers across chunks: once the first chunk has sized them, further
   // chunks allocate nothing from the arena, so 16 probe chunks cost about
-  // what 4 do.
+  // what 4 do. The dense unique inner keys plan kBest as the positional
+  // join; it and the B = 0 hash join read the probe keys in place, the
+  // radix-clustered kPhashL2 clusters a BUN copy.
   constexpr size_t kProbe = 400000, kInner = 100000;
   Rng rng(11);
   Table fact = MakeKeyedTable(kProbe, kInner, "fid", rng);
   Table dim = MakeKeyedTable(kInner, /*key_range=*/0, "did", rng);
-  for (size_t par : {1, 2}) {
-    uint64_t allocs[2];
-    for (size_t chunks : {4, 16}) {
-      PlannerOptions opts;
-      opts.profile = MachineProfile::GenericX86();
-      opts.exec.parallelism = par;
-      opts.exec.scan_chunk_rows = kProbe / chunks;
-      auto plan = QueryBuilder(fact)
-                      .Join(dim, "k", "k", JoinStrategy::kPhashL2)
-                      .Project({"fid", "did"})
-                      .Build();
-      ASSERT_TRUE(plan.ok());
-      auto physical = Planner(opts).Lower(*plan);
-      ASSERT_TRUE(physical.ok());
-      arena::ArenaStats before = arena::Stats();
-      auto got = physical->Execute();
-      arena::ArenaStats after = arena::Stats();
-      ASSERT_TRUE(got.ok());
-      ASSERT_EQ(got->num_rows(), kProbe);
-      allocs[chunks == 16] = (after.small_allocs - before.small_allocs) +
-                             (after.large_allocs - before.large_allocs);
+  for (JoinStrategy s : {JoinStrategy::kPhashL2, JoinStrategy::kBest,
+                         JoinStrategy::kSimpleHash}) {
+    for (size_t par : {1, 2}) {
+      uint64_t allocs[2];
+      for (size_t chunks : {4, 16}) {
+        PlannerOptions opts;
+        opts.profile = MachineProfile::GenericX86();
+        opts.exec.parallelism = par;
+        opts.exec.scan_chunk_rows = kProbe / chunks;
+        auto plan = QueryBuilder(fact)
+                        .Join(dim, "k", "k", s)
+                        .Project({"fid", "did"})
+                        .Build();
+        ASSERT_TRUE(plan.ok());
+        auto physical = Planner(opts).Lower(*plan);
+        ASSERT_TRUE(physical.ok());
+        arena::ArenaStats before = arena::Stats();
+        auto got = physical->Execute();
+        arena::ArenaStats after = arena::Stats();
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got->num_rows(), kProbe);
+        const JoinPlan& ran = physical->joins()[0].plan;
+        EXPECT_EQ(ran.positional.has_value(), s == JoinStrategy::kBest)
+            << JoinStrategyName(s);
+        EXPECT_EQ(ran.bits > 0, s == JoinStrategy::kPhashL2)
+            << JoinStrategyName(s);
+        allocs[chunks == 16] = (after.small_allocs - before.small_allocs) +
+                               (after.large_allocs - before.large_allocs);
+      }
+      EXPECT_LT(
+          std::max(allocs[0], allocs[1]) - std::min(allocs[0], allocs[1]), 12u)
+          << JoinStrategyName(s) << ", parallelism " << par << ": "
+          << allocs[0] << " arena allocations at 4 probe chunks, " << allocs[1]
+          << " at 16";
     }
-    EXPECT_LT(std::max(allocs[0], allocs[1]) - std::min(allocs[0], allocs[1]),
-              12u)
-        << "parallelism " << par << ": " << allocs[0] << " arena allocations"
-        << " at 4 probe chunks, " << allocs[1] << " at 16";
   }
 }
 

@@ -542,22 +542,6 @@ TEST(CandidateKernelTest, FilterPositionsThroughCandidates) {
             StatusCode::kOutOfRange);
 }
 
-TEST(CandidateKernelTest, Project) {
-  Bat b = Bat::DenseTail(Column::U16({7, 8, 9, 10}));
-  std::vector<oid_t> cands = {3, 0, 3};
-  auto tails = BatGatherU32(b, cands);
-  ASSERT_TRUE(tails.ok());
-  EXPECT_EQ(*tails, (std::vector<uint32_t>{10, 7, 10}));
-  // An OID past the BAT is an error, not a skip.
-  std::vector<oid_t> past = {0, 4};
-  EXPECT_EQ(BatGatherU32(b, past).status().code(), StatusCode::kOutOfRange);
-  // Non-integral tail rejected.
-  Bat f = Bat::DenseTail(Column::F64({1.0}));
-  std::vector<oid_t> zero = {0};
-  EXPECT_EQ(BatGatherU32(f, zero).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(PlanExecTest, LazyI64ColumnsMaterialize) {
   auto rs = RowStore::Make({{"k", FieldType::kU32}, {"big", FieldType::kI64}},
                            6);
