@@ -5,18 +5,53 @@
 // This bench measures probe-stream prefetching on the non-partitioned hash
 // join across prefetch distances — and contrasts it with the paper's
 // preferred cure, radix partitioning, which removes the misses instead of
-// hiding them.
+// hiding them. It then times the positional probe (ProbeSlots, §3.1) over a
+// 2 MiB head array without and with its look-ahead, and checks that both
+// write the same position lists.
 #include "bench_common.h"
 
 #include "algo/join.h"
 #include "algo/simple_hash_join.h"
 #include "model/cost_model.h"
+#include "util/rng.h"
 #include "util/table_printer.h"
 
 namespace ccdb {
 namespace {
 
 using bench::BenchEnv;
+
+// JoinOp's two position lists, written as its match sink writes them:
+// match k is lpos[k] (probe position) and rpos[k] (build head), stored
+// unconditionally, one slot per probe row.
+struct Positions {
+  std::vector<uint32_t> lpos, rpos;
+  size_t filled = 0;
+
+  void push_back_if(Bun b, bool keep) {
+    lpos[filled] = b.head;
+    rpos[filled] = b.tail;
+    filled += keep;
+  }
+};
+
+// ProbeSlots looking `kLookAhead` tuples ahead over `keys`; returns the best
+// of three runs in ms and leaves the matches in `out`.
+template <size_t kLookAhead>
+double TimeProbeSlots(const std::vector<uint32_t>& slots, KeyDomain domain,
+                      const std::vector<uint32_t>& keys, Positions* out) {
+  const KeyColumn<uint32_t, false> probe{keys.data(), nullptr, keys.size()};
+  DirectMemory mem;
+  out->lpos.resize(keys.size());
+  out->rpos.resize(keys.size());
+  double ms = MinTimeMillis(3, [&] {
+    out->filled = 0;
+    ProbeSlots<kLookAhead>(slots.data(), domain, probe, mem, *out);
+  });
+  out->lpos.resize(out->filled);
+  out->rpos.resize(out->filled);
+  return ms;
+}
 
 int Run(int argc, char** argv) {
   BenchEnv env = BenchEnv::FromArgs(argc, argv);
@@ -59,12 +94,43 @@ int Run(int argc, char** argv) {
                 TablePrinter::Fmt(baseline_ms / phash_ms, 2)});
   table.Print(stdout);
 
+  // The positional probe: kC keys over a 2^19-key domain (a 2 MiB head
+  // array, past the L2 of most hosts), a third of whose keys are built.
+  constexpr uint32_t kDomain = 1u << 19;
+  const KeyDomain domain{.key_min = 0, .key_range = kDomain};
+  Rng rng(62);
+  std::vector<uint32_t> slots(kDomain, kNoSlot);
+  for (uint32_t key = 0; key < kDomain; ++key) {
+    if (rng.NextBelow(3) == 0) slots[key] = key;
+  }
+  std::vector<uint32_t> keys(kC);
+  for (uint32_t& k : keys) k = static_cast<uint32_t>(rng.NextBelow(kDomain));
+  Positions plain, ahead;
+  double plain_ms = TimeProbeSlots<0>(slots, domain, keys, &plain);
+  double ahead_ms = TimeProbeSlots<kSlotLookAhead>(slots, domain, keys, &ahead);
+  CCDB_CHECK(!plain.lpos.empty());
+  CCDB_CHECK(plain.lpos == ahead.lpos && plain.rpos == ahead.rpos);
+  TablePrinter positional({"variant", "ms", "speedup_vs_look_ahead_0"});
+  positional.AddRow({"positional, look-ahead 0", TablePrinter::Fmt(plain_ms, 1),
+                     TablePrinter::Fmt(1.0, 2)});
+  char ahead_name[40];
+  std::snprintf(ahead_name, sizeof(ahead_name), "positional, look-ahead %zu",
+                kSlotLookAhead);
+  positional.AddRow({ahead_name, TablePrinter::Fmt(ahead_ms, 1),
+                     TablePrinter::Fmt(plain_ms / ahead_ms, 2)});
+  std::printf("\n");
+  positional.Print(stdout);
+
   std::printf(
-      "\nExpected: prefetching the bucket offsets gives no reliable gain.\n"
-      "At the default scale on a shared x86 host, runs measured 0.84x to\n"
-      "1.39x of the baseline, with no distance ahead in every run: there is\n"
-      "little CPU work to hide latency behind, as the paper argued. Radix\n"
-      "partitioning removes the misses instead and ran 1.6-2.4x faster.\n");
+      "\nExpected, hash: prefetching the bucket offsets gives no reliable\n"
+      "gain. At the default scale on a shared x86 host, runs measured 0.84x\n"
+      "to 1.69x of the baseline, with no distance ahead in every run: there\n"
+      "is little CPU work to hide latency behind, as the paper argued. Radix\n"
+      "partitioning removes the misses instead and ran 1.2-2.4x faster.\n"
+      "Expected, positional: the look-ahead pays. A positional probe is one\n"
+      "independent load, so prefetching the slot 16 probes early overlaps\n"
+      "the misses; on a shared 4-core x86 host it ran 2.7-3.7x faster, with\n"
+      "the same matches in the same order.\n");
   return 0;
 }
 

@@ -164,6 +164,42 @@ void BM_ProbeSlots(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeSlots)->Arg(2)->Arg(30)->Arg(100);
 
+// ProbeSlots over a 1,000-key domain, every key built (a 4 KB head array,
+// below kSlotLookAheadMinBytes, so the loop does not look ahead), reading
+// u32 keys through a candidate list that keeps the given percentage of
+// 2^21 rows: the shape of star_join's fk_b join, which probes the fact rows
+// the fk_a join kept. Reports ns_per_probe.
+void BM_ProbeSlotsSmallDomain(benchmark::State& state) {
+  const uint64_t kept_pct = static_cast<uint64_t>(state.range(0));
+  constexpr uint32_t kDomain = 1000;
+  Rng rng(10);
+  std::vector<uint32_t> slots(kDomain);
+  for (uint32_t& s : slots) s = rng.NextU32() >> 1;
+  std::vector<uint32_t> keys(1 << 21);
+  std::vector<oid_t> rows;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<uint32_t>(rng.NextBelow(kDomain));
+    if (rng.NextBelow(100) < kept_pct) rows.push_back(static_cast<oid_t>(i));
+  }
+  const KeyColumn<uint32_t, true> probe{keys.data(), rows.data(), rows.size()};
+  const KeyDomain domain{.key_min = 0, .key_range = kDomain};
+  std::vector<uint32_t> lpos(rows.size()), rpos(rows.size());
+  DirectMemory mem;
+  for (auto _ : state) {
+    PositionSink out{lpos.data(), rpos.data()};
+    ProbeSlots(slots.data(), domain, probe, mem, out);
+    CCDB_CHECK(out.filled == rows.size());
+    benchmark::DoNotOptimize(lpos.data());
+    benchmark::DoNotOptimize(rpos.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+  state.counters["ns_per_probe"] = benchmark::Counter(
+      static_cast<double>(rows.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ProbeSlotsSmallDomain)->Arg(10)->Arg(60);
+
 void BM_SimpleHashJoin(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto l = Relation(n, 9);

@@ -173,7 +173,9 @@ echo "== bench smoke =="
 # sum equal SortGroupSum's.
 "$BUILD_DIR/ablation_aggregation"
 # ablation_prefetch CCDB_CHECKs the output size of SimpleHashJoinPrefetch,
-# the one kernel that probes through the table's callback Probe.
+# the one kernel that probes through the table's callback Probe, and that
+# ProbeSlots over a 2 MiB head array writes the same lpos/rpos with its
+# look-ahead (16) as without it (0).
 "$BUILD_DIR/ablation_prefetch"
 # micro_storage's Select benchmarks run the filter walk (SelectOp and
 # EvalFilterPositions) over dense and sparse candidate lists; its
@@ -190,8 +192,10 @@ fi
 # forms (dense keys: the direct form, indexed by the key's offset in the
 # keys' bounding box; keys times an odd constant: the hashed form) at 16 to
 # 64k groups and on two keys of 50 x 10 groups, and SortGroupSum; its
-# ProbeSlots benchmark runs the positional probe loop over probe keys read
-# in place, writing the two position lists.
+# ProbeSlots benchmarks run the positional probe loop over probe keys read
+# in place, writing the two position lists: over a 2 MiB head array, where
+# the loop looks ahead, and through a candidate list over a 4 KB one, where
+# it does not.
 if [ -x "$BUILD_DIR/micro_join" ]; then
   "$BUILD_DIR/micro_join" --benchmark_filter='Group|ProbeSlots' \
     --benchmark_min_time=0.01

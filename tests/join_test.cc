@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "algo/hash_table.h"
@@ -657,6 +658,86 @@ TEST(PositionalJoinTest, RejectsRepeatedAndOutOfDomainBuildKeys) {
   ASSERT_TRUE(clustered.ok());
   EXPECT_EQ(build.Prepare(*clustered, Positional(KeyDomainOf(r)), mem).code(),
             StatusCode::kInvalidArgument);
+}
+
+// The positional probe as a plain scalar loop: [head, slot] for every
+// tuple whose key is in the domain and has a build head, in probe order.
+std::vector<Bun> ReferenceProbeSlots(const std::vector<uint32_t>& slots,
+                                     KeyDomain d,
+                                     const std::vector<Bun>& probe) {
+  std::vector<Bun> out;
+  for (const Bun& t : probe) {
+    if (t.tail < d.key_min || t.tail - d.key_min >= d.key_range) continue;
+    uint32_t head = slots[t.tail - d.key_min];
+    if (head != kNoSlot) out.push_back({t.head, head});
+  }
+  return out;
+}
+
+// ProbeSlots, with and without its look-ahead, against the reference on
+// probe keys of width T read as a BUN span, a dense KeyColumn and a
+// KeyColumn through a candidate list. The head arrays lie on both sides of
+// kSlotLookAheadMinBytes, a third of their slots empty; the probe lengths
+// reach below, at and past the look-ahead distance; the keys include ones
+// below key_min, past the domain and T's largest value.
+template <class T>
+void ExpectProbeSlotsMatchesReference() {
+  constexpr uint32_t kMin = 100;
+  constexpr uint32_t kTop = std::numeric_limits<T>::max();
+  for (uint64_t range : {uint64_t{1000}, uint64_t{1} << 14}) {
+    const KeyDomain d{.key_min = kMin, .key_range = range};
+    EXPECT_EQ(range * sizeof(uint32_t) > kSlotLookAheadMinBytes,
+              range == (uint64_t{1} << 14));
+    Rng rng(range);
+    std::vector<uint32_t> slots(range);
+    for (uint32_t& s : slots) {
+      s = rng.NextBelow(3) == 0 ? kNoSlot : rng.NextU32() >> 1;
+    }
+    const uint32_t past = static_cast<uint32_t>(kMin + range);
+    const uint32_t specials[] = {0, kMin - 1, kMin, past - 1, past, kTop};
+    for (size_t n : {size_t{0}, size_t{1}, kSlotLookAhead - 1, kSlotLookAhead,
+                     kSlotLookAhead + 1, size_t{5000}}) {
+      SCOPED_TRACE(testing::Message() << "width " << sizeof(T) << ", range "
+                                      << range << ", n " << n);
+      // Every third key is a special one, so all of them appear from 16
+      // tuples on. Column rows 2j and 2j + 1 hold key j; the candidate list
+      // picks one of them.
+      std::vector<T> keys(2 * n);
+      std::vector<oid_t> rows(n);
+      std::vector<Bun> tuples(n);
+      constexpr oid_t kFirst = 7;
+      const uint64_t draw = std::min<uint64_t>(past + 50, uint64_t{kTop} + 1);
+      for (size_t j = 0; j < n; ++j) {
+        uint32_t key = j % 3 == 0 ? specials[j / 3 % std::size(specials)]
+                                  : static_cast<uint32_t>(rng.NextBelow(draw));
+        key = std::min(key, kTop);
+        keys[2 * j] = keys[2 * j + 1] = static_cast<T>(key);
+        rows[j] = static_cast<oid_t>(2 * j + rng.NextBelow(2));
+        tuples[j] = {static_cast<oid_t>(kFirst + j), key};
+      }
+      std::vector<T> dense(n);
+      for (size_t j = 0; j < n; ++j) dense[j] = keys[2 * j];
+      const std::vector<Bun> expect = ReferenceProbeSlots(slots, d, tuples);
+      auto check = [&](const auto& probe, const char* what) {
+        DirectMemory mem;
+        std::vector<Bun> ahead, plain;
+        ProbeSlots(slots.data(), d, probe, mem, ahead);
+        ProbeSlots<0>(slots.data(), d, probe, mem, plain);
+        EXPECT_EQ(ahead, expect) << what;
+        EXPECT_EQ(plain, expect) << what;
+      };
+      check(std::span<const Bun>(tuples), "BUN span");
+      check(KeyColumn<T, false>{dense.data(), nullptr, n, kFirst}, "dense");
+      check(KeyColumn<T, true>{keys.data(), rows.data(), n, kFirst},
+            "through rows");
+    }
+  }
+}
+
+TEST(PositionalJoinTest, LookAheadProbeMatchesScalarLoopInOrder) {
+  ExpectProbeSlotsMatchesReference<uint8_t>();
+  ExpectProbeSlotsMatchesReference<uint16_t>();
+  ExpectProbeSlotsMatchesReference<uint32_t>();
 }
 
 // Randomized sweep over (cardinality, value range, bits, passes): all

@@ -364,6 +364,47 @@ TEST_F(SimTest, PositionalJoinMissTermsTrackTheSimulator) {
   EXPECT_LT(sim_tlb, model.tlb_misses * 2);
 }
 
+TEST_F(SimTest, PositionalProbeCountsNoLookAhead) {
+  // ProbeSlots over a 256 KB head array, far past kSlotLookAheadMinBytes:
+  // the look-ahead runs under DirectMemory only, so the simulator counts
+  // exactly one key load and one slot load per probe tuple (two loads, row
+  // and key, through a candidate list) and one result store per match.
+  constexpr uint32_t kRange = 1 << 16;
+  constexpr size_t kProbe = 1 << 12;
+  static_assert(kRange * sizeof(uint32_t) > kSlotLookAheadMinBytes);
+  Rng rng(31);
+  std::vector<uint32_t> slots(kRange, kNoSlot);
+  for (uint32_t key = 0; key < kRange; key += 2) slots[key] = key;
+  std::vector<uint32_t> keys(kProbe);
+  std::vector<oid_t> rows(kProbe);
+  std::vector<Bun> tuples(kProbe);
+  for (size_t i = 0; i < kProbe; ++i) {
+    keys[i] = static_cast<uint32_t>(rng.NextBelow(kRange + 100));
+    rows[i] = static_cast<oid_t>(kProbe - 1 - i);
+    tuples[i] = {static_cast<oid_t>(i), keys[i]};
+  }
+  const KeyDomain domain{.key_min = 0, .key_range = kRange};
+  // The accesses beyond `loads_per_tuple` per probe tuple and one per match.
+  auto extra_accesses = [&](const auto& probe, uint64_t loads_per_tuple) {
+    MemoryHierarchy h(profile_);
+    SimulatedMemory mem(&h);
+    std::vector<Bun> out;
+    out.reserve(kProbe);
+    ProbeSlots(slots.data(), domain, probe, mem, out);
+    EXPECT_GT(out.size(), kProbe / 4);
+    return static_cast<int64_t>(h.events().accesses) -
+           static_cast<int64_t>(loads_per_tuple * kProbe + out.size());
+  };
+  EXPECT_EQ(extra_accesses(std::span<const Bun>(tuples), 2), 0);
+  EXPECT_EQ(extra_accesses(
+                KeyColumn<uint32_t, false>{keys.data(), nullptr, kProbe}, 2),
+            0);
+  EXPECT_EQ(extra_accesses(
+                KeyColumn<uint32_t, true>{keys.data(), rows.data(), kProbe},
+                3),
+            0);
+}
+
 TEST_F(SimTest, GroupAggTableUnderSimulatorMatchesDirect) {
   // The engine's group table under both policies: the same groups, row
   // counts and states, and on GenericX86 (1 MB L2, 64 x 4 KB TLB) a
