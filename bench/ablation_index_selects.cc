@@ -7,12 +7,14 @@
 //   * for low selectivities, nothing beats the scan-select.
 //
 // Point lookups and range selects over 1M tuples, measured on the host and
-// simulated on the Origin2000 profile (misses per probe).
+// simulated on the Origin2000 profile (misses per probe). The hash lookups
+// run the table's probe step (View::Probe, as ProbeHashTable does); the
+// range scan is the filter walk a query's Filter runs (SelectOp), checked
+// against the B-tree's row count.
 #include "bench_common.h"
 
 #include "algo/cc_btree.h"
 #include "algo/hash_table.h"
-#include "algo/select.h"
 #include "algo/sorted_search.h"
 #include "algo/ttree.h"
 #include "util/table_printer.h"
@@ -120,10 +122,13 @@ int Run(int argc, char** argv) {
   {
     BucketChainedHashTable<DirectMemory> ht(data, 0, kDefaultChainLength,
                                             direct);
+    const auto v = ht.view();
     volatile uint64_t sink = 0;
     double ns = MinTimeMillis(3, [&] {
                   for (uint32_t p : probes) {
-                    ht.Probe({0, p}, direct, [&](Bun b) { sink = sink + b.head; });
+                    v.Probe(p, direct, [&](Bun b, bool keep) {
+                      if (keep) sink = sink + b.head;
+                    });
                   }
                 }) *
                 1e6 / kProbes;
@@ -131,10 +136,13 @@ int Run(int argc, char** argv) {
     SimulatedMemory sim(&h);
     BucketChainedHashTable<SimulatedMemory> ht_sim(data, 0,
                                                    kDefaultChainLength, sim);
+    const auto v_sim = ht_sim.view();
     h.ResetCounters();  // exclude the build
     uint64_t sink2 = 0;
     for (size_t i = 0; i < kSimProbes; ++i) {
-      ht_sim.Probe({0, probes[i]}, sim, [&](Bun b) { sink2 += b.head; });
+      v_sim.Probe(probes[i], sim, [&](Bun b, bool keep) {
+        if (keep) sink2 += b.head;
+      });
     }
     add_row("bucket-chained hash", ns, h.events(),
             data.size() * (sizeof(Bun) + 4), 1);
@@ -143,30 +151,34 @@ int Run(int argc, char** argv) {
   table.Print(stdout);
 
   // ---- range selects: scan vs B-tree ----------------------------------------
+  // The scan is the filter walk a query's Filter runs: SelectOp over a
+  // one-column table of the same values.
   std::printf("\nrange selects (selectivity sweep), scan vs 64B-node btree:\n\n");
-  TablePrinter rt({"selectivity", "scan_ms", "btree_ms"});
+  TablePrinter rt({"selectivity", "rows", "scan_ms", "btree_ms"});
   auto bt = CacheConsciousBTree::Build(data, BTreeOptions{64});
   CCDB_CHECK(bt.ok());
-  std::vector<uint32_t> values(kN);
-  for (size_t i = 0; i < kN; ++i) values[i] = data[i].tail;
+  auto rows = RowStore::Make({{"v", FieldType::kU32}}, kN);
+  CCDB_CHECK(rows.ok());
+  for (const Bun& b : data) rows->SetU32(*rows->AppendRow(), 0, b.tail);
+  auto values = Table::FromRowStore(*rows);
+  CCDB_CHECK(values.ok());
   for (double sel : {0.0001, 0.001, 0.01, 0.1, 0.5}) {
     uint32_t width = static_cast<uint32_t>(sel * 4294967295.0);
     uint32_t lo = 1u << 30;
+    size_t scan_rows = 0, btree_rows = 0;
     double scan_ms = MinTimeMillis(3, [&] {
-      DirectMemory m;
-      auto r = RangeSelect(std::span<const uint32_t>(values), lo,
-                           lo + width, m);
-      volatile size_t s = r.size();
-      (void)s;
+      scan_rows =
+          bench::DrainSelect(*values, Between(Col("v"), lo, lo + width));
     });
     double btree_ms = MinTimeMillis(3, [&] {
       DirectMemory m;
       std::vector<oid_t> out;
       bt->FindRange(lo, lo + width, m, &out);
-      volatile size_t s = out.size();
-      (void)s;
+      btree_rows = out.size();
     });
+    CCDB_CHECK(scan_rows == btree_rows);
     rt.AddRow({TablePrinter::Fmt(sel * 100, 2) + "%",
+               TablePrinter::Fmt(static_cast<uint64_t>(scan_rows)),
                TablePrinter::Fmt(scan_ms, 3), TablePrinter::Fmt(btree_ms, 3)});
   }
   rt.Print(stdout);
@@ -174,8 +186,11 @@ int Run(int argc, char** argv) {
       "\nExpected: hash wins raw point lookups (1 chain, no order); among\n"
       "order-preserving structures the B-tree with nodes ~1-4 cache lines\n"
       "minimizes misses/probe (the [Ron98] claim §3.2 endorses), beating\n"
-      "both binary search and the pointer-chasing T-tree; scan-select wins\n"
-      "range queries as soon as selectivity is non-trivial.\n");
+      "both binary search and the pointer-chasing T-tree. The scan costs\n"
+      "the same at every selectivity (1.1-2.4 ms over 1M values on a shared\n"
+      "4-core x86 host), while the B-tree's cost grows with the result; it\n"
+      "was still ahead at 50%% (1.3-1.7 vs 1.5-2.4 ms), so at this scale\n"
+      "the crossover where the scan-select wins lies above 50%%.\n");
   return 0;
 }
 

@@ -19,6 +19,7 @@
 
 #include "algo/join.h"
 #include "bat/types.h"
+#include "exec/operator.h"
 #include "mem/machine.h"
 #include "model/calibrator.h"
 #include "util/rng.h"
@@ -99,6 +100,23 @@ std::vector<Bun> JoinPhase(const ClusteredRelation& probe,
   out.reserve(probe.tuples.size());
   build.RunAll(probe.tuples, probe.bounds, mem, out);
   return out;
+}
+
+/// Drains SelectOp(Scan(t)) over the whole table in one chunk and returns
+/// the number of surviving rows: the filter walk a query's Filter runs.
+inline size_t DrainSelect(const Table& t, Expr e) {
+  SelectOp op(std::make_unique<ScanOp>(&t, SIZE_MAX), std::move(e));
+  CCDB_CHECK(op.Open().ok());
+  size_t rows = 0;
+  for (;;) {
+    Chunk chunk;
+    auto more = op.Next(&chunk);
+    CCDB_CHECK(more.ok());
+    if (!*more) break;
+    rows += chunk.rows;
+  }
+  op.Close();
+  return rows;
 }
 
 }  // namespace ccdb::bench

@@ -11,15 +11,17 @@
 //   * the column-wise ingest append (Table::AppendRows).
 #include <benchmark/benchmark.h>
 
-#include "algo/select.h"
 #include "bat/dsm.h"
 #include "bat/encoding.h"
+#include "bench_common.h"
 #include "exec/operator.h"
 #include "exec/shared_scan.h"
 #include "util/rng.h"
 
 namespace ccdb {
 namespace {
+
+using bench::DrainSelect;
 
 constexpr size_t kRows = 1 << 20;
 
@@ -79,31 +81,15 @@ BENCHMARK(BM_ScanQtyNsm);
 void BM_ScanQtyDsm(benchmark::State& state) {
   const Table& t = DecomposedWideTable();
   auto qty = t.column_bat(*t.schema().FieldIndex("qty")).tail().Span<uint32_t>();
-  DirectMemory mem;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SumColumn(qty, mem));
+    uint64_t sum = 0;
+    for (size_t r = 0; r < qty.size(); ++r) sum += qty[r];
+    benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * qty.size());
   state.SetLabel("stride=4B");
 }
 BENCHMARK(BM_ScanQtyDsm);
-
-// Drains SelectOp(Scan(t)) over the whole table in one chunk and returns
-// the number of surviving rows.
-size_t DrainSelect(const Table& t, Expr e) {
-  SelectOp op(std::make_unique<ScanOp>(&t, SIZE_MAX), std::move(e));
-  CCDB_CHECK(op.Open().ok());
-  size_t rows = 0;
-  for (;;) {
-    Chunk chunk;
-    auto more = op.Next(&chunk);
-    CCDB_CHECK(more.ok());
-    if (!*more) break;
-    rows += chunk.rows;
-  }
-  op.Close();
-  return rows;
-}
 
 void BM_SelectShipmodeNsm(benchmark::State& state) {
   const RowStore& rows = WideTable();

@@ -172,11 +172,17 @@ echo "== bench smoke =="
 # sort and radix grouping, and CCDB_CHECKs that its group count and total
 # sum equal SortGroupSum's.
 "$BUILD_DIR/ablation_aggregation"
-# ablation_prefetch CCDB_CHECKs the output size of SimpleHashJoinPrefetch,
-# the one kernel that probes through the table's callback Probe, and that
+# ablation_prefetch CCDB_CHECKs that its prefetching B = 0 hash join (the
+# table's probe step with a bucket prefetch in front) returns exactly
+# JoinRelations(JoinShape{})'s output at every prefetch distance, and that
 # ProbeSlots over a 2 MiB head array writes the same lpos/rpos with its
 # look-ahead (16) as without it (0).
 "$BUILD_DIR/ablation_prefetch"
+# ablation_index_selects simulates point lookups through the B-trees, the
+# T-trees and the hash table's probe step, and CCDB_CHECKs that the filter
+# walk (SelectOp over a one-column table) and the B-tree return the same
+# row count for each range select.
+"$BUILD_DIR/ablation_index_selects"
 # micro_storage's Select benchmarks run the filter walk (SelectOp and
 # EvalFilterPositions) over dense and sparse candidate lists; its
 # AppendRows benchmark runs the column-wise ingest append. The binary

@@ -2,7 +2,8 @@
 //
 //   1. hand-composed BAT algebra — the bottom operator produces candidate
 //      OIDs; every further column access is a "tuple-reconstruction join"
-//      on OID columns, which positional (void) lookup makes free;
+//      on OID columns, which positional (void) lookup reduces to one array
+//      read per OID;
 //   2. the fluent QueryBuilder API — the same query as a logical plan that
 //      the Planner lowers to candidate-list-pipelining physical operators.
 //
@@ -51,8 +52,9 @@ int main() {
               candidates->size());
 
   // -- 2. tuple reconstruction: fetch qty and supp for the candidate OIDs
-  //       via positional joins on the void-headed BATs ("eliminating all
-  //       join cost", §3.1).
+  //       via positional joins on the void-headed BATs (§3.1). Each
+  //       BatJoin builds the BAT's head array, then reads one slot per
+  //       candidate.
   auto cand_oids = *Bat::Make(candidates->head(), candidates->head());
   auto cand_qty = BatJoin(cand_oids, item_qty);
   auto cand_supp = BatJoin(cand_oids, item_supp);

@@ -1,12 +1,10 @@
 #include "algo/bat_algebra.h"
 
 #include <algorithm>
-#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "algo/join.h"
-#include "algo/positional_join.h"
 #include "algo/radix_sort.h"
 
 namespace ccdb {
@@ -59,42 +57,28 @@ StatusOr<Bat> BatMark(const Bat& b, oid_t base) {
 
 StatusOr<Bat> BatJoin(const Bat& l, const Bat& r) {
   CCDB_RETURN_IF_ERROR(RequireIntegralTail(l, "join"));
-  DirectMemory mem;
-  CCDB_ASSIGN_OR_RETURN(std::vector<Bun> lb, l.ToBuns());
-
-  if (r.head().is_void()) {
-    // Positional path (§3.1): l.tail values are positions base..base+n.
-    CCDB_RETURN_IF_ERROR(RequireIntegralTail(r, "join"));
-    std::vector<Bun> idx =
-        PositionalJoin(std::span<const Bun>(lb), r.head().void_base(),
-                       r.size(), mem);
-    // idx = [l.head, position]; fetch r.tail at position.
-    std::vector<uint32_t> heads(idx.size());
-    std::vector<uint32_t> tails(idx.size());
-    for (size_t i = 0; i < idx.size(); ++i) {
-      heads[i] = idx[i].head;
-      tails[i] = static_cast<uint32_t>(r.tail().GetIntegral(idx[i].tail));
-    }
-    return Bat::Make(Column::U32(std::move(heads)),
-                     Column::U32(std::move(tails)));
-  }
-
-  // Hash path: build on r.head, probe with l.tail.
-  if (r.head().type() != PhysType::kU32) {
+  if (!r.head().is_void() && r.head().type() != PhysType::kU32) {
     return Status::InvalidArgument("join requires void or u32 head on r");
   }
   CCDB_RETURN_IF_ERROR(RequireIntegralTail(r, "join"));
-  // Represent r as BUNs [position, head-value] so a tail-match finds head
-  // matches; then project r.tail at the matched position.
+  DirectMemory mem;
+  CCDB_ASSIGN_OR_RETURN(std::vector<Bun> lb, l.ToBuns());
+  // r as BUNs [position, head key], so a tail match finds its position.
   std::vector<Bun> rb(r.size());
-  auto r_heads = r.head().Span<uint32_t>();
   for (size_t i = 0; i < r.size(); ++i) {
-    rb[i] = {static_cast<oid_t>(i), r_heads[i]};
+    rb[i] = {static_cast<oid_t>(i), r.head().GetOid(i)};
+  }
+  JoinShape shape;
+  if (r.head().is_void()) {
+    // Positional (§3.1): head key base + i is slot i.
+    shape = {.kernel = JoinKernel::kPositional,
+             .domain = {.key_min = r.head().void_base(),
+                        .key_range = r.size()}};
   }
   CCDB_ASSIGN_OR_RETURN(
       std::vector<Bun> matches,
-      JoinRelations(std::span<const Bun>(lb), std::span<const Bun>(rb),
-                    JoinShape{}, mem));
+      JoinRelations(std::span<const Bun>(lb), std::span<const Bun>(rb), shape,
+                    mem));
   // matches = [l.head, r-position].
   std::vector<uint32_t> heads(matches.size());
   std::vector<uint32_t> tails(matches.size());
@@ -197,29 +181,6 @@ StatusOr<Bat> BatAppend(const Bat& a, const Bat& b) {
     }
   }
   return Bat::Make(Column::U32(std::move(heads)), Column::U32(std::move(tails)));
-}
-
-std::vector<uint32_t> UnionSortedPositions(
-    std::vector<std::vector<uint32_t>> lists) {
-  // Fold pairwise set_union: each input is ascending and duplicate-free, so
-  // the union is too, and a position shared by branches survives once.
-  std::vector<uint32_t> acc;
-  bool first = true;
-  std::vector<uint32_t> merged;
-  for (std::vector<uint32_t>& l : lists) {
-    if (first) {
-      acc = std::move(l);
-      first = false;
-      continue;
-    }
-    if (l.empty()) continue;
-    merged.clear();
-    merged.reserve(acc.size() + l.size());
-    std::set_union(acc.begin(), acc.end(), l.begin(), l.end(),
-                   std::back_inserter(merged));
-    acc.swap(merged);
-  }
-  return acc;
 }
 
 }  // namespace ccdb

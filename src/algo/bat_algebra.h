@@ -26,11 +26,13 @@ StatusOr<Bat> BatMirror(const Bat& b);
 /// `mark`, used to introduce fresh OIDs after a selection).
 StatusOr<Bat> BatMark(const Bat& b, oid_t base);
 
-/// join(l, r): match l.tail == r.head, emit [l.head, r.tail].
-/// Dispatches on r's head representation:
-///   * void head -> positional lookup, "effectively eliminating all join
-///     cost" (§3.1);
-///   * u32 head  -> hash join (algo/hash_table.h).
+/// join(l, r): match l.tail == r.head, emit [l.head, r.tail], in l's
+/// order. r is joined as BUNs [position, head] through the join driver
+/// (algo/join.h), then r.tail is fetched at the matched positions:
+///   * void head [base, base + count) -> the positional kernel over that
+///     domain (§3.1): one head array of `count` slots is built, then each
+///     l tuple reads one slot;
+///   * u32 head  -> the B = 0 hash join.
 /// Requires integral tails <= 32 bits on l and r.
 StatusOr<Bat> BatJoin(const Bat& l, const Bat& r);
 
@@ -59,17 +61,6 @@ StatusOr<Bat> BatHistogram(const Bat& b);
 
 /// append(a, b): concatenation; heads are materialized.
 StatusOr<Bat> BatAppend(const Bat& a, const Bat& b);
-
-// --- filter combiners --------------------------------------------------------
-// The filter walk (exec/operator.cc) turns each expression leaf into a
-// sorted position list through the candidate list, and merges the lists
-// that OR branches produce — still never materializing an intermediate BAT.
-
-/// Merge-union of ascending, duplicate-free position lists: the OR
-/// combiner. Positions appearing in several branches are emitted exactly
-/// once, and the result is ascending again.
-std::vector<uint32_t> UnionSortedPositions(
-    std::vector<std::vector<uint32_t>> lists);
 
 }  // namespace ccdb
 

@@ -119,9 +119,9 @@ class BucketChainedHashTable {
       return (HashFn::Hash(tail) >> shift) & mask;
     }
 
-    /// The probe step: calls `emit_if(t, keep)` once with the first tuple
-    /// of `key`'s bucket (the next bucket's, or the padding tuple, when it
-    /// is empty) and keep = whether it is a match, without a
+    /// The probe step, the only one: calls `emit_if(t, keep)` once with
+    /// the first tuple of `key`'s bucket (the next bucket's, or the padding
+    /// tuple, when it is empty) and keep = whether it is a match, without a
     /// data-dependent branch; then `emit_if(t, true)` for every further
     /// match in the run.
     template <class Fn>
@@ -147,25 +147,7 @@ class BucketChainedHashTable {
     return {shift_, mask, &off_[off_begin_[c]], &tuples_[bounds_[c] + c]};
   }
 
-  /// Calls `emit(build_tuple)` for every build tuple whose tail equals
-  /// `probe.tail`.
-  template <class Fn>
-  CCDB_ALWAYS_INLINE void Probe(Bun probe, Mem& mem, Fn&& emit) const {
-    view().Probe(probe.tail, mem, [&](Bun t, bool keep) {
-      if (keep) emit(t);
-    });
-  }
-
   size_t bucket_count() const { return view().mask + 1; }
-
-  /// Issues a software prefetch for the bucket offsets that a future probe
-  /// of `tail` will touch ([Mow94]-style latency hiding; see
-  /// SimpleHashJoinPrefetch).
-  void PrefetchBucket(uint32_t tail) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&off_[view().Bucket(tail)], /*rw=*/0, /*locality=*/1);
-#endif
-  }
 
   /// Number of tuples in bucket `b` of slice 0 (test/diagnostic use).
   size_t ChainLength(uint32_t b) const { return off_[b + 1] - off_[b]; }

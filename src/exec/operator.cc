@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <string_view>
 
-#include "algo/bat_algebra.h"
 #include "algo/join.h"
 #include "exec/shared_scan.h"
 #include "util/thread_pool.h"
@@ -760,6 +760,32 @@ StatusOr<std::vector<uint32_t>> EvalLeaf(const Chunk& in, const Expr& leaf,
     positions.insert(positions.end(), p.begin(), p.end());
   }
   return positions;
+}
+
+/// The OR combiner: merge-union of ascending, duplicate-free position
+/// lists. A position appearing in several branches is emitted exactly
+/// once, and the result is ascending again.
+std::vector<uint32_t> UnionSortedPositions(
+    std::vector<std::vector<uint32_t>> lists) {
+  // Fold pairwise set_union: each input is ascending and duplicate-free, so
+  // the union is too, and a position shared by branches survives once.
+  std::vector<uint32_t> acc;
+  bool first = true;
+  std::vector<uint32_t> merged;
+  for (std::vector<uint32_t>& l : lists) {
+    if (first) {
+      acc = std::move(l);
+      first = false;
+      continue;
+    }
+    if (l.empty()) continue;
+    merged.clear();
+    merged.reserve(acc.size() + l.size());
+    std::set_union(acc.begin(), acc.end(), l.begin(), l.end(),
+                   std::back_inserter(merged));
+    acc.swap(merged);
+  }
+  return acc;
 }
 
 /// Evaluates a normalized expression over every chunk row (`survivors`

@@ -175,10 +175,11 @@ class ScanOp : public Operator {
 /// scans the chunk's candidate range, every subsequent conjunct narrows the
 /// surviving position list without re-scanning the chunk. Disjunctions
 /// evaluate every branch over the same input candidates and merge-union the
-/// sorted position lists (UnionSortedPositions), so a position matching
-/// several branches survives exactly once. Every leaf reads its rows' values
-/// in place — a lazy column at the OIDs its candidate list names, an owned
-/// column (aggregate output) at chunk positions — and tests them against
+/// sorted position lists (UnionSortedPositions, beside the walk in
+/// operator.cc), so a position matching several branches survives exactly
+/// once. Every leaf reads its rows' values in place — a lazy column at the
+/// OIDs its candidate list names, an owned column (aggregate output) at
+/// chunk positions — and tests them against
 /// the leaf's LeafValues set (exec/expr.h), the set ExprSubsumes reasons
 /// over: i64 intervals (clamped to u32 ranges on u8/u16/u32 columns, so
 /// `x != 7` is two ranges), f64 intervals plus a NaN bit, or a string set

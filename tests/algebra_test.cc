@@ -112,6 +112,66 @@ TEST(BatAlgebraTest, JoinPathsAgree) {
   EXPECT_GT(a->size(), 0u);
 }
 
+// [l.head, position]: BatJoin against a void-headed r whose tail is its
+// own position.
+std::vector<Bun> JoinPositions(const std::vector<Bun>& refs, oid_t base,
+                               size_t count) {
+  auto l = Bat::FromBuns(refs);
+  std::vector<uint32_t> positions(count);
+  for (size_t i = 0; i < count; ++i) positions[i] = static_cast<uint32_t>(i);
+  auto out = BatJoin(l, *Bat::Make(Column::Void(base, count),
+                                   Column::U32(std::move(positions))));
+  CCDB_CHECK(out.ok());
+  return *out->ToBuns();
+}
+
+TEST(BatAlgebraTest, JoinPositionalDenseForeignKey) {
+  // References into a base table of 100 tuples with OIDs 1000..1099.
+  std::vector<Bun> refs = {{0, 1000}, {1, 1050}, {2, 1099}, {3, 999},
+                           {4, 1100}, {5, 1007}};
+  auto out = JoinPositions(refs, 1000, 100);
+  ASSERT_EQ(out.size(), 4u);  // 999 and 1100 fall outside
+  EXPECT_EQ(out[0], (Bun{0, 0}));
+  EXPECT_EQ(out[1], (Bun{1, 50}));
+  EXPECT_EQ(out[2], (Bun{2, 99}));
+  EXPECT_EQ(out[3], (Bun{5, 7}));
+}
+
+TEST(BatAlgebraTest, JoinPositionalEmptyAndNoMatches) {
+  EXPECT_TRUE(JoinPositions({}, 0, 10).empty());
+  EXPECT_TRUE(JoinPositions({{0, 5}}, 100, 10).empty());
+}
+
+TEST(BatAlgebraTest, JoinPositionalMatchesJoinOnMaterializedHead) {
+  // §3.1: the positional join must produce the same join index as a join
+  // against the materialized void column, row for row.
+  constexpr size_t kBase = 5000, kN = 3000;
+  Rng rng(8);
+  std::vector<Bun> refs(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    refs[i] = {static_cast<oid_t>(i),
+               static_cast<uint32_t>(kBase + rng.NextBelow(2000))};
+  }
+  auto positional = JoinPositions(refs, kBase, 2000);
+  // Reference: the void column materialized as [position, oid] tuples.
+  std::vector<Bun> void_rel(2000);
+  for (uint32_t i = 0; i < 2000; ++i)
+    void_rel[i] = {i, static_cast<uint32_t>(kBase + i)};
+  std::vector<Bun> expect;
+  for (const Bun& r : refs) {
+    for (const Bun& v : void_rel) {
+      if (r.tail == v.tail) expect.push_back({r.head, v.head});
+    }
+  }
+  EXPECT_EQ(positional, expect);
+  // The hash path over the materialized head [oid, position].
+  std::vector<Bun> by_oid(2000);
+  for (const Bun& v : void_rel) by_oid[v.head] = {v.tail, v.head};
+  auto hashed = BatJoin(Bat::FromBuns(refs), Bat::FromBuns(by_oid));
+  ASSERT_TRUE(hashed.ok());
+  EXPECT_EQ(*hashed->ToBuns(), expect);
+}
+
 TEST(BatAlgebraTest, Semijoin) {
   auto l = *Bat::Make(Column::U32({1, 2, 3, 4}), Column::U32({10, 20, 30, 40}));
   auto r = *Bat::Make(Column::U32({2, 4, 9}), Column::U32({0, 0, 0}));

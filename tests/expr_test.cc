@@ -553,6 +553,11 @@ std::vector<OracleLeaf<Row>> IntegralLeaves(
        on([](int64_t x) { return 20 <= x && x <= 60; })},
       {c + " not in [20, 60]", !Between(Col(c), 20u, 60u),
        on([](int64_t x) { return x < 20 || x > 60; })},
+      // Empty on a8, a16 and a32 (values below 100 or the type's maximum).
+      {c + " in [100, 254]", Between(Col(c), 100u, 254u),
+       on([](int64_t x) { return 100 <= x && x <= 254; })},
+      {c + " in [0, UINT32_MAX]", Between(Col(c), 0u, uint32_t{UINT32_MAX}),
+       on([](int64_t x) { return 0 <= x && x <= int64_t{UINT32_MAX}; })},
       {c + " in {..}", InU32(Col(c), {99, 5, 37, 38, 255}),
        on([](int64_t x) {
          return x == 5 || x == 37 || x == 38 || x == 99 || x == 255;
@@ -683,6 +688,9 @@ TEST(ExprExecTest, EveryLeafPathMatchesRowOracle) {
   Table encoded = *Table::FromRowStore(store);
   Table raw = *Table::FromRowStore(store, /*auto_encode=*/false);
   ASSERT_TRUE(encoded.is_encoded(*encoded.schema().FieldIndex("s")));
+  // String equality on the encoded table compares one-byte codes.
+  ASSERT_EQ(encoded.column_bat(*encoded.schema().FieldIndex("s")).tail().type(),
+            PhysType::kU8);
   ASSERT_FALSE(raw.is_encoded(*raw.schema().FieldIndex("s")));
 
   using Leaf = OracleLeaf<LeafyRow>;

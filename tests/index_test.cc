@@ -1,14 +1,13 @@
-// §3.2 selection structures: cache-conscious B+-tree, T-tree, binary
-// search, and positional (void) joins. Correctness against reference
-// implementations across parameter sweeps, plus the miss-count comparison
-// that motivates the [Ron98] cache-line-node claim.
+// §3.2 selection structures: cache-conscious B+-tree, T-tree and binary
+// search. Correctness against reference implementations across parameter
+// sweeps, plus the miss-count comparison that motivates the [Ron98]
+// cache-line-node claim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
 #include "algo/cc_btree.h"
-#include "algo/positional_join.h"
 #include "algo/sorted_search.h"
 #include "algo/ttree.h"
 #include "mem/access.h"
@@ -252,52 +251,6 @@ TEST(IndexMissCountTest, CacheLineNodesBeatBinarySearch) {
 
   EXPECT_LT(h_bt.events().l2_misses, h_bs.events().l2_misses);
   EXPECT_LT(h_bt.events().l1_misses, h_bs.events().l1_misses);
-}
-
-TEST(PositionalJoinTest, DenseForeignKeyJoin) {
-  DirectMemory mem;
-  // References into a base table of 100 tuples with OIDs 1000..1099.
-  std::vector<Bun> refs = {{0, 1000}, {1, 1050}, {2, 1099}, {3, 999},
-                           {4, 1100}, {5, 1007}};
-  auto out = PositionalJoin(std::span<const Bun>(refs), 1000, 100, mem);
-  ASSERT_EQ(out.size(), 4u);  // 999 and 1100 fall outside
-  EXPECT_EQ(out[0], (Bun{0, 0}));
-  EXPECT_EQ(out[1], (Bun{1, 50}));
-  EXPECT_EQ(out[2], (Bun{2, 99}));
-  EXPECT_EQ(out[3], (Bun{5, 7}));
-}
-
-TEST(PositionalJoinTest, EmptyAndNoMatches) {
-  DirectMemory mem;
-  std::vector<Bun> none;
-  EXPECT_TRUE(PositionalJoin(std::span<const Bun>(none), 0, 10, mem).empty());
-  std::vector<Bun> refs = {{0, 5}};
-  EXPECT_TRUE(PositionalJoin(std::span<const Bun>(refs), 100, 10, mem).empty());
-}
-
-TEST(PositionalJoinTest, MatchesHashJoinOnVoidColumn) {
-  // §3.1: positional join must produce the same join index as a hash join
-  // against the materialized void column.
-  constexpr size_t kBase = 5000, kN = 3000;
-  Rng rng(8);
-  std::vector<Bun> refs(kN);
-  for (size_t i = 0; i < kN; ++i) {
-    refs[i] = {static_cast<oid_t>(i),
-               static_cast<uint32_t>(kBase + rng.NextBelow(2000))};
-  }
-  DirectMemory mem;
-  auto positional = PositionalJoin(std::span<const Bun>(refs), kBase, 2000, mem);
-  // Reference: the void column materialized as [position, oid] tuples.
-  std::vector<Bun> void_rel(2000);
-  for (uint32_t i = 0; i < 2000; ++i)
-    void_rel[i] = {i, static_cast<uint32_t>(kBase + i)};
-  std::vector<Bun> expect;
-  for (const Bun& r : refs) {
-    for (const Bun& v : void_rel) {
-      if (r.tail == v.tail) expect.push_back({r.head, v.head});
-    }
-  }
-  EXPECT_EQ(positional, expect);
 }
 
 }  // namespace

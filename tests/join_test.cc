@@ -37,6 +37,17 @@ std::vector<Bun> Canon(std::vector<Bun> v) {
   return v;
 }
 
+// The build heads the probe step emits for `key`, in emission order.
+std::vector<oid_t> Matches(const BucketChainedHashTable<DirectMemory>& t,
+                           uint32_t key) {
+  DirectMemory mem;
+  std::vector<oid_t> hits;
+  t.view().Probe(key, mem, [&](Bun b, bool keep) {
+    if (keep) hits.push_back(b.head);
+  });
+  return hits;
+}
+
 JoinShape Hash(int bits, int passes) {
   return {.kernel = JoinKernel::kHash, .bits = bits, .passes = passes};
 }
@@ -72,13 +83,10 @@ TEST(BucketChainedHashTableTest, FindsAllAndOnlyMatches) {
   DirectMemory mem;
   std::vector<Bun> build = {{0, 5}, {1, 9}, {2, 5}, {3, 7}};
   BucketChainedHashTable<DirectMemory> t(build, 0, 4, mem);
-  std::vector<oid_t> hits;
-  t.Probe({99, 5}, mem, [&](Bun b) { hits.push_back(b.head); });
+  std::vector<oid_t> hits = Matches(t, 5);
   std::sort(hits.begin(), hits.end());
   EXPECT_EQ(hits, (std::vector<oid_t>{0, 2}));
-  hits.clear();
-  t.Probe({99, 8}, mem, [&](Bun b) { hits.push_back(b.head); });
-  EXPECT_TRUE(hits.empty());
+  EXPECT_TRUE(Matches(t, 8).empty());
 }
 
 TEST(BucketChainedHashTableTest, BucketCountFollowsChainTarget) {
@@ -97,9 +105,7 @@ TEST(BucketChainedHashTableTest, EmptyBuild) {
   BucketChainedHashTable<DirectMemory> t(none, 0, 4, mem);
   EXPECT_EQ(t.bucket_count(), 1u);
   EXPECT_EQ(t.ChainLength(0), 0u);
-  int calls = 0;
-  t.Probe({0, 0}, mem, [&](Bun) { ++calls; });
-  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(Matches(t, 0).empty());
 }
 
 TEST(BucketChainedHashTableTest, ShiftSkipsRadixBits) {
@@ -114,9 +120,7 @@ TEST(BucketChainedHashTableTest, ShiftSkipsRadixBits) {
     max_chain = std::max(max_chain, t.ChainLength(b));
   }
   EXPECT_LE(max_chain, 8u);  // identity hash above the radix bits: even
-  std::vector<oid_t> hits;
-  t.Probe({9, (37u << 4) | 0x3}, mem, [&](Bun b) { hits.push_back(b.head); });
-  EXPECT_EQ(hits, (std::vector<oid_t>{37}));
+  EXPECT_EQ(Matches(t, (37u << 4) | 0x3), (std::vector<oid_t>{37}));
   // At the default sizing the distinct keys fill the buckets one apiece;
   // without the shift only the 16 buckets ending in 0x3 are used, 16 deep.
   BucketChainedHashTable<DirectMemory> one(build, 4, kDefaultChainLength, mem);
@@ -134,9 +138,7 @@ TEST(BucketChainedHashTableTest, DuplicatesComeOutInReverseBuildOrder) {
   DirectMemory mem;
   std::vector<Bun> build = {{0, 6}, {1, 3}, {2, 6}, {3, 6}, {4, 1}, {5, 6}};
   BucketChainedHashTable<DirectMemory> t(build, 0, kDefaultChainLength, mem);
-  std::vector<oid_t> hits;
-  t.Probe({99, 6}, mem, [&](Bun b) { hits.push_back(b.head); });
-  EXPECT_EQ(hits, (std::vector<oid_t>{5, 3, 2, 0}));
+  EXPECT_EQ(Matches(t, 6), (std::vector<oid_t>{5, 3, 2, 0}));
 }
 
 TEST(BucketChainedHashTableTest, ChainLengthsPartitionTheBuild) {

@@ -1,4 +1,4 @@
-// Sorting kernels, scan-selects and grouping/aggregation (§3.2).
+// Sorting kernels, stride scans and grouping/aggregation (§3.2).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,7 +6,6 @@
 
 #include "algo/aggregate.h"
 #include "algo/radix_sort.h"
-#include "algo/select.h"
 #include "algo/stride_scan.h"
 #include "util/aligned.h"
 #include "util/rng.h"
@@ -96,34 +95,6 @@ TEST(QuickSortTest, TinyInputs) {
   std::vector<Bun> two = {{0, 9}, {1, 3}};
   QuickSortByTail(std::span<Bun>(two), mem);
   EXPECT_EQ(two[0].tail, 3u);
-}
-
-TEST(RangeSelectTest, FindsPositions) {
-  DirectMemory mem;
-  std::vector<uint32_t> v = {5, 10, 15, 20, 25};
-  auto got = RangeSelect(std::span<const uint32_t>(v), 10u, 20u, mem);
-  EXPECT_EQ(got, (std::vector<oid_t>{1, 2, 3}));
-  got = RangeSelect(std::span<const uint32_t>(v), 0u, 4u, mem);
-  EXPECT_TRUE(got.empty());
-  got = RangeSelect(std::span<const uint32_t>(v), 0u, UINT32_MAX, mem);
-  EXPECT_EQ(got.size(), 5u);
-}
-
-TEST(RangeSelectTest, ByteEncodedPredicateRemap) {
-  // §3.1: selection on "MAIL" (code 3) over a 1-byte column.
-  DirectMemory mem;
-  std::vector<uint8_t> codes = {1, 3, 0, 3, 3, 2};
-  auto got = EqSelect(std::span<const uint8_t>(codes), uint8_t{3}, mem);
-  EXPECT_EQ(got, (std::vector<oid_t>{1, 3, 4}));
-}
-
-TEST(CountAndSumTest, AggregateScans) {
-  DirectMemory mem;
-  std::vector<uint32_t> v = {1, 2, 3, 4, 5};
-  EXPECT_EQ(CountRange(std::span<const uint32_t>(v), 2u, 4u, mem), 3u);
-  EXPECT_EQ(SumColumn(std::span<const uint32_t>(v), mem), 15u);
-  std::vector<uint32_t> empty;
-  EXPECT_EQ(SumColumn(std::span<const uint32_t>(empty), mem), 0u);
 }
 
 std::map<uint32_t, std::pair<uint64_t, uint64_t>> ReferenceGroups(

@@ -1,12 +1,8 @@
-// Workload generators (Zipf) and the prefetching hash-join variant.
+// Workload generators (Zipf).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 
-#include "algo/join.h"
-#include "algo/nested_loop_join.h"
-#include "algo/simple_hash_join.h"
 #include "util/zipf.h"
 
 namespace ccdb {
@@ -62,48 +58,6 @@ TEST(ZipfTest, SkewGrowsWithTheta) {
   };
   EXPECT_LT(top_share(0.0), top_share(0.5));
   EXPECT_LT(top_share(0.5), top_share(0.99));
-}
-
-TEST(PrefetchJoinTest, MatchesPlainSimpleHashJoin) {
-  Rng rng(21);
-  std::vector<Bun> l(2000), r(2500);
-  for (size_t i = 0; i < l.size(); ++i) {
-    l[i] = {static_cast<oid_t>(i), static_cast<uint32_t>(rng.NextBelow(700))};
-  }
-  for (size_t i = 0; i < r.size(); ++i) {
-    r[i] = {static_cast<oid_t>(5000 + i),
-            static_cast<uint32_t>(rng.NextBelow(700))};
-  }
-  DirectMemory mem;
-  auto canon = [](std::vector<Bun> v) {
-    std::sort(v.begin(), v.end(), [](const Bun& a, const Bun& b) {
-      return a.head != b.head ? a.head < b.head : a.tail < b.tail;
-    });
-    return v;
-  };
-  auto simple = JoinRelations(std::span<const Bun>(l),
-                              std::span<const Bun>(r), JoinShape{}, mem);
-  ASSERT_TRUE(simple.ok());
-  auto expect = canon(*simple);
-  for (size_t distance : {0u, 1u, 4u, 16u, 5000u}) {
-    auto got = SimpleHashJoinPrefetch(std::span<const Bun>(l),
-                                      std::span<const Bun>(r), distance);
-    EXPECT_EQ(canon(got), expect) << "distance=" << distance;
-  }
-}
-
-TEST(PrefetchJoinTest, EmptyInputs) {
-  std::vector<Bun> none, one = {{0, 1}};
-  EXPECT_TRUE(SimpleHashJoinPrefetch(none, one, 4).empty());
-  EXPECT_TRUE(SimpleHashJoinPrefetch(one, none, 4).empty());
-}
-
-TEST(PrefetchJoinTest, StatsFilled) {
-  std::vector<Bun> l = {{0, 1}, {1, 2}}, r = {{9, 2}};
-  JoinStats stats;
-  auto out = SimpleHashJoinPrefetch(l, r, 1, &stats);
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_EQ(stats.result_count, 1u);
 }
 
 }  // namespace
