@@ -6,7 +6,8 @@
 #                                      perfbench correctness smoke
 #        ./ci.sh --asan [build-dir]    Debug ASan/UBSan build + full tests
 #        ./ci.sh --tsan [build-dir]    Debug TSan build + the parallel
-#                                      executor tests (plan/exec/thread_pool)
+#                                      executor and serving tests + four
+#                                      smoke runs (CI's tsan job runs this)
 #        ./ci.sh --analyze [build-dir] static analysis: engine lint (always),
 #                                      clang -Werror=thread-safety build and
 #                                      clang-tidy (each skipped with a notice

@@ -53,8 +53,7 @@ int main() {
 
   // -- 2. tuple reconstruction: fetch qty and supp for the candidate OIDs
   //       via positional joins on the void-headed BATs (§3.1). Each
-  //       BatJoin builds the BAT's head array, then reads one slot per
-  //       candidate.
+  //       BatJoin reads the BAT's tail at one position per candidate.
   auto cand_oids = *Bat::Make(candidates->head(), candidates->head());
   auto cand_qty = BatJoin(cand_oids, item_qty);
   auto cand_supp = BatJoin(cand_oids, item_supp);

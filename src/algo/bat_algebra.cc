@@ -61,27 +61,34 @@ StatusOr<Bat> BatJoin(const Bat& l, const Bat& r) {
     return Status::InvalidArgument("join requires void or u32 head on r");
   }
   CCDB_RETURN_IF_ERROR(RequireIntegralTail(r, "join"));
-  DirectMemory mem;
   CCDB_ASSIGN_OR_RETURN(std::vector<Bun> lb, l.ToBuns());
+  std::vector<uint32_t> heads, tails;
+  if (r.head().is_void()) {
+    // Positional (§3.1): head key k is r's position k - base, so each l
+    // tuple reads r.tail in place — no head array, no pass over r.
+    const oid_t base = r.head().void_base();
+    for (const Bun& b : lb) {
+      if (b.tail < base || b.tail - base >= r.size()) continue;
+      heads.push_back(b.head);
+      tails.push_back(
+          static_cast<uint32_t>(r.tail().GetIntegral(b.tail - base)));
+    }
+    return Bat::Make(Column::U32(std::move(heads)),
+                     Column::U32(std::move(tails)));
+  }
   // r as BUNs [position, head key], so a tail match finds its position.
   std::vector<Bun> rb(r.size());
   for (size_t i = 0; i < r.size(); ++i) {
     rb[i] = {static_cast<oid_t>(i), r.head().GetOid(i)};
   }
-  JoinShape shape;
-  if (r.head().is_void()) {
-    // Positional (§3.1): head key base + i is slot i.
-    shape = {.kernel = JoinKernel::kPositional,
-             .domain = {.key_min = r.head().void_base(),
-                        .key_range = r.size()}};
-  }
+  DirectMemory mem;
   CCDB_ASSIGN_OR_RETURN(
       std::vector<Bun> matches,
-      JoinRelations(std::span<const Bun>(lb), std::span<const Bun>(rb), shape,
-                    mem));
+      JoinRelations(std::span<const Bun>(lb), std::span<const Bun>(rb),
+                    JoinShape{}, mem));
   // matches = [l.head, r-position].
-  std::vector<uint32_t> heads(matches.size());
-  std::vector<uint32_t> tails(matches.size());
+  heads.resize(matches.size());
+  tails.resize(matches.size());
   for (size_t i = 0; i < matches.size(); ++i) {
     heads[i] = matches[i].head;
     tails[i] = static_cast<uint32_t>(r.tail().GetIntegral(matches[i].tail));

@@ -26,13 +26,13 @@ StatusOr<Bat> BatMirror(const Bat& b);
 /// `mark`, used to introduce fresh OIDs after a selection).
 StatusOr<Bat> BatMark(const Bat& b, oid_t base);
 
-/// join(l, r): match l.tail == r.head, emit [l.head, r.tail], in l's
-/// order. r is joined as BUNs [position, head] through the join driver
-/// (algo/join.h), then r.tail is fetched at the matched positions:
-///   * void head [base, base + count) -> the positional kernel over that
-///     domain (§3.1): one head array of `count` slots is built, then each
-///     l tuple reads one slot;
-///   * u32 head  -> the B = 0 hash join.
+/// join(l, r): match l.tail == r.head, emit [l.head, r.tail]:
+///   * void head [base, base + count) -> positional lookup (§3.1): key k is
+///     r's position k - base, so each l tuple with a key in range reads
+///     r.tail there, in l's order — no pass over r, no head array;
+///   * u32 head  -> r is joined as BUNs [position, head] through the B = 0
+///     hash join of the join driver (algo/join.h), then r.tail is fetched
+///     at the matched positions.
 /// Requires integral tails <= 32 bits on l and r.
 StatusOr<Bat> BatJoin(const Bat& l, const Bat& r);
 

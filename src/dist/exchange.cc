@@ -1,12 +1,13 @@
 #include "dist/exchange.h"
 
+#include <bit>
 #include <chrono>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
 
 #include "dist/wire.h"
+#include "util/hash.h"
 
 namespace ccdb {
 
@@ -16,69 +17,28 @@ namespace {
 /// cadence as the channel waits.
 constexpr std::chrono::milliseconds kMergeWait{2};
 
-uint64_t MixU64(uint64_t h) {
-  // splitmix64 finalizer: full avalanche so consecutive keys spread across
-  // partitions instead of striping.
-  h += 0x9E3779B97F4A7C15ull;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-  return h ^ (h >> 31);
-}
-
-uint64_t HashStr(const std::string& s) {
-  uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a
-  for (unsigned char ch : s) {
-    h ^= ch;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
+// A routing key's hash: fixed-width keys mix their bit pattern (integers
+// widened to 64 bits), strings hash their bytes.
+uint64_t RouteHash(uint32_t k) { return SplitMix64(k); }
+uint64_t RouteHash(int64_t k) { return SplitMix64(static_cast<uint64_t>(k)); }
+uint64_t RouteHash(double k) { return SplitMix64(std::bit_cast<uint64_t>(k)); }
+uint64_t RouteHash(const std::string& k) { return Fnv1a(k); }
 
 /// Per-row partition ids for hash routing; handles every wire-visible key
 /// type so group-by exchanges can route on string keys too.
 StatusOr<std::vector<uint32_t>> RowPartitions(const Chunk& chunk,
                                               size_t key_idx, size_t n) {
-  std::vector<uint32_t> out(chunk.rows);
-  switch (chunk.TypeOf(key_idx)) {
-    case PhysType::kU32: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> keys,
-                            chunk.GatherU32(key_idx));
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out[i] = static_cast<uint32_t>(MixU64(keys[i]) % n);
-      }
-      return out;
-    }
-    case PhysType::kI64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<int64_t> keys,
-                            chunk.GatherI64(key_idx));
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out[i] =
-            static_cast<uint32_t>(MixU64(static_cast<uint64_t>(keys[i])) % n);
-      }
-      return out;
-    }
-    case PhysType::kF64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<double> keys,
-                            chunk.GatherF64(key_idx));
-      for (size_t i = 0; i < keys.size(); ++i) {
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(keys[i]));
-        std::memcpy(&bits, &keys[i], sizeof(bits));
-        out[i] = static_cast<uint32_t>(MixU64(bits) % n);
-      }
-      return out;
-    }
-    case PhysType::kStr: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                            chunk.GatherStr(key_idx));
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out[i] = static_cast<uint32_t>(HashStr(keys[i]) % n);
-      }
-      return out;
-    }
-    default:
-      return Status::Internal("unroutable exchange key type");
-  }
+  return VisitValueType(
+      chunk.TypeOf(key_idx), Status::Internal("unroutable exchange key type"),
+      [&]<typename T>(std::type_identity<T>)
+          -> StatusOr<std::vector<uint32_t>> {
+        CCDB_ASSIGN_OR_RETURN(std::vector<T> keys, chunk.Gather<T>(key_idx));
+        std::vector<uint32_t> out(keys.size());
+        for (size_t i = 0; i < keys.size(); ++i) {
+          out[i] = static_cast<uint32_t>(RouteHash(keys[i]) % n);
+        }
+        return out;
+      });
 }
 
 }  // namespace

@@ -18,7 +18,11 @@
 // channels, and partition-local output staging — no state is shared between
 // fragments except the transports. Producer chunks are routed by hash of
 // the key column (repartition), replicated (broadcast), or forwarded
-// round-robin zero-copy (the broadcast join's probe side).
+// round-robin zero-copy (the broadcast join's probe side). A hash route
+// gathers the key at its value type (VisitValueType, exec/operator.h) and
+// sends row r to partition hash % N: splitmix64 of a u32, i64 or f64 key's
+// bits (integers widened to 64), FNV-1a of a string key's bytes
+// (util/hash.h), so equal keys colocate whatever their storage encoding.
 //
 // Determinism: the merge emits partition-major — all of partition 0's
 // chunks in production order, then partition 1's, ... — so a plan's output

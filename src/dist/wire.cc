@@ -21,10 +21,26 @@ void PutRaw(std::vector<uint8_t>* out, const T& v) {
   out->insert(out->end(), p, p + sizeof(T));
 }
 
+// A column's payload: fixed-width values as they are, strings as
+// u64 arena_len | (rows+1) x u32 offsets | arena bytes.
 template <typename T>
-void PutSpan(std::vector<uint8_t>* out, const std::vector<T>& v) {
+void PutValues(std::vector<uint8_t>* out, const std::vector<T>& v) {
   const uint8_t* p = reinterpret_cast<const uint8_t*>(v.data());
   out->insert(out->end(), p, p + v.size() * sizeof(T));
+}
+
+void PutValues(std::vector<uint8_t>* out, const std::vector<std::string>& v) {
+  std::vector<uint32_t> offsets;
+  offsets.reserve(v.size() + 1);
+  uint64_t arena_len = 0;
+  offsets.push_back(0);
+  for (const std::string& s : v) {
+    arena_len += s.size();
+    offsets.push_back(static_cast<uint32_t>(arena_len));
+  }
+  PutRaw(out, arena_len);
+  PutValues(out, offsets);
+  for (const std::string& s : v) out->insert(out->end(), s.begin(), s.end());
 }
 
 /// Bounds-checked frame reader.
@@ -42,8 +58,9 @@ class FrameReader {
     return Status::Ok();
   }
 
+  /// `count` values as PutValues wrote them.
   template <typename T>
-  Status ReadVec(size_t count, std::vector<T>* out) {
+  Status ReadValues(size_t count, std::vector<T>* out) {
     if (count > (frame_.size() - pos_) / sizeof(T)) {
       return Status::InvalidArgument("wire frame truncated");
     }
@@ -52,6 +69,23 @@ class FrameReader {
     if (count == 0) return Status::Ok();
     std::memcpy(out->data(), frame_.data() + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
+    return Status::Ok();
+  }
+
+  Status ReadValues(size_t rows, std::vector<std::string>* out) {
+    uint64_t arena_len = 0;
+    CCDB_RETURN_IF_ERROR(Read(&arena_len));
+    std::vector<uint32_t> offsets;
+    CCDB_RETURN_IF_ERROR(ReadValues(rows + 1, &offsets));
+    std::string arena;
+    CCDB_RETURN_IF_ERROR(ReadString(arena_len, &arena));
+    out->resize(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      if (offsets[i] > offsets[i + 1] || offsets[i + 1] > arena.size()) {
+        return Status::InvalidArgument("wire frame string offsets");
+      }
+      (*out)[i] = arena.substr(offsets[i], offsets[i + 1] - offsets[i]);
+    }
     return Status::Ok();
   }
 
@@ -84,42 +118,13 @@ StatusOr<std::vector<uint8_t>> SerializeChunk(const Chunk& chunk) {
     out.insert(out.end(), name.begin(), name.end());
     PhysType t = chunk.TypeOf(c);
     PutU8(&out, static_cast<uint8_t>(t));
-    switch (t) {
-      case PhysType::kU32: {
-        CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> v, chunk.GatherU32(c));
-        PutSpan(&out, v);
-        break;
-      }
-      case PhysType::kI64: {
-        CCDB_ASSIGN_OR_RETURN(std::vector<int64_t> v, chunk.GatherI64(c));
-        PutSpan(&out, v);
-        break;
-      }
-      case PhysType::kF64: {
-        CCDB_ASSIGN_OR_RETURN(std::vector<double> v, chunk.GatherF64(c));
-        PutSpan(&out, v);
-        break;
-      }
-      case PhysType::kStr: {
-        CCDB_ASSIGN_OR_RETURN(std::vector<std::string> v, chunk.GatherStr(c));
-        std::vector<uint32_t> offsets;
-        offsets.reserve(v.size() + 1);
-        uint64_t arena_len = 0;
-        offsets.push_back(0);
-        for (const std::string& s : v) {
-          arena_len += s.size();
-          offsets.push_back(static_cast<uint32_t>(arena_len));
-        }
-        PutRaw(&out, arena_len);
-        PutSpan(&out, offsets);
-        for (const std::string& s : v) {
-          out.insert(out.end(), s.begin(), s.end());
-        }
-        break;
-      }
-      default:
-        return Status::Internal("unexpected chunk column type on the wire");
-    }
+    CCDB_RETURN_IF_ERROR(VisitValueType(
+        t, Status::Internal("unexpected chunk column type on the wire"),
+        [&]<typename T>(std::type_identity<T>) -> Status {
+          CCDB_ASSIGN_OR_RETURN(std::vector<T> v, chunk.Gather<T>(c));
+          PutValues(&out, v);
+          return Status::Ok();
+        }));
   }
   return out;
 }
@@ -144,46 +149,15 @@ StatusOr<Chunk> DeserializeChunk(const std::vector<uint8_t>& frame) {
     CCDB_RETURN_IF_ERROR(r.ReadString(name_len, &col.name));
     uint8_t tag = 0;
     CCDB_RETURN_IF_ERROR(r.Read(&tag));
-    switch (static_cast<PhysType>(tag)) {
-      case PhysType::kU32: {
-        std::vector<uint32_t> v;
-        CCDB_RETURN_IF_ERROR(r.ReadVec(rows, &v));
-        col.owned = std::make_shared<const Column>(Column::U32(std::move(v)));
-        break;
-      }
-      case PhysType::kI64: {
-        std::vector<int64_t> v;
-        CCDB_RETURN_IF_ERROR(r.ReadVec(rows, &v));
-        col.owned = std::make_shared<const Column>(Column::I64(std::move(v)));
-        break;
-      }
-      case PhysType::kF64: {
-        std::vector<double> v;
-        CCDB_RETURN_IF_ERROR(r.ReadVec(rows, &v));
-        col.owned = std::make_shared<const Column>(Column::F64(std::move(v)));
-        break;
-      }
-      case PhysType::kStr: {
-        uint64_t arena_len = 0;
-        CCDB_RETURN_IF_ERROR(r.Read(&arena_len));
-        std::vector<uint32_t> offsets;
-        CCDB_RETURN_IF_ERROR(r.ReadVec(static_cast<size_t>(rows) + 1,
-                                       &offsets));
-        std::string arena;
-        CCDB_RETURN_IF_ERROR(r.ReadString(arena_len, &arena));
-        std::vector<std::string> v(rows);
-        for (uint32_t i = 0; i < rows; ++i) {
-          if (offsets[i] > offsets[i + 1] || offsets[i + 1] > arena.size()) {
-            return Status::InvalidArgument("wire frame string offsets");
-          }
-          v[i] = arena.substr(offsets[i], offsets[i + 1] - offsets[i]);
-        }
-        col.owned = std::make_shared<const Column>(Column::Str(v));
-        break;
-      }
-      default:
-        return Status::InvalidArgument("unknown wire column type tag");
-    }
+    CCDB_RETURN_IF_ERROR(VisitValueType(
+        static_cast<PhysType>(tag),
+        Status::InvalidArgument("unknown wire column type tag"),
+        [&]<typename T>(std::type_identity<T>) -> Status {
+          std::vector<T> v;
+          CCDB_RETURN_IF_ERROR(r.ReadValues(rows, &v));
+          col.owned = OwnedColumn(v);
+          return Status::Ok();
+        }));
     chunk.cols.push_back(std::move(col));
   }
   if (!r.AtEnd()) {

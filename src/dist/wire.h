@@ -10,9 +10,11 @@
 //   per column: u32 name_len | name bytes | u8 type tag | payload
 //     kU32: rows x u32        kI64: rows x i64        kF64: rows x f64
 //     kStr: u64 arena_len | (rows+1) x u32 offsets | arena bytes
-// Column types are Chunk::TypeOf's normalized set {kU32, kI64, kF64, kStr}
-// (integrals widen to u32, dictionary-encoded strings decode to kStr), so
-// a round-tripped chunk materializes to identical bytes.
+// The type tag is Chunk::TypeOf's value type, one of {kU32, kI64, kF64,
+// kStr} (narrow integrals read as u32, dictionary-encoded strings decode
+// to kStr); each column is gathered and rebuilt at that type through
+// VisitValueType (exec/operator.h), so a round-tripped chunk materializes
+// to identical bytes and serializes to the same frame.
 //
 // Known limit of the decode-on-the-wire choice: GroupByAggOp and OrderByOp
 // consume encoded string columns by their integer dictionary codes, which

@@ -292,6 +292,17 @@ Literal::Type LeafLiteralType(const Expr& leaf) {
   }
 }
 
+bool LiteralFitsColumn(Literal::Type lt, PhysType col) {
+  switch (lt) {
+    case Literal::Type::kU32:
+    case Literal::Type::kI64:
+      return col == PhysType::kU32 || col == PhysType::kI64;
+    case Literal::Type::kF64: return col == PhysType::kF64;
+    case Literal::Type::kStr: return col == PhysType::kStr;
+  }
+  return false;
+}
+
 // --- leaf value sets ---------------------------------------------------------
 //
 // A leaf constrains one column to a *value set*, in one of three domains

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "bat/types.h"
 #include "util/logging.h"
 
 namespace ccdb {
@@ -288,6 +289,13 @@ std::optional<Expr> LowerFilter(Expr e);
 /// bound's type, kStr for a string In-list and kU32 for an integer one (or
 /// for a non-leaf).
 Literal::Type LeafLiteralType(const Expr& leaf);
+
+/// Whether a literal of type `lt` compares against a column of value type
+/// `col` (Chunk::TypeOf's set): integer literals (u32 or i64) against kU32
+/// and kI64 columns, f64 against kF64, strings against kStr. The one rule
+/// behind plan validation and the run-time check of a directly composed
+/// SelectOp.
+bool LiteralFitsColumn(Literal::Type lt, PhysType col);
 
 /// The exact set of column values one leaf matches, in the domain of its
 /// literal. Integer literals (u32 or i64) give sorted, disjoint,

@@ -5,8 +5,10 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <numeric>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 
 #include "algo/join.h"
 #include "exec/shared_scan.h"
@@ -175,7 +177,7 @@ Status VisitKeyColumn(const Chunk& chunk, size_t c, Fn&& fn) {
   }
 }
 
-/// Chunk::GatherU32 into `out`, reusing its capacity: a caller that
+/// Chunk::Gather<uint32_t> into `out`, reusing its capacity: a caller that
 /// gathers chunk after chunk allocates only when a chunk outgrows it.
 Status GatherU32Into(const Chunk& chunk, size_t c, std::vector<uint32_t>* out) {
   return VisitKeyColumn(chunk, c, [&](const auto& keys) {
@@ -188,107 +190,93 @@ Status GatherU32Into(const Chunk& chunk, size_t c, std::vector<uint32_t>* out) {
   });
 }
 
+/// The values vector of a MaterializedColumn that holds T.
+template <typename T>
+std::vector<T>& ValuesOf(MaterializedColumn* m) {
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    return m->u32_values;
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return m->i64_values;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return m->f64_values;
+  } else {
+    return m->str_values;
+  }
+}
+
 }  // namespace
 
-StatusOr<std::vector<uint32_t>> Chunk::GatherU32(size_t c) const {
-  std::vector<uint32_t> out;
-  CCDB_RETURN_IF_ERROR(GatherU32Into(*this, c, &out));
-  return out;
-}
-
-StatusOr<std::vector<int64_t>> Chunk::GatherI64(size_t c) const {
+template <typename T>
+StatusOr<std::vector<T>> Chunk::Gather(size_t c) const {
   const ChunkColumn& col = cols[c];
-  if (!col.lazy() && col.owned->type() == PhysType::kI64) {
-    auto s = col.owned->Span<int64_t>();
-    return std::vector<int64_t>(s.begin(), s.end());
-  }
-  if (col.lazy() &&
-      col.base->column_bat(col.base_col).tail().type() == PhysType::kI64) {
-    return GatherThrough(
-        cands[col.cand_slot],
-        col.base->column_bat(col.base_col).tail().Span<int64_t>());
-  }
-  CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> narrow, GatherU32(c));
-  return std::vector<int64_t>(narrow.begin(), narrow.end());
-}
-
-StatusOr<std::vector<double>> Chunk::GatherF64(size_t c) const {
-  const ChunkColumn& col = cols[c];
-  if (!col.lazy()) {
-    if (col.owned->type() != PhysType::kF64) {
-      return Status::InvalidArgument("GatherF64 on non-f64 column " +
-                                     col.name);
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    std::vector<uint32_t> out;
+    CCDB_RETURN_IF_ERROR(GatherU32Into(*this, c, &out));
+    return out;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (col.lazy()) {  // Table::GatherStr decodes an encoded column
+      const Candidates& cd = cands[col.cand_slot];
+      if (!cd.dense()) return col.base->GatherStr(col.base_col, OidSpan(cd));
+      std::vector<oid_t> oids(cd.count);
+      std::iota(oids.begin(), oids.end(), cd.base);
+      return col.base->GatherStr(col.base_col, oids);
     }
-    auto s = col.owned->Span<double>();
-    return std::vector<double>(s.begin(), s.end());
-  }
-  const Column& tail = col.base->column_bat(col.base_col).tail();
-  if (tail.type() != PhysType::kF64) {
-    return Status::InvalidArgument("GatherF64 on non-f64 column " + col.name);
-  }
-  return GatherThrough(cands[col.cand_slot], tail.Span<double>());
-}
-
-StatusOr<std::vector<std::string>> Chunk::GatherStr(size_t c) const {
-  const ChunkColumn& col = cols[c];
-  if (!col.lazy()) {
     if (col.owned->type() != PhysType::kStr) {
-      return Status::InvalidArgument("GatherStr on non-string column " +
-                                     col.name);
+      return Status::InvalidArgument(col.name + " is not a string column");
     }
     std::vector<std::string> out(col.owned->size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] = std::string(col.owned->GetStr(i));
-    }
+    for (size_t i = 0; i < out.size(); ++i) out[i] = col.owned->GetStr(i);
     return out;
+  } else {
+    constexpr PhysType kType =
+        std::is_same_v<T, double> ? PhysType::kF64 : PhysType::kI64;
+    const Column& data =
+        col.lazy() ? col.base->column_bat(col.base_col).tail() : *col.owned;
+    if (data.type() == kType) {
+      const Candidates owned_rows = Candidates::Dense(0, data.size());
+      return GatherThrough(col.lazy() ? cands[col.cand_slot] : owned_rows,
+                           data.Span<T>());
+    }
+    if constexpr (kType == PhysType::kI64) {  // widen a u8/u16/u32 column
+      CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> narrow, Gather<uint32_t>(c));
+      return std::vector<int64_t>(narrow.begin(), narrow.end());
+    }
+    return Status::InvalidArgument("Gather<double> on non-f64 column " +
+                                   col.name);
   }
-  const Candidates& cd = cands[col.cand_slot];
-  if (cd.dense()) {
-    std::vector<oid_t> oids(cd.count);
-    WalkOids(cd, cd.count, kEveryRow, [&](size_t i, oid_t o) {
-      oids[i] = o;
-      return true;
-    });
-    return col.base->GatherStr(col.base_col, oids);
-  }
-  return col.base->GatherStr(col.base_col, OidSpan(cd));
 }
+
+template StatusOr<std::vector<uint32_t>> Chunk::Gather(size_t) const;
+template StatusOr<std::vector<int64_t>> Chunk::Gather(size_t) const;
+template StatusOr<std::vector<double>> Chunk::Gather(size_t) const;
+template StatusOr<std::vector<std::string>> Chunk::Gather(size_t) const;
 
 namespace {
 
-StatusOr<Column> TakeOwned(const Column& col,
-                           std::span<const uint32_t> positions) {
-  switch (col.type()) {
-    case PhysType::kU32: {
-      auto s = col.Span<uint32_t>();
-      std::vector<uint32_t> out(positions.size());
-      for (size_t i = 0; i < positions.size(); ++i) out[i] = s[positions[i]];
-      return Column::U32(std::move(out));
-    }
-    case PhysType::kI64: {
-      auto s = col.Span<int64_t>();
-      std::vector<int64_t> out(positions.size());
-      for (size_t i = 0; i < positions.size(); ++i) out[i] = s[positions[i]];
-      return Column::I64(std::move(out));
-    }
-    case PhysType::kF64: {
-      auto s = col.Span<double>();
-      std::vector<double> out(positions.size());
-      for (size_t i = 0; i < positions.size(); ++i) out[i] = s[positions[i]];
-      return Column::F64(std::move(out));
-    }
-    case PhysType::kStr: {
-      std::vector<std::string> out(positions.size());
-      for (size_t i = 0; i < positions.size(); ++i) {
-        out[i] = std::string(col.GetStr(positions[i]));
-      }
-      return Column::Str(out);
-    }
-    default:
-      return Status::InvalidArgument(
-          std::string("cannot take from owned column of type ") +
-          PhysTypeName(col.type()));
+/// Reads value `i` of an owned column as T, its VisitValueType type.
+template <typename T>
+auto OwnedValues(const Column& col) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return [&col](size_t i) { return std::string(col.GetStr(i)); };
+  } else {
+    return [s = col.Span<T>()](size_t i) { return s[i]; };
   }
+}
+
+StatusOr<std::shared_ptr<const Column>> TakeOwned(
+    const Column& col, std::span<const uint32_t> positions) {
+  return VisitValueType(
+      col.type(),
+      Status::InvalidArgument(
+          std::string("cannot take from owned column of type ") +
+          PhysTypeName(col.type())),
+      [&]<typename T>(std::type_identity<T>)
+          -> StatusOr<std::shared_ptr<const Column>> {
+        auto at = OwnedValues<T>(col);
+        std::vector<T> out(positions.size());
+        for (size_t i = 0; i < positions.size(); ++i) out[i] = at(positions[i]);
+        return OwnedColumn(out);
+      });
 }
 
 /// True when `positions` keeps all `rows` rows in order: the take is then
@@ -333,8 +321,7 @@ StatusOr<Chunk> Chunk::Take(std::span<const uint32_t> positions) const {
   for (const ChunkColumn& col : cols) {
     ChunkColumn c = col;
     if (!col.lazy()) {
-      CCDB_ASSIGN_OR_RETURN(Column taken, TakeOwned(*col.owned, positions));
-      c.owned = std::make_shared<const Column>(std::move(taken));
+      CCDB_ASSIGN_OR_RETURN(c.owned, TakeOwned(*col.owned, positions));
     }
     out.cols.push_back(std::move(c));
   }
@@ -342,30 +329,15 @@ StatusOr<Chunk> Chunk::Take(std::span<const uint32_t> positions) const {
 }
 
 Status Chunk::AppendTo(size_t c, MaterializedColumn* out) const {
-  switch (TypeOf(c)) {
-    case PhysType::kU32: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> v, GatherU32(c));
-      out->u32_values.insert(out->u32_values.end(), v.begin(), v.end());
-      return Status::Ok();
-    }
-    case PhysType::kI64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<int64_t> v, GatherI64(c));
-      out->i64_values.insert(out->i64_values.end(), v.begin(), v.end());
-      return Status::Ok();
-    }
-    case PhysType::kF64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<double> v, GatherF64(c));
-      out->f64_values.insert(out->f64_values.end(), v.begin(), v.end());
-      return Status::Ok();
-    }
-    case PhysType::kStr: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<std::string> v, GatherStr(c));
-      for (auto& s : v) out->str_values.push_back(std::move(s));
-      return Status::Ok();
-    }
-    default:
-      return Status::Internal("unexpected chunk column type");
-  }
+  return VisitValueType(
+      TypeOf(c), Status::Internal("unexpected chunk column type"),
+      [&]<typename T>(std::type_identity<T>) -> Status {
+        CCDB_ASSIGN_OR_RETURN(std::vector<T> v, Gather<T>(c));
+        std::vector<T>& values = ValuesOf<T>(out);
+        values.insert(values.end(), std::make_move_iterator(v.begin()),
+                      std::make_move_iterator(v.end()));
+        return Status::Ok();
+      });
 }
 
 StatusOr<Chunk> ConcatChunks(std::vector<Chunk> chunks) {
@@ -401,52 +373,20 @@ StatusOr<Chunk> ConcatChunks(std::vector<Chunk> chunks) {
   for (size_t ci = 0; ci < first.cols.size(); ++ci) {
     ChunkColumn col = first.cols[ci];
     if (!col.lazy()) {
-      // Concatenate owned columns by type.
-      switch (col.owned->type()) {
-        case PhysType::kU32: {
-          std::vector<uint32_t> v;
-          v.reserve(out.rows);
-          for (const Chunk& c : chunks) {
-            auto s = c.cols[ci].owned->Span<uint32_t>();
-            v.insert(v.end(), s.begin(), s.end());
-          }
-          col.owned = std::make_shared<const Column>(Column::U32(std::move(v)));
-          break;
-        }
-        case PhysType::kI64: {
-          std::vector<int64_t> v;
-          v.reserve(out.rows);
-          for (const Chunk& c : chunks) {
-            auto s = c.cols[ci].owned->Span<int64_t>();
-            v.insert(v.end(), s.begin(), s.end());
-          }
-          col.owned = std::make_shared<const Column>(Column::I64(std::move(v)));
-          break;
-        }
-        case PhysType::kF64: {
-          std::vector<double> v;
-          v.reserve(out.rows);
-          for (const Chunk& c : chunks) {
-            auto s = c.cols[ci].owned->Span<double>();
-            v.insert(v.end(), s.begin(), s.end());
-          }
-          col.owned = std::make_shared<const Column>(Column::F64(std::move(v)));
-          break;
-        }
-        case PhysType::kStr: {
-          std::vector<std::string> v;
-          v.reserve(out.rows);
-          for (const Chunk& c : chunks) {
-            for (size_t i = 0; i < c.cols[ci].owned->size(); ++i) {
-              v.emplace_back(c.cols[ci].owned->GetStr(i));
+      CCDB_RETURN_IF_ERROR(VisitValueType(
+          col.owned->type(),
+          Status::InvalidArgument("ConcatChunks: unsupported owned type"),
+          [&]<typename T>(std::type_identity<T>) -> Status {
+            std::vector<T> v;
+            v.reserve(out.rows);
+            for (const Chunk& c : chunks) {
+              const Column& part = *c.cols[ci].owned;
+              auto at = OwnedValues<T>(part);
+              for (size_t i = 0; i < part.size(); ++i) v.push_back(at(i));
             }
-          }
-          col.owned = std::make_shared<const Column>(Column::Str(v));
-          break;
-        }
-        default:
-          return Status::InvalidArgument("ConcatChunks: unsupported owned type");
-      }
+            col.owned = OwnedColumn(v);
+            return Status::Ok();
+          }));
     }
     out.cols.push_back(std::move(col));
   }
@@ -544,35 +484,6 @@ std::vector<U32Range> CodeRanges(const ChunkColumn& col, const LeafSet& set) {
     if (code.ok()) codes.in_u32.push_back(*code);
   }
   return ClampToU32(LeafValues(codes)->ints);
-}
-
-/// Directly-composed SelectOps bypass Build() validation, so every leaf
-/// re-checks that its literal domain matches the column — a mismatch must
-/// stay a loud error, never a comparison against the wrong Literal member
-/// or against an encoded column's dictionary codes.
-Status CheckLeafDomain(PhysType col_type, const Expr& leaf) {
-  Literal::Type lt = LeafLiteralType(leaf);
-  bool ok = false;
-  switch (col_type) {
-    case PhysType::kU32:
-    case PhysType::kI64:
-      ok = lt == Literal::Type::kU32 || lt == Literal::Type::kI64;
-      break;
-    case PhysType::kF64:
-      ok = lt == Literal::Type::kF64;
-      break;
-    case PhysType::kStr:
-      ok = lt == Literal::Type::kStr;
-      break;
-    default:
-      break;
-  }
-  if (!ok) {
-    return Status::InvalidArgument(
-        "filter: literal type does not match column '" + leaf.column + "' (" +
-        PhysTypeName(col_type) + ")");
-  }
-  return Status::Ok();
 }
 
 /// Membership in a disjoint, ascending interval set (U32Range or
@@ -710,7 +621,16 @@ StatusOr<std::vector<uint32_t>> EvalLeaf(const Chunk& in, const Expr& leaf,
                                          const std::vector<uint32_t>* survivors,
                                          const ExecContext* ctx) {
   CCDB_ASSIGN_OR_RETURN(size_t ci, in.Find(leaf.column));
-  CCDB_RETURN_IF_ERROR(CheckLeafDomain(in.TypeOf(ci), leaf));
+  // Directly composed SelectOps bypass Build() validation, so every leaf
+  // re-checks its literal against the column: a mismatch must stay a loud
+  // error, never a comparison against the wrong Literal member or against
+  // an encoded column's dictionary codes.
+  const PhysType col_type = in.TypeOf(ci);
+  if (!LiteralFitsColumn(LeafLiteralType(leaf), col_type)) {
+    return Status::InvalidArgument(
+        "filter: literal type does not match column '" + leaf.column + "' (" +
+        PhysTypeName(col_type) + ")");
+  }
   std::optional<LeafSet> set = LeafValues(leaf);
   if (!set.has_value()) {
     return Status::InvalidArgument(
@@ -723,7 +643,7 @@ StatusOr<std::vector<uint32_t>> EvalLeaf(const Chunk& in, const Expr& leaf,
   const Column& vals =
       col.lazy() ? col.base->column_bat(col.base_col).tail() : *col.owned;
   // Integral values of at most 32 bits — an encoded column's codes among
-  // them (CheckLeafDomain admits strings there only on those) — test the
+  // them (LiteralFitsColumn admits strings there only on those) — test the
   // set on the u32 domain.
   std::vector<U32Range> ranges;
   PhysType t = vals.type();
@@ -1215,62 +1135,21 @@ StatusOr<std::vector<ChunkColumn>> JoinOp::TakeInnerWithNulls(
   for (size_t c = 0; c < inner_.cols.size(); ++c) {
     ChunkColumn col;
     col.name = inner_.cols[c].name;
-    switch (inner_.TypeOf(c)) {
-      case PhysType::kU32: {
-        std::vector<uint32_t> v;
-        if (inner_.rows > 0) {
-          CCDB_ASSIGN_OR_RETURN(v, taken.GatherU32(c));
-          for (size_t i = 0; i < n; ++i) {
-            if (!valid[i]) v[i] = 0;
+    CCDB_RETURN_IF_ERROR(VisitValueType(
+        inner_.TypeOf(c), Status::Internal("unexpected inner column type"),
+        [&]<typename T>(std::type_identity<T>) -> Status {
+          std::vector<T> v;
+          if (inner_.rows == 0) {
+            v.resize(n);
+          } else {
+            CCDB_ASSIGN_OR_RETURN(v, taken.Gather<T>(c));
+            for (size_t i = 0; i < n; ++i) {
+              if (!valid[i]) v[i] = T{};
+            }
           }
-        } else {
-          v.assign(n, 0);
-        }
-        col.owned = std::make_shared<const Column>(Column::U32(std::move(v)));
-        break;
-      }
-      case PhysType::kI64: {
-        std::vector<int64_t> v;
-        if (inner_.rows > 0) {
-          CCDB_ASSIGN_OR_RETURN(v, taken.GatherI64(c));
-          for (size_t i = 0; i < n; ++i) {
-            if (!valid[i]) v[i] = 0;
-          }
-        } else {
-          v.assign(n, 0);
-        }
-        col.owned = std::make_shared<const Column>(Column::I64(std::move(v)));
-        break;
-      }
-      case PhysType::kF64: {
-        std::vector<double> v;
-        if (inner_.rows > 0) {
-          CCDB_ASSIGN_OR_RETURN(v, taken.GatherF64(c));
-          for (size_t i = 0; i < n; ++i) {
-            if (!valid[i]) v[i] = 0.0;
-          }
-        } else {
-          v.assign(n, 0.0);
-        }
-        col.owned = std::make_shared<const Column>(Column::F64(std::move(v)));
-        break;
-      }
-      case PhysType::kStr: {
-        std::vector<std::string> v;
-        if (inner_.rows > 0) {
-          CCDB_ASSIGN_OR_RETURN(v, taken.GatherStr(c));
-          for (size_t i = 0; i < n; ++i) {
-            if (!valid[i]) v[i].clear();
-          }
-        } else {
-          v.resize(n);
-        }
-        col.owned = std::make_shared<const Column>(Column::Str(v));
-        break;
-      }
-      default:
-        return Status::Internal("unexpected inner column type");
-    }
+          col.owned = OwnedColumn(v);
+          return Status::Ok();
+        }));
     out.push_back(std::move(col));
   }
   return out;
@@ -1438,11 +1317,11 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
         }
         decoded[g] = std::string(dict.Get(code));
       }
-      group.owned = std::make_shared<const Column>(Column::Str(decoded));
+      group.owned = OwnedColumn(decoded);
     } else {
       std::vector<uint32_t> raw(ngroups);
       for (size_t g = 0; g < ngroups; ++g) raw[g] = agg.key(g, c);
-      group.owned = std::make_shared<const Column>(Column::U32(std::move(raw)));
+      group.owned = OwnedColumn(raw);
     }
     out->cols.push_back(std::move(group));
   }
@@ -1458,8 +1337,7 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
           // sums here; surface overflow instead.
           CCDB_ASSIGN_OR_RETURN(sums[g], CheckedI64(agg.state(g, v).sum));
         }
-        col.owned =
-            std::make_shared<const Column>(Column::I64(std::move(sums)));
+        col.owned = OwnedColumn(sums);
         break;
       }
       case AggFunc::kCount: {
@@ -1467,8 +1345,7 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
         for (size_t g = 0; g < ngroups; ++g) {
           CCDB_ASSIGN_OR_RETURN(counts[g], CheckedI64(agg.group_rows(g)));
         }
-        col.owned =
-            std::make_shared<const Column>(Column::I64(std::move(counts)));
+        col.owned = OwnedColumn(counts);
         break;
       }
       case AggFunc::kMin:
@@ -1478,8 +1355,7 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
         for (size_t g = 0; g < ngroups; ++g) {
           ext[g] = is_min ? agg.state(g, v).min : agg.state(g, v).max;
         }
-        col.owned =
-            std::make_shared<const Column>(Column::U32(std::move(ext)));
+        col.owned = OwnedColumn(ext);
         break;
       }
       case AggFunc::kAvg: {
@@ -1488,8 +1364,7 @@ StatusOr<bool> GroupByAggOp::Next(Chunk* out) {
           avgs[g] = static_cast<double>(agg.state(g, v).sum) /
                     static_cast<double>(agg.group_rows(g));
         }
-        col.owned =
-            std::make_shared<const Column>(Column::F64(std::move(avgs)));
+        col.owned = OwnedColumn(avgs);
         break;
       }
     }
@@ -1543,64 +1418,42 @@ StatusOr<bool> OrderByOp::Next(Chunk* out) {
   CCDB_ASSIGN_OR_RETURN(Chunk all, ConcatChunks(std::move(chunks)));
   CCDB_ASSIGN_OR_RETURN(size_t ci, all.Find(column_));
   std::vector<uint32_t> positions(all.rows);
-  for (size_t i = 0; i < positions.size(); ++i) {
-    positions[i] = static_cast<uint32_t>(i);
-  }
-  auto argsort = [&](const auto& keys) -> Status {
-    const bool desc = descending_;
-    auto cmp = [&keys, desc](uint32_t a, uint32_t b) {
-      return desc ? OrderKeyLess(keys[b], keys[a])
-                  : OrderKeyLess(keys[a], keys[b]);
-    };
-    size_t shards = CtxShards(ctx_, positions.size());
-    if (shards <= 1) {
-      std::stable_sort(positions.begin(), positions.end(), cmp);
-      return Status::Ok();
-    }
-    // Parallel merge sort: stable-sort contiguous shards on the pool, then
-    // fold left to right. inplace_merge takes from the left run on ties —
-    // exactly stable_sort's tie-break — so any parallelism produces the
-    // byte-identical permutation.
-    std::vector<std::ptrdiff_t> bounds(shards + 1);
-    for (size_t s = 0; s <= shards; ++s) {
-      bounds[s] = static_cast<std::ptrdiff_t>(positions.size() * s / shards);
-    }
-    CCDB_RETURN_IF_ERROR(
-        ExecParallelFor(ctx_, shards, [&](size_t s) -> Status {
-          std::stable_sort(positions.begin() + bounds[s],
-                           positions.begin() + bounds[s + 1], cmp);
+  std::iota(positions.begin(), positions.end(), 0u);
+  CCDB_RETURN_IF_ERROR(VisitValueType(
+      all.TypeOf(ci), Status::Internal("unexpected order-by key type"),
+      [&]<typename T>(std::type_identity<T>) -> Status {
+        CCDB_ASSIGN_OR_RETURN(std::vector<T> keys, all.Gather<T>(ci));
+        const bool desc = descending_;
+        auto cmp = [&keys, desc](uint32_t a, uint32_t b) {
+          return desc ? OrderKeyLess(keys[b], keys[a])
+                      : OrderKeyLess(keys[a], keys[b]);
+        };
+        size_t shards = CtxShards(ctx_, positions.size());
+        if (shards <= 1) {
+          std::stable_sort(positions.begin(), positions.end(), cmp);
           return Status::Ok();
-        }));
-    for (size_t s = 1; s < shards; ++s) {
-      std::inplace_merge(positions.begin(), positions.begin() + bounds[s],
-                         positions.begin() + bounds[s + 1], cmp);
-    }
-    return Status::Ok();
-  };
-  switch (all.TypeOf(ci)) {
-    case PhysType::kU32: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> keys, all.GatherU32(ci));
-      CCDB_RETURN_IF_ERROR(argsort(keys));
-      break;
-    }
-    case PhysType::kI64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<int64_t> keys, all.GatherI64(ci));
-      CCDB_RETURN_IF_ERROR(argsort(keys));
-      break;
-    }
-    case PhysType::kF64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<double> keys, all.GatherF64(ci));
-      CCDB_RETURN_IF_ERROR(argsort(keys));
-      break;
-    }
-    case PhysType::kStr: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<std::string> keys, all.GatherStr(ci));
-      CCDB_RETURN_IF_ERROR(argsort(keys));
-      break;
-    }
-    default:
-      return Status::Internal("unexpected order-by key type");
-  }
+        }
+        // Parallel merge sort: stable-sort contiguous shards on the pool, then
+        // fold left to right. inplace_merge takes from the left run on ties —
+        // exactly stable_sort's tie-break — so any parallelism produces the
+        // byte-identical permutation.
+        std::vector<std::ptrdiff_t> bounds(shards + 1);
+        for (size_t s = 0; s <= shards; ++s) {
+          bounds[s] =
+              static_cast<std::ptrdiff_t>(positions.size() * s / shards);
+        }
+        CCDB_RETURN_IF_ERROR(
+            ExecParallelFor(ctx_, shards, [&](size_t s) -> Status {
+              std::stable_sort(positions.begin() + bounds[s],
+                               positions.begin() + bounds[s + 1], cmp);
+              return Status::Ok();
+            }));
+        for (size_t s = 1; s < shards; ++s) {
+          std::inplace_merge(positions.begin(), positions.begin() + bounds[s],
+                             positions.begin() + bounds[s + 1], cmp);
+        }
+        return Status::Ok();
+      }));
   CCDB_ASSIGN_OR_RETURN(*out, all.Take(positions));
   return true;
 }

@@ -66,6 +66,37 @@ struct ChunkColumn {
   bool lazy() const { return owned == nullptr; }
 };
 
+/// The one place that decides which C++ type carries a chunk value type:
+/// calls `fn(std::type_identity<T>{})` with T = uint32_t, int64_t, double or
+/// std::string for kU32 / kI64 / kF64 / kStr and returns its result; any
+/// other type returns `other`. Operators that move values write their body
+/// once, over T, through this dispatch.
+template <typename Fn>
+auto VisitValueType(PhysType t, Status other, Fn&& fn)
+    -> decltype(fn(std::type_identity<uint32_t>{})) {
+  switch (t) {
+    case PhysType::kU32: return fn(std::type_identity<uint32_t>{});
+    case PhysType::kI64: return fn(std::type_identity<int64_t>{});
+    case PhysType::kF64: return fn(std::type_identity<double>{});
+    case PhysType::kStr: return fn(std::type_identity<std::string>{});
+    default: return other;
+  }
+}
+
+/// An owned column holding `v` (T one of VisitValueType's types).
+template <typename T>
+std::shared_ptr<const Column> OwnedColumn(const std::vector<T>& v) {
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    return std::make_shared<const Column>(Column::U32(v));
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return std::make_shared<const Column>(Column::I64(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    return std::make_shared<const Column>(Column::F64(v));
+  } else {
+    return std::make_shared<const Column>(Column::Str(v));
+  }
+}
+
 /// A batch of rows flowing between operators. All columns are positionally
 /// aligned; lazy columns from the same base-table side share one entry of
 /// `cands` (so a join result carries exactly two candidate lists no matter
@@ -77,17 +108,21 @@ struct Chunk {
 
   StatusOr<size_t> Find(const std::string& name) const;
 
-  /// Logical value type of column `c` (kU32 / kI64 / kF64 / kStr).
+  /// Value type of column `c`, one of VisitValueType's four: u8, u16, u32,
+  /// i32 and void storage read as kU32, an encoded string column as kStr;
+  /// i64, f64 and raw strings are their own type.
   PhysType TypeOf(size_t c) const;
 
-  // Gathers (tuple reconstruction): materialize column `c` through its
-  // candidate list. GatherStr decodes encoded string columns via the
-  // dictionary; GatherU32 returns their codes, reading any u8, u16 or u32
-  // column at its width with one type switch per call.
-  StatusOr<std::vector<uint32_t>> GatherU32(size_t c) const;
-  StatusOr<std::vector<int64_t>> GatherI64(size_t c) const;
-  StatusOr<std::vector<double>> GatherF64(size_t c) const;
-  StatusOr<std::vector<std::string>> GatherStr(size_t c) const;
+  /// Tuple reconstruction: column `c`'s values for every row, read through
+  /// its candidate list (an owned column as it is) as T, one of
+  /// VisitValueType's types. uint32_t reads a u8, u16 or u32 column at its
+  /// width — an encoded string column's dictionary codes among them;
+  /// int64_t reads an i64 column or widens those; std::string decodes an
+  /// encoded column through its dictionary. InvalidArgument when the
+  /// column's storage does not read as T, OutOfRange when a candidate lies
+  /// past the column's end.
+  template <typename T>
+  StatusOr<std::vector<T>> Gather(size_t c) const;
 
   /// Rows at `positions` (indices into this chunk, duplicates allowed —
   /// a join's take). Candidate lists are remapped, owned columns compacted.
@@ -95,8 +130,9 @@ struct Chunk {
   /// sharing its candidate lists and owned columns.
   StatusOr<Chunk> Take(std::span<const uint32_t> positions) const;
 
-  /// Appends column `c`'s values for all rows onto `out` (decoding strings,
-  /// widening integrals) — the final materialization step.
+  /// Appends column `c`'s values for all rows onto `out` — Gather at
+  /// TypeOf(c)'s type, so strings are decoded and narrow integrals read as
+  /// u32 — the final materialization step.
   Status AppendTo(size_t c, MaterializedColumn* out) const;
 };
 

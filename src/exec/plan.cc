@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "exec/operator.h"
+
 namespace ccdb {
 
 const char* AggFuncName(AggFunc f) {
@@ -64,30 +66,17 @@ StatusOr<const PlanColumn*> FindColumn(const Schema& schema,
   return found;
 }
 
-/// Logical value type of a stored table column: encoded and raw string
-/// columns read as kStr; u8/u16/u32 as kU32.
+/// A stored table column as a scan sees it: its type is the one a scan
+/// chunk reports for it (Chunk::TypeOf).
 PlanColumn ScanColumn(const Table& t, size_t i) {
+  Chunk scan;
+  scan.cols.resize(1);
+  scan.cols[0].base = &t;
+  scan.cols[0].base_col = i;
   PlanColumn c;
   c.name = t.schema().field(i).name;
-  if (t.is_encoded(i)) {
-    c.type = PhysType::kStr;
-    c.encoded = true;
-    return c;
-  }
-  switch (t.column_bat(i).tail().type()) {
-    case PhysType::kStr:
-      c.type = PhysType::kStr;
-      break;
-    case PhysType::kF64:
-      c.type = PhysType::kF64;
-      break;
-    case PhysType::kI64:
-      c.type = PhysType::kI64;
-      break;
-    default:
-      c.type = PhysType::kU32;
-      break;
-  }
+  c.type = scan.TypeOf(0);
+  c.encoded = t.is_encoded(i);
   return c;
 }
 
@@ -121,37 +110,19 @@ Status ValidateLeaf(const Schema& in, const Expr& e, const char* op) {
                                    e.column + "'");
   }
   Literal::Type lt = LeafLiteralType(e);
-  switch (lt) {
-    case Literal::Type::kU32:
-    case Literal::Type::kI64:
-      if (c->type != PhysType::kU32 && c->type != PhysType::kI64) {
-        return Status::InvalidArgument(
-            std::string(op) + ": integer comparison on non-integral column '" +
-            c->name + "'");
-      }
-      break;
-    case Literal::Type::kF64:
-      if (c->type != PhysType::kF64) {
-        return Status::InvalidArgument(std::string(op) +
-                                       ": float comparison on non-f64 "
-                                       "column '" +
-                                       c->name + "'");
-      }
-      break;
-    case Literal::Type::kStr:
-      if (c->type != PhysType::kStr) {
-        return Status::InvalidArgument(std::string(op) +
-                                       ": string comparison on non-string "
-                                       "column '" +
-                                       c->name + "'");
-      }
-      if (e.kind == Expr::Kind::kCmp && e.cmp != CmpOp::kEq &&
-          e.cmp != CmpOp::kNe) {
-        return Status::InvalidArgument(
-            std::string(op) + ": string columns support = and != only ('" +
-            c->name + "')");
-      }
-      break;
+  if (!LiteralFitsColumn(lt, c->type)) {
+    const char* what =
+        lt == Literal::Type::kF64   ? "float comparison on non-f64"
+        : lt == Literal::Type::kStr ? "string comparison on non-string"
+                                    : "integer comparison on non-integral";
+    return Status::InvalidArgument(std::string(op) + ": " + what +
+                                   " column '" + c->name + "'");
+  }
+  if (lt == Literal::Type::kStr && e.kind == Expr::Kind::kCmp &&
+      e.cmp != CmpOp::kEq && e.cmp != CmpOp::kNe) {
+    return Status::InvalidArgument(
+        std::string(op) + ": string columns support = and != only ('" +
+        c->name + "')");
   }
   // Inverted ranges select nothing and are always a caller bug; reject them
   // here instead of silently returning the empty set. (NaN bounds are not

@@ -22,13 +22,6 @@ double ColumnStats::RangeFraction(double lo, double hi, bool integral,
   return f < 0.0 ? 0.0 : (f > 1.0 ? 1.0 : f);
 }
 
-uint64_t DistinctCounter::Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 namespace {
 
 constexpr size_t kRegisters = 256;  // 2^8: HLL standard error ~ 1.04/sqrt(m)
@@ -179,13 +172,7 @@ StatusOr<ColumnStats> ComputeColumnStats(const Table& table, size_t col) {
     }
     case PhysType::kStr: {
       for (size_t i = 0; i < tail.size(); ++i) {
-        std::string_view sv = tail.GetStr(i);
-        uint64_t h = 1469598103934665603ull;  // FNV-1a over the bytes
-        for (char c : sv) {
-          h ^= static_cast<uint8_t>(c);
-          h *= 1099511628211ull;
-        }
-        dc.Add(DistinctCounter::Mix64(h));
+        dc.Add(DistinctCounter::Mix64(Fnv1a(tail.GetStr(i))));
       }
       break;  // no numeric range for raw strings
     }

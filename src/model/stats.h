@@ -18,6 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace ccdb {
@@ -66,8 +67,9 @@ class DistinctCounter {
   bool exact() const { return !sketching_; }
   uint64_t Estimate() const;
 
-  /// SplitMix64 — the avalanche-quality hash the counter expects.
-  static uint64_t Mix64(uint64_t x);
+  /// SplitMix64 (util/hash.h) — the avalanche-quality hash the counter
+  /// expects.
+  static uint64_t Mix64(uint64_t x) { return SplitMix64(x); }
 
  private:
   void Degrade();  // exact set -> sketch

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/hash.h"
+
 namespace ccdb {
 namespace {
 
@@ -10,14 +12,10 @@ namespace {
 // tag from the call site where adjacent variable-length fields could
 // otherwise alias (e.g. {"ab"} vs {"a","b"} in a column list).
 struct Hasher {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnv1aBasis;
 
   void Bytes(const void* p, size_t n) {
-    const unsigned char* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
+    h = Fnv1a({static_cast<const char*>(p), n}, h);
   }
   void U64(uint64_t v) { Bytes(&v, sizeof v); }
   void Str(const std::string& s) {

@@ -334,16 +334,17 @@ TEST(ExchangeTest, WireFormatRoundTripsChunks) {
       EXPECT_EQ(back->cols[c].name, chunk.cols[c].name);
       switch (chunk.TypeOf(c)) {
         case PhysType::kF64:
-          EXPECT_EQ(*back->GatherF64(c), *chunk.GatherF64(c));
+          EXPECT_EQ(*back->Gather<double>(c), *chunk.Gather<double>(c));
           break;
         case PhysType::kStr:
-          EXPECT_EQ(*back->GatherStr(c), *chunk.GatherStr(c));
+          EXPECT_EQ(*back->Gather<std::string>(c),
+                    *chunk.Gather<std::string>(c));
           break;
         case PhysType::kI64:
-          EXPECT_EQ(*back->GatherI64(c), *chunk.GatherI64(c));
+          EXPECT_EQ(*back->Gather<int64_t>(c), *chunk.Gather<int64_t>(c));
           break;
         default:
-          EXPECT_EQ(*back->GatherU32(c), *chunk.GatherU32(c));
+          EXPECT_EQ(*back->Gather<uint32_t>(c), *chunk.Gather<uint32_t>(c));
           break;
       }
     }

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "algo/join.h"
+#include "dist/wire.h"
 #include "exec/operator.h"
 #include "exec/table.h"
 #include "mem/arena.h"
@@ -360,13 +361,13 @@ TEST(TableTest, Gathers) {
     col.base_col = *t.schema().FieldIndex(name);
     chunk.cols.push_back(std::move(col));
   }
-  auto prices = chunk.GatherF64(0);
+  auto prices = chunk.Gather<double>(0);
   ASSERT_TRUE(prices.ok());
   EXPECT_DOUBLE_EQ((*prices)[1], 13.0);
-  auto qty = chunk.GatherU32(1);
+  auto qty = chunk.Gather<uint32_t>(1);
   ASSERT_TRUE(qty.ok());
   EXPECT_EQ((*qty)[0], 2u);
-  EXPECT_EQ(*chunk.GatherStr(2), *modes);
+  EXPECT_EQ(*chunk.Gather<std::string>(2), *modes);
   // Out-of-range OID caught.
   std::vector<oid_t> bad = {99};
   EXPECT_EQ(t.GatherStr(shipmode, bad).status().code(),
@@ -399,7 +400,7 @@ TEST(TableTest, Gathers) {
       col.base = &narrow;
       col.base_col = c;
       lazy.cols.push_back(col);
-      auto got = lazy.GatherU32(0);
+      auto got = lazy.Gather<uint32_t>(0);
       ASSERT_TRUE(got.ok());
       ASSERT_EQ(got->size(), cd.count);
       for (size_t i = 0; i < cd.count; ++i) {
@@ -412,7 +413,7 @@ TEST(TableTest, Gathers) {
     col.name = "c";
     col.owned = std::make_shared<const Column>(tail);
     owned.cols.push_back(col);
-    auto got = owned.GatherU32(0);
+    auto got = owned.Gather<uint32_t>(0);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->size(), tail.size());
     for (size_t i = 0; i < tail.size(); ++i) {
@@ -430,11 +431,13 @@ TEST(TableTest, Gathers) {
       lazy_col.base = &narrow;
       lazy_col.base_col = c;
       past.cols.push_back(lazy_col);
-      EXPECT_EQ(past.GatherU32(0).status().code(), StatusCode::kOutOfRange);
+      EXPECT_EQ(past.Gather<uint32_t>(0).status().code(),
+                StatusCode::kOutOfRange);
     }
   }
   // A non-integral column is rejected.
-  EXPECT_EQ(chunk.GatherU32(0).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(chunk.Gather<uint32_t>(0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TableTest, MemoryFootprintBeatsNsm) {
@@ -1158,6 +1161,98 @@ TEST(ChunkTakeTest, IdentityPositionsShareTheInput) {
     if (chunk.cols[c].lazy()) continue;
     EXPECT_NE(copied->cols[c].owned.get(), chunk.cols[c].owned.get())
         << chunk.cols[c].name;
+  }
+}
+
+TEST(ChunkTakeTest, ConcatOfTakenPartsRebuildsTheChunk) {
+  // Three takes split the chunk; concatenating them rebuilds every column,
+  // the owned ones of each value type among them.
+  Table t = *Table::FromRowStore(MakeItems(40));
+  Chunk chunk = MakeMixedChunk(t);
+  std::vector<Chunk> parts;
+  for (auto [lo, hi] : {std::pair<uint32_t, uint32_t>{0, 7}, {7, 8}, {8, 20}}) {
+    std::vector<uint32_t> positions;
+    for (uint32_t i = lo; i < hi; ++i) positions.push_back(i);
+    auto part = chunk.Take(positions);
+    ASSERT_TRUE(part.ok());
+    parts.push_back(*std::move(part));
+  }
+  auto whole = ConcatChunks(std::move(parts));
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole->rows, chunk.rows);
+  ASSERT_EQ(whole->cols.size(), chunk.cols.size());
+  for (size_t c = 0; c < chunk.cols.size(); ++c) {
+    EXPECT_EQ(whole->cols[c].lazy(), chunk.cols[c].lazy())
+        << chunk.cols[c].name;
+  }
+  EXPECT_EQ(RenderRows(*whole), RenderRows(chunk));
+}
+
+TEST(ChunkTakeTest, WireFrameRoundTripsEveryColumnKind) {
+  // Lazy columns over a dense and a sparse candidate list, an encoded string
+  // column and owned u32/i64/f64/str columns all come back as owned columns
+  // holding the same values; the rebuilt chunk serializes to the same frame.
+  Table t = *Table::FromRowStore(MakeItems(40));
+  Chunk chunk = MakeMixedChunk(t);
+  auto frame = SerializeChunk(chunk);
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  auto back = DeserializeChunk(*frame);
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  ASSERT_EQ(back->rows, chunk.rows);
+  ASSERT_EQ(back->cols.size(), chunk.cols.size());
+  for (size_t c = 0; c < chunk.cols.size(); ++c) {
+    EXPECT_EQ(back->cols[c].name, chunk.cols[c].name);
+    EXPECT_EQ(back->TypeOf(c), chunk.TypeOf(c)) << chunk.cols[c].name;
+  }
+  EXPECT_EQ(RenderRows(*back), RenderRows(chunk));
+  auto again = SerializeChunk(*back);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *frame);
+}
+
+TEST(JoinOpTest, LeftOuterNullsReadTypeDefaultsOnAggregateInner) {
+  // The inner is a GroupByAgg output: owned u32 keys and maxima, i64 sums
+  // and counts, f64 averages. Probe keys 14..19 have no group, so their
+  // right columns read 0, 0 and 0.0.
+  Table items = *Table::FromRowStore(MakeItems(40));  // order = row / 3
+  Rng rng(23);
+  Table probe = MakeKeyedTable(20, /*key_range=*/0, "pid", rng);
+  for (JoinStrategy s : {JoinStrategy::kSimpleHash, JoinStrategy::kSortMerge,
+                         JoinStrategy::kRadix8}) {
+    QueryBuilder inner(items);
+    inner.GroupByAgg({"order"}, {Agg::Sum("qty"), Agg::Count(),
+                                 Agg::Avg("qty"), Agg::Max("qty")});
+    auto plan = QueryBuilder(probe)
+                    .Join(std::move(inner), "k", "order",
+                          JoinType::kLeftOuter, s)
+                    .Project({"pid", "sum", "count", "avg", "max"})
+                    .Build();
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
+    PlannerOptions opts;
+    opts.profile = MachineProfile::GenericX86();
+    auto got = Execute(*plan, opts);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    ASSERT_EQ(got->num_rows(), 20u) << JoinStrategyName(s);
+    for (size_t r = 0; r < 20; ++r) {
+      const uint32_t pid = got->columns[0].u32_values[r];
+      ASSERT_EQ(pid, r) << JoinStrategyName(s);  // probe order
+      int64_t sum = 0, count = 0;
+      uint32_t max = 0;
+      for (uint32_t i = 3 * pid; i < std::min<uint32_t>(3 * pid + 3, 40); ++i) {
+        const uint32_t qty = 1 + i % 5;
+        sum += qty;
+        ++count;
+        max = std::max(max, qty);
+      }
+      const std::string label =
+          std::string(JoinStrategyName(s)) + " pid " + std::to_string(pid);
+      EXPECT_EQ(got->columns[1].i64_values[r], sum) << label;
+      EXPECT_EQ(got->columns[2].i64_values[r], count) << label;
+      EXPECT_EQ(got->columns[3].f64_values[r],
+                count == 0 ? 0.0 : static_cast<double>(sum) / count)
+          << label;
+      EXPECT_EQ(got->columns[4].u32_values[r], max) << label;
+    }
   }
 }
 

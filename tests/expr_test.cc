@@ -671,7 +671,7 @@ std::vector<uint32_t> DrainIds(std::unique_ptr<Operator> child, Expr e,
     auto more = op.Next(&out);
     CCDB_CHECK(more.ok());
     if (!*more) break;
-    auto v = out.GatherU32(*out.Find("id"));
+    auto v = out.Gather<uint32_t>(*out.Find("id"));
     CCDB_CHECK(v.ok());
     ids.insert(ids.end(), v->begin(), v->end());
   }

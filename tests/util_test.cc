@@ -9,6 +9,7 @@
 
 #include "util/aligned.h"
 #include "util/bits.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/table_printer.h"
@@ -133,6 +134,17 @@ TEST(BitsTest, SplitBitsEvenlyLargerSharesFirst) {
   SplitBitsEvenly(13, 4, out);
   EXPECT_EQ(out[0] + out[1] + out[2] + out[3], 13);
   EXPECT_GE(out[0], out[3]);
+}
+
+TEST(HashTest, KnownValues) {
+  // splitmix64's first output from state 0, and the published FNV-1a
+  // 64-bit vectors: exchange routing, HLL estimates and plan-cache keys
+  // depend on these exact constants.
+  EXPECT_EQ(SplitMix64(0), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(Fnv1a(""), kFnv1aBasis);
+  EXPECT_EQ(Fnv1a("a"), 0xAF63DC4C8601EC8Cull);
+  EXPECT_EQ(Fnv1a("foobar"), 0x85944171F73967E8ull);
+  EXPECT_EQ(Fnv1a("bar", Fnv1a("foo")), Fnv1a("foobar"));
 }
 
 TEST(RngTest, Deterministic) {
